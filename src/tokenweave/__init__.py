@@ -3,7 +3,7 @@
 Modules cover the full desk-scale pipeline: synthetic RVQ token grids (rvq),
 interleaving patterns (patterns), chroma/text conditioning (conditioning), a
 from-scratch autoregressive decoder with explicit gradients (model), guided
-sampling (sampling), brute-force distribution-exactness oracles (oracle),
+sampling (sampling), exact distribution oracles (oracle),
 memorization/melody-adherence analyses (analysis), synthetic corpora
 (corpus), and the experiment-runner CLI (cli).
 """
@@ -58,10 +58,8 @@ from .model import (
     EMAWeights,
     ModelConfig,
     Parameters,
-    StepInput,
     TrainExample,
     TrainHyper,
-    embed_step,
     example_from_grid,
     forward,
     grad,
@@ -74,7 +72,6 @@ from .model import (
 )
 from .sampling import SamplerConfig, cfg_combine, continue_from_prompt, generate, sample_token
 from .oracle import (
-    InducedDistribution,
     JointDistribution,
     exactness_report,
     induced_distribution,

@@ -186,13 +186,3 @@ def chroma_adherence(
     measured = chroma_of_sonified(classes, sample_rate=sample_rate, segment=segment)
     return chroma_cosine_similarity(measured, reference)
 
-
-def adherence_from_classes(
-    classes: QuantizedChroma,
-    reference: QuantizedChroma,
-    sample_rate: int = SONIFY_RATE,
-    segment: int = SONIFY_SEGMENT,
-) -> float:
-    """Adherence of an already-known class sequence (closed-loop checks)."""
-    measured = chroma_of_sonified(classes, sample_rate=sample_rate, segment=segment)
-    return chroma_cosine_similarity(measured, reference)

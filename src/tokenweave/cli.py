@@ -239,6 +239,10 @@ def _build_conditions(args, corpus, model_config, rng):
 
 def cmd_train(args) -> int:
     t0 = time.time()
+    for dest in ("steps", "sequences", "timesteps", "log_every"):
+        if getattr(args, dest) < 1:
+            flag = dest.replace("_", "-")
+            raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, dest)}")
     out_dir = Path(args.out) if args.out else _default_out("train")
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -573,12 +577,21 @@ def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: s
         if dest not in actions:
             raise ValidationError(f"config key {key!r} is not a flag of {command!r}")
         action = actions[dest]
+        # argparse checks neither type nor choices of a default, so check here
         if isinstance(action, (argparse._StoreTrueAction, argparse.BooleanOptionalAction)):
-            overrides[dest] = raw.strip().lower() in ("1", "true", "yes", "on")
+            value = raw.strip().lower() in ("1", "true", "yes", "on")
         elif action.type is not None:
-            overrides[dest] = action.type(raw)
+            try:
+                value = action.type(raw)
+            except ValueError as exc:
+                raise ValidationError(f"config key {key!r}: {exc}") from exc
         else:
-            overrides[dest] = raw
+            value = raw
+        if action.choices is not None and value not in action.choices:
+            raise ValidationError(
+                f"config key {key!r}: {value!r} is not one of {', '.join(map(str, action.choices))}"
+            )
+        overrides[dest] = value
     sub.set_defaults(**overrides)
 
 

@@ -173,21 +173,6 @@ def chroma_cosine_similarity(a: QuantizedChroma, b: QuantizedChroma) -> float:
     return float(np.mean(a.classes[:n] == b.classes[:n]))
 
 
-def chroma_cosine_similarity_raw(a: Chromagram, b: Chromagram) -> float:
-    """Debug variant on raw energies (not the headline metric)."""
-    n = min(a.F, b.F)
-    if n == 0:
-        raise ValidationError("similarity of empty chromagrams is undefined")
-    x, y = a.frames[:n], b.frames[:n]
-    nx = np.linalg.norm(x, axis=1)
-    ny = np.linalg.norm(y, axis=1)
-    sims = np.zeros(n)
-    both = (nx > 0) & (ny > 0)
-    sims[both] = np.sum(x[both] * y[both], axis=1) / (nx[both] * ny[both])
-    sims[(nx == 0) & (ny == 0)] = 1.0
-    return float(np.mean(sims))
-
-
 def merge_conditions(ann: TextAnnotation, cfg: PreprocessConfig, rng: np.random.Generator) -> str:
     """With probability merge_prob, append "key: value" tags (sorted by key) to
     the description; upon merging, drop the description itself with probability

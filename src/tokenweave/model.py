@@ -23,6 +23,7 @@ and parameters in place (single writer).
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -87,14 +88,6 @@ class Parameters:
 
 
 @dataclass(frozen=True)
-class StepInput:
-    """Per-codebook token-or-absent for one pattern step; 0 marks absence."""
-
-    tokens: np.ndarray  # (K,)
-    step: int
-
-
-@dataclass(frozen=True)
 class CombinedCondition:
     """Joint routing: a prefix tensor (melody) plus a cross-attention tensor (text)."""
 
@@ -115,47 +108,25 @@ def example_from_grid(pattern: Pattern, grid: TokenGrid, condition=None) -> Trai
     return TrainExample(tokens=seq.slots[:-1], targets=seq, pattern=pattern, condition=condition)
 
 
-def _param_names(config: ModelConfig) -> list[str]:
-    names = [f"embed.k{k}" for k in range(config.K)]
-    cross = config.conditioning_mode in ("cross_attention", "both")
-    for i in range(config.L):
-        names += [f"layer{i}.ln1.g", f"layer{i}.ln1.b"]
-        names += [f"layer{i}.attn.w{p}" for p in "qkvo"]
-        names += [f"layer{i}.attn.b{p}" for p in "qvo"]
-        if cross:
-            names += [f"layer{i}.lnx.g", f"layer{i}.lnx.b"]
-            names += [f"layer{i}.xattn.w{p}" for p in "qkvo"]
-            names += [f"layer{i}.xattn.b{p}" for p in "qvo"]
-        names += [f"layer{i}.ln2.g", f"layer{i}.ln2.b"]
-        names += [f"layer{i}.ffn.w1", f"layer{i}.ffn.b1", f"layer{i}.ffn.w2", f"layer{i}.ffn.b2"]
-    for k in range(config.K):
-        names += [f"head.k{k}.w", f"head.k{k}.b"]
-    return names
-
-
-def _param_shape(name: str, c: ModelConfig) -> tuple[int, ...]:
+def _param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter array, in init order."""
     D, F = c.D, c.ffn_mult * c.D
-    if name.startswith("embed."):
-        return (c.M + 1, D)
-    if ".ffn.w1" in name:
-        return (D, F)
-    if ".ffn.b1" in name:
-        return (F,)
-    if ".ffn.w2" in name:
-        return (F, D)
-    if ".ffn.b2" in name:
-        return (D,)
-    if ".w" in name and ("attn" in name):
-        return (D, D)
-    if ".b" in name and ("attn" in name):
-        return (D,)
-    if name.endswith(".g") or (name.endswith(".b") and ".ln" in name):
-        return (D,)
-    if name.startswith("head.") and name.endswith(".w"):
-        return (D, c.M)
-    if name.startswith("head.") and name.endswith(".b"):
-        return (c.M,)
-    raise ValidationError(f"unknown parameter name {name}")
+    shapes = {f"embed.k{k}": (c.M + 1, D) for k in range(c.K)}
+    blocks = [("ln1", "attn")]
+    if c.conditioning_mode in ("cross_attention", "both"):
+        blocks.append(("lnx", "xattn"))
+    for i in range(c.L):
+        p = f"layer{i}"
+        for ln, attn in blocks:
+            shapes.update({f"{p}.{ln}.g": (D,), f"{p}.{ln}.b": (D,)})
+            shapes.update({f"{p}.{attn}.w{x}": (D, D) for x in "qkvo"})
+            shapes.update({f"{p}.{attn}.b{x}": (D,) for x in "qvo"})
+        shapes.update({f"{p}.ln2.g": (D,), f"{p}.ln2.b": (D,)})
+        shapes.update({f"{p}.ffn.w1": (D, F), f"{p}.ffn.b1": (F,)})
+        shapes.update({f"{p}.ffn.w2": (F, D), f"{p}.ffn.b2": (D,)})
+    for k in range(c.K):
+        shapes.update({f"head.k{k}.w": (D, c.M), f"head.k{k}.b": (c.M,)})
+    return shapes
 
 
 def init_params(config: ModelConfig, seed: int) -> Parameters:
@@ -167,8 +138,7 @@ def init_params(config: ModelConfig, seed: int) -> Parameters:
     """
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
-    for name in _param_names(config):
-        shape = _param_shape(name, config)
+    for name, shape in _param_shapes(config).items():
         if name.endswith(".g"):
             arrays[name] = 1.0 + 0.02 * rng.standard_normal(shape)
         elif len(shape) == 1:
@@ -192,19 +162,12 @@ def sinusoidal_embedding(positions, D: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(ang), np.cos(ang))
 
 
-def _coerce_tokens(steps) -> tuple[np.ndarray, np.ndarray]:
-    """Accept an (S, K) int array or a sequence of StepInput; return the token
-    matrix plus the per-row step positions used for the sinusoid."""
-    if isinstance(steps, np.ndarray):
-        tokens = steps.astype(np.int64)
-        positions = np.arange(tokens.shape[0])
-    else:
-        items = list(steps)
-        tokens = np.stack([np.asarray(si.tokens, dtype=np.int64) for si in items])
-        positions = np.asarray([si.step for si in items], dtype=np.int64)
+def _coerce_tokens(steps) -> np.ndarray:
+    """The (S, K) int64 token matrix of the step inputs; row s sits at step s."""
+    tokens = np.asarray(steps, dtype=np.int64)
     if tokens.ndim != 2:
         raise ValidationError("step inputs must form an (S, K) matrix")
-    return tokens, positions
+    return tokens
 
 
 def _cond_rows(obj) -> np.ndarray | None:
@@ -232,22 +195,6 @@ def _route_condition(condition, mode: str) -> tuple[np.ndarray | None, np.ndarra
     if mode == "both":
         raise ValidationError("mode 'both' needs a CombinedCondition")
     raise ValidationError(f"unknown conditioning mode {mode!r}")
-
-
-def embed_step(params: Parameters, step_input: StepInput) -> np.ndarray:
-    """Sum of per-codebook token/absence embeddings plus the step sinusoid."""
-    c = params.config
-    tokens = np.asarray(step_input.tokens, dtype=np.int64)
-    if tokens.shape != (c.K,):
-        raise ValidationError(f"step input must hold {c.K} codebook entries")
-    if tokens.min() < 0 or tokens.max() > c.M:
-        raise ValidationError(f"token ids must lie in 0..{c.M}")
-    if not 0 <= step_input.step < c.max_steps:
-        raise ValidationError(f"step index {step_input.step} outside 0..{c.max_steps - 1}")
-    out = np.zeros(c.D)
-    for k in range(c.K):
-        out += params.arrays[f"embed.k{k}"][tokens[k]]
-    return out + sinusoidal_embedding([step_input.step], c.D)[0]
 
 
 def _layernorm_f(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -333,7 +280,7 @@ def _attention_b(dout, cache):
     return dq_in, dkv_in, grads
 
 
-def _forward_trunk(params: Parameters, tokens, positions, prefix_rows, cross_rows, need_cache):
+def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cache):
     c = params.config
     A = params.arrays
     S = tokens.shape[0]
@@ -341,7 +288,7 @@ def _forward_trunk(params: Parameters, tokens, positions, prefix_rows, cross_row
         raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
     if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
         raise ValidationError(f"token ids must lie in 0..{c.M}")
-    if S > c.max_steps or (positions.size and positions.max() >= c.max_steps):
+    if S > c.max_steps:
         raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
     if cross_rows is not None and cross_rows.shape[1] != c.D:
         raise ValidationError(f"cross condition rows must have dimension {c.D}")
@@ -356,7 +303,7 @@ def _forward_trunk(params: Parameters, tokens, positions, prefix_rows, cross_row
     x_steps = A["embed.k0"][tokens[:, 0]].copy()
     for k in range(1, c.K):
         x_steps += A[f"embed.k{k}"][tokens[:, k]]
-    x_steps += sinusoidal_embedding(positions, c.D)
+    x_steps += sinusoidal_embedding(np.arange(S), c.D)
 
     if prefix_rows is not None:
         n_prefix = prefix_rows.shape[0]
@@ -410,9 +357,9 @@ def forward(
     mode = c.conditioning_mode if mode is None else mode
     if mode not in CONDITIONING_MODES:
         raise ValidationError(f"conditioning mode must be one of {CONDITIONING_MODES}")
-    tokens, positions = _coerce_tokens(steps)
+    tokens = _coerce_tokens(steps)
     prefix_rows, cross_rows = _route_condition(condition, mode)
-    logits, hidden, _ = _forward_trunk(params, tokens, positions, prefix_rows, cross_rows, False)
+    logits, hidden, _ = _forward_trunk(params, tokens, prefix_rows, cross_rows, False)
     return (logits, hidden) if return_hidden else logits
 
 
@@ -425,7 +372,7 @@ def _masked_log_softmax(logits: np.ndarray):
 def _target_mask(targets: InterleavedSequence, pattern: Pattern, S: int, K: int):
     if targets.slots.shape != (S + 1, K):
         raise ValidationError("targets do not match the logits' step count")
-    if (pattern.T, pattern.K) != (pattern.T, K) or len(pattern.steps) != S + 1:
+    if pattern.K != K or len(pattern.steps) != S + 1:
         raise ValidationError("pattern does not match the logits' step count")
     return pattern.presence_mask()[1:]
 
@@ -526,18 +473,18 @@ def grad(params: Parameters, batch: Sequence[TrainExample], mode: str | None = N
     prepared = []
     total_count = 0
     for ex in batch:
-        tokens, positions = _coerce_tokens(ex.tokens)
+        tokens = _coerce_tokens(ex.tokens)
         mask = _target_mask(ex.targets, ex.pattern, tokens.shape[0], c.K)
         total_count += int(mask.sum())
-        prepared.append((ex, tokens, positions, mask))
+        prepared.append((ex, tokens, mask))
     if total_count == 0:
         raise ValidationError("no revealed positions in the batch")
 
     loss_sum = 0.0
     correct = 0
-    for ex, tokens, positions, mask in prepared:
+    for ex, tokens, mask in prepared:
         prefix_rows, cross_rows = _route_condition(ex.condition, mode)
-        logits, _, cache = _forward_trunk(params, tokens, positions, prefix_rows, cross_rows, True)
+        logits, _, cache = _forward_trunk(params, tokens, prefix_rows, cross_rows, True)
         logp = _masked_log_softmax(logits)
         s_idx, k_idx = np.nonzero(mask)
         tok = ex.targets.slots[1:][mask] - 1
@@ -666,9 +613,6 @@ class EMAWeights:
         for name, p in params.arrays.items():
             self.arrays[name] = self.decay * self.arrays[name] + (1.0 - self.decay) * p
 
-    def as_params(self, config: ModelConfig) -> Parameters:
-        return Parameters(config=config, arrays={k: v.copy() for k, v in self.arrays.items()})
-
 
 def save_checkpoint(
     path,
@@ -708,19 +652,42 @@ class Checkpoint:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    with np.load(path, allow_pickle=False) as data:
-        header = json.loads(str(data["__header__"]))
+    """Read a save_checkpoint container; a file that is not one, or whose
+    parameter arrays do not match its config, raises ValidationError."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except FileNotFoundError:
+        raise
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValidationError(f"{path} is not an npz checkpoint") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValidationError(f"{path} is not an npz checkpoint")
+    try:
+        with data:
+            arrays = {k: data[k] for k in data.files}
+        header = json.loads(str(arrays["__header__"]))
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
         config = ModelConfig.from_dict(header["config"])
-        arrays = {k[2:]: data[k] for k in data.files if k.startswith("p:")}
-        params = Parameters(config=config, arrays=arrays)
-        opt_state = None
-        if header.get("opt_step") is not None:
-            opt_state = AdamWState(
-                step=int(header["opt_step"]),
-                m={k[2:]: data[k] for k in data.files if k.startswith("m:")},
-                v={k[2:]: data[k] for k in data.files if k.startswith("v:")},
-            )
-        extra = {k[2:]: data[k] for k in data.files if k.startswith("x:")}
-    return Checkpoint(params=params, opt_state=opt_state, extra=extra, meta=header["meta"])
+        opt_step = header.get("opt_step")
+        opt_step = None if opt_step is None else int(opt_step)
+        meta = header["meta"]
+    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
+            zipfile.BadZipFile) as exc:
+        raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc
+
+    def prefixed(tag: str) -> dict[str, np.ndarray]:
+        return {k[2:]: v for k, v in arrays.items() if k.startswith(tag)}
+
+    params = Parameters(config=config, arrays=prefixed("p:"))
+    expected = _param_shapes(config)
+    got = {name: arr.shape for name, arr in params.arrays.items()}
+    if got != expected:
+        wrong = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
+        raise ValidationError(
+            f"checkpoint parameters do not match its config: {', '.join(wrong[:5])}"
+        )
+    opt_state = None
+    if opt_step is not None:
+        opt_state = AdamWState(step=opt_step, m=prefixed("m:"), v=prefixed("v:"))
+    return Checkpoint(params=params, opt_state=opt_state, extra=prefixed("x:"), meta=meta)

@@ -1,20 +1,21 @@
-"""Brute-force exactness laboratory for interleaving patterns.
+"""Exactness laboratory for interleaving patterns.
 
 Holds explicit joint distributions over tiny token grids, computes exact
-conditionals by marginalization, walks a pattern to enumerate the exact law of
-the grids a per-step-independent sampler would generate, and measures the
-total variation distance between the two. Everything is exhaustive
-enumeration; nothing is sampled.
+conditionals by marginalization, computes the exact law of the grids a
+per-step-independent sampler would generate when it walks a pattern, and
+measures the total variation distance between the two. Nothing is sampled.
 
 Grid outcomes are indexed by flattening positions (t, k) row-major, i.e. axis
 a = (t-1)*K + (k-1) of an (M,)*N table with N = T*K.
 
-A sampler that factorizes within a step can produce grids outside the joint's
-support; the next step then conditions on a probability-zero prefix, which the
-exact conditional leaves undefined. induced_distribution adopts the
-maximum-entropy convention there: the per-position conditional falls back to
-uniform over M. true_conditional, by contrast, treats a zero-probability
-reveal as a caller error.
+The induced law has a closed form. With R_s the positions revealed before
+step s, the induced probability of a full grid x is the product over steps s
+and positions a revealed at s of P(x_a | x_{R_s}) = P(x_{R_s}, x_a) / P(x_{R_s}),
+each factor a ratio of two whole-table marginals. A sampler that factorizes
+within a step can reach prefixes outside the joint's support, where that
+ratio is undefined; induced_distribution adopts the maximum-entropy
+convention there and uses 1/M. true_conditional, by contrast, treats a
+zero-probability reveal as a caller error.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .patterns import Coord, Pattern, PatternKind, TokenGrid, step_counts, validate_pattern
+from .patterns import Coord, Pattern, TokenGrid, step_counts, validate_pattern
 from .rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
 MAX_TABLE_ENTRIES = 10**6
@@ -74,29 +75,6 @@ class JointDistribution:
     def table(self) -> np.ndarray:
         """View of the table with one axis per grid position."""
         return self.probs.reshape((self.M,) * self.n_positions)
-
-
-@dataclass(frozen=True)
-class InducedDistribution:
-    """Law of the generated grid when a pattern is walked with exact
-    per-position conditionals and within-step independence."""
-
-    T: int
-    K: int
-    M: int
-    probs: np.ndarray
-    pattern_kind: PatternKind | None = None
-
-    def __post_init__(self) -> None:
-        size = _check_dims(self.T, self.K, self.M)
-        p = np.asarray(self.probs, dtype=np.float64)
-        if p.shape != (size,):
-            raise ValidationError(f"probability table must be flat with {size} entries")
-        if p.min() < 0:
-            raise ValidationError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > MASS_TOL:
-            raise ValidationError(f"induced mass is {p.sum()!r}, not 1")
-        object.__setattr__(self, "probs", p)
 
 
 def _axis(T: int, K: int, coord: Coord) -> int:
@@ -177,27 +155,11 @@ def _markov_residual_joint(T: int, K: int, M: int, seed: int) -> JointDistributi
     return JointDistribution(T=T, K=K, M=M, probs=probs, family="markov_residual")
 
 
-def _conditional(
-    table: np.ndarray,
-    revealed_axes: Sequence[int],
-    revealed_values: Sequence[int],
-    target_axis: int,
-) -> np.ndarray | None:
-    """Exact conditional of one position given revealed ones, or None when the
-    revealed assignment has probability zero. Values here are 0-based."""
-    idx: list[object] = [slice(None)] * table.ndim
-    for a, v in zip(revealed_axes, revealed_values):
-        idx[a] = v
-    sub = table[tuple(idx)]
-    # axes of sub correspond to unrevealed positions in ascending axis order
-    remaining = [a for a in range(table.ndim) if a not in revealed_axes]
-    keep = remaining.index(target_axis)
-    sum_axes = tuple(i for i in range(sub.ndim) if i != keep)
-    marg = sub.sum(axis=sum_axes) if sum_axes else sub
-    total = marg.sum()
-    if total <= 0.0:
-        return None
-    return marg / total
+def _marginal(table: np.ndarray, keep_axes: Iterable[int]) -> np.ndarray:
+    """Sum out every axis not in keep_axes; summed axes stay with length 1,
+    so the result broadcasts against the table."""
+    keep = set(keep_axes)
+    return table.sum(axis=tuple(a for a in range(table.ndim) if a not in keep), keepdims=True)
 
 
 def true_conditional(
@@ -223,28 +185,25 @@ def true_conditional(
         raise ValidationError("revealed and target positions must be disjoint")
 
     table = joint.table()
-    idx: list[object] = [slice(None)] * table.ndim
+    idx: list[slice] = [slice(None)] * table.ndim
     for a, v in zip(rev_axes, rev_vals):
-        idx[a] = v
-    sub = table[tuple(idx)]
-    remaining = [a for a in range(table.ndim) if a not in rev_axes]
-    keep = [remaining.index(a) for a in tgt_axes]
-    sum_axes = tuple(i for i in range(sub.ndim) if i not in keep)
-    marg = sub.sum(axis=sum_axes) if sum_axes else sub
-    marg = np.moveaxis(marg, [sorted(keep).index(i) for i in keep], range(len(keep)))
+        idx[a] = slice(v, v + 1)
+    # the kept axes come out in ascending order; reorder them as given
+    marg = _marginal(table[tuple(idx)], tgt_axes).reshape((joint.M,) * len(tgt_axes))
+    marg = np.transpose(marg, [sorted(tgt_axes).index(a) for a in tgt_axes])
     total = marg.sum()
     if total <= 0.0:
         raise ValidationError("revealed assignment has probability zero under the joint")
     return marg / total
 
 
-def induced_distribution(joint: JointDistribution, pattern: Pattern) -> InducedDistribution:
+def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDistribution:
     """Exact law of the grid generated by walking the pattern with true
     per-position conditionals, positions within a step drawn independently.
 
-    Full branch enumeration: every reachable partial assignment is carried with
-    its exact probability, zero-probability token choices are pruned, and a
-    zero-probability prefix falls back to the uniform conditional.
+    Closed form: the product over steps of P(x_a | x_{R_s}) for every position
+    a the step reveals, R_s being the positions revealed before the step, with
+    1/M wherever P(x_{R_s}) = 0.
     """
     if (pattern.T, pattern.K) != (joint.T, joint.K):
         raise ValidationError(
@@ -254,52 +213,24 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> InducedD
     if not report.ok:
         raise ValidationError(f"pattern is invalid: {report.violations[0]}")
 
-    M = joint.M
     table = joint.table()
-    uniform = np.full(M, 1.0 / M)
-    n = joint.n_positions
-
-    # branch key: tuple of 0-based tokens with -1 marking unassigned positions
-    branches: dict[tuple[int, ...], float] = {(-1,) * n: 1.0}
+    law = np.ones_like(table)
+    revealed: list[int] = []
     for step in pattern.steps[1:]:
         axes = sorted(_axis(joint.T, joint.K, c) for c in step.coords)
-        new_branches: dict[tuple[int, ...], float] = {}
-        for key, mass in branches.items():
-            rev_axes = [a for a, v in enumerate(key) if v >= 0]
-            rev_vals = [key[a] for a in rev_axes]
-            conds = []
-            for axis in axes:
-                cond = _conditional(table, rev_axes, rev_vals, axis)
-                conds.append(uniform if cond is None else cond)
-            # cartesian product over the positive-support choices of this step
-            partial = [(key, mass)]
-            for axis, cond in zip(axes, conds):
-                grown = []
-                for k2, m2 in partial:
-                    for v in np.flatnonzero(cond > 0.0):
-                        nk = list(k2)
-                        nk[axis] = int(v)
-                        grown.append((tuple(nk), m2 * float(cond[v])))
-                partial = grown
-            for k2, m2 in partial:
-                new_branches[k2] = new_branches.get(k2, 0.0) + m2
-            if len(new_branches) > MAX_TABLE_ENTRIES:
-                raise GuardError("branch enumeration exceeded the table guard")
-        branches = new_branches
-
-    probs = np.zeros(M**n)
-    for key, mass in branches.items():
-        idx = 0
-        for v in key:
-            idx = idx * M + v
-        probs[idx] += mass
-    return InducedDistribution(T=joint.T, K=joint.K, M=M, probs=probs, pattern_kind=pattern.kind)
+        prefix = _marginal(table, revealed)
+        for a in axes:
+            both = _marginal(table, revealed + [a])
+            fallback = np.full(both.shape, 1.0 / joint.M)
+            law *= np.divide(both, prefix, out=fallback, where=prefix > 0.0)
+        revealed += axes
+    return JointDistribution(T=joint.T, K=joint.K, M=joint.M, probs=law.reshape(-1))
 
 
 def tv_distance(p, q) -> float:
     """Total variation distance 0.5 * sum |p - q| over a shared index space.
 
-    Accepts the distribution dataclasses (dims are cross-checked) or bare
+    Accepts JointDistribution laws (dims are cross-checked) or bare
     probability arrays of equal shape.
     """
     if hasattr(p, "probs") and hasattr(q, "probs"):

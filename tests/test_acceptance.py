@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tokenweave.analysis import adherence_from_classes, memorization_report
+from tokenweave.analysis import chroma_of_sonified, memorization_report
 from tokenweave.conditioning import (
     AudioBuffer,
     PreprocessConfig,
@@ -246,7 +246,7 @@ def test_criterion_08_chroma_correctness():
     assert abs(sim - 1.0 / 12.0) <= 0.01
     # closed-loop sonification sanity on top of the stated checks
     ref = QuantizedChroma(classes=rng.integers(0, 12, size=30))
-    assert adherence_from_classes(ref, ref) == 1.0
+    assert chroma_cosine_similarity(chroma_of_sonified(ref), ref) == 1.0
     # paper-scale chroma-similarity table values (0.66 conditioned vs 0.10
     # text-only) need full-scale training and are context only
     ok(8, f"440/880 Hz -> class 9 every frame; self-sim 1.0; random sim {sim:.4f} ~ 1/12")

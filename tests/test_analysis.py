@@ -4,7 +4,6 @@ import pytest
 from tokenweave.analysis import (
     MemorizationReport,
     MemorizationRow,
-    adherence_from_classes,
     chroma_adherence,
     chroma_of_sonified,
     class_anchor_latents,
@@ -13,7 +12,11 @@ from tokenweave.analysis import (
     pitch_class_frequency,
     sonify_classes,
 )
-from tokenweave.conditioning import QuantizedChroma, pitch_class_of_frequency
+from tokenweave.conditioning import (
+    QuantizedChroma,
+    chroma_cosine_similarity,
+    pitch_class_of_frequency,
+)
 from tokenweave.corpus import make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.model import ModelConfig, init_params
@@ -79,14 +82,14 @@ def test_sonified_reference_is_recovered_exactly():
     ref = QuantizedChroma(classes=rng.integers(0, 12, size=40))
     measured = chroma_of_sonified(ref)
     assert np.array_equal(measured.classes, ref.classes)
-    assert adherence_from_classes(ref, ref) == 1.0
+    assert chroma_cosine_similarity(measured, ref) == 1.0
 
 
 def test_transposed_sonification_scores_zero():
     rng = np.random.default_rng(1)
     ref = QuantizedChroma(classes=rng.integers(0, 12, size=25))
     shifted = QuantizedChroma(classes=(ref.classes + 1) % 12)
-    assert adherence_from_classes(shifted, ref) == 0.0
+    assert chroma_cosine_similarity(chroma_of_sonified(shifted), ref) == 0.0
 
 
 def test_pitch_class_frequency_inverts_classifier():

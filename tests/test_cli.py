@@ -165,6 +165,23 @@ def test_generate_missing_checkpoint_exits_4(tmp_path):
                  "--out", str(tmp_path / "o")]) == 4
 
 
+def test_checkpoint_missing_param_exits_3(trained, tmp_path, capsys):
+    with np.load(trained / "checkpoint.npz") as data:
+        arrays = {k: data[k] for k in data.files if k != "p:embed.k3"}
+    bad = tmp_path / "missing.npz"
+    np.savez(bad, **arrays)
+    assert main(["generate", "--checkpoint", str(bad), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "embed.k3" in err and "Traceback" not in err
+
+
+def test_checkpoint_not_npz_exits_3(tmp_path, capsys):
+    bad = tmp_path / "notes.npz"
+    bad.write_text("not a checkpoint\n")
+    assert main(["generate", "--checkpoint", str(bad), "--out", str(tmp_path / "o")]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_memorize_report(trained, tmp_path):
     out = tmp_path / "mem"
     assert main(["memorize", "--checkpoint", str(trained / "checkpoint.npz"),
@@ -218,6 +235,22 @@ def test_config_file_unknown_key_exits_3(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[patterns]\nturbo = yes\n")
     assert main(["patterns", "bench", "--config", str(cfg)]) == 3
+
+
+@pytest.mark.parametrize("key,value", [("pattern", "bogus"), ("steps", "abc")])
+def test_config_file_bad_value_exits_3(tmp_path, capsys, key, value):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(f"[train]\n{key} = {value}\n")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag", ["--steps", "--sequences", "--timesteps", "--log-every"])
+def test_train_zero_count_exits_3(tmp_path, capsys, flag):
+    assert main(["train", flag, "0", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
 
 
 def test_env_var_default_output(tmp_path, monkeypatch, capsys):

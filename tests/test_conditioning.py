@@ -282,18 +282,6 @@ def test_conditioning_tensor_validation():
         ConditioningTensor(rows=np.array([[np.inf, 0.0]]))
 
 
-def test_raw_cosine_debug_variant():
-    from tokenweave.conditioning import chroma_cosine_similarity_raw
-
-    frames = np.zeros((3, 12))
-    frames[0, 2] = 1.0
-    frames[1, 5] = 2.0
-    a = Chromagram(frames=frames, frame_hop_seconds=0.1)
-    assert chroma_cosine_similarity_raw(a, a) == 1.0
-    other = Chromagram(frames=frames[::-1].copy(), frame_hop_seconds=0.1)
-    assert 0.0 <= chroma_cosine_similarity_raw(a, other) <= 1.0
-
-
 def test_chromagram_at_non_default_sample_rate():
     rate = 22050
     t = np.arange(2 * rate) / rate

@@ -10,11 +10,9 @@ from tokenweave.model import (
     CombinedCondition,
     ModelConfig,
     Parameters,
-    StepInput,
     TrainExample,
     TrainHyper,
     cosine_lr,
-    embed_step,
     example_from_grid,
     forward,
     global_grad_norm,
@@ -72,42 +70,12 @@ def test_param_count_accounting_300m():
     assert abs(params.n_params() - 3e8) / 3e8 < 0.10
 
 
-def test_embed_step_all_absent_is_sum_of_absence_rows():
-    params = init_params(TINY, seed=1)
-    out = embed_step(params, StepInput(tokens=np.zeros(2, dtype=int), step=0))
-    manual = (
-        params.arrays["embed.k0"][0]
-        + params.arrays["embed.k1"][0]
-        + sinusoidal_embedding([0], TINY.D)[0]
-    )
-    assert np.allclose(out, manual)
-
-
-def test_embed_step_position_cancels_in_presence_difference():
-    params = init_params(TINY, seed=1)
-    for s in (0, 3, 7):
-        present = embed_step(params, StepInput(tokens=np.array([2, 0]), step=s))
-        absent = embed_step(params, StepInput(tokens=np.array([0, 0]), step=s))
-        diff = present - absent
-        if s == 0:
-            base = diff
-        assert np.allclose(diff, base)
-
-
-def test_embed_step_position_difference_is_pure_sinusoid():
-    params = init_params(TINY, seed=1)
-    a = embed_step(params, StepInput(tokens=np.array([1, 4]), step=2))
-    b = embed_step(params, StepInput(tokens=np.array([1, 4]), step=9))
-    pos = sinusoidal_embedding([2, 9], TINY.D)
-    assert np.allclose(a - b, pos[0] - pos[1])
-
-
-def test_embed_step_rejects_bad_tokens():
+def test_forward_rejects_bad_tokens():
     params = init_params(TINY, seed=1)
     with pytest.raises(ValidationError):
-        embed_step(params, StepInput(tokens=np.array([6, 0]), step=0))
+        forward(params, np.array([[TINY.M + 1, 0]]), mode="none")
     with pytest.raises(ValidationError):
-        embed_step(params, StepInput(tokens=np.array([1, 1]), step=TINY.max_steps))
+        forward(params, np.ones((TINY.max_steps + 1, 2), dtype=int), mode="none")
 
 
 def test_forward_shapes_and_finite():
@@ -258,9 +226,9 @@ def assert_kink_margin(params, batch, mode, factor=10.0):
     from tokenweave.model import _coerce_tokens, _forward_trunk, _route_condition
 
     for ex in batch:
-        tokens, positions = _coerce_tokens(ex.tokens)
+        tokens = _coerce_tokens(ex.tokens)
         prefix_rows, cross_rows = _route_condition(ex.condition, mode)
-        _, _, cache = _forward_trunk(params, tokens, positions, prefix_rows, cross_rows, True)
+        _, _, cache = _forward_trunk(params, tokens, prefix_rows, cross_rows, True)
         for layer_cache in cache[3]:
             ln2_out, h = layer_cache[4], layer_cache[5]
             margin = np.abs(h).min() / (FD_EPS * max(np.abs(ln2_out).max(), 1.0))
@@ -450,18 +418,6 @@ def test_config_validation():
         ModelConfig(K=0, M=4)
     with pytest.raises(ValidationError):
         ModelConfig(K=1, M=4, conditioning_mode="sideways")
-
-
-def test_forward_accepts_step_input_sequence():
-    params = init_params(TINY, seed=2)
-    tokens = np.array([[0, 0], [1, 2], [3, 0]])
-    as_array = forward(params, tokens, mode="none")
-    as_steps = forward(
-        params,
-        [StepInput(tokens=tokens[s], step=s) for s in range(3)],
-        mode="none",
-    )
-    assert np.array_equal(as_array, as_steps)
 
 
 @pytest.mark.slow

@@ -6,7 +6,6 @@ import pytest
 from tokenweave.errors import GuardError, ValidationError
 from tokenweave.oracle import (
     ExactnessRow,
-    InducedDistribution,
     JointDistribution,
     exactness_report,
     grid_index,
@@ -15,7 +14,7 @@ from tokenweave.oracle import (
     true_conditional,
     tv_distance,
 )
-from tokenweave.patterns import PatternKind, TokenGrid, build_pattern
+from tokenweave.patterns import STEREO_KINDS, PatternKind, TokenGrid, build_pattern
 
 FAMILIES = ("product", "diagonal", "markov_residual")
 
@@ -192,19 +191,12 @@ def test_delay_degenerates_to_sequential_at_T1():
     assert tv_distance(joint, induced) <= 1e-12
 
 
-@pytest.mark.parametrize(
-    "family,kind",
-    [
-        ("diagonal", PatternKind.PARALLEL),
-        ("diagonal", PatternKind.DELAY),
-        ("markov_residual", PatternKind.PARALLEL),
-        ("markov_residual", PatternKind.DELAY),
-        ("product", PatternKind.FLATTEN),
-    ],
-)
+@pytest.mark.parametrize("kind", list(PatternKind))
+@pytest.mark.parametrize("family", FAMILIES)
 def test_induced_matches_independent_enumerator(family, kind):
-    joint = make_joint(family, T=2, K=2, M=2, seed=7)
-    pattern = build_pattern(kind, 2, 2)
+    T, K = (1, 4) if kind in STEREO_KINDS else (2, 2)
+    joint = make_joint(family, T=T, K=K, M=2, seed=7)
+    pattern = build_pattern(kind, T, K)
     fast = induced_distribution(joint, pattern).probs
     slow = brute_induced_table(joint, pattern)
     assert np.allclose(fast, slow, atol=1e-12)
