@@ -225,7 +225,7 @@ def _build_conditions(args, corpus, model_config, rng):
             chroma_to_condition(latents_to_classes(lf, anchors), model_config.D)
             for lf in corpus.latents
         ]
-    prep = PreprocessConfig(condition_dropout=args.cfg_drop)
+    prep = PreprocessConfig()
     conditions = []
     for i in range(len(corpus.grids)):
         ann = TextAnnotation(
@@ -340,7 +340,7 @@ def cmd_generate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = _load_ckpt(args.checkpoint)
     params = ckpt.params
-    T = args.timesteps or int(ckpt.meta.get("timesteps", 8))
+    T = args.timesteps if args.timesteps is not None else int(ckpt.meta.get("timesteps", 8))
     kind = PatternKind(args.pattern or ckpt.meta.get("pattern", "delay"))
     pattern = build_pattern(kind, T, params.config.K)
 
@@ -355,10 +355,9 @@ def cmd_generate(args) -> int:
         guidance_scale=args.guidance,
         mode="greedy" if args.greedy else "sample",
     )
-    mode = params.config.conditioning_mode if condition is not None else "none"
     gen_t0 = time.time()
     grid = generate(params, pattern, condition=condition, cfg=cfg,
-                    rng=np.random.default_rng(args.seed), mode=mode)
+                    rng=np.random.default_rng(args.seed))
     gen_seconds = time.time() - gen_t0
     timings = {
         "generate_seconds": round(gen_seconds, 6),
@@ -578,15 +577,15 @@ def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: s
             raise ValidationError(f"config key {key!r} is not a flag of {command!r}")
         action = actions[dest]
         # argparse checks neither type nor choices of a default, so check here
-        if isinstance(action, (argparse._StoreTrueAction, argparse.BooleanOptionalAction)):
-            value = raw.strip().lower() in ("1", "true", "yes", "on")
-        elif action.type is not None:
-            try:
+        try:
+            if isinstance(action, (argparse._StoreTrueAction, argparse.BooleanOptionalAction)):
+                value = ini[command].getboolean(key)  # 1/yes/true/on or 0/no/false/off
+            elif action.type is not None:
                 value = action.type(raw)
-            except ValueError as exc:
-                raise ValidationError(f"config key {key!r}: {exc}") from exc
-        else:
-            value = raw
+            else:
+                value = raw
+        except ValueError as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             raise ValidationError(
                 f"config key {key!r}: {value!r} is not one of {', '.join(map(str, action.choices))}"

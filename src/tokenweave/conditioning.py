@@ -22,7 +22,6 @@ from .errors import ValidationError
 PITCH_CLASSES = 12
 A4_HZ = 440.0
 MIN_CHROMA_HZ = 32.7  # C1; spectral bins below this are ignored
-NULL_PITCH_CLASS = 12  # dedicated "condition dropped" class for embeddings
 
 DEFAULT_WINDOW = 2**14
 DEFAULT_HOP = 2**12
@@ -90,10 +89,9 @@ class PreprocessConfig:
     merge_prob: float = 0.25
     description_dropout: float = 0.5
     word_dropout: float = 0.3
-    condition_dropout: float = 0.2  # CFG null-condition probability
 
     def __post_init__(self) -> None:
-        for name in ("merge_prob", "description_dropout", "word_dropout", "condition_dropout"):
+        for name in ("merge_prob", "description_dropout", "word_dropout"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"{name} must lie in [0, 1], got {v}")
@@ -101,7 +99,8 @@ class PreprocessConfig:
 
 @dataclass(frozen=True)
 class ConditioningTensor:
-    """T_C rows of dimension D; zero rows is the null (unconditional) condition."""
+    """T_C rows of dimension D. Zero rows condition on nothing, exactly like
+    the null condition None."""
 
     rows: np.ndarray
 
@@ -275,41 +274,28 @@ def encode_text_toy(text: str, D: int) -> ConditioningTensor:
 
 
 def _class_embedding_table(D: int) -> np.ndarray:
-    # 12 pitch classes + 1 null row; a fixed seeded stand-in for a learned table
-    rows = [np.random.default_rng(1000 + c).standard_normal(D) for c in range(PITCH_CLASSES + 1)]
+    # one row per pitch class; a fixed seeded stand-in for a learned table
+    rows = [np.random.default_rng(1000 + c).standard_normal(D) for c in range(PITCH_CLASSES)]
     table = np.stack(rows)
     return table / np.linalg.norm(table, axis=1, keepdims=True)
 
 
 def chroma_to_condition(q: "QuantizedChroma | np.ndarray | list[int]", D: int) -> ConditioningTensor:
-    """Embedding-table lookup of pitch classes, one row per frame.
-
-    Accepts class ids 0..12 where 12 is the dedicated null class (condition
-    dropped); QuantizedChroma values are always 0..11.
-    """
+    """Embedding-table lookup of pitch classes 0..11, one row per frame."""
     if D < 1:
         raise ValidationError("D must be >= 1")
     classes = q.classes if isinstance(q, QuantizedChroma) else np.asarray(q, dtype=np.int64)
-    if classes.size and (classes.min() < 0 or classes.max() > NULL_PITCH_CLASS):
-        raise ValidationError(f"class ids must lie in 0..{NULL_PITCH_CLASS}")
+    if classes.size and (classes.min() < 0 or classes.max() >= PITCH_CLASSES):
+        raise ValidationError(f"class ids must lie in 0..{PITCH_CLASSES - 1}")
     table = _class_embedding_table(D)
     return ConditioningTensor(rows=table[classes].reshape(len(classes), D))
 
 
-def null_condition(D: int) -> ConditioningTensor:
-    """The T_C = 0 tensor used as the unconditional branch for CFG."""
-    return ConditioningTensor(rows=np.zeros((0, D)))
-
-
-def apply_condition_dropout(
-    condition: ConditioningTensor, p: float, rng: np.random.Generator
-) -> ConditioningTensor:
-    """Replace the condition by the null condition with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"dropout probability must lie in [0, 1], got {p}")
-    if rng.random() < p:
-        return null_condition(condition.D)
-    return condition
+def draw_condition_drop(p: float, rng: np.random.Generator) -> bool:
+    """True with probability p: the step trains on the null condition (None),
+    which gives classifier-free guidance its unconditional branch. Draws from
+    rng only when p > 0, so p = 0 leaves the stream untouched."""
+    return p > 0.0 and rng.random() < p
 
 
 def load_wav(path) -> AudioBuffer:
@@ -347,13 +333,3 @@ def quantized_chroma_to_json(q: QuantizedChroma) -> str:
     import json
 
     return json.dumps(q.classes.tolist())
-
-
-def quantized_chroma_from_json(text: str) -> QuantizedChroma:
-    import json
-
-    try:
-        classes = np.asarray(json.loads(text), dtype=np.int64)
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed quantized-chroma document: {exc}") from exc
-    return QuantizedChroma(classes=classes)

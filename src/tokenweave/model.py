@@ -7,11 +7,12 @@ fed with the conditioning tensor, and a ReLU feed-forward block (D -> 4D -> D),
 each wrapped in a residual skip. Per-codebook linear heads map the trunk
 output at position s to logits for the tokens revealed at step s+1.
 
-Conditioning routes: "cross_attention" feeds the tensor to every layer's
-cross-attention block; "prefix" prepends it to the input rows; "both" takes a
-CombinedCondition and does both at once; "none" ignores it. An empty or
-missing condition skips the blocks entirely, so cross-attention with an empty
-tensor computes exactly the unconditional pass.
+Conditioning routes, fixed by ModelConfig.conditioning_mode: "cross_attention"
+feeds the tensor to every layer's cross-attention block; "prefix" prepends it
+to the input rows; "both" takes a CombinedCondition and does both at once;
+"none" ignores it. A condition is a ConditioningTensor (or CombinedCondition)
+and None is the null condition; an empty tensor skips the blocks entirely, so
+cross-attention with an empty tensor computes exactly the unconditional pass.
 
 Key projections carry no bias: softmax is invariant to a per-query constant
 shift, so a key bias cannot affect the loss and would defeat gradient checks.
@@ -29,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioning import ConditioningTensor
+from .conditioning import ConditioningTensor, draw_condition_drop
 from .errors import ValidationError
 from .patterns import InterleavedSequence, Pattern, TokenGrid, apply_pattern
 
@@ -100,7 +101,7 @@ class TrainExample:
     tokens: np.ndarray  # (S, K) model inputs, rows 0..S-1 of the slot sequence
     targets: InterleavedSequence
     pattern: Pattern
-    condition: object = None  # None | ConditioningTensor | ndarray | CombinedCondition
+    condition: object = None  # None | ConditioningTensor | CombinedCondition
 
 
 def example_from_grid(pattern: Pattern, grid: TokenGrid, condition=None) -> TrainExample:
@@ -173,14 +174,13 @@ def _coerce_tokens(steps) -> np.ndarray:
 def _cond_rows(obj) -> np.ndarray | None:
     if obj is None:
         return None
-    rows = obj.rows if isinstance(obj, ConditioningTensor) else np.asarray(obj, dtype=np.float64)
-    if rows.ndim != 2:
-        raise ValidationError("conditioning tensor must be 2-D")
-    return rows if rows.shape[0] > 0 else None
+    if not isinstance(obj, ConditioningTensor):
+        raise ValidationError(f"a condition must be a ConditioningTensor, got {type(obj).__name__}")
+    return obj.rows if obj.T_C > 0 else None
 
 
 def _route_condition(condition, mode: str) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Resolve (prefix_rows, cross_rows) from the condition and routing mode."""
+    """Resolve (prefix_rows, cross_rows) from the condition and the model's mode."""
     if mode == "none" or condition is None:
         return None, None
     if isinstance(condition, CombinedCondition):
@@ -188,13 +188,9 @@ def _route_condition(condition, mode: str) -> tuple[np.ndarray | None, np.ndarra
             raise ValidationError("CombinedCondition requires conditioning mode 'both'")
         return _cond_rows(condition.prefix), _cond_rows(condition.cross)
     rows = _cond_rows(condition)
-    if mode == "prefix":
-        return rows, None
-    if mode == "cross_attention":
-        return None, rows
     if mode == "both":
         raise ValidationError("mode 'both' needs a CombinedCondition")
-    raise ValidationError(f"unknown conditioning mode {mode!r}")
+    return (rows, None) if mode == "prefix" else (None, rows)
 
 
 def _layernorm_f(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -343,24 +339,14 @@ def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cac
     return logits, hidden, cache
 
 
-def forward(
-    params: Parameters,
-    steps,
-    condition=None,
-    mode: str | None = None,
-    return_hidden: bool = False,
-):
+def forward(params: Parameters, steps, condition=None) -> np.ndarray:
     """Causal logits of shape (S, K, M); position s predicts the tokens the
     pattern reveals at step s+1 and depends only on inputs 0..s plus the
-    condition."""
-    c = params.config
-    mode = c.conditioning_mode if mode is None else mode
-    if mode not in CONDITIONING_MODES:
-        raise ValidationError(f"conditioning mode must be one of {CONDITIONING_MODES}")
+    condition, routed by the config's conditioning mode."""
     tokens = _coerce_tokens(steps)
-    prefix_rows, cross_rows = _route_condition(condition, mode)
-    logits, hidden, _ = _forward_trunk(params, tokens, prefix_rows, cross_rows, False)
-    return (logits, hidden) if return_hidden else logits
+    prefix_rows, cross_rows = _route_condition(condition, params.config.conditioning_mode)
+    logits, _, _ = _forward_trunk(params, tokens, prefix_rows, cross_rows, False)
+    return logits
 
 
 def _masked_log_softmax(logits: np.ndarray):
@@ -461,13 +447,12 @@ def _backward_trunk(params: Parameters, cache, dlogits, grads):
         np.add.at(grads[f"embed.k{k}"], tokens[:, k], dsteps)
 
 
-def grad(params: Parameters, batch: Sequence[TrainExample], mode: str | None = None) -> GradResult:
+def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     """Exact reverse-mode gradients of the pooled masked cross-entropy over the
     batch (positions pooled across examples)."""
     if not batch:
         raise ValidationError("empty batch")
     c = params.config
-    mode = c.conditioning_mode if mode is None else mode
     grads = zero_grads(params)
 
     prepared = []
@@ -483,7 +468,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample], mode: str | None = N
     loss_sum = 0.0
     correct = 0
     for ex, tokens, mask in prepared:
-        prefix_rows, cross_rows = _route_condition(ex.condition, mode)
+        prefix_rows, cross_rows = _route_condition(ex.condition, c.conditioning_mode)
         logits, _, cache = _forward_trunk(params, tokens, prefix_rows, cross_rows, True)
         logp = _masked_log_softmax(logits)
         s_idx, k_idx = np.nonzero(mask)
@@ -515,7 +500,13 @@ class TrainHyper:
     eps: float = 1e-8
     weight_decay: float = 0.1
     clip_norm: float = 1.0
-    condition_dropout: float = 0.2
+    condition_dropout: float = 0.2  # CFG: chance a step trains the null condition
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.condition_dropout <= 1.0:
+            raise ValidationError(
+                f"condition_dropout must lie in [0, 1], got {self.condition_dropout}"
+            )
 
 
 @dataclass
@@ -561,10 +552,9 @@ def train_step(
 ) -> tuple[AdamWState, Parameters, StepStats]:
     """One AdamW update: optional condition drop (the CFG trick), global-norm
     clipping, decoupled weight decay on matrices only. Mutates state/params."""
-    dropped = False
-    if hyper.condition_dropout > 0.0 and rng.random() < hyper.condition_dropout:
+    dropped = draw_condition_drop(hyper.condition_dropout, rng)
+    if dropped:
         batch = [replace(ex, condition=None) for ex in batch]
-        dropped = True
 
     result = grad(params, batch)
     gnorm = global_grad_norm(result.grads)

@@ -143,22 +143,18 @@ class InterleavedSequence:
     """(S+1) x K slot layout produced by a pattern; row 0 is all-special.
 
     Slot (s, k) holds the grid token when codebook k occurs in step s and the
-    special token otherwise.
+    special token SPECIAL_TOKEN = 0 otherwise, so every slot lies in 0..M.
     """
 
     slots: np.ndarray
     M: int
-    special: int = SPECIAL_TOKEN
 
     def __post_init__(self) -> None:
         slots = np.asarray(self.slots, dtype=np.int64)
         if slots.ndim != 2:
             raise ValidationError(f"slots must be 2-D, got shape {slots.shape}")
-        if 1 <= self.special <= self.M:
-            raise ValidationError("special token id must not collide with 1..M")
-        real = slots != self.special
-        if real.any() and (slots[real].min() < 1 or slots[real].max() > self.M):
-            raise ValidationError(f"real slots must lie in 1..{self.M}")
+        if slots.size and (slots.min() < SPECIAL_TOKEN or slots.max() > self.M):
+            raise ValidationError(f"slots must lie in {SPECIAL_TOKEN}..{self.M}")
         object.__setattr__(self, "slots", slots)
 
     @property
@@ -271,15 +267,15 @@ def validate_pattern(pattern: Pattern) -> ValidationReport:
     return ValidationReport(not violations, tuple(violations))
 
 
-def apply_pattern(pattern: Pattern, grid: TokenGrid, special: int = SPECIAL_TOKEN) -> InterleavedSequence:
+def apply_pattern(pattern: Pattern, grid: TokenGrid) -> InterleavedSequence:
     """Lay a grid out as the pattern's slot sequence (row 0 all-special)."""
     if (pattern.T, pattern.K) != (grid.T, grid.K):
         raise ValidationError(
             f"pattern is {pattern.T}x{pattern.K} but grid is {grid.T}x{grid.K}"
         )
-    slots = np.full((len(pattern.steps), pattern.K), special, dtype=np.int64)
+    slots = np.full((len(pattern.steps), pattern.K), SPECIAL_TOKEN, dtype=np.int64)
     slots[pattern._s_idx, pattern._k0] = grid.tokens[pattern._t0, pattern._k0]
-    return InterleavedSequence(slots=slots, M=grid.M, special=special)
+    return InterleavedSequence(slots=slots, M=grid.M)
 
 
 def revert_pattern(pattern: Pattern, seq: InterleavedSequence) -> TokenGrid:
@@ -288,7 +284,7 @@ def revert_pattern(pattern: Pattern, seq: InterleavedSequence) -> TokenGrid:
     if seq.slots.shape != expected:
         raise ValidationError(f"sequence shape {seq.slots.shape} != expected {expected}")
     mask = pattern.presence_mask()
-    stray = (seq.slots != seq.special) & ~mask
+    stray = (seq.slots != SPECIAL_TOKEN) & ~mask
     if stray.any():
         s, k = np.argwhere(stray)[0]
         raise ValidationError(
@@ -350,17 +346,6 @@ def pattern_from_json(text: str) -> Pattern:
 def grid_to_csv(grid: TokenGrid) -> str:
     """CSV text: one row per timestep, one column per codebook."""
     return "".join(",".join(str(v) for v in row) + "\n" for row in grid.tokens)
-
-
-def grid_from_csv(text: str, M: int | None = None) -> TokenGrid:
-    rows = [line.split(",") for line in text.splitlines() if line.strip()]
-    if not rows:
-        raise ValidationError("grid CSV is empty")
-    try:
-        tokens = np.asarray([[int(v) for v in row] for row in rows], dtype=np.int64)
-    except ValueError as exc:
-        raise ValidationError(f"grid CSV holds a non-integer cell: {exc}") from exc
-    return TokenGrid(tokens=tokens, M=int(tokens.max()) if M is None else M)
 
 
 def random_grid(T: int, K: int, M: int, rng: np.random.Generator) -> TokenGrid:

@@ -193,21 +193,3 @@ def residual_energy_profile(frames: LatentFrames, codebooks: list[Codebook]) -> 
         profile.append(float(np.mean(np.sum(residual**2, axis=1))))
     return np.asarray(profile)
 
-
-def codebooks_to_json(codebooks: list[Codebook]) -> str:
-    import json
-
-    _check_books(codebooks)
-    return json.dumps({"stages": [b.centroids.tolist() for b in codebooks]})
-
-
-def codebooks_from_json(text: str) -> list[Codebook]:
-    import json
-
-    try:
-        doc = json.loads(text)
-        books = [Codebook(centroids=np.asarray(stage, dtype=np.float64)) for stage in doc["stages"]]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed codebook document: {exc}") from exc
-    _check_books(books)
-    return books

@@ -90,12 +90,12 @@ def sample_token(logits: np.ndarray, cfg: SamplerConfig, rng: np.random.Generato
     return int(rng.choice(order, p=p)) + 1
 
 
-def _model_step_logits(params, slots, condition, mode, scale):
-    cond_logits = forward(params, slots, condition=condition, mode=mode)[-1]
+def _model_step_logits(params, slots, condition, scale):
+    cond_logits = forward(params, slots, condition=condition)[-1]
     needs_uncond = scale != 1.0 and condition is not None
     if not needs_uncond:
         return cond_logits
-    uncond_logits = forward(params, slots, condition=None, mode=mode)[-1]
+    uncond_logits = forward(params, slots, condition=None)[-1]
     return cfg_combine(cond_logits, uncond_logits, scale)
 
 
@@ -106,14 +106,12 @@ def _walk_pattern(
     cfg: SamplerConfig,
     rng: np.random.Generator | None,
     forced: TokenGrid | None,
-    mode: str | None,
 ) -> TokenGrid:
     c = params.config
     if pattern.K != c.K:
         raise ValidationError(f"pattern has K={pattern.K} but the model has K={c.K}")
     if pattern.S > c.max_steps:
         raise ValidationError(f"pattern needs {pattern.S} steps, model max is {c.max_steps}")
-    mode = c.conditioning_mode if mode is None else mode
 
     S = pattern.S
     slots = np.zeros((S + 1, c.K), dtype=np.int64)
@@ -125,7 +123,7 @@ def _walk_pattern(
         # conditioning set must be exactly the union of earlier steps
         if not np.array_equal(written[: s + 1], presence[: s + 1]):
             raise InvariantError("a position was read before the pattern revealed it")
-        logits = _model_step_logits(params, slots[: s + 1], condition, mode, cfg.guidance_scale)
+        logits = _model_step_logits(params, slots[: s + 1], condition, cfg.guidance_scale)
         for coord in sorted(step.coords, key=lambda cd: cd.k):
             if written[s + 1, coord.k - 1]:
                 raise InvariantError(f"slot for {tuple(coord)} written twice")
@@ -146,7 +144,6 @@ def generate(
     condition=None,
     cfg: SamplerConfig = SamplerConfig(),
     rng: np.random.Generator | None = None,
-    mode: str | None = None,
 ) -> TokenGrid:
     """Sample a full T x K grid by walking the pattern.
 
@@ -156,7 +153,7 @@ def generate(
     """
     if rng is None and not (cfg.mode == "greedy" or cfg.temperature == 0.0):
         raise ValidationError("sampling mode needs a random generator")
-    return _walk_pattern(params, pattern, condition, cfg, rng, forced=None, mode=mode)
+    return _walk_pattern(params, pattern, condition, cfg, rng, forced=None)
 
 
 def continue_from_prompt(
@@ -166,7 +163,6 @@ def continue_from_prompt(
     condition=None,
     cfg: SamplerConfig = SamplerConfig(),
     rng: np.random.Generator | None = None,
-    mode: str | None = None,
 ) -> TokenGrid:
     """Teacher-force every position with t <= prompt.T, generate the rest.
 
@@ -181,4 +177,4 @@ def continue_from_prompt(
         raise ValidationError("prompt vocabulary exceeds the model's")
     if rng is None and not (cfg.mode == "greedy" or cfg.temperature == 0.0):
         raise ValidationError("sampling mode needs a random generator")
-    return _walk_pattern(params, pattern, condition, cfg, rng, forced=prompt, mode=mode)
+    return _walk_pattern(params, pattern, condition, cfg, rng, forced=prompt)

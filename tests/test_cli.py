@@ -237,7 +237,7 @@ def test_config_file_unknown_key_exits_3(tmp_path):
     assert main(["patterns", "bench", "--config", str(cfg)]) == 3
 
 
-@pytest.mark.parametrize("key,value", [("pattern", "bogus"), ("steps", "abc")])
+@pytest.mark.parametrize("key,value", [("pattern", "bogus"), ("steps", "abc"), ("ema", "maybe")])
 def test_config_file_bad_value_exits_3(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[train]\n{key} = {value}\n")
@@ -246,11 +246,28 @@ def test_config_file_bad_value_exits_3(tmp_path, capsys, key, value):
     assert key in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flag", ["--steps", "--sequences", "--timesteps", "--log-every"])
-def test_train_zero_count_exits_3(tmp_path, capsys, flag):
-    assert main(["train", flag, "0", "--out", str(tmp_path / "o")]) == 3
+@pytest.mark.parametrize(
+    "command,flag,message",
+    [
+        pytest.param("train", flag, flag, id=flag)
+        for flag in ("--steps", "--sequences", "--timesteps", "--log-every")
+    ]
+    + [pytest.param("generate", "--timesteps", "T must be >= 1", id="generate--timesteps")],
+)
+def test_train_zero_count_exits_3(trained, tmp_path, capsys, command, flag, message):
+    source = ["--checkpoint", str(trained / "checkpoint.npz")] if command == "generate" else []
+    assert main([command, *source, flag, "0", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err
-    assert flag in err and "Traceback" not in err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("conditioning", ["text", "chroma"])
+def test_train_cfg_drop_out_of_range_exits_3(tmp_path, capsys, conditioning):
+    assert main(["train", "--conditioning", conditioning, "--cfg-drop", "1.5", "--steps", "2",
+                 "--timesteps", "4", "--sequences", "2", "--vocab", "8", "--dim", "16",
+                 "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "[0, 1]" in err and "Traceback" not in err
 
 
 def test_env_var_default_output(tmp_path, monkeypatch, capsys):

@@ -12,6 +12,9 @@ from tokenweave.model import (
     Parameters,
     TrainExample,
     TrainHyper,
+    _coerce_tokens,
+    _forward_trunk,
+    _route_condition,
     cosine_lr,
     example_from_grid,
     forward,
@@ -73,14 +76,14 @@ def test_param_count_accounting_300m():
 def test_forward_rejects_bad_tokens():
     params = init_params(TINY, seed=1)
     with pytest.raises(ValidationError):
-        forward(params, np.array([[TINY.M + 1, 0]]), mode="none")
+        forward(params, np.array([[TINY.M + 1, 0]]))
     with pytest.raises(ValidationError):
-        forward(params, np.ones((TINY.max_steps + 1, 2), dtype=int), mode="none")
+        forward(params, np.ones((TINY.max_steps + 1, 2), dtype=int))
 
 
 def test_forward_shapes_and_finite():
     params = init_params(TINY, seed=0)
-    logits = forward(params, np.array([[1, 2]]), mode="none")
+    logits = forward(params, np.array([[1, 2]]))
     assert logits.shape == (1, TINY.K, TINY.M)
     assert np.isfinite(logits).all()
 
@@ -90,7 +93,7 @@ def test_forward_causality_exhaustive_bitwise():
     rng = np.random.default_rng(0)
     S = 8
     base = rng.integers(0, TINY.M + 1, size=(S, TINY.K))
-    ref = forward(params, base, mode="none")
+    ref = forward(params, base)
     violations = 0
     for s_pert in range(1, S):
         for k in range(TINY.K):
@@ -99,7 +102,7 @@ def test_forward_causality_exhaustive_bitwise():
                     continue
                 mutated = base.copy()
                 mutated[s_pert, k] = v
-                out = forward(params, mutated, mode="none")
+                out = forward(params, mutated)
                 if not np.array_equal(out[:s_pert], ref[:s_pert]):
                     violations += 1
     assert violations == 0
@@ -109,20 +112,20 @@ def test_cross_attention_empty_condition_equals_none_mode():
     params = init_params(TINY, seed=2)
     steps = np.array([[1, 2], [3, 0], [0, 5]])
     empty = ConditioningTensor(rows=np.zeros((0, TINY.D)))
-    a = forward(params, steps, condition=empty, mode="cross_attention")
-    b = forward(params, steps, condition=None, mode="cross_attention")
-    c = forward(params, steps, mode="none")
-    assert np.array_equal(a, c)
-    assert np.array_equal(b, c)
+    a = forward(params, steps, condition=empty)
+    b = forward(params, steps, condition=None)
+    assert np.array_equal(a, b)
 
 
 def test_cross_attention_nonempty_condition_changes_logits():
     params = init_params(TINY, seed=2)
     steps = np.array([[1, 2], [3, 0]])
     cond = encode_text_toy("bright melody", D=TINY.D)
-    a = forward(params, steps, condition=cond, mode="cross_attention")
-    b = forward(params, steps, mode="none")
+    a = forward(params, steps, condition=cond)
+    b = forward(params, steps)
     assert not np.allclose(a, b)
+    with pytest.raises(ValidationError, match="ConditioningTensor"):
+        forward(params, steps, condition=cond.rows)
 
 
 def test_prefix_condition_changes_logits_and_keeps_shape():
@@ -130,9 +133,9 @@ def test_prefix_condition_changes_logits_and_keeps_shape():
     params = init_params(config, seed=2)
     steps = np.array([[1, 2], [3, 0]])
     cond = encode_text_toy("low drone", D=config.D)
-    a = forward(params, steps, condition=cond, mode="prefix")
+    a = forward(params, steps, condition=cond)
     assert a.shape == (2, 2, 5)
-    assert not np.allclose(a, forward(params, steps, mode="none"))
+    assert not np.allclose(a, forward(params, steps))
 
 
 def test_both_mode_routes_prefix_and_cross():
@@ -147,7 +150,7 @@ def test_both_mode_routes_prefix_and_cross():
     assert not np.allclose(joint, only_prefix)
     assert not np.allclose(joint, only_cross)
     with pytest.raises(ValidationError):
-        forward(params, steps, condition=text, mode="both")
+        forward(params, steps, condition=text)
 
 
 def test_pre_norm_residual_identity_with_zeroed_layers():
@@ -156,7 +159,7 @@ def test_pre_norm_residual_identity_with_zeroed_layers():
         if name.startswith("layer"):
             params.arrays[name][:] = 0.0
     steps = np.array([[1, 2], [3, 4], [0, 1]])
-    _, hidden = forward(params, steps, mode="none", return_hidden=True)
+    _, hidden, _ = _forward_trunk(params, steps, None, None, False)
     expected = (
         params.arrays["embed.k0"][steps[:, 0]]
         + params.arrays["embed.k1"][steps[:, 1]]
@@ -178,8 +181,8 @@ def test_codebook_permutation_coherence():
             swapped.arrays[f"head.k0.{part}"],
         )
     steps = np.array([[1, 2], [3, 0], [0, 5], [2, 2]])
-    ref = forward(params, steps, mode="none")
-    out = forward(swapped, steps[:, ::-1], mode="none")
+    ref = forward(params, steps)
+    out = forward(swapped, steps[:, ::-1])
     assert np.array_equal(out, ref[:, ::-1, :])
 
 
@@ -219,15 +222,13 @@ def test_loss_invariant_to_masked_positions():
 FD_EPS = 1e-4
 
 
-def assert_kink_margin(params, batch, mode, factor=10.0):
+def assert_kink_margin(params, batch, factor=10.0):
     """Central differences are only a valid oracle away from ReLU kinks: no
     pre-activation may sit within `factor` times the largest shift an eps-size
     parameter perturbation can cause. The frozen seeds honor this."""
-    from tokenweave.model import _coerce_tokens, _forward_trunk, _route_condition
-
     for ex in batch:
         tokens = _coerce_tokens(ex.tokens)
-        prefix_rows, cross_rows = _route_condition(ex.condition, mode)
+        prefix_rows, cross_rows = _route_condition(ex.condition, params.config.conditioning_mode)
         _, _, cache = _forward_trunk(params, tokens, prefix_rows, cross_rows, True)
         for layer_cache in cache[3]:
             ln2_out, h = layer_cache[4], layer_cache[5]
@@ -265,7 +266,7 @@ def test_gradients_match_finite_differences_cross_attention():
     params = init_params(TINY, seed=13)
     cond = encode_text_toy("slow strings", D=TINY.D)
     batch, _, _ = tiny_batch(TINY, seed=1, T=5, condition=cond)  # S = 6 for delay K=2
-    assert_kink_margin(params, batch, "cross_attention")
+    assert_kink_margin(params, batch)
     errors = block_relative_errors(params, batch)
     worst = max(errors.values())
     assert worst < 1e-5, sorted(errors.items(), key=lambda kv: -kv[1])[:5]
@@ -276,7 +277,7 @@ def test_gradients_match_finite_differences_no_condition():
     config = ModelConfig(K=2, M=5, D=16, L=2, H=2, max_steps=64, conditioning_mode="none")
     params = init_params(config, seed=44)
     batch, _, _ = tiny_batch(config, seed=2, T=5)
-    assert_kink_margin(params, batch, "none")
+    assert_kink_margin(params, batch)
     errors = block_relative_errors(params, batch)
     assert max(errors.values()) < 1e-5
 
@@ -287,7 +288,7 @@ def test_gradients_match_finite_differences_prefix():
     params = init_params(config, seed=40)
     cond = encode_text_toy("short motif", D=config.D)
     batch, _, _ = tiny_batch(config, seed=3, T=4, condition=cond)
-    assert_kink_margin(params, batch, "prefix")
+    assert_kink_margin(params, batch)
     errors = block_relative_errors(params, batch)
     assert max(errors.values()) < 1e-5
 
@@ -431,6 +432,6 @@ def test_gradients_match_finite_differences_both_modes():
         cross=encode_text_toy("two words", config.D),
     )
     batch, _, _ = tiny_batch(config, seed=6, T=4, condition=cond)
-    assert_kink_margin(params, batch, "both")
+    assert_kink_margin(params, batch)
     errors = block_relative_errors(params, batch)
     assert max(errors.values()) < 1e-5

@@ -174,15 +174,3 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         RVQConfig(M=0)
 
-
-def test_codebooks_json_roundtrip():
-    from tokenweave.rvq import codebooks_from_json, codebooks_to_json
-
-    frames = synth_latents(64, 3, seed=1)
-    books = train_codebooks(frames, RVQConfig(K=2, M=4, d_latent=3), iterations=5, seed=1)
-    back = codebooks_from_json(codebooks_to_json(books))
-    assert len(back) == 2
-    for a, b in zip(books, back):
-        assert np.array_equal(a.centroids, b.centroids)
-    with pytest.raises(ValidationError):
-        codebooks_from_json("{]")
