@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +67,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
     train_step,
+    write_atomically,
 )
 from .oracle import exactness_report, make_joint
 from .patterns import (
@@ -122,7 +123,8 @@ def _write_manifest(
         "timings": timings,
     }
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomically(path, lambda fh: fh.write(text.encode()))
     return path
 
 
@@ -280,8 +282,10 @@ def cmd_train(args) -> int:
         betas=(args.beta1, args.beta2),
         weight_decay=args.weight_decay,
         clip_norm=args.clip,
-        condition_dropout=args.cfg_drop if mode != "none" else 0.0,
+        condition_dropout=args.cfg_drop,
     )
+    if mode == "none":  # TrainHyper has range-checked --cfg-drop; no condition to drop
+        hyper = replace(hyper, condition_dropout=0.0)
     state = AdamWState.init(params)
     ema = EMAWeights.init(params, decay=args.ema_decay) if args.ema else None
 

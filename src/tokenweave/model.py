@@ -14,6 +14,16 @@ to the input rows; "both" takes a CombinedCondition and does both at once;
 and None is the null condition; an empty tensor skips the blocks entirely, so
 cross-attention with an empty tensor computes exactly the unconditional pass.
 
+Incremental decoding: open_cache returns a DecodeCache holding, per layer,
+the self-attention keys and values of the rows fed so far and the
+cross-attention keys and values of the condition, projected once; prefix
+condition rows are prefilled when it opens. forward(params, new_rows,
+cache=kv) then runs the same layers over the new rows alone. A cache stacks B
+branches that share step rows and differ in condition (the conditional and
+unconditional passes of classifier-free guidance), with a per-branch key mask
+where their prefix lengths differ. Step rows take positions 0..S-1 whatever
+the prefix length, so cached logits equal a full-prefix forward.
+
 Key projections carry no bias: softmax is invariant to a per-query constant
 shift, so a key bias cannot affect the loss and would defeat gradient checks.
 
@@ -24,9 +34,11 @@ and parameters in place (single writer).
 from __future__ import annotations
 
 import json
+import os
 import zipfile
 from dataclasses import dataclass, replace
-from typing import Sequence
+from pathlib import Path
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -194,9 +206,11 @@ def _route_condition(condition, mode: str) -> tuple[np.ndarray | None, np.ndarra
 
 
 def _layernorm_f(x: np.ndarray, g: np.ndarray, b: np.ndarray):
-    mu = x.mean(axis=-1, keepdims=True)
+    # sums over D, as np.mean computes them, without its per-call overhead
+    D = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / D
     xc = x - mu
-    var = np.mean(xc**2, axis=-1, keepdims=True)
+    var = np.add.reduce(xc**2, axis=-1, keepdims=True) / D
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return g * xhat + b, (xhat, inv, g)
@@ -216,35 +230,46 @@ def _layernorm_b(dy: np.ndarray, cache):
 
 
 def _split_heads(x: np.ndarray, H: int) -> np.ndarray:
-    N, D = x.shape
-    return x.reshape(N, H, D // H).transpose(1, 0, 2)
+    """(..., N, D) -> (..., H, N, D / H)."""
+    *lead, N, D = x.shape
+    return x.reshape(*lead, N, H, D // H).swapaxes(-2, -3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    H, N, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(N, H * dh)
+    """(..., H, N, dh) -> (..., N, H * dh)."""
+    *lead, H, N, dh = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, N, H * dh)
 
 
-def _attention_f(q_in, kv_in, w, H, causal: bool):
-    """Shared attention core; q_in and kv_in may differ (cross-attention)."""
-    wq, bq, wk, wv, bv, wo, bo = w
-    q = q_in @ wq + bq
-    k = kv_in @ wk
-    v = kv_in @ wv + bv
-    qh, kh, vh = (_split_heads(a, H) for a in (q, k, v))
-    dh = qh.shape[-1]
-    scores = qh @ kh.transpose(0, 2, 1) / np.sqrt(dh)
-    if causal:
-        n, m = scores.shape[-2:]
-        future = np.triu(np.ones((n, m), dtype=bool), k=1)
-        scores = np.where(future, -np.inf, scores)
+def _project_kv(kv_in, w, H):
+    """Keys and values of the rows kv_in, split into heads."""
+    _, _, wk, wv, bv, _, _ = w
+    return _split_heads(kv_in @ wk, H), _split_heads(kv_in @ wv + bv, H)
+
+
+def _attend(q_in, kh, vh, w, H, blocked):
+    """The attention core every path shares: the rows q_in attend over the
+    projected keys kh and values vh. blocked, broadcast against the
+    (..., H, queries, keys) scores, marks the keys a query may not see."""
+    wq, bq, _, _, _, wo, bo = w
+    qh = _split_heads(q_in @ wq + bq, H)
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1])
+    if blocked is not None:
+        scores = np.where(blocked, -np.inf, scores)
     smax = scores.max(axis=-1, keepdims=True)
     e = np.exp(scores - smax)
     p = e / e.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(p @ vh)
-    out = ctx @ wo + bo
-    cache = (q_in, kv_in, qh, kh, vh, p, ctx, w, H)
-    return out, cache
+    return ctx @ wo + bo, (qh, p, ctx)
+
+
+def _attention_f(q_in, kv_in, w, H, causal: bool):
+    """Attention with the intermediates backward needs; q_in and kv_in may
+    differ (cross-attention)."""
+    kh, vh = _project_kv(kv_in, w, H)
+    blocked = np.triu(np.ones((len(q_in), len(kv_in)), dtype=bool), k=1) if causal else None
+    out, (qh, p, ctx) = _attend(q_in, kh, vh, w, H, blocked)
+    return out, (q_in, kv_in, qh, kh, vh, p, ctx, w, H)
 
 
 def _attention_b(dout, cache):
@@ -276,30 +301,104 @@ def _attention_b(dout, cache):
     return dq_in, dkv_in, grads
 
 
-def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cache):
+def _check_condition(params: Parameters, prefix_rows, cross_rows) -> None:
     c = params.config
-    A = params.arrays
-    S = tokens.shape[0]
-    if tokens.shape[1] != c.K:
-        raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
-        raise ValidationError(f"token ids must lie in 0..{c.M}")
-    if S > c.max_steps:
-        raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
     if cross_rows is not None and cross_rows.shape[1] != c.D:
         raise ValidationError(f"cross condition rows must have dimension {c.D}")
     if prefix_rows is not None and prefix_rows.shape[1] != c.D:
         raise ValidationError(f"prefix condition rows must have dimension {c.D}")
-    if cross_rows is not None and "layer0.lnx.g" not in A:
+    if cross_rows is not None and "layer0.lnx.g" not in params.arrays:
         raise ValidationError(
             "model was initialized without cross-attention parameters; "
             "re-init with conditioning_mode 'cross_attention' or 'both'"
         )
 
+
+def _weights(A: dict, block: str) -> tuple:
+    return tuple(A[f"{block}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
+
+
+@dataclass
+class DecodeCache:
+    """Incremental-decoding state of B stacked branches that share their step
+    rows and differ only in condition. Branch b holds lengths[b] rows: its
+    prefix-condition rows, then the `steps` step rows fed since the cache
+    opened; a branch with fewer prefix rows leaves the tail of its key axis
+    unused, and a per-branch key mask hides it."""
+
+    keys: np.ndarray  # (L, B, H, rows, D / H) self-attention keys per layer
+    values: np.ndarray  # (L, B, H, rows, D / H)
+    lengths: np.ndarray  # (B,) rows held per branch
+    cross: list  # per branch: None, or per layer the condition's (keys, values)
+    steps: int = 0
+
+
+def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCache:
+    """A decode cache with one branch per condition and room for `steps` step
+    rows. Each condition is routed as forward routes it; prefix-condition rows
+    are run through the layers here, so later calls feed step rows only."""
+    c = params.config
+    A = params.arrays
+    routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
+    for prefix_rows, cross_rows in routes:
+        _check_condition(params, prefix_rows, cross_rows)
+    n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
+    shape = (c.L, len(routes), c.H, n_prefix + steps, c.D // c.H)
+    cross = [
+        None
+        if rows is None
+        else [_project_kv(rows, _weights(A, f"layer{i}.xattn"), c.H) for i in range(c.L)]
+        for _, rows in routes
+    ]
+    kv = DecodeCache(np.zeros(shape), np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross)
+    no_steps = np.zeros((0, c.K), dtype=np.int64)
+    for b, (prefix_rows, _) in enumerate(routes):
+        if prefix_rows is not None:
+            # a one-branch view: its keys, values and lengths write through
+            one = slice(b, b + 1)
+            view = DecodeCache(kv.keys[:, one], kv.values[:, one], kv.lengths[one], cross[one])
+            _forward_trunk(params, no_steps, prefix_rows, None, False, view)
+    return kv
+
+
+def _cached_self_attention(kv: DecodeCache, i: int, q_in, w, H):
+    """Append the new rows of every branch to layer i's keys and values, then
+    attend each new row over the rows its branch holds up to itself."""
+    n = q_in.shape[-2]
+    kh, vh = _project_kv(q_in, w, H)
+    for b, start in enumerate(kv.lengths):
+        kv.keys[i, b, :, start : start + n] = kh[b]
+        kv.values[i, b, :, start : start + n] = vh[b]
+    pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
+    end = int(pos.max()) + 1
+    blocked = np.arange(end) > pos[:, None, :, None]
+    out, _ = _attend(q_in, kv.keys[i, :, :, :end], kv.values[i, :, :, :end], w, H, blocked)
+    return out
+
+
+def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cache, kv=None):
+    """Embeddings, layers and heads over the prefix rows then the step rows.
+
+    With a decode cache kv, the rows are new rows of every cached branch:
+    the step rows continue at step kv.steps, attention reads and extends kv,
+    the branches' conditions come from kv, and the logits gain a leading
+    branch axis. Opening the cache passes prefix rows and no step rows."""
+    c = params.config
+    A = params.arrays
+    S = tokens.shape[0]
+    first = 0 if kv is None else kv.steps
+    if tokens.shape[1] != c.K:
+        raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
+        raise ValidationError(f"token ids must lie in 0..{c.M}")
+    if first + S > c.max_steps:
+        raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
+    _check_condition(params, prefix_rows, cross_rows)
+
     x_steps = A["embed.k0"][tokens[:, 0]].copy()
     for k in range(1, c.K):
         x_steps += A[f"embed.k{k}"][tokens[:, k]]
-    x_steps += sinusoidal_embedding(np.arange(S), c.D)
+    x_steps += sinusoidal_embedding(np.arange(first, first + S), c.D)
 
     if prefix_rows is not None:
         n_prefix = prefix_rows.shape[0]
@@ -307,22 +406,34 @@ def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cac
     else:
         n_prefix = 0
         x = x_steps
+    if kv is not None:
+        if int(kv.lengths.max()) + len(x) > kv.keys.shape[3]:
+            raise ValidationError(f"decode cache is full at {kv.keys.shape[3]} rows per branch")
+        x = np.repeat(x[None], len(kv.lengths), axis=0)
 
     caches = []
     for i in range(c.L):
         p = f"layer{i}"
         ln1_out, ln1_c = _layernorm_f(x, A[f"{p}.ln1.g"], A[f"{p}.ln1.b"])
-        attn_w = tuple(A[f"{p}.attn.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
-        attn_out, attn_c = _attention_f(ln1_out, ln1_out, attn_w, c.H, causal=True)
+        attn_w = _weights(A, f"{p}.attn")
+        if kv is None:
+            attn_out, attn_c = _attention_f(ln1_out, ln1_out, attn_w, c.H, causal=True)
+        else:
+            attn_out = _cached_self_attention(kv, i, ln1_out, attn_w, c.H)
         x = x + attn_out
 
         x_c = None
         if cross_rows is not None:
             lnx_out, lnx_c = _layernorm_f(x, A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
-            xw = tuple(A[f"{p}.xattn.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
+            xw = _weights(A, f"{p}.xattn")
             cross_out, cross_c = _attention_f(lnx_out, cross_rows, xw, c.H, causal=False)
             x = x + cross_out
             x_c = (lnx_c, cross_c)
+        for b, heads in enumerate(kv.cross if kv is not None else ()):
+            if heads is not None:
+                lnx_out, _ = _layernorm_f(x[b], A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
+                cross_out, _ = _attend(lnx_out, *heads[i], _weights(A, f"{p}.xattn"), c.H, None)
+                x[b] += cross_out
 
         ln2_out, ln2_c = _layernorm_f(x, A[f"{p}.ln2.g"], A[f"{p}.ln2.b"])
         h = ln2_out @ A[f"{p}.ffn.w1"] + A[f"{p}.ffn.b1"]
@@ -331,19 +442,32 @@ def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cac
         if need_cache:
             caches.append((ln1_c, attn_c, x_c, ln2_c, ln2_out, h, r))
 
-    hidden = x[n_prefix:]
-    logits = np.empty((S, c.K, c.M))
+    if kv is not None:
+        kv.lengths += x.shape[-2]
+        kv.steps += S
+    hidden = x[..., n_prefix:, :]
+    logits = np.empty(hidden.shape[:-1] + (c.K, c.M))
     for k in range(c.K):
-        logits[:, k, :] = hidden @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
+        logits[..., k, :] = hidden @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
     cache = (tokens, n_prefix, x, caches, hidden) if need_cache else None
     return logits, hidden, cache
 
 
-def forward(params: Parameters, steps, condition=None) -> np.ndarray:
+def forward(
+    params: Parameters, steps, condition=None, cache: DecodeCache | None = None
+) -> np.ndarray:
     """Causal logits of shape (S, K, M); position s predicts the tokens the
     pattern reveals at step s+1 and depends only on inputs 0..s plus the
-    condition, routed by the config's conditioning mode."""
+    condition, routed by the config's conditioning mode.
+
+    With a cache from open_cache, steps are only the rows that follow those
+    already fed, the condition is the cache's, and the logits, shaped
+    (B, S, K, M), equal those of a full-prefix forward for each branch."""
     tokens = _coerce_tokens(steps)
+    if cache is not None:
+        if condition is not None:
+            raise ValidationError("a cached forward takes its conditions from the cache")
+        return _forward_trunk(params, tokens, None, None, False, cache)[0]
     prefix_rows, cross_rows = _route_condition(condition, params.config.conditioning_mode)
     logits, _, _ = _forward_trunk(params, tokens, prefix_rows, cross_rows, False)
     return logits
@@ -629,8 +753,23 @@ def save_checkpoint(
         "meta": meta or {},
     }
     payload["__header__"] = np.array(json.dumps(header, sort_keys=True))
-    with open(path, "wb") as fh:
-        np.savez(fh, **payload)
+    write_atomically(path, lambda fh: np.savez(fh, **payload))
+
+
+def write_atomically(path, write: Callable) -> None:
+    """Call write(fh) on a temporary file beside path, then rename it onto
+    path: an interrupted write leaves the old file, never a truncated one."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass

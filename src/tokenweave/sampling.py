@@ -1,11 +1,14 @@
 """Pattern-driven autoregressive generation.
 
-Walks a pattern step by step: forward over the slots filled so far, combine
-conditional and unconditional logits (classifier-free guidance on raw logits),
-then sample every codebook revealed at the next step independently - that
-within-step independence is precisely the inexactness the oracle module
-measures. Greedy decoding consumes no randomness, so prompted continuations
-are seed-independent in greedy mode.
+Walks a pattern step by step over a decode cache (model.open_cache). Each
+step feeds the slot row filled last through one forward that stacks the
+conditional and the unconditional branch, combines their logits
+(classifier-free guidance on raw logits), then samples every codebook revealed
+at the next step independently - that within-step independence is precisely
+the inexactness the oracle module measures. Rows of steps that are wholly teacher-forced need no logits and are
+fed together with the next row that does, so a prompt is prefilled in one
+call. Greedy decoding consumes no randomness, so prompted continuations are
+seed-independent in greedy mode.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError, ValidationError
-from .model import Parameters, forward
+from .model import Parameters, forward, open_cache
 from .patterns import InterleavedSequence, Pattern, TokenGrid, revert_pattern
 
 SAMPLE_MODES = ("sample", "greedy")
@@ -90,15 +93,6 @@ def sample_token(logits: np.ndarray, cfg: SamplerConfig, rng: np.random.Generato
     return int(rng.choice(order, p=p)) + 1
 
 
-def _model_step_logits(params, slots, condition, scale):
-    cond_logits = forward(params, slots, condition=condition)[-1]
-    needs_uncond = scale != 1.0 and condition is not None
-    if not needs_uncond:
-        return cond_logits
-    uncond_logits = forward(params, slots, condition=None)[-1]
-    return cfg_combine(cond_logits, uncond_logits, scale)
-
-
 def _walk_pattern(
     params: Parameters,
     pattern: Pattern,
@@ -117,14 +111,24 @@ def _walk_pattern(
     slots = np.zeros((S + 1, c.K), dtype=np.int64)
     written = np.zeros((S + 1, c.K), dtype=bool)
     presence = pattern.presence_mask()
+    guided = cfg.guidance_scale != 1.0 and condition is not None
+    kv = open_cache(params, [condition, None] if guided else [condition], S)
+    fed = 0  # slot rows the cache holds
 
     for s in range(S):
-        step = pattern.steps[s + 1]
-        # conditioning set must be exactly the union of earlier steps
-        if not np.array_equal(written[: s + 1], presence[: s + 1]):
-            raise InvariantError("a position was read before the pattern revealed it")
-        logits = _model_step_logits(params, slots[: s + 1], condition, cfg.guidance_scale)
-        for coord in sorted(step.coords, key=lambda cd: cd.k):
+        coords = sorted(pattern.steps[s + 1].coords, key=lambda cd: cd.k)
+        # a step whose every coordinate is teacher-forced needs no logits; its
+        # row is fed with the rows of the next step that does
+        if forced is None or any(cd.t > forced.T for cd in coords):
+            # conditioning set must be exactly the union of earlier steps
+            if not np.array_equal(written[fed : s + 1], presence[fed : s + 1]):
+                raise InvariantError("a position was read before the pattern revealed it")
+            branches = forward(params, slots[fed : s + 1], cache=kv)[:, -1]
+            fed = s + 1
+            logits = (
+                cfg_combine(branches[0], branches[1], cfg.guidance_scale) if guided else branches[0]
+            )
+        for coord in coords:
             if written[s + 1, coord.k - 1]:
                 raise InvariantError(f"slot for {tuple(coord)} written twice")
             if forced is not None and coord.t <= forced.T:
@@ -147,9 +151,9 @@ def generate(
 ) -> TokenGrid:
     """Sample a full T x K grid by walking the pattern.
 
-    Runs the unconditional pass (for guidance) only when the scale is not 1
-    and a condition is present; without a condition the combination is the
-    identity either way.
+    Stacks the unconditional branch (for guidance) beside the conditional one
+    only when the scale is not 1 and a condition is present; without a
+    condition the combination is the identity either way.
     """
     if rng is None and not (cfg.mode == "greedy" or cfg.temperature == 0.0):
         raise ValidationError("sampling mode needs a random generator")

@@ -261,7 +261,7 @@ def test_train_zero_count_exits_3(trained, tmp_path, capsys, command, flag, mess
     assert message in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("conditioning", ["text", "chroma"])
+@pytest.mark.parametrize("conditioning", ["text", "chroma", "none"])
 def test_train_cfg_drop_out_of_range_exits_3(tmp_path, capsys, conditioning):
     assert main(["train", "--conditioning", conditioning, "--cfg-drop", "1.5", "--steps", "2",
                  "--timesteps", "4", "--sequences", "2", "--vocab", "8", "--dim", "16",

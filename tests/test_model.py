@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from tokenweave.model import (
     load_checkpoint,
     loss_masked,
     masked_accuracy,
+    open_cache,
     save_checkpoint,
     sinusoidal_embedding,
     train_step,
@@ -75,10 +77,42 @@ def test_param_count_accounting_300m():
 
 def test_forward_rejects_bad_tokens():
     params = init_params(TINY, seed=1)
-    with pytest.raises(ValidationError):
-        forward(params, np.array([[TINY.M + 1, 0]]))
-    with pytest.raises(ValidationError):
+    bad_id = np.array([[TINY.M + 1, 0]])
+    with pytest.raises(ValidationError, match=r"token ids must lie in 0\.\.5"):
+        forward(params, bad_id)
+    with pytest.raises(ValidationError, match="exceeds max_steps=64"):
         forward(params, np.ones((TINY.max_steps + 1, 2), dtype=int))
+    # the cached path makes the same checks, counting the steps it holds
+    kv = open_cache(params, [None, None], TINY.max_steps + 1)
+    with pytest.raises(ValidationError, match=r"token ids must lie in 0\.\.5"):
+        forward(params, bad_id, cache=kv)
+    forward(params, np.ones((TINY.max_steps, 2), dtype=int), cache=kv)
+    with pytest.raises(ValidationError, match="exceeds max_steps=64"):
+        forward(params, np.ones((1, 2), dtype=int), cache=kv)
+
+
+def test_open_cache_checks_conditions_as_forward_does():
+    params = init_params(TINY, seed=1)
+    steps = np.array([[1, 2]])
+    wide = ConditioningTensor(rows=np.ones((2, TINY.D + 1)))
+    no_xattn = init_params(replace(TINY, conditioning_mode="prefix"), seed=1)
+    no_xattn = Parameters(config=TINY, arrays=no_xattn.arrays)
+    text = encode_text_toy("warm pad", D=TINY.D)
+    for p, cond, message in (
+        (params, wide, "dimension 16"),
+        (no_xattn, text, "without cross-attention parameters"),
+        (params, text.rows, "ConditioningTensor"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            forward(p, steps, condition=cond)
+        with pytest.raises(ValidationError, match=message):
+            open_cache(p, [cond, None], 4)
+    kv = open_cache(params, [text], 1)
+    with pytest.raises(ValidationError, match="from the cache"):
+        forward(params, steps, condition=text, cache=kv)
+    forward(params, steps, cache=kv)
+    with pytest.raises(ValidationError, match="decode cache is full"):
+        forward(params, steps, cache=kv)
 
 
 def test_forward_shapes_and_finite():
@@ -410,6 +444,24 @@ def test_checkpoint_roundtrip(tmp_path):
     assert ck.opt_state.step == 17
     assert np.array_equal(ck.extra["grids"], extra["grids"])
     assert ck.meta["note"] == "test"
+
+
+def test_interrupted_checkpoint_save_keeps_old_file(tmp_path, monkeypatch):
+    old = init_params(TINY, seed=6)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, old)
+
+    def savez_then_fail(fh, **payload):
+        fh.write(b"PK\x03\x04 partial archive")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", savez_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, init_params(TINY, seed=7))
+    monkeypatch.undo()
+    loaded = load_checkpoint(path).params
+    assert all(np.array_equal(loaded.arrays[n], a) for n, a in old.arrays.items())
+    assert [p.name for p in tmp_path.iterdir()] == ["ckpt.npz"]
 
 
 def test_config_validation():

@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from tokenweave.conditioning import encode_text_toy
-from tokenweave.errors import ValidationError
-from tokenweave.model import ModelConfig, init_params
-from tokenweave.patterns import PatternKind, TokenGrid, build_pattern
+from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, encode_text_toy
+from tokenweave.errors import InvariantError, ValidationError
+from tokenweave.model import CombinedCondition, ModelConfig, forward, init_params, open_cache
+from tokenweave.patterns import (
+    InterleavedSequence,
+    PatternKind,
+    TokenGrid,
+    apply_pattern,
+    build_pattern,
+    random_grid,
+    revert_pattern,
+)
 from tokenweave.sampling import (
     SamplerConfig,
     cfg_combine,
@@ -16,9 +24,56 @@ from tokenweave.sampling import (
 CFG_GREEDY = SamplerConfig(mode="greedy", guidance_scale=1.0)
 
 
-def small_model(mode="none", seed=0, K=2, M=8):
-    config = ModelConfig(K=K, M=M, D=16, L=1, H=2, max_steps=128, conditioning_mode=mode)
+def small_model(mode="none", seed=0, K=2, M=8, L=1):
+    config = ModelConfig(K=K, M=M, D=16, L=L, H=2, max_steps=128, conditioning_mode=mode)
     return init_params(config, seed=seed)
+
+
+def reference_walk(params, pattern, condition, cfg, rng, forced):
+    """The full-prefix walker the cached one replaced: at every step, one
+    forward over all slots filled so far per guidance branch."""
+    c = params.config
+    S = pattern.S
+    slots = np.zeros((S + 1, c.K), dtype=np.int64)
+    written = np.zeros((S + 1, c.K), dtype=bool)
+    presence = pattern.presence_mask()
+    for s in range(S):
+        step = pattern.steps[s + 1]
+        if not np.array_equal(written[: s + 1], presence[: s + 1]):
+            raise InvariantError("a position was read before the pattern revealed it")
+        logits = forward(params, slots[: s + 1], condition=condition)[-1]
+        if cfg.guidance_scale != 1.0 and condition is not None:
+            uncond = forward(params, slots[: s + 1], condition=None)[-1]
+            logits = cfg_combine(logits, uncond, cfg.guidance_scale)
+        for coord in sorted(step.coords, key=lambda cd: cd.k):
+            if written[s + 1, coord.k - 1]:
+                raise InvariantError(f"slot for {tuple(coord)} written twice")
+            if forced is not None and coord.t <= forced.T:
+                token = int(forced.tokens[coord.t - 1, coord.k - 1])
+            else:
+                token = sample_token(logits[coord.k - 1], cfg, rng)
+            slots[s + 1, coord.k - 1] = token
+            written[s + 1, coord.k - 1] = True
+    return revert_pattern(pattern, InterleavedSequence(slots=slots, M=c.M))
+
+
+D_TEST = 16
+TEXT = encode_text_toy("steady warm beat", D=D_TEST)
+MELODY = chroma_to_condition([0, 4, 7, 4, 2], D=D_TEST)
+EMPTY = ConditioningTensor(rows=np.zeros((0, D_TEST)))
+
+# (model conditioning mode, condition): every route, a condition the model
+# ignores, an empty tensor and a CombinedCondition with one side missing
+CONDITIONED = [
+    pytest.param("none", None, id="none"),
+    pytest.param("none", TEXT, id="none-ignored_text"),
+    pytest.param("prefix", MELODY, id="prefix"),
+    pytest.param("cross_attention", TEXT, id="cross_attention"),
+    pytest.param("both", CombinedCondition(prefix=MELODY, cross=TEXT), id="both"),
+    pytest.param("cross_attention", EMPTY, id="cross_attention-empty"),
+    pytest.param("both", CombinedCondition(prefix=MELODY, cross=None), id="both-prefix_only"),
+    pytest.param("both", CombinedCondition(prefix=None, cross=TEXT), id="both-cross_only"),
+]
 
 
 def test_cfg_combine_identities():
@@ -123,9 +178,6 @@ def test_generate_all_patterns_fill_grid(kind):
 
 
 def test_generate_guidance_combines_two_passes():
-    from tokenweave.model import forward
-    from tokenweave.sampling import cfg_combine as combine
-
     params = small_model(mode="cross_attention", seed=3)
     pattern = build_pattern(PatternKind.DELAY, 6, 2)
     cond = encode_text_toy("steady beat", D=params.config.D)
@@ -133,12 +185,13 @@ def test_generate_guidance_combines_two_passes():
     cond_logits = forward(params, start, condition=cond)[-1]
     uncond_logits = forward(params, start, condition=None)[-1]
     assert not np.allclose(cond_logits, uncond_logits)
-    pushed = combine(cond_logits, uncond_logits, 3.0)
+    pushed = cfg_combine(cond_logits, uncond_logits, 3.0)
     assert not np.allclose(pushed, cond_logits)
-    # and the full generation loop runs with guidance enabled
-    guided = generate(params, pattern, condition=cond,
-                      cfg=SamplerConfig(mode="greedy", guidance_scale=3.0))
-    assert guided.tokens.shape == (6, 2)
+    # the stacked two-branch walk makes the grid the two full passes make
+    cfg = SamplerConfig(mode="greedy", guidance_scale=3.0)
+    guided = generate(params, pattern, condition=cond, cfg=cfg)
+    want = reference_walk(params, pattern, cond, cfg, None, None)
+    assert np.array_equal(guided.tokens, want.tokens)
 
 
 def test_generate_k_mismatch():
@@ -190,3 +243,52 @@ def test_sampler_config_validation():
         SamplerConfig(mode="nucleus")
     cfg = SamplerConfig()
     assert (cfg.top_k, cfg.temperature, cfg.guidance_scale) == (250, 1.0, 3.0)
+
+
+@pytest.mark.parametrize("mode,condition", CONDITIONED)
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda k: k.value)
+def test_cached_walk_matches_full_prefix_walker(kind, mode, condition):
+    """Greedy and seeded grids, guided and not, from generate and from
+    continue_from_prompt with a partial and a full prompt, equal those of the
+    full-prefix walker."""
+    params = small_model(mode=mode, seed=5, K=4, M=6, L=2)
+    pattern = build_pattern(kind, 4, 4)
+    prompt_rng = np.random.default_rng(11)
+    prompts = [None] + [
+        TokenGrid(tokens=prompt_rng.integers(1, 7, size=(T, 4)), M=6) for T in (2, 4)
+    ]
+    configs = [
+        SamplerConfig(mode="greedy", guidance_scale=3.0),
+        SamplerConfig(top_k=4, temperature=1.5, guidance_scale=3.0),
+        SamplerConfig(temperature=1.0, guidance_scale=1.0),
+    ]
+    for prompt in prompts:
+        for cfg in configs:
+            want = reference_walk(params, pattern, condition, cfg, np.random.default_rng(3), prompt)
+            rng = np.random.default_rng(3)
+            if prompt is None:
+                got = generate(params, pattern, condition=condition, cfg=cfg, rng=rng)
+            else:
+                got = continue_from_prompt(
+                    params, pattern, prompt, condition=condition, cfg=cfg, rng=rng
+                )
+            assert np.array_equal(got.tokens, want.tokens), (prompt and prompt.T, cfg)
+
+
+@pytest.mark.parametrize("mode,condition", CONDITIONED)
+@pytest.mark.parametrize("kind", list(PatternKind), ids=lambda k: k.value)
+def test_cached_logits_match_full_prefix_forward(kind, mode, condition):
+    """Both stacked branches (the condition and None) give, at every step, the
+    logits a full-prefix forward gives; the first call prefills three rows."""
+    params = small_model(mode=mode, seed=2, K=4, M=6, L=2)
+    pattern = build_pattern(kind, 4, 4)
+    grid = random_grid(4, 4, 6, np.random.default_rng(1))
+    slots = apply_pattern(pattern, grid).slots[:-1]
+    kv = open_cache(params, [condition, None], len(slots))
+    chunks = [slice(0, 3)] + [slice(s, s + 1) for s in range(3, len(slots))]
+    for chunk in chunks:
+        got = forward(params, slots[chunk], cache=kv)
+        assert got.shape == (2, chunk.stop - chunk.start, 4, 6)
+        for b, cond in enumerate((condition, None)):
+            want = forward(params, slots[: chunk.stop], condition=cond)[chunk]
+            assert np.abs(got[b] - want).max() <= 1e-12
