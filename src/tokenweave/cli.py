@@ -161,7 +161,11 @@ def cmd_patterns(args) -> int:
         path = Path(args.json)
         if not path.exists():
             raise GuardError(f"pattern file not found: {path}")
-        pattern = pattern_from_json(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"pattern file {path} is not UTF-8 text: {exc}") from exc
+        pattern = pattern_from_json(text)
         report = validate_pattern(pattern)
         if report.ok:
             print("ok")
@@ -404,7 +408,12 @@ def cmd_memorize(args) -> int:
         for i in range(len(grids))
     ]
     dataset = list(zip(grids, conditions))
-    prompt_lens = [int(x) for x in args.prompt_lens.split(",") if x.strip()]
+    try:
+        prompt_lens = [int(x) for x in args.prompt_lens.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ValidationError(
+            f"--prompt-lens must be comma-separated integers, got {args.prompt_lens!r}"
+        ) from exc
     kind = PatternKind(ckpt.meta.get("pattern", "delay"))
     report = memorization_report(
         ckpt.params, dataset, prompt_lens, args.gen_len, pattern_kind=kind

@@ -132,6 +132,8 @@ def compute_chromagram(
     audio: AudioBuffer, window: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP
 ) -> Chromagram:
     """Hann-windowed STFT energy folded onto the 12 pitch classes per frame."""
+    if window < 1 or hop < 1:
+        raise ValidationError(f"window and hop must be >= 1, got window={window} hop={hop}")
     n = audio.samples.shape[0]
     if n < window:
         raise ValidationError(f"audio has {n} samples, shorter than one window of {window}")

@@ -14,15 +14,17 @@ to the input rows; "both" takes a CombinedCondition and does both at once;
 and None is the null condition; an empty tensor skips the blocks entirely, so
 cross-attention with an empty tensor computes exactly the unconditional pass.
 
-Incremental decoding: open_cache returns a DecodeCache holding, per layer,
-the self-attention keys and values of the rows fed so far and the
-cross-attention keys and values of the condition, projected once; prefix
-condition rows are prefilled when it opens. forward(params, new_rows,
-cache=kv) then runs the same layers over the new rows alone. A cache stacks B
+Every forward runs over a DecodeCache. It holds, per layer, the
+self-attention keys and values of the rows fed so far, and per branch the
+condition's cross-attention keys and values, projected once. A cache stacks B
 branches that share step rows and differ in condition (the conditional and
 unconditional passes of classifier-free guidance), with a per-branch key mask
-where their prefix lengths differ. Step rows take positions 0..S-1 whatever
-the prefix length, so cached logits equal a full-prefix forward.
+where their prefix lengths differ. open_cache prefills the prefix-condition
+rows, and forward(params, new_rows, cache=kv) then runs the layers over the
+new rows alone. A full-sequence forward, and each example of grad, is a fresh
+one-branch cache fed the prefix rows and every step row in one call, where
+the key mask is exactly the causal mask. Step rows take positions 0..S-1
+whatever the prefix length, so cached logits equal a full-sequence forward.
 
 Key projections carry no bias: softmax is invariant to a per-query constant
 shift, so a key bias cannot affect the loss and would defeat gradient checks.
@@ -218,72 +220,66 @@ def _layernorm_f(x: np.ndarray, g: np.ndarray, b: np.ndarray):
 
 def _layernorm_b(dy: np.ndarray, cache):
     xhat, inv, g = cache
+    D = dy.shape[-1]
     dg = (dy * xhat).sum(axis=0)
     db = dy.sum(axis=0)
     dxhat = dy * g
+    # means over D, summed as in _layernorm_f
     dx = inv * (
         dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / D
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / D)
     )
     return dx, dg, db
 
 
-def _split_heads(x: np.ndarray, H: int) -> np.ndarray:
-    """(..., N, D) -> (..., H, N, D / H)."""
-    *lead, N, D = x.shape
-    return x.reshape(*lead, N, H, D // H).swapaxes(-2, -3)
+def _split_heads(x: np.ndarray, B: int, H: int) -> np.ndarray:
+    """(B * N, D) rows, branch-major -> (B, H, N, D / H)."""
+    rows, D = x.shape
+    return x.reshape(B, rows // B, H, D // H).swapaxes(1, 2)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(..., H, N, dh) -> (..., N, H * dh)."""
-    *lead, H, N, dh = x.shape
-    return x.swapaxes(-2, -3).reshape(*lead, N, H * dh)
+    """(B, H, N, dh) -> (B * N, H * dh) rows, branch-major."""
+    B, H, N, dh = x.shape
+    return x.swapaxes(1, 2).reshape(B * N, H * dh)
 
 
-def _project_kv(kv_in, w, H):
-    """Keys and values of the rows kv_in, split into heads."""
+def _project_kv(kv_in, w, B, H):
+    """Keys and values of the rows kv_in of B branches, split into heads."""
     _, _, wk, wv, bv, _, _ = w
-    return _split_heads(kv_in @ wk, H), _split_heads(kv_in @ wv + bv, H)
+    return _split_heads(kv_in @ wk, B, H), _split_heads(kv_in @ wv + bv, B, H)
 
 
-def _attend(q_in, kh, vh, w, H, blocked):
-    """The attention core every path shares: the rows q_in attend over the
-    projected keys kh and values vh. blocked, broadcast against the
-    (..., H, queries, keys) scores, marks the keys a query may not see."""
+def _attend(q_in, kv_in, kh, vh, w, H, blocked):
+    """The attention core: the rows q_in attend over the keys kh and values
+    vh projected from the rows kv_in, each branch over its own. blocked,
+    broadcast against the (B, H, queries, keys) scores, marks the keys a query
+    may not see. Returns the output rows and the intermediates backward needs."""
     wq, bq, _, _, _, wo, bo = w
-    qh = _split_heads(q_in @ wq + bq, H)
+    qh = _split_heads(q_in @ wq + bq, len(kh), H)
     scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1])
     if blocked is not None:
-        scores = np.where(blocked, -np.inf, scores)
+        np.copyto(scores, -np.inf, where=blocked)
     smax = scores.max(axis=-1, keepdims=True)
     e = np.exp(scores - smax)
     p = e / e.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(p @ vh)
-    return ctx @ wo + bo, (qh, p, ctx)
-
-
-def _attention_f(q_in, kv_in, w, H, causal: bool):
-    """Attention with the intermediates backward needs; q_in and kv_in may
-    differ (cross-attention)."""
-    kh, vh = _project_kv(kv_in, w, H)
-    blocked = np.triu(np.ones((len(q_in), len(kv_in)), dtype=bool), k=1) if causal else None
-    out, (qh, p, ctx) = _attend(q_in, kh, vh, w, H, blocked)
-    return out, (q_in, kv_in, qh, kh, vh, p, ctx, w, H)
+    return ctx @ wo + bo, (q_in, kv_in, qh, kh, vh, p, ctx, w)
 
 
 def _attention_b(dout, cache):
-    q_in, kv_in, qh, kh, vh, p, ctx, w, H = cache
+    q_in, kv_in, qh, kh, vh, p, ctx, w = cache
     wq, bq, wk, wv, bv, wo, bo = w
-    dh = qh.shape[-1]
+    B, H, _, dh = qh.shape
     dwo = ctx.T @ dout
     dbo = dout.sum(axis=0)
-    dctx = _split_heads(dout @ wo.T, H)
-    dp = dctx @ vh.transpose(0, 2, 1)
-    dvh = p.transpose(0, 2, 1) @ dctx
+    dctx = _split_heads(dout @ wo.T, B, H)
+    dp = dctx @ vh.swapaxes(-1, -2)
+    dvh = p.swapaxes(-1, -2) @ dctx
     ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
     dqh = ds @ kh / np.sqrt(dh)
-    dkh = ds.transpose(0, 2, 1) @ qh / np.sqrt(dh)
+    dkh = ds.swapaxes(-1, -2) @ qh / np.sqrt(dh)
     dq = _merge_heads(dqh)
     dk = _merge_heads(dkh)
     dv = _merge_heads(dvh)
@@ -320,8 +316,9 @@ def _weights(A: dict, block: str) -> tuple:
 
 @dataclass
 class DecodeCache:
-    """Incremental-decoding state of B stacked branches that share their step
-    rows and differ only in condition. Branch b holds lengths[b] rows: its
+    """The attention state of B stacked branches that share their step rows
+    and differ only in condition; every trunk pass runs over one. Branch b
+    holds lengths[b] rows: its
     prefix-condition rows, then the `steps` step rows fed since the cache
     opened; a branch with fewer prefix rows leaves the tail of its key axis
     unused, and a per-branch key mask hides it."""
@@ -329,14 +326,15 @@ class DecodeCache:
     keys: np.ndarray  # (L, B, H, rows, D / H) self-attention keys per layer
     values: np.ndarray  # (L, B, H, rows, D / H)
     lengths: np.ndarray  # (B,) rows held per branch
-    cross: list  # per branch: None, or per layer the condition's (keys, values)
+    # per branch: None, or the condition's rows and per layer their (keys, values)
+    cross: list
     steps: int = 0
 
 
-def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCache:
-    """A decode cache with one branch per condition and room for `steps` step
-    rows. Each condition is routed as forward routes it; prefix-condition rows
-    are run through the layers here, so later calls feed step rows only."""
+def _new_cache(params: Parameters, conditions: Sequence, steps: int):
+    """An empty decode cache with one branch per condition and room for the
+    longest prefix plus `steps` step rows, and each branch's prefix-condition
+    rows (None where it has none). Every condition is routed and checked here."""
     c = params.config
     A = params.arrays
     routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
@@ -347,93 +345,90 @@ def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCa
     cross = [
         None
         if rows is None
-        else [_project_kv(rows, _weights(A, f"layer{i}.xattn"), c.H) for i in range(c.L)]
+        else (rows, [_project_kv(rows, _weights(A, f"layer{i}.xattn"), 1, c.H) for i in range(c.L)])
         for _, rows in routes
     ]
     kv = DecodeCache(np.zeros(shape), np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross)
-    no_steps = np.zeros((0, c.K), dtype=np.int64)
-    for b, (prefix_rows, _) in enumerate(routes):
+    return kv, [prefix_rows for prefix_rows, _ in routes]
+
+
+def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCache:
+    """A decode cache with one branch per condition and room for `steps` step
+    rows. Each condition is routed as forward routes it; prefix-condition rows
+    are run through the layers here, so later calls feed step rows only."""
+    kv, prefixes = _new_cache(params, conditions, steps)
+    no_steps = np.zeros((0, params.config.K), dtype=np.int64)
+    for b, prefix_rows in enumerate(prefixes):
         if prefix_rows is not None:
             # a one-branch view: its keys, values and lengths write through
             one = slice(b, b + 1)
-            view = DecodeCache(kv.keys[:, one], kv.values[:, one], kv.lengths[one], cross[one])
-            _forward_trunk(params, no_steps, prefix_rows, None, False, view)
+            view = DecodeCache(kv.keys[:, one], kv.values[:, one], kv.lengths[one], kv.cross[one])
+            _forward_trunk(params, no_steps, prefix_rows, view, False)
     return kv
 
 
-def _cached_self_attention(kv: DecodeCache, i: int, q_in, w, H):
+def _self_attention(kv: DecodeCache, i: int, q_in, w, H, blocked):
     """Append the new rows of every branch to layer i's keys and values, then
-    attend each new row over the rows its branch holds up to itself."""
-    n = q_in.shape[-2]
-    kh, vh = _project_kv(q_in, w, H)
+    attend each new row over the keys of its branch that blocked leaves open."""
+    kh, vh = _project_kv(q_in, w, len(kv.lengths), H)
+    n = kh.shape[2]
     for b, start in enumerate(kv.lengths):
         kv.keys[i, b, :, start : start + n] = kh[b]
         kv.values[i, b, :, start : start + n] = vh[b]
-    pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
-    end = int(pos.max()) + 1
-    blocked = np.arange(end) > pos[:, None, :, None]
-    out, _ = _attend(q_in, kv.keys[i, :, :, :end], kv.values[i, :, :, :end], w, H, blocked)
-    return out
+    end = blocked.shape[-1]
+    return _attend(q_in, q_in, kv.keys[i, :, :, :end], kv.values[i, :, :, :end], w, H, blocked)
 
 
-def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cache, kv=None):
-    """Embeddings, layers and heads over the prefix rows then the step rows.
-
-    With a decode cache kv, the rows are new rows of every cached branch:
-    the step rows continue at step kv.steps, attention reads and extends kv,
-    the branches' conditions come from kv, and the logits gain a leading
-    branch axis. Opening the cache passes prefix rows and no step rows."""
+def _forward_trunk(params: Parameters, tokens, prefix_rows, kv: DecodeCache, need_cache):
+    """Embeddings, layers and heads over new rows of every branch of kv: the
+    prefix rows, if given, then the step rows, which continue at step
+    kv.steps. Attention reads and extends kv, and each branch with a
+    condition cross-attends it from kv. The rows of all branches stack
+    branch-major, so row-wise work runs once for all of them; the logits are
+    (B, S, K, M)."""
     c = params.config
     A = params.arrays
     S = tokens.shape[0]
-    first = 0 if kv is None else kv.steps
+    B = len(kv.lengths)
     if tokens.shape[1] != c.K:
         raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
     if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
         raise ValidationError(f"token ids must lie in 0..{c.M}")
-    if first + S > c.max_steps:
+    if kv.steps + S > c.max_steps:
         raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
-    _check_condition(params, prefix_rows, cross_rows)
 
-    x_steps = A["embed.k0"][tokens[:, 0]].copy()
+    x = A["embed.k0"][tokens[:, 0]].copy()
     for k in range(1, c.K):
-        x_steps += A[f"embed.k{k}"][tokens[:, k]]
-    x_steps += sinusoidal_embedding(np.arange(first, first + S), c.D)
-
+        x += A[f"embed.k{k}"][tokens[:, k]]
+    x += sinusoidal_embedding(np.arange(kv.steps, kv.steps + S), c.D)
     if prefix_rows is not None:
-        n_prefix = prefix_rows.shape[0]
-        x = np.vstack([prefix_rows + sinusoidal_embedding(np.arange(n_prefix), c.D), x_steps])
-    else:
-        n_prefix = 0
-        x = x_steps
-    if kv is not None:
-        if int(kv.lengths.max()) + len(x) > kv.keys.shape[3]:
-            raise ValidationError(f"decode cache is full at {kv.keys.shape[3]} rows per branch")
-        x = np.repeat(x[None], len(kv.lengths), axis=0)
+        x = np.vstack([prefix_rows + sinusoidal_embedding(np.arange(len(prefix_rows)), c.D), x])
+    n = len(x)
+    pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
+    end = int(pos.max()) + 1
+    if end > kv.keys.shape[3]:
+        raise ValidationError(f"decode cache is full at {kv.keys.shape[3]} rows per branch")
+    blocked = np.arange(end) > pos[:, None, :, None]  # the keys each new row may not see
+    if B > 1:
+        x = np.tile(x, (B, 1))
 
     caches = []
     for i in range(c.L):
         p = f"layer{i}"
         ln1_out, ln1_c = _layernorm_f(x, A[f"{p}.ln1.g"], A[f"{p}.ln1.b"])
-        attn_w = _weights(A, f"{p}.attn")
-        if kv is None:
-            attn_out, attn_c = _attention_f(ln1_out, ln1_out, attn_w, c.H, causal=True)
-        else:
-            attn_out = _cached_self_attention(kv, i, ln1_out, attn_w, c.H)
+        attn_out, attn_c = _self_attention(kv, i, ln1_out, _weights(A, f"{p}.attn"), c.H, blocked)
         x = x + attn_out
 
-        x_c = None
-        if cross_rows is not None:
-            lnx_out, lnx_c = _layernorm_f(x, A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
-            xw = _weights(A, f"{p}.xattn")
-            cross_out, cross_c = _attention_f(lnx_out, cross_rows, xw, c.H, causal=False)
-            x = x + cross_out
-            x_c = (lnx_c, cross_c)
-        for b, heads in enumerate(kv.cross if kv is not None else ()):
-            if heads is not None:
-                lnx_out, _ = _layernorm_f(x[b], A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
-                cross_out, _ = _attend(lnx_out, *heads[i], _weights(A, f"{p}.xattn"), c.H, None)
-                x[b] += cross_out
+        x_c = []
+        for b, cross in enumerate(kv.cross):
+            if cross is not None:
+                cond_rows, heads = cross
+                rows = slice(b * n, (b + 1) * n)
+                lnx_out, lnx_c = _layernorm_f(x[rows], A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
+                xw = _weights(A, f"{p}.xattn")
+                cross_out, cross_c = _attend(lnx_out, cond_rows, *heads[i], xw, c.H, None)
+                x[rows] += cross_out
+                x_c.append((rows, lnx_c, cross_c))
 
         ln2_out, ln2_c = _layernorm_f(x, A[f"{p}.ln2.g"], A[f"{p}.ln2.b"])
         h = ln2_out @ A[f"{p}.ffn.w1"] + A[f"{p}.ffn.b1"]
@@ -442,15 +437,14 @@ def _forward_trunk(params: Parameters, tokens, prefix_rows, cross_rows, need_cac
         if need_cache:
             caches.append((ln1_c, attn_c, x_c, ln2_c, ln2_out, h, r))
 
-    if kv is not None:
-        kv.lengths += x.shape[-2]
-        kv.steps += S
-    hidden = x[..., n_prefix:, :]
-    logits = np.empty(hidden.shape[:-1] + (c.K, c.M))
+    kv.lengths += n
+    kv.steps += S
+    hidden = x.reshape(B, n, c.D)[:, n - S :].reshape(B * S, c.D)
+    logits = np.empty((B * S, c.K, c.M))
     for k in range(c.K):
-        logits[..., k, :] = hidden @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
-    cache = (tokens, n_prefix, x, caches, hidden) if need_cache else None
-    return logits, hidden, cache
+        logits[:, k] = hidden @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
+    cache = (tokens, n, caches, hidden) if need_cache else None
+    return logits.reshape(B, S, c.K, c.M), hidden, cache
 
 
 def forward(
@@ -467,10 +461,9 @@ def forward(
     if cache is not None:
         if condition is not None:
             raise ValidationError("a cached forward takes its conditions from the cache")
-        return _forward_trunk(params, tokens, None, None, False, cache)[0]
-    prefix_rows, cross_rows = _route_condition(condition, params.config.conditioning_mode)
-    logits, _, _ = _forward_trunk(params, tokens, prefix_rows, cross_rows, False)
-    return logits
+        return _forward_trunk(params, tokens, None, cache, False)[0]
+    kv, (prefix_rows,) = _new_cache(params, [condition], len(tokens))
+    return _forward_trunk(params, tokens, prefix_rows, kv, False)[0][0]
 
 
 def _masked_log_softmax(logits: np.ndarray):
@@ -517,18 +510,23 @@ class GradResult:
 
 
 def _backward_trunk(params: Parameters, cache, dlogits, grads):
+    """Add to grads the gradients of the trunk pass that left cache, given
+    dlogits shaped like its (B, S, K, M) logits."""
     c = params.config
     A = params.arrays
-    tokens, n_prefix, x_final, caches, hidden = cache
+    tokens, n, caches, hidden = cache
+    B, S = dlogits.shape[:2]
 
+    dlogits = dlogits.reshape(B * S, c.K, c.M)
     dhidden = np.zeros_like(hidden)
     for k in range(c.K):
         dk = dlogits[:, k, :]
         grads[f"head.k{k}.w"] += hidden.T @ dk
         grads[f"head.k{k}.b"] += dk.sum(axis=0)
         dhidden += dk @ A[f"head.k{k}.w"].T
-    dx = np.zeros_like(x_final)
-    dx[n_prefix:] = dhidden
+    dx = np.zeros((B, n, c.D))
+    dx[:, n - S :] = dhidden.reshape(B, S, c.D)
+    dx = dx.reshape(B * n, c.D)
 
     for i in reversed(range(c.L)):
         p = f"layer{i}"
@@ -547,26 +545,25 @@ def _backward_trunk(params: Parameters, cache, dlogits, grads):
         grads[f"{p}.ln2.b"] += db
         dx = dx + dx2
 
-        if x_c is not None:
-            lnx_c, cross_c = x_c
-            dq_in, _dkv, att_g = _attention_b(dx, cross_c)
-            for n, gval in att_g.items():
-                grads[f"{p}.xattn.{n}"] += gval
+        for rows, lnx_c, cross_c in x_c:
+            dq_in, _dkv, att_g = _attention_b(dx[rows], cross_c)
+            for name, gval in att_g.items():
+                grads[f"{p}.xattn.{name}"] += gval
             dlnx, dg, db = _layernorm_b(dq_in, lnx_c)
             grads[f"{p}.lnx.g"] += dg
             grads[f"{p}.lnx.b"] += db
-            dx = dx + dlnx
+            dx[rows] += dlnx
 
         dqkv, dkv2, att_g = _attention_b(dx, attn_c)
-        for n, gval in att_g.items():
-            grads[f"{p}.attn.{n}"] += gval
+        for name, gval in att_g.items():
+            grads[f"{p}.attn.{name}"] += gval
         dln1 = dqkv + dkv2  # self-attention: queries and keys/values share input
         dln1_out, dg, db = _layernorm_b(dln1, ln1_c)
         grads[f"{p}.ln1.g"] += dg
         grads[f"{p}.ln1.b"] += db
         dx = dx + dln1_out
 
-    dsteps = dx[n_prefix:]
+    dsteps = dx.reshape(B, n, c.D)[:, n - S :].sum(axis=0)  # branches share step rows
     for k in range(c.K):
         np.add.at(grads[f"embed.k{k}"], tokens[:, k], dsteps)
 
@@ -592,8 +589,9 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     loss_sum = 0.0
     correct = 0
     for ex, tokens, mask in prepared:
-        prefix_rows, cross_rows = _route_condition(ex.condition, c.conditioning_mode)
-        logits, _, cache = _forward_trunk(params, tokens, prefix_rows, cross_rows, True)
+        kv, (prefix_rows,) = _new_cache(params, [ex.condition], len(tokens))
+        logits, _, cache = _forward_trunk(params, tokens, prefix_rows, kv, True)
+        logits = logits[0]
         logp = _masked_log_softmax(logits)
         s_idx, k_idx = np.nonzero(mask)
         tok = ex.targets.slots[1:][mask] - 1
@@ -606,7 +604,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
         dlogits[s_idx, k_idx] = soft[s_idx, k_idx]
         dlogits[s_idx, k_idx, tok] -= 1.0
         dlogits /= total_count
-        _backward_trunk(params, cache, dlogits, grads)
+        _backward_trunk(params, cache, dlogits[None], grads)
 
     loss = loss_sum / total_count
     if not np.isfinite(loss):

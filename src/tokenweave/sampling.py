@@ -34,10 +34,11 @@ class SamplerConfig:
     def __post_init__(self) -> None:
         if self.top_k < 1:
             raise ValidationError("top_k must be >= 1")
-        if self.temperature < 0.0:
-            raise ValidationError("temperature must be >= 0")
-        if self.guidance_scale < 0.0:
-            raise ValidationError("guidance_scale must be >= 0")
+        # written so that NaN fails them too
+        if not self.temperature >= 0.0:
+            raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if not self.guidance_scale >= 0.0:
+            raise ValidationError(f"guidance_scale must be >= 0, got {self.guidance_scale}")
         if self.mode not in SAMPLE_MODES:
             raise ValidationError(f"mode must be one of {SAMPLE_MODES}")
 

@@ -270,6 +270,38 @@ def test_train_cfg_drop_out_of_range_exits_3(tmp_path, capsys, conditioning):
     assert "[0, 1]" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        pytest.param(["chroma", "--wav", "{wav}", "--hop", "0"], "hop=0", id="chroma-hop-0"),
+        pytest.param(["chroma", "--wav", "{wav}", "--hop", "-1"], "hop=-1", id="chroma-hop-neg"),
+        pytest.param(["chroma", "--wav", "{wav}", "--window", "0"], "window=0", id="chroma-window-0"),
+        pytest.param(["chroma", "--wav", "{wav}", "--window", "-4"], "window=-4",
+                     id="chroma-window-neg"),
+        pytest.param(["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "a"], "'a'",
+                     id="memorize-prompt-lens"),
+        pytest.param(["patterns", "validate", "--json", "{latin1}"], "pattern.json is not UTF-8",
+                     id="validate-not-utf8"),
+        pytest.param(["generate", "--checkpoint", "{ckpt}", "--temperature", "nan"],
+                     "temperature", id="generate-temperature-nan"),
+        pytest.param(["generate", "--checkpoint", "{ckpt}", "--guidance", "nan"],
+                     "guidance_scale", id="generate-guidance-nan"),
+    ],
+)
+def test_malformed_input_exits_3(trained, tmp_path, capsys, argv, message):
+    wav = tmp_path / "tone.wav"
+    save_wav(wav, AudioBuffer(samples=np.sin(np.arange(20000) / 5.0), sample_rate=8000))
+    latin1 = tmp_path / "pattern.json"
+    latin1.write_bytes('{"kind": "délai"}'.encode("latin-1"))
+    paths = {"{wav}": wav, "{ckpt}": trained / "checkpoint.npz", "{latin1}": latin1}
+    argv = [str(paths.get(a, a)) for a in argv]
+    if argv[0] != "patterns":  # every command but patterns writes to --out
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 def test_env_var_default_output(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("TOKENWEAVE_OUT", str(tmp_path / "envout"))
     assert main(["exactness", "--family", "product", "--T", "1", "--K", "2", "--M", "2",

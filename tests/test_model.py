@@ -4,18 +4,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tokenweave.conditioning import ConditioningTensor, encode_text_toy
+from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, encode_text_toy
 from tokenweave.errors import ValidationError
 from tokenweave.model import (
+    LN_EPS,
     AdamWState,
     CombinedCondition,
     ModelConfig,
     Parameters,
     TrainExample,
     TrainHyper,
+    _backward_trunk,
     _coerce_tokens,
     _forward_trunk,
-    _route_condition,
+    _new_cache,
     cosine_lr,
     example_from_grid,
     forward,
@@ -193,13 +195,123 @@ def test_pre_norm_residual_identity_with_zeroed_layers():
         if name.startswith("layer"):
             params.arrays[name][:] = 0.0
     steps = np.array([[1, 2], [3, 4], [0, 1]])
-    _, hidden, _ = _forward_trunk(params, steps, None, None, False)
+    kv, _ = _new_cache(params, [None], len(steps))
+    _, hidden, _ = _forward_trunk(params, steps, None, kv, False)
     expected = (
         params.arrays["embed.k0"][steps[:, 0]]
         + params.arrays["embed.k1"][steps[:, 1]]
         + sinusoidal_embedding(np.arange(3), TINY.D)
     )
     assert np.allclose(hidden, expected, atol=1e-12)
+
+
+def reference_forward(params, steps, condition=None):
+    """The trunk written out plainly: one 2-D sequence, no cache, a loop over
+    heads with an explicit causal softmax, and routing of its own."""
+    c = params.config
+    A = params.arrays
+    prefix = cross = None
+    if c.conditioning_mode != "none" and condition is not None:
+        if isinstance(condition, CombinedCondition):
+            prefix, cross = condition.prefix, condition.cross
+        elif c.conditioning_mode == "prefix":
+            prefix = condition
+        else:
+            cross = condition
+    prefix, cross = (t.rows if t is not None and t.T_C > 0 else None for t in (prefix, cross))
+
+    def layernorm(x, name):
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+        return A[f"{name}.g"] * (x - mu) / np.sqrt(var + LN_EPS) + A[f"{name}.b"]
+
+    def attention(q_in, kv_in, block, causal):
+        w = {n: A[f"{block}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo")}
+        q, k, v = q_in @ w["wq"] + w["bq"], kv_in @ w["wk"], kv_in @ w["wv"] + w["bv"]
+        dh = c.D // c.H
+        ctx = np.empty_like(q)
+        for head in range(c.H):
+            cols = slice(head * dh, (head + 1) * dh)
+            scores = q[:, cols] @ k[:, cols].T / np.sqrt(dh)
+            if causal:
+                scores[np.triu_indices(len(q_in), k=1)] = -np.inf
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            ctx[:, cols] = (e / e.sum(axis=1, keepdims=True)) @ v[:, cols]
+        return ctx @ w["wo"] + w["bo"]
+
+    tokens = np.asarray(steps)
+    x = sum(A[f"embed.k{k}"][tokens[:, k]] for k in range(c.K))
+    x = x + sinusoidal_embedding(np.arange(len(tokens)), c.D)
+    n_prefix = 0 if prefix is None else len(prefix)
+    if prefix is not None:
+        x = np.vstack([prefix + sinusoidal_embedding(np.arange(n_prefix), c.D), x])
+    for i in range(c.L):
+        p = f"layer{i}"
+        h = layernorm(x, f"{p}.ln1")
+        x = x + attention(h, h, f"{p}.attn", causal=True)
+        if cross is not None:
+            x = x + attention(layernorm(x, f"{p}.lnx"), cross, f"{p}.xattn", causal=False)
+        h = layernorm(x, f"{p}.ln2") @ A[f"{p}.ffn.w1"] + A[f"{p}.ffn.b1"]
+        x = x + np.maximum(h, 0.0) @ A[f"{p}.ffn.w2"] + A[f"{p}.ffn.b2"]
+    hidden = x[n_prefix:]
+    return np.stack([hidden @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"] for k in range(c.K)], axis=1)
+
+
+D_REF = 16
+TEXT = encode_text_toy("warm pad", D=D_REF)
+EMPTY = ConditioningTensor(rows=np.zeros((0, D_REF)))
+CHROMA = {n: chroma_to_condition(np.arange(n) * 5 % 12, D=D_REF) for n in (1, 3, 6)}
+
+
+@pytest.mark.parametrize(
+    "mode,condition",
+    [
+        pytest.param("none", None, id="none"),
+        pytest.param("none", TEXT, id="none-ignored"),
+        pytest.param("prefix", None, id="prefix-null"),
+        *(pytest.param("prefix", CHROMA[n], id=f"prefix-{n}rows") for n in CHROMA),
+        pytest.param("prefix", EMPTY, id="prefix-empty"),
+        pytest.param("cross_attention", None, id="cross-null"),
+        pytest.param("cross_attention", TEXT, id="cross"),
+        pytest.param("cross_attention", EMPTY, id="cross-empty"),
+        pytest.param("both", CombinedCondition(prefix=CHROMA[3], cross=TEXT), id="both"),
+        pytest.param("both", CombinedCondition(prefix=CHROMA[6], cross=None), id="both-prefix_only"),
+        pytest.param("both", CombinedCondition(prefix=None, cross=TEXT), id="both-cross_only"),
+        pytest.param("both", CombinedCondition(prefix=EMPTY, cross=TEXT), id="both-empty_prefix"),
+    ],
+)
+def test_forward_matches_plain_reference(mode, condition):
+    config = ModelConfig(K=3, M=6, D=D_REF, L=2, H=4, max_steps=32, conditioning_mode=mode)
+    params = init_params(config, seed=21)
+    steps = np.random.default_rng(4).integers(0, config.M + 1, size=(7, config.K))
+    out = forward(params, steps, condition=condition)
+    assert out.shape == (7, config.K, config.M)
+    assert np.abs(out - reference_forward(params, steps, condition)).max() <= 1e-12
+
+
+def test_backward_sums_over_stacked_branches():
+    # two branches that differ in condition, fed in one call, give the sum of
+    # the gradients each branch gives alone
+    params = init_params(TINY, seed=3)
+    steps = np.random.default_rng(1).integers(0, TINY.M + 1, size=(5, TINY.K))
+    conditions = [TEXT, None]
+    dlogits = np.random.default_rng(2).standard_normal((2, 5, TINY.K, TINY.M))
+
+    def gradients(conds, dl):
+        kv, _ = _new_cache(params, conds, len(steps))
+        logits, _, cache = _forward_trunk(params, steps, None, kv, True)
+        grads = zero_grads(params)
+        _backward_trunk(params, cache, dl, grads)
+        return logits, grads
+
+    stacked_logits, stacked = gradients(conditions, dlogits)
+    for b, cond in enumerate(conditions):
+        logits, alone = gradients([cond], dlogits[b : b + 1])
+        assert np.abs(stacked_logits[b] - logits[0]).max() <= 1e-12
+        for name in stacked:
+            stacked[name] -= alone[name]
+    for name, rest in stacked.items():
+        assert np.abs(rest).max() <= 1e-12, name
 
 
 def test_codebook_permutation_coherence():
@@ -262,9 +374,9 @@ def assert_kink_margin(params, batch, factor=10.0):
     parameter perturbation can cause. The frozen seeds honor this."""
     for ex in batch:
         tokens = _coerce_tokens(ex.tokens)
-        prefix_rows, cross_rows = _route_condition(ex.condition, params.config.conditioning_mode)
-        _, _, cache = _forward_trunk(params, tokens, prefix_rows, cross_rows, True)
-        for layer_cache in cache[3]:
+        kv, (prefix_rows,) = _new_cache(params, [ex.condition], len(tokens))
+        _, _, cache = _forward_trunk(params, tokens, prefix_rows, kv, True)
+        for layer_cache in cache[2]:
             ln2_out, h = layer_cache[4], layer_cache[5]
             margin = np.abs(h).min() / (FD_EPS * max(np.abs(ln2_out).max(), 1.0))
             assert margin > factor, f"seed puts a ReLU kink at margin {margin:.2f}"
