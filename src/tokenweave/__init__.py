@@ -65,8 +65,6 @@ from .model import (
     grad,
     init_params,
     load_checkpoint,
-    loss_masked,
-    masked_accuracy,
     save_checkpoint,
     train_step,
 )
@@ -76,7 +74,6 @@ from .oracle import (
     exactness_report,
     induced_distribution,
     make_joint,
-    true_conditional,
     tv_distance,
 )
 from .analysis import (

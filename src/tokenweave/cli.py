@@ -293,14 +293,17 @@ def cmd_train(args) -> int:
     state = AdamWState.init(params)
     ema = EMAWeights.init(params, decay=args.ema_decay) if args.ema else None
 
-    log_lines = ["step,lr,loss,accuracy"]
+    log_lines = ["step,lr,loss,accuracy,grad_norm,cond_dropped"]
     stats = None
     for _ in range(args.steps):
         state, params, stats = train_step(state, params, batch, hyper, rng)
         if ema is not None:
             ema.update(params)
         if stats.step % args.log_every == 0 or stats.step == args.steps:
-            log_lines.append(f"{stats.step},{stats.lr:.8g},{stats.loss:.8g},{stats.accuracy:.6f}")
+            log_lines.append(
+                f"{stats.step},{stats.lr:.8g},{stats.loss:.8g},{stats.accuracy:.6f},"
+                f"{stats.grad_norm:.8g},{int(stats.condition_dropped)}"
+            )
 
     log_path = out_dir / "train_log.csv"
     log_path.write_text("\n".join(log_lines) + "\n")

@@ -14,17 +14,20 @@ to the input rows; "both" takes a CombinedCondition and does both at once;
 and None is the null condition; an empty tensor skips the blocks entirely, so
 cross-attention with an empty tensor computes exactly the unconditional pass.
 
-Every forward runs over a DecodeCache. It holds, per layer, the
-self-attention keys and values of the rows fed so far, and per branch the
-condition's cross-attention keys and values, projected once. A cache stacks B
-branches that share step rows and differ in condition (the conditional and
-unconditional passes of classifier-free guidance), with a per-branch key mask
-where their prefix lengths differ. open_cache prefills the prefix-condition
+Every forward runs over a DecodeCache: per layer the self-attention keys and
+values of the rows fed so far, and the cross-attention keys and values of the
+branches' conditions, padded into one block and projected once. A cache
+stacks B branches, each with its own condition, that share their step rows
+(the conditional and unconditional passes of classifier-free guidance) or
+feed their own (the examples of a training pass); per-branch key masks hide
+what a shorter branch does not hold. open_cache prefills the prefix-condition
 rows, and forward(params, new_rows, cache=kv) then runs the layers over the
-new rows alone. A full-sequence forward, and each example of grad, is a fresh
-one-branch cache fed the prefix rows and every step row in one call, where
-the key mask is exactly the causal mask. Step rows take positions 0..S-1
-whatever the prefix length, so cached logits equal a full-sequence forward.
+new rows alone. A full-sequence forward is a fresh one-branch cache fed every
+row in one call, where the key mask is exactly the causal mask. grad runs the
+batch in passes of at most ROW_BUDGET rows, one branch per example, which
+bounds the activations kept for backward; shorter examples are right-padded
+behind the causal mask. Step rows take positions 0..S-1 whatever the prefix
+length, so cached logits equal a full-sequence forward.
 
 Key projections carry no bias: softmax is invariant to a per-query constant
 shift, so a key bias cannot affect the loss and would defeat gradient checks.
@@ -177,12 +180,22 @@ def sinusoidal_embedding(positions, D: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(ang), np.cos(ang))
 
 
-def _coerce_tokens(steps) -> np.ndarray:
+def _coerce_tokens(steps, K: int) -> np.ndarray:
     """The (S, K) int64 token matrix of the step inputs; row s sits at step s."""
     tokens = np.asarray(steps, dtype=np.int64)
     if tokens.ndim != 2:
         raise ValidationError("step inputs must form an (S, K) matrix")
+    if tokens.shape[1] != K:
+        raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {K}")
     return tokens
+
+
+def _pad_stack(arrays: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """The arrays, of at most n rows each, stacked and right-padded with zeros."""
+    out = np.zeros((len(arrays), n) + arrays[0].shape[1:], dtype=arrays[0].dtype)
+    for j, a in enumerate(arrays):
+        out[j, : len(a)] = a
+    return out
 
 
 def _cond_rows(obj) -> np.ndarray | None:
@@ -316,18 +329,19 @@ def _weights(A: dict, block: str) -> tuple:
 
 @dataclass
 class DecodeCache:
-    """The attention state of B stacked branches that share their step rows
-    and differ only in condition; every trunk pass runs over one. Branch b
-    holds lengths[b] rows: its
+    """The attention state of B stacked branches, each with its own condition;
+    every trunk pass runs over one. Branch b holds lengths[b] rows: its
     prefix-condition rows, then the `steps` step rows fed since the cache
-    opened; a branch with fewer prefix rows leaves the tail of its key axis
-    unused, and a per-branch key mask hides it."""
+    opened; a branch with fewer rows leaves the tail of its key axis unused,
+    and a per-branch key mask hides it."""
 
     keys: np.ndarray  # (L, B, H, rows, D / H) self-attention keys per layer
     values: np.ndarray  # (L, B, H, rows, D / H)
     lengths: np.ndarray  # (B,) rows held per branch
-    # per branch: None, or the condition's rows and per layer their (keys, values)
-    cross: list
+    # None, or the branches that hold a cross condition (a slice when they are
+    # adjacent), its rows padded into one (B_c * C_max, D) block, the pad keys
+    # to hide (None if none) and per layer the block's projected (keys, values)
+    cross: tuple | None
     steps: int = 0
 
 
@@ -342,12 +356,18 @@ def _new_cache(params: Parameters, conditions: Sequence, steps: int):
         _check_condition(params, prefix_rows, cross_rows)
     n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
     shape = (c.L, len(routes), c.H, n_prefix + steps, c.D // c.H)
-    cross = [
-        None
-        if rows is None
-        else (rows, [_project_kv(rows, _weights(A, f"layer{i}.xattn"), 1, c.H) for i in range(c.L)])
-        for _, rows in routes
-    ]
+    held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
+    cross = None
+    if held:
+        sizes = np.array([len(routes[b][1]) for b in held])
+        rows = _pad_stack([routes[b][1] for b in held], sizes.max()).reshape(-1, c.D)
+        pads = np.arange(sizes.max()) >= sizes[:, None]
+        blocked = pads[:, None, None, :] if pads.any() else None
+        xw = [_weights(A, f"layer{i}.xattn") for i in range(c.L)]
+        heads = [_project_kv(rows, w, len(held), c.H) for w in xw]
+        if held[-1] - held[0] == len(held) - 1:
+            held = slice(held[0], held[-1] + 1)
+        cross = (held, rows, blocked, heads)
     kv = DecodeCache(np.zeros(shape), np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross)
     return kv, [prefix_rows for prefix_rows, _ in routes]
 
@@ -357,13 +377,8 @@ def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCa
     rows. Each condition is routed as forward routes it; prefix-condition rows
     are run through the layers here, so later calls feed step rows only."""
     kv, prefixes = _new_cache(params, conditions, steps)
-    no_steps = np.zeros((0, params.config.K), dtype=np.int64)
-    for b, prefix_rows in enumerate(prefixes):
-        if prefix_rows is not None:
-            # a one-branch view: its keys, values and lengths write through
-            one = slice(b, b + 1)
-            view = DecodeCache(kv.keys[:, one], kv.values[:, one], kv.lengths[one], kv.cross[one])
-            _forward_trunk(params, no_steps, prefix_rows, view, False)
+    if any(rows is not None for rows in prefixes):
+        _forward_trunk(params, np.zeros((0, params.config.K), dtype=np.int64), prefixes, kv, False)
     return kv
 
 
@@ -379,38 +394,50 @@ def _self_attention(kv: DecodeCache, i: int, q_in, w, H, blocked):
     return _attend(q_in, q_in, kv.keys[i, :, :, :end], kv.values[i, :, :, :end], w, H, blocked)
 
 
-def _forward_trunk(params: Parameters, tokens, prefix_rows, kv: DecodeCache, need_cache):
-    """Embeddings, layers and heads over new rows of every branch of kv: the
-    prefix rows, if given, then the step rows, which continue at step
-    kv.steps. Attention reads and extends kv, and each branch with a
-    condition cross-attends it from kv. The rows of all branches stack
+def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_cache):
+    """Embeddings, layers and heads over new rows of every branch of kv: per
+    branch its prefix rows, if prefixes gives any, then the step rows, (S, K)
+    shared by every branch or (B, S, K) one block each, which continue at
+    step kv.steps. A shorter branch is right-padded, behind the causal mask.
+    Attention reads and extends kv. The rows of all branches stack
     branch-major, so row-wise work runs once for all of them; the logits are
     (B, S, K, M)."""
     c = params.config
     A = params.arrays
-    S = tokens.shape[0]
     B = len(kv.lengths)
-    if tokens.shape[1] != c.K:
-        raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
+    S = tokens.shape[-2]
     if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
         raise ValidationError(f"token ids must lie in 0..{c.M}")
     if kv.steps + S > c.max_steps:
         raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
 
-    x = A["embed.k0"][tokens[:, 0]].copy()
+    x = A["embed.k0"][tokens[..., 0]]
     for k in range(1, c.K):
-        x += A[f"embed.k{k}"][tokens[:, k]]
+        x += A[f"embed.k{k}"][tokens[..., k]]
     x += sinusoidal_embedding(np.arange(kv.steps, kv.steps + S), c.D)
-    if prefix_rows is not None:
-        x = np.vstack([prefix_rows + sinusoidal_embedding(np.arange(len(prefix_rows)), c.D), x])
-    n = len(x)
+    if tokens.ndim == 2:  # step rows shared by every branch
+        x = np.tile(x, (B, 1, 1)) if B > 1 else x[None]
+    lead = 0  # prefix rows per branch
+    at = None  # where prefix rows lead: the index of each step row among all rows
+    if prefixes is not None and any(rows is not None for rows in prefixes):
+        lead = np.array([0 if rows is None else len(rows) for rows in prefixes])
+        x = _pad_stack([
+            x[b] if rows is None
+            else np.vstack([rows + sinusoidal_embedding(np.arange(len(rows)), c.D), x[b]])
+            for b, rows in enumerate(prefixes)
+        ], lead.max() + S)
+        at = (np.arange(B)[:, None] * x.shape[1] + lead[:, None] + np.arange(S)).ravel()
+    n = x.shape[1]
+    if n == 0:
+        raise ValidationError("no rows to run: the step inputs are empty and there is no prefix")
+    x = x.reshape(B * n, c.D)
     pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
     end = int(pos.max()) + 1
     if end > kv.keys.shape[3]:
         raise ValidationError(f"decode cache is full at {kv.keys.shape[3]} rows per branch")
     blocked = np.arange(end) > pos[:, None, :, None]  # the keys each new row may not see
-    if B > 1:
-        x = np.tile(x, (B, 1))
+    if kv.cross is not None:
+        held, cond_rows, cond_blocked, heads = kv.cross
 
     caches = []
     for i in range(c.L):
@@ -419,32 +446,31 @@ def _forward_trunk(params: Parameters, tokens, prefix_rows, kv: DecodeCache, nee
         attn_out, attn_c = _self_attention(kv, i, ln1_out, _weights(A, f"{p}.attn"), c.H, blocked)
         x = x + attn_out
 
-        x_c = []
-        for b, cross in enumerate(kv.cross):
-            if cross is not None:
-                cond_rows, heads = cross
-                rows = slice(b * n, (b + 1) * n)
-                lnx_out, lnx_c = _layernorm_f(x[rows], A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
-                xw = _weights(A, f"{p}.xattn")
-                cross_out, cross_c = _attend(lnx_out, cond_rows, *heads[i], xw, c.H, None)
-                x[rows] += cross_out
-                x_c.append((rows, lnx_c, cross_c))
+        x_c = None
+        if kv.cross is not None:
+            xb = x.reshape(B, n, c.D)
+            x_in = xb[held].reshape(-1, c.D)
+            lnx_out, lnx_c = _layernorm_f(x_in, A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
+            xw = _weights(A, f"{p}.xattn")
+            cross_out, cross_c = _attend(lnx_out, cond_rows, *heads[i], xw, c.H, cond_blocked)
+            xb[held] += cross_out.reshape(-1, n, c.D)
+            x_c = (held, lnx_c, cross_c)
 
         ln2_out, ln2_c = _layernorm_f(x, A[f"{p}.ln2.g"], A[f"{p}.ln2.b"])
         h = ln2_out @ A[f"{p}.ffn.w1"] + A[f"{p}.ffn.b1"]
-        r = np.maximum(h, 0.0)
-        x = x + r @ A[f"{p}.ffn.w2"] + A[f"{p}.ffn.b2"]
+        x = x + np.maximum(h, 0.0) @ A[f"{p}.ffn.w2"] + A[f"{p}.ffn.b2"]
         if need_cache:
-            caches.append((ln1_c, attn_c, x_c, ln2_c, ln2_out, h, r))
+            caches.append((ln1_c, attn_c, x_c, ln2_c, ln2_out, h))
 
-    kv.lengths += n
+    kv.lengths += lead + S
     kv.steps += S
-    hidden = x.reshape(B, n, c.D)[:, n - S :].reshape(B * S, c.D)
+    if at is not None:
+        x = x[at]
     logits = np.empty((B * S, c.K, c.M))
     for k in range(c.K):
-        logits[:, k] = hidden @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
-    cache = (tokens, n, caches, hidden) if need_cache else None
-    return logits.reshape(B, S, c.K, c.M), hidden, cache
+        logits[:, k] = x @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
+    cache = (tokens, n, caches, x, at) if need_cache else None
+    return logits.reshape(B, S, c.K, c.M), x, cache
 
 
 def forward(
@@ -457,19 +483,13 @@ def forward(
     With a cache from open_cache, steps are only the rows that follow those
     already fed, the condition is the cache's, and the logits, shaped
     (B, S, K, M), equal those of a full-prefix forward for each branch."""
-    tokens = _coerce_tokens(steps)
+    tokens = _coerce_tokens(steps, params.config.K)
     if cache is not None:
         if condition is not None:
             raise ValidationError("a cached forward takes its conditions from the cache")
         return _forward_trunk(params, tokens, None, cache, False)[0]
-    kv, (prefix_rows,) = _new_cache(params, [condition], len(tokens))
-    return _forward_trunk(params, tokens, prefix_rows, kv, False)[0][0]
-
-
-def _masked_log_softmax(logits: np.ndarray):
-    z = logits - logits.max(axis=-1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    return z - lse
+    kv, prefixes = _new_cache(params, [condition], len(tokens))
+    return _forward_trunk(params, tokens, prefixes, kv, False)[0][0]
 
 
 def _target_mask(targets: InterleavedSequence, pattern: Pattern, S: int, K: int):
@@ -480,26 +500,20 @@ def _target_mask(targets: InterleavedSequence, pattern: Pattern, S: int, K: int)
     return pattern.presence_mask()[1:]
 
 
-def loss_masked(logits: np.ndarray, targets: InterleavedSequence, pattern: Pattern) -> float:
-    """Mean cross-entropy over positions (s, k) where codebook k is revealed
-    at step s+1; absence slots carry no information and are excluded."""
-    S, K, _ = logits.shape
-    mask = _target_mask(targets, pattern, S, K)
-    if not mask.any():
-        raise ValidationError("no revealed positions to score")
-    logp = _masked_log_softmax(logits)
-    s_idx, k_idx = np.nonzero(mask)
-    tok = targets.slots[1:][mask] - 1
-    return float(-logp[s_idx, k_idx, tok].mean())
-
-
-def masked_accuracy(logits: np.ndarray, targets: InterleavedSequence, pattern: Pattern) -> float:
-    S, K, _ = logits.shape
-    mask = _target_mask(targets, pattern, S, K)
-    if not mask.any():
-        raise ValidationError("no revealed positions to score")
-    pred = logits.argmax(axis=-1) + 1
-    return float(np.mean(pred[mask] == targets.slots[1:][mask]))
+def _score_revealed(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+    """Summed cross-entropy, argmax hits and d(sum)/dlogits of logits
+    (..., K, M) against the 1-based targets (..., K) at the revealed
+    positions mask (..., K); absence slots carry no information."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    revealed = np.nonzero(mask)
+    tok = targets[mask] - 1
+    nll = float(-logp[revealed + (tok,)].sum())
+    correct = int((logits[revealed].argmax(axis=-1) == tok).sum())
+    dlogits = np.zeros_like(logits)
+    dlogits[revealed] = np.exp(logp[revealed])
+    dlogits[revealed + (tok,)] -= 1.0
+    return nll, correct, dlogits
 
 
 @dataclass
@@ -511,10 +525,11 @@ class GradResult:
 
 def _backward_trunk(params: Parameters, cache, dlogits, grads):
     """Add to grads the gradients of the trunk pass that left cache, given
-    dlogits shaped like its (B, S, K, M) logits."""
+    dlogits shaped like its (B, S, K, M) logits. Consumes cache: each layer's
+    activations are released once their gradients are taken."""
     c = params.config
     A = params.arrays
-    tokens, n, caches, hidden = cache
+    tokens, n, caches, hidden, at = cache
     B, S = dlogits.shape[:2]
 
     dlogits = dlogits.reshape(B * S, c.K, c.M)
@@ -524,17 +539,18 @@ def _backward_trunk(params: Parameters, cache, dlogits, grads):
         grads[f"head.k{k}.w"] += hidden.T @ dk
         grads[f"head.k{k}.b"] += dk.sum(axis=0)
         dhidden += dk @ A[f"head.k{k}.w"].T
-    dx = np.zeros((B, n, c.D))
-    dx[:, n - S :] = dhidden.reshape(B, S, c.D)
-    dx = dx.reshape(B * n, c.D)
+    dx = dhidden
+    if at is not None:
+        dx = np.zeros((B * n, c.D))
+        dx[at] = dhidden
 
     for i in reversed(range(c.L)):
         p = f"layer{i}"
-        ln1_c, attn_c, x_c, ln2_c, ln2_out, h, r = caches[i]
+        ln1_c, attn_c, x_c, ln2_c, ln2_out, h = caches.pop()
 
         # ffn block: x3 = x2 + relu(ln2(x2) @ w1 + b1) @ w2 + b2
         dr = dx @ A[f"{p}.ffn.w2"].T
-        grads[f"{p}.ffn.w2"] += r.T @ dx
+        grads[f"{p}.ffn.w2"] += np.maximum(h, 0.0).T @ dx
         grads[f"{p}.ffn.b2"] += dx.sum(axis=0)
         dh = dr * (h > 0.0)
         grads[f"{p}.ffn.w1"] += ln2_out.T @ dh
@@ -545,14 +561,16 @@ def _backward_trunk(params: Parameters, cache, dlogits, grads):
         grads[f"{p}.ln2.b"] += db
         dx = dx + dx2
 
-        for rows, lnx_c, cross_c in x_c:
-            dq_in, _dkv, att_g = _attention_b(dx[rows], cross_c)
+        if x_c is not None:
+            held, lnx_c, cross_c = x_c
+            dxb = dx.reshape(B, n, c.D)
+            dq_in, _dkv, att_g = _attention_b(dxb[held].reshape(-1, c.D), cross_c)
             for name, gval in att_g.items():
                 grads[f"{p}.xattn.{name}"] += gval
             dlnx, dg, db = _layernorm_b(dq_in, lnx_c)
             grads[f"{p}.lnx.g"] += dg
             grads[f"{p}.lnx.b"] += db
-            dx[rows] += dlnx
+            dxb[held] += dlnx.reshape(-1, n, c.D)
 
         dqkv, dkv2, att_g = _attention_b(dx, attn_c)
         for name, gval in att_g.items():
@@ -563,50 +581,56 @@ def _backward_trunk(params: Parameters, cache, dlogits, grads):
         grads[f"{p}.ln1.b"] += db
         dx = dx + dln1_out
 
-    dsteps = dx.reshape(B, n, c.D)[:, n - S :].sum(axis=0)  # branches share step rows
+    if at is not None:
+        dx = dx[at]
+    tokens = np.broadcast_to(tokens, (B, S, c.K)).reshape(B * S, c.K)
+    vocab = np.arange(c.M + 1)[:, None]
     for k in range(c.K):
-        np.add.at(grads[f"embed.k{k}"], tokens[:, k], dsteps)
+        # each step row's gradient lands on the embedding row of its own token
+        grads[f"embed.k{k}"] += (tokens[:, k] == vocab).astype(np.float64) @ dx
+
+
+# rows (prefix and step, padding included) of one trunk pass of grad: bounds
+# the activations held for backward, about 4 examples of 27 steps
+ROW_BUDGET = 128
 
 
 def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     """Exact reverse-mode gradients of the pooled masked cross-entropy over the
-    batch (positions pooled across examples)."""
+    batch (positions pooled across examples). Consecutive examples run as the
+    stacked branches of one trunk pass, as many as ROW_BUDGET holds; a shorter
+    example is right-padded and its pad positions score nothing."""
     if not batch:
         raise ValidationError("empty batch")
     c = params.config
-    grads = zero_grads(params)
-
-    prepared = []
-    total_count = 0
-    for ex in batch:
-        tokens = _coerce_tokens(ex.tokens)
-        mask = _target_mask(ex.targets, ex.pattern, tokens.shape[0], c.K)
-        total_count += int(mask.sum())
-        prepared.append((ex, tokens, mask))
+    tokens = [_coerce_tokens(ex.tokens, c.K) for ex in batch]
+    masks = [_target_mask(ex.targets, ex.pattern, len(t), c.K) for ex, t in zip(batch, tokens)]
+    total_count = int(sum(m.sum() for m in masks))
     if total_count == 0:
         raise ValidationError("no revealed positions in the batch")
+    lens = np.array([len(t) for t in tokens])
+    steps = _pad_stack(tokens, lens.max())
+    targets = _pad_stack([ex.targets.slots[1:] for ex in batch], lens.max())
+    mask = _pad_stack(masks, lens.max())
+    leads = [_route_condition(ex.condition, c.conditioning_mode)[0] for ex in batch]
+    width = lens.max() + max(0 if rows is None else len(rows) for rows in leads)
+    per_pass = max(1, ROW_BUDGET // width)
 
-    loss_sum = 0.0
+    grads = zero_grads(params)
+    nll = 0.0
     correct = 0
-    for ex, tokens, mask in prepared:
-        kv, (prefix_rows,) = _new_cache(params, [ex.condition], len(tokens))
-        logits, _, cache = _forward_trunk(params, tokens, prefix_rows, kv, True)
-        logits = logits[0]
-        logp = _masked_log_softmax(logits)
-        s_idx, k_idx = np.nonzero(mask)
-        tok = ex.targets.slots[1:][mask] - 1
-        loss_sum += float(-logp[s_idx, k_idx, tok].sum())
-        pred = logits.argmax(axis=-1) + 1
-        correct += int((pred[mask] == ex.targets.slots[1:][mask]).sum())
-
-        dlogits = np.zeros_like(logits)
-        soft = np.exp(logp)
-        dlogits[s_idx, k_idx] = soft[s_idx, k_idx]
-        dlogits[s_idx, k_idx, tok] -= 1.0
+    for start in range(0, len(batch), per_pass):
+        part = slice(start, start + per_pass)
+        S = lens[part].max()
+        kv, prefixes = _new_cache(params, [ex.condition for ex in batch[part]], S)
+        logits, _, cache = _forward_trunk(params, steps[part, :S], prefixes, kv, True)
+        part_nll, part_correct, dlogits = _score_revealed(logits, targets[part, :S], mask[part, :S])
+        nll += part_nll
+        correct += part_correct
         dlogits /= total_count
-        _backward_trunk(params, cache, dlogits[None], grads)
+        _backward_trunk(params, cache, dlogits, grads)
 
-    loss = loss_sum / total_count
+    loss = nll / total_count
     if not np.isfinite(loss):
         raise ValidationError("non-finite loss")
     return GradResult(loss=loss, accuracy=correct / total_count, grads=grads)

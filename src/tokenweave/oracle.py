@@ -1,9 +1,9 @@
 """Exactness laboratory for interleaving patterns.
 
-Holds explicit joint distributions over tiny token grids, computes exact
-conditionals by marginalization, computes the exact law of the grids a
-per-step-independent sampler would generate when it walks a pattern, and
-measures the total variation distance between the two. Nothing is sampled.
+Holds explicit joint distributions over tiny token grids, computes the exact
+law of the grids a per-step-independent sampler would generate when it walks
+a pattern, and measures the total variation distance between the two.
+Nothing is sampled.
 
 Grid outcomes are indexed by flattening positions (t, k) row-major, i.e. axis
 a = (t-1)*K + (k-1) of an (M,)*N table with N = T*K.
@@ -14,14 +14,13 @@ and positions a revealed at s of P(x_a | x_{R_s}) = P(x_{R_s}, x_a) / P(x_{R_s})
 each factor a ratio of two whole-table marginals. A sampler that factorizes
 within a step can reach prefixes outside the joint's support, where that
 ratio is undefined; induced_distribution adopts the maximum-entropy
-convention there and uses 1/M. true_conditional, by contrast, treats a
-zero-probability reveal as a caller error.
+convention there and uses 1/M.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -160,41 +159,6 @@ def _marginal(table: np.ndarray, keep_axes: Iterable[int]) -> np.ndarray:
     so the result broadcasts against the table."""
     keep = set(keep_axes)
     return table.sum(axis=tuple(a for a in range(table.ndim) if a not in keep), keepdims=True)
-
-
-def true_conditional(
-    joint: JointDistribution,
-    revealed: Mapping[Coord | tuple[int, int], int],
-    targets: Sequence[Coord | tuple[int, int]],
-) -> np.ndarray:
-    """Exact joint conditional over the target positions, marginalizing all
-    other unrevealed positions. Shape is (M,)*len(targets), 0-based token axes
-    ordered as the targets were given."""
-    if not targets:
-        raise ValidationError("need at least one target position")
-    rev_axes, rev_vals = [], []
-    for coord, token in revealed.items():
-        if not 1 <= token <= joint.M:
-            raise ValidationError(f"revealed token {token} out of range 1..{joint.M}")
-        rev_axes.append(_axis(joint.T, joint.K, Coord(*coord)))
-        rev_vals.append(token - 1)
-    tgt_axes = [_axis(joint.T, joint.K, Coord(*c)) for c in targets]
-    if len(set(tgt_axes)) != len(tgt_axes):
-        raise ValidationError("target positions must be distinct")
-    if set(tgt_axes) & set(rev_axes):
-        raise ValidationError("revealed and target positions must be disjoint")
-
-    table = joint.table()
-    idx: list[slice] = [slice(None)] * table.ndim
-    for a, v in zip(rev_axes, rev_vals):
-        idx[a] = slice(v, v + 1)
-    # the kept axes come out in ascending order; reorder them as given
-    marg = _marginal(table[tuple(idx)], tgt_axes).reshape((joint.M,) * len(tgt_axes))
-    marg = np.transpose(marg, [sorted(tgt_axes).index(a) for a in tgt_axes])
-    total = marg.sum()
-    if total <= 0.0:
-        raise ValidationError("revealed assignment has probability zero under the joint")
-    return marg / total
 
 
 def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDistribution:

@@ -65,11 +65,12 @@ def cfg_combine(cond_logits: np.ndarray, uncond_logits: np.ndarray, scale: float
 def _topk_probs(logits: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
     """Kept token indices (0-based, ties to the lowest index) and their
     renormalized softmax probabilities after temperature scaling."""
-    z = logits / cfg.temperature
     k = min(cfg.top_k, logits.shape[0])
-    order = np.argsort(-z, kind="stable")[:k]
-    zk = z[order]
-    zk = zk - zk.max()
+    order = np.argsort(-logits, kind="stable")[:k]
+    # the max is subtracted first, so a tiny temperature sends every
+    # non-maximal logit to -inf (probability 0) rather than overflowing
+    with np.errstate(over="ignore"):
+        zk = (logits[order] - logits[order[0]]) / cfg.temperature
     p = np.exp(zk)
     p /= p.sum()
     return order, p

@@ -121,8 +121,11 @@ def trained(tmp_path_factory):
 def test_train_writes_checkpoint_log_manifest(trained):
     assert (trained / "checkpoint.npz").exists()
     log = (trained / "train_log.csv").read_text().splitlines()
-    assert log[0] == "step,lr,loss,accuracy"
+    assert log[0] == "step,lr,loss,accuracy,grad_norm,cond_dropped"
     assert len(log) > 2
+    for row in log[1:]:
+        _, _, _, _, grad_norm, dropped = row.split(",")
+        assert float(grad_norm) > 0.0 and dropped in ("0", "1")
     manifest = json.loads((trained / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == {"checkpoint.npz", "train_log.csv"}
     assert manifest["config"]["steps"] == 80
@@ -300,6 +303,15 @@ def test_malformed_input_exits_3(trained, tmp_path, capsys, argv, message):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+def test_generate_tiny_temperature_draws_the_argmax(trained, tmp_path, capsys):
+    # the sampler subtracts the max logit before dividing by the temperature,
+    # so a subnormal temperature gives the argmax instead of an overflow
+    argv = ["generate", "--checkpoint", str(trained / "checkpoint.npz"), "--seed", "7",
+            "--temperature", "1e-320", "--out", str(tmp_path / "g")]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_env_var_default_output(tmp_path, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, enc
 from tokenweave.errors import ValidationError
 from tokenweave.model import (
     LN_EPS,
+    ROW_BUDGET,
     AdamWState,
     CombinedCondition,
     ModelConfig,
@@ -18,6 +20,7 @@ from tokenweave.model import (
     _coerce_tokens,
     _forward_trunk,
     _new_cache,
+    _score_revealed,
     cosine_lr,
     example_from_grid,
     forward,
@@ -25,8 +28,6 @@ from tokenweave.model import (
     grad,
     init_params,
     load_checkpoint,
-    loss_masked,
-    masked_accuracy,
     open_cache,
     save_checkpoint,
     sinusoidal_embedding,
@@ -84,6 +85,10 @@ def test_forward_rejects_bad_tokens():
         forward(params, bad_id)
     with pytest.raises(ValidationError, match="exceeds max_steps=64"):
         forward(params, np.ones((TINY.max_steps + 1, 2), dtype=int))
+    with pytest.raises(ValidationError, match="no rows to run"):
+        forward(params, np.zeros((0, TINY.K)))
+    with pytest.raises(ValidationError, match="carry 3 codebooks, model has 2"):
+        forward(params, np.ones((2, TINY.K + 1), dtype=int))
     # the cached path makes the same checks, counting the steps it holds
     kv = open_cache(params, [None, None], TINY.max_steps + 1)
     with pytest.raises(ValidationError, match=r"token ids must lie in 0\.\.5"):
@@ -314,6 +319,96 @@ def test_backward_sums_over_stacked_branches():
         assert np.abs(rest).max() <= 1e-12, name
 
 
+def per_example_reference(params, batch):
+    """Loss, accuracy and gradients of the pooled batch from one grad call
+    per example, each weighted by its share of the revealed positions."""
+    counts = [ex.pattern.presence_mask()[1:].sum() for ex in batch]
+    loss = accuracy = 0.0
+    grads = zero_grads(params)
+    for ex, count in zip(batch, counts):
+        share = count / sum(counts)
+        one = grad(params, [ex])
+        loss += share * one.loss
+        accuracy += share * one.accuracy
+        for name, g in one.grads.items():
+            grads[name] += share * g
+    return loss, accuracy, grads
+
+
+TEXT_LONG = encode_text_toy("slow bright strings and drums", D=D_REF)
+
+
+@pytest.mark.parametrize(
+    "mode,conditions",
+    [
+        pytest.param("none", [None, TEXT], id="none"),
+        pytest.param("prefix", [CHROMA[3], None, EMPTY, CHROMA[6], TEXT, CHROMA[1]], id="prefix"),
+        pytest.param("cross_attention", [TEXT, None, TEXT_LONG, EMPTY, TEXT], id="cross"),
+        pytest.param("cross_attention", [TEXT_LONG, TEXT], id="cross-all_held"),
+        pytest.param(
+            "both",
+            [
+                CombinedCondition(prefix=CHROMA[3], cross=TEXT),
+                None,
+                CombinedCondition(prefix=None, cross=TEXT_LONG),
+                CombinedCondition(prefix=CHROMA[6], cross=None),
+                CombinedCondition(prefix=EMPTY, cross=TEXT),
+            ],
+            id="both",
+        ),
+    ],
+)
+def test_batched_grad_matches_per_example_grads(mode, conditions):
+    # ragged batches over more than one pass: two step counts, conditions of
+    # unequal length and branches with none, pooled exactly as one at a time
+    config = ModelConfig(K=3, M=6, D=D_REF, L=2, H=4, max_steps=32, conditioning_mode=mode)
+    params = init_params(config, seed=8)
+    rng = np.random.default_rng(5)
+    batch = []
+    for j in range(14):
+        pattern = build_pattern((PatternKind.DELAY, PatternKind.FLATTEN)[j % 2], 3 + j % 3, 3)
+        grid = random_grid(pattern.T, config.K, config.M, rng)
+        batch.append(example_from_grid(pattern, grid, condition=conditions[j % len(conditions)]))
+    assert len({len(ex.tokens) for ex in batch}) > 1
+    assert len(batch) * max(len(ex.tokens) for ex in batch) > ROW_BUDGET
+
+    got = grad(params, batch)
+    loss, accuracy, grads = per_example_reference(params, batch)
+    assert abs(got.loss - loss) <= 1e-12
+    assert abs(got.accuracy - accuracy) <= 1e-12
+    for name, g in grads.items():
+        assert np.abs(got.grads[name] - g).max() <= 1e-12, name
+
+
+def test_grad_working_set_stays_bounded():
+    # the train workload's shapes: 32 text-conditioned delay sequences of
+    # T=24 (S=27) at D=48, L=2; the row budget keeps each trunk pass small
+    config = ModelConfig(K=4, M=16, D=48, L=2, H=4, max_steps=64,
+                         conditioning_mode="cross_attention")
+    params = init_params(config, seed=0)
+    rng = np.random.default_rng(0)
+    pattern = build_pattern(PatternKind.DELAY, 24, 4)
+    words = ["warm", "pad", "slow", "bright", "strings", "drums"]
+    batch = [
+        example_from_grid(
+            pattern,
+            random_grid(24, 4, 16, rng),
+            condition=encode_text_toy(" ".join(rng.choice(words, rng.integers(1, 5))), D=48),
+        )
+        for _ in range(32)
+    ]
+
+    def peak(examples):
+        tracemalloc.start()
+        try:
+            grad(params, examples)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(batch) < 3 * peak(batch[:1])
+
+
 def test_codebook_permutation_coherence():
     params = init_params(TINY, seed=9)
     swapped = params.copy()
@@ -332,12 +427,19 @@ def test_codebook_permutation_coherence():
     assert np.array_equal(out, ref[:, ::-1, :])
 
 
+def masked_loss(logits, seq, pattern):
+    """Mean cross-entropy and accuracy over the revealed positions, as grad scores them."""
+    mask = pattern.presence_mask()[1:]
+    nll, correct, _ = _score_revealed(logits, seq.slots[1:], mask)
+    return nll / mask.sum(), correct / mask.sum()
+
+
 def test_loss_uniform_logits_is_log_m():
     pattern = build_pattern(PatternKind.PARALLEL, 2, 2)
     grid = TokenGrid(np.array([[1, 2], [3, 4]]), M=4)
     seq = apply_pattern(pattern, grid)
     logits = np.zeros((2, 2, 4))
-    assert loss_masked(logits, seq, pattern) == pytest.approx(math.log(4.0), abs=1e-12)
+    assert masked_loss(logits, seq, pattern)[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_loss_one_hot_correct_logits_near_zero():
@@ -348,8 +450,9 @@ def test_loss_one_hot_correct_logits_near_zero():
     for s in range(2):
         for k in range(2):
             logits[s, k, seq.slots[s + 1, k] - 1] = 50.0
-    assert loss_masked(logits, seq, pattern) < 1e-12
-    assert masked_accuracy(logits, seq, pattern) == 1.0
+    loss, accuracy = masked_loss(logits, seq, pattern)
+    assert loss < 1e-12
+    assert accuracy == 1.0
 
 
 def test_loss_invariant_to_masked_positions():
@@ -358,11 +461,11 @@ def test_loss_invariant_to_masked_positions():
     seq = apply_pattern(pattern, grid)
     rng = np.random.default_rng(0)
     logits = rng.standard_normal((3, 2, 4))
-    base = loss_masked(logits, seq, pattern)
+    base = masked_loss(logits, seq, pattern)
     mask = pattern.presence_mask()[1:]
     noisy = logits.copy()
     noisy[~mask] = rng.standard_normal(((~mask).sum(), 4)) * 100.0
-    assert loss_masked(noisy, seq, pattern) == base
+    assert masked_loss(noisy, seq, pattern) == base
 
 
 FD_EPS = 1e-4
@@ -373,9 +476,9 @@ def assert_kink_margin(params, batch, factor=10.0):
     pre-activation may sit within `factor` times the largest shift an eps-size
     parameter perturbation can cause. The frozen seeds honor this."""
     for ex in batch:
-        tokens = _coerce_tokens(ex.tokens)
-        kv, (prefix_rows,) = _new_cache(params, [ex.condition], len(tokens))
-        _, _, cache = _forward_trunk(params, tokens, prefix_rows, kv, True)
+        tokens = _coerce_tokens(ex.tokens, params.config.K)
+        kv, prefixes = _new_cache(params, [ex.condition], len(tokens))
+        _, _, cache = _forward_trunk(params, tokens, prefixes, kv, True)
         for layer_cache in cache[2]:
             ln2_out, h = layer_cache[4], layer_cache[5]
             margin = np.abs(h).min() / (FD_EPS * max(np.abs(ln2_out).max(), 1.0))

@@ -7,16 +7,50 @@ from tokenweave.errors import GuardError, ValidationError
 from tokenweave.oracle import (
     ExactnessRow,
     JointDistribution,
+    _axis,
+    _marginal,
     exactness_report,
     grid_index,
     induced_distribution,
     make_joint,
-    true_conditional,
     tv_distance,
 )
-from tokenweave.patterns import STEREO_KINDS, PatternKind, TokenGrid, build_pattern
+from tokenweave.patterns import STEREO_KINDS, Coord, PatternKind, TokenGrid, build_pattern
 
 FAMILIES = ("product", "diagonal", "markov_residual")
+
+
+def true_conditional(joint, revealed, targets):
+    """Reference: the exact joint conditional over the target positions
+    ((t, k) pairs), given revealed {(t, k): token}, marginalizing all other
+    unrevealed positions. Shape is (M,)*len(targets), 0-based token axes
+    ordered as the targets were given; a zero-probability reveal is an error."""
+    if not targets:
+        raise ValidationError("need at least one target position")
+    rev_axes, rev_vals = [], []
+    for coord, token in revealed.items():
+        if not 1 <= token <= joint.M:
+            raise ValidationError(f"revealed token {token} out of range 1..{joint.M}")
+        rev_axes.append(_axis(joint.T, joint.K, Coord(*coord)))
+        rev_vals.append(token - 1)
+    tgt_axes = [_axis(joint.T, joint.K, Coord(*c)) for c in targets]
+    if len(set(tgt_axes)) != len(tgt_axes):
+        raise ValidationError("target positions must be distinct")
+    if set(tgt_axes) & set(rev_axes):
+        raise ValidationError("revealed and target positions must be disjoint")
+
+    table = joint.table()
+    idx: list[slice] = [slice(None)] * table.ndim
+    for a, v in zip(rev_axes, rev_vals):
+        idx[a] = slice(v, v + 1)
+    # the kept axes come out in ascending order; reorder them as given
+    marg = _marginal(table[tuple(idx)], tgt_axes).reshape((joint.M,) * len(tgt_axes))
+    marg = np.transpose(marg, [sorted(tgt_axes).index(a) for a in tgt_axes])
+    total = marg.sum()
+    if total <= 0.0:
+        raise ValidationError("revealed assignment has probability zero under the joint")
+    return marg / total
+
 
 
 def brute_induced_table(joint, pattern):

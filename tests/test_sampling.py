@@ -15,6 +15,7 @@ from tokenweave.patterns import (
 )
 from tokenweave.sampling import (
     SamplerConfig,
+    _topk_probs,
     cfg_combine,
     continue_from_prompt,
     generate,
@@ -120,13 +121,31 @@ def test_sample_token_converges_to_argmax_as_temperature_falls():
     logits = np.array([0.0, 0.5, 0.4])
     rng = np.random.default_rng(3)
     fracs = []
-    for temp in (2.0, 0.5, 0.05, 0.001):
+    for temp in (2.0, 0.5, 0.05, 0.001, 1e-320):
         cfg = SamplerConfig(top_k=3, temperature=temp)
         draws = [sample_token(logits, cfg, rng) for _ in range(400)]
         fracs.append(float(np.mean(np.asarray(draws) == 2)))
     assert all(b >= a - 0.05 for a, b in zip(fracs, fracs[1:]))
-    # at temperature 1e-3 the runner-up mass underflows entirely
-    assert fracs[-1] == 1.0
+    # at temperature 1e-3 the runner-up mass underflows entirely, and a
+    # subnormal temperature sends it to -inf without an overflow warning
+    assert fracs[-2:] == [1.0, 1.0]
+
+
+def test_topk_probs_at_temperature_one_are_bitwise_unchanged():
+    # seeded draws at temperature 1 depend on these bits; the reference
+    # divides by the temperature first and subtracts the max after
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        logits = np.round(rng.standard_normal(9) * 4.0, 1)  # ties included
+        logits[rng.integers(0, 9)] = -np.inf
+        cfg = SamplerConfig(top_k=int(rng.integers(1, 10)), temperature=1.0)
+        z = logits / cfg.temperature
+        order = np.argsort(-z, kind="stable")[: cfg.top_k]
+        zk = z[order] - z[order].max()
+        want = np.exp(zk) / np.exp(zk).sum()
+        got_order, got = _topk_probs(logits, cfg)
+        assert np.array_equal(got_order, order)
+        assert np.array_equal(got, want)
 
 
 def test_sample_token_matches_softmax_ratio():
