@@ -52,7 +52,6 @@ class MemorizationRow:
 class MemorizationReport:
     rows: tuple[MemorizationRow, ...]
     gen_len: int
-    threshold: float
     exact_monotone: bool
     partial_monotone: bool
 
@@ -68,7 +67,6 @@ def memorization_report(
     prompt_lens: list[int],
     gen_len: int,
     pattern_kind: PatternKind | str = PatternKind.DELAY,
-    threshold: float = PARTIAL_MATCH_THRESHOLD,
 ) -> MemorizationReport:
     """Greedy prompted continuation; only codebook-1 tokens are compared.
 
@@ -79,7 +77,7 @@ def memorization_report(
         raise ValidationError("memorization needs at least one example")
     if gen_len < 0 or min(prompt_lens, default=0) < 0:
         raise ValidationError("prompt lengths and gen_len must be nonnegative")
-    greedy = SamplerConfig(mode="greedy", guidance_scale=1.0)
+    greedy = SamplerConfig(temperature=0.0, guidance_scale=1.0)
     rows = []
     for prompt_len in prompt_lens:
         span = prompt_len + gen_len
@@ -102,7 +100,7 @@ def memorization_report(
             want = source.tokens[prompt_len:span, 0]
             matches = int(np.sum(got == want))
             exact += int(matches == gen_len)
-            partial += int(matches / gen_len >= threshold - 1e-12)
+            partial += int(matches / gen_len >= PARTIAL_MATCH_THRESHOLD - 1e-12)
         n = len(dataset)
         rows.append(
             MemorizationRow(
@@ -118,7 +116,6 @@ def memorization_report(
     return MemorizationReport(
         rows=tuple(rows),
         gen_len=gen_len,
-        threshold=threshold,
         exact_monotone=exact_mono,
         partial_monotone=partial_mono,
     )
@@ -148,26 +145,22 @@ def pitch_class_frequency(pitch_class: int) -> float:
     return float(A4_HZ * 2.0 ** ((pitch_class - 9) / 12.0))
 
 
-def sonify_classes(
-    q: QuantizedChroma, sample_rate: int = SONIFY_RATE, segment: int = SONIFY_SEGMENT
-) -> AudioBuffer:
-    """One pure-sine segment per frame; segment length equals the analysis
-    window so each chroma frame sees exactly one class."""
+def sonify_classes(q: QuantizedChroma) -> AudioBuffer:
+    """One pure-sine segment of SONIFY_SEGMENT samples per frame; the segment
+    equals the analysis window so each chroma frame sees exactly one class."""
     if q.F == 0:
         raise ValidationError("nothing to sonify")
     pieces = []
-    t = np.arange(segment) / sample_rate
+    t = np.arange(SONIFY_SEGMENT) / SONIFY_RATE
     for c in q.classes:
         freq = pitch_class_frequency(int(c))
         pieces.append(0.5 * np.sin(2.0 * np.pi * freq * t))
-    return AudioBuffer(samples=np.concatenate(pieces), sample_rate=sample_rate)
+    return AudioBuffer(samples=np.concatenate(pieces), sample_rate=SONIFY_RATE)
 
 
-def chroma_of_sonified(
-    q: QuantizedChroma, sample_rate: int = SONIFY_RATE, segment: int = SONIFY_SEGMENT
-) -> QuantizedChroma:
-    audio = sonify_classes(q, sample_rate=sample_rate, segment=segment)
-    return quantize_chroma(compute_chromagram(audio, window=segment, hop=segment))
+def chroma_of_sonified(q: QuantizedChroma) -> QuantizedChroma:
+    audio = sonify_classes(q)
+    return quantize_chroma(compute_chromagram(audio, window=SONIFY_SEGMENT, hop=SONIFY_SEGMENT))
 
 
 def chroma_adherence(
@@ -175,14 +168,12 @@ def chroma_adherence(
     codebooks: list[Codebook],
     anchors: np.ndarray,
     reference: QuantizedChroma,
-    sample_rate: int = SONIFY_RATE,
-    segment: int = SONIFY_SEGMENT,
 ) -> float:
     """Cosine similarity between the reference chroma and the chroma measured
     from the generated grid's sonification (decode -> snap to anchors ->
     sines -> chromagram -> argmax). Length mismatch truncates."""
     latents = rvq_decode(grid, codebooks)
     classes = latents_to_classes(latents, anchors)
-    measured = chroma_of_sonified(classes, sample_rate=sample_rate, segment=segment)
+    measured = chroma_of_sonified(classes)
     return chroma_cosine_similarity(measured, reference)
 

@@ -345,14 +345,25 @@ def _load_ckpt(path_text: str):
     return load_checkpoint(path)
 
 
+def _flag_or_meta(args, ckpt, key: str, parse, default):
+    """parse of the flag named key if given, else of the checkpoint's meta
+    value (default if absent); a meta value parse rejects is malformed input."""
+    if getattr(args, key, None) is not None:
+        return parse(getattr(args, key))
+    try:
+        return parse(ckpt.meta.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"checkpoint {args.checkpoint}: meta {key}: {exc}") from exc
+
+
 def cmd_generate(args) -> int:
     t0 = time.time()
     out_dir = Path(args.out) if args.out else _default_out("generate")
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = _load_ckpt(args.checkpoint)
     params = ckpt.params
-    T = args.timesteps if args.timesteps is not None else int(ckpt.meta.get("timesteps", 8))
-    kind = PatternKind(args.pattern or ckpt.meta.get("pattern", "delay"))
+    T = _flag_or_meta(args, ckpt, "timesteps", int, 8)
+    kind = _flag_or_meta(args, ckpt, "pattern", PatternKind, "delay")
     pattern = build_pattern(kind, T, params.config.K)
 
     condition = None
@@ -360,12 +371,10 @@ def cmd_generate(args) -> int:
         if params.config.conditioning_mode == "none":
             raise ValidationError("checkpoint model is unconditional; --text has no route")
         condition = encode_text_toy(text_normalize(args.text), params.config.D)
-    cfg = SamplerConfig(
-        top_k=args.top_k,
-        temperature=args.temperature,
-        guidance_scale=args.guidance,
-        mode="greedy" if args.greedy else "sample",
-    )
+    cfg = SamplerConfig(top_k=args.top_k, temperature=args.temperature,
+                        guidance_scale=args.guidance)
+    if args.greedy:  # --temperature is still range-checked
+        cfg = replace(cfg, temperature=0.0)
     gen_t0 = time.time()
     grid = generate(params, pattern, condition=condition, cfg=cfg,
                     rng=np.random.default_rng(args.seed))
@@ -417,7 +426,7 @@ def cmd_memorize(args) -> int:
         raise ValidationError(
             f"--prompt-lens must be comma-separated integers, got {args.prompt_lens!r}"
         ) from exc
-    kind = PatternKind(ckpt.meta.get("pattern", "delay"))
+    kind = _flag_or_meta(args, ckpt, "pattern", PatternKind, "delay")
     report = memorization_report(
         ckpt.params, dataset, prompt_lens, args.gen_len, pattern_kind=kind
     )
@@ -534,7 +543,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--top-k", type=int, default=250)
     p.add_argument("--temperature", type=float, default=1.0)
     p.add_argument("--guidance", type=float, default=3.0)
-    p.add_argument("--greedy", action="store_true")
+    p.add_argument("--greedy", action="store_true", help="temperature 0: always the argmax")
     p.add_argument("--wav", action="store_true", help="also write a sonified WAV")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

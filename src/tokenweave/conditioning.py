@@ -313,8 +313,11 @@ def load_wav(path) -> AudioBuffer:
                 raise ValidationError(f"only mono or stereo WAV is supported, got {channels}")
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except wave.Error as exc:
-        raise ValidationError(f"malformed WAV file: {exc}") from exc
+    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
+        reason = str(exc) or "truncated header"
+        raise ValidationError(f"malformed WAV file {path}: {reason}") from exc
+    # a file cut inside its data keeps its whole frames
+    raw = raw[: len(raw) - len(raw) % (2 * channels)]
     data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     if channels == 2:
         data = data.reshape(-1, 2).mean(axis=1)

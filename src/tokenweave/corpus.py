@@ -14,6 +14,8 @@ import numpy as np
 from .patterns import TokenGrid
 from .rvq import Codebook, LatentFrames, RVQConfig, rvq_encode, synth_latents, train_codebooks
 
+CODEBOOK_ITERATIONS = 20  # k-means iterations per stage of the corpus quantizer
+
 
 @dataclass(frozen=True)
 class Corpus:
@@ -29,7 +31,6 @@ def make_corpus(
     config: RVQConfig,
     seed: int = 0,
     share_first_frame: bool = False,
-    train_iterations: int = 20,
 ) -> Corpus:
     latents = [synth_latents(T, config.d_latent, seed=seed + i) for i in range(n_sequences)]
     if share_first_frame and n_sequences > 1:
@@ -38,7 +39,7 @@ def make_corpus(
             LatentFrames(frames=np.vstack([first[None, :], lf.frames[1:]])) for lf in latents
         ]
     pooled = LatentFrames(frames=np.vstack([lf.frames for lf in latents]))
-    codebooks = train_codebooks(pooled, config, iterations=train_iterations, seed=seed)
+    codebooks = train_codebooks(pooled, config, iterations=CODEBOOK_ITERATIONS, seed=seed)
     grids = [rvq_encode(lf, codebooks) for lf in latents]
     return Corpus(
         grids=tuple(grids),

@@ -23,11 +23,15 @@ feed their own (the examples of a training pass); per-branch key masks hide
 what a shorter branch does not hold. open_cache prefills the prefix-condition
 rows, and forward(params, new_rows, cache=kv) then runs the layers over the
 new rows alone. A full-sequence forward is a fresh one-branch cache fed every
-row in one call, where the key mask is exactly the causal mask. grad runs the
-batch in passes of at most ROW_BUDGET rows, one branch per example, which
-bounds the activations kept for backward; shorter examples are right-padded
-behind the causal mask. Step rows take positions 0..S-1 whatever the prefix
-length, so cached logits equal a full-sequence forward.
+row in one call, where the key mask is exactly the causal mask. Step rows
+take positions 0..S-1 whatever the prefix length, so cached logits equal a
+full-sequence forward.
+
+A training example is its pattern's slot sequence: rows 0..S-1 are the
+inputs, rows 1..S the targets, and the loss covers the targets that are not
+the special (absence) token. grad runs the batch in passes of at most
+ROW_BUDGET rows, one branch per example, which bounds the activations kept
+for backward; shorter examples are right-padded with special tokens.
 
 Key projections carry no bias: softmax is invariant to a per-query constant
 shift, so a key bias cannot affect the loss and would defeat gradient checks.
@@ -49,7 +53,7 @@ import numpy as np
 
 from .conditioning import ConditioningTensor, draw_condition_drop
 from .errors import ValidationError
-from .patterns import InterleavedSequence, Pattern, TokenGrid, apply_pattern
+from .patterns import SPECIAL_TOKEN, InterleavedSequence, Pattern, TokenGrid, apply_pattern
 
 CONDITIONING_MODES = ("none", "prefix", "cross_attention", "both")
 LN_EPS = 1e-5
@@ -98,6 +102,13 @@ class Parameters:
     config: ModelConfig
     arrays: dict[str, np.ndarray]
 
+    def __post_init__(self) -> None:
+        expected = _param_shapes(self.config)
+        got = {name: np.shape(arr) for name, arr in self.arrays.items()}
+        if got != expected:
+            wrong = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
+            raise ValidationError(f"parameters do not match their config: {', '.join(wrong[:5])}")
+
     def n_params(self) -> int:
         return int(sum(a.size for a in self.arrays.values()))
 
@@ -115,15 +126,22 @@ class CombinedCondition:
 
 @dataclass(frozen=True)
 class TrainExample:
-    tokens: np.ndarray  # (S, K) model inputs, rows 0..S-1 of the slot sequence
-    targets: InterleavedSequence
-    pattern: Pattern
+    """One training sequence: the (S+1, K) slot sequence a pattern lays a
+    grid out as, and its condition. The model reads slot rows 0..S-1 and
+    predicts rows 1..S; a slot holding the special token is an absent
+    codebook and scores nothing."""
+
+    seq: InterleavedSequence
     condition: object = None  # None | ConditioningTensor | CombinedCondition
+
+    @property
+    def tokens(self) -> np.ndarray:
+        """The (S, K) model inputs, rows 0..S-1 of the slot sequence."""
+        return self.seq.slots[:-1]
 
 
 def example_from_grid(pattern: Pattern, grid: TokenGrid, condition=None) -> TrainExample:
-    seq = apply_pattern(pattern, grid)
-    return TrainExample(tokens=seq.slots[:-1], targets=seq, pattern=pattern, condition=condition)
+    return TrainExample(seq=apply_pattern(pattern, grid), condition=condition)
 
 
 def _param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -180,13 +198,15 @@ def sinusoidal_embedding(positions, D: int) -> np.ndarray:
     return np.where(i % 2 == 0, np.sin(ang), np.cos(ang))
 
 
-def _coerce_tokens(steps, K: int) -> np.ndarray:
-    """The (S, K) int64 token matrix of the step inputs; row s sits at step s."""
+def _coerce_tokens(steps, c: ModelConfig) -> np.ndarray:
+    """The (S, K) int64 token matrix of the step inputs, ids in 0..M."""
     tokens = np.asarray(steps, dtype=np.int64)
     if tokens.ndim != 2:
         raise ValidationError("step inputs must form an (S, K) matrix")
-    if tokens.shape[1] != K:
-        raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {K}")
+    if tokens.shape[1] != c.K:
+        raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
+    if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
+        raise ValidationError(f"token ids must lie in 0..{c.M}")
     return tokens
 
 
@@ -310,19 +330,6 @@ def _attention_b(dout, cache):
     return dq_in, dkv_in, grads
 
 
-def _check_condition(params: Parameters, prefix_rows, cross_rows) -> None:
-    c = params.config
-    if cross_rows is not None and cross_rows.shape[1] != c.D:
-        raise ValidationError(f"cross condition rows must have dimension {c.D}")
-    if prefix_rows is not None and prefix_rows.shape[1] != c.D:
-        raise ValidationError(f"prefix condition rows must have dimension {c.D}")
-    if cross_rows is not None and "layer0.lnx.g" not in params.arrays:
-        raise ValidationError(
-            "model was initialized without cross-attention parameters; "
-            "re-init with conditioning_mode 'cross_attention' or 'both'"
-        )
-
-
 def _weights(A: dict, block: str) -> tuple:
     return tuple(A[f"{block}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
 
@@ -352,8 +359,8 @@ def _new_cache(params: Parameters, conditions: Sequence, steps: int):
     c = params.config
     A = params.arrays
     routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
-    for prefix_rows, cross_rows in routes:
-        _check_condition(params, prefix_rows, cross_rows)
+    if any(rows is not None and rows.shape[1] != c.D for route in routes for rows in route):
+        raise ValidationError(f"condition rows must have dimension {c.D}")
     n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
     shape = (c.L, len(routes), c.H, n_prefix + steps, c.D // c.H)
     held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
@@ -378,7 +385,8 @@ def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCa
     are run through the layers here, so later calls feed step rows only."""
     kv, prefixes = _new_cache(params, conditions, steps)
     if any(rows is not None for rows in prefixes):
-        _forward_trunk(params, np.zeros((0, params.config.K), dtype=np.int64), prefixes, kv, False)
+        empty = np.zeros((len(prefixes), 0, params.config.K), dtype=np.int64)
+        _forward_trunk(params, empty, prefixes, kv, False)
     return kv
 
 
@@ -396,18 +404,16 @@ def _self_attention(kv: DecodeCache, i: int, q_in, w, H, blocked):
 
 def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_cache):
     """Embeddings, layers and heads over new rows of every branch of kv: per
-    branch its prefix rows, if prefixes gives any, then the step rows, (S, K)
-    shared by every branch or (B, S, K) one block each, which continue at
-    step kv.steps. A shorter branch is right-padded, behind the causal mask.
+    branch its prefix rows, if prefixes gives any, then its block of the
+    (B, S, K) step rows, which continue at step kv.steps. A shorter branch
+    is right-padded, behind the causal mask.
     Attention reads and extends kv. The rows of all branches stack
     branch-major, so row-wise work runs once for all of them; the logits are
     (B, S, K, M)."""
     c = params.config
     A = params.arrays
     B = len(kv.lengths)
-    S = tokens.shape[-2]
-    if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
-        raise ValidationError(f"token ids must lie in 0..{c.M}")
+    S = tokens.shape[1]
     if kv.steps + S > c.max_steps:
         raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
 
@@ -415,8 +421,6 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
     for k in range(1, c.K):
         x += A[f"embed.k{k}"][tokens[..., k]]
     x += sinusoidal_embedding(np.arange(kv.steps, kv.steps + S), c.D)
-    if tokens.ndim == 2:  # step rows shared by every branch
-        x = np.tile(x, (B, 1, 1)) if B > 1 else x[None]
     lead = 0  # prefix rows per branch
     at = None  # where prefix rows lead: the index of each step row among all rows
     if prefixes is not None and any(rows is not None for rows in prefixes):
@@ -483,31 +487,24 @@ def forward(
     With a cache from open_cache, steps are only the rows that follow those
     already fed, the condition is the cache's, and the logits, shaped
     (B, S, K, M), equal those of a full-prefix forward for each branch."""
-    tokens = _coerce_tokens(steps, params.config.K)
+    tokens = _coerce_tokens(steps, params.config)
     if cache is not None:
         if condition is not None:
             raise ValidationError("a cached forward takes its conditions from the cache")
-        return _forward_trunk(params, tokens, None, cache, False)[0]
+        shared = tokens[None].repeat(len(cache.lengths), axis=0)
+        return _forward_trunk(params, shared, None, cache, False)[0]
     kv, prefixes = _new_cache(params, [condition], len(tokens))
-    return _forward_trunk(params, tokens, prefixes, kv, False)[0][0]
+    return _forward_trunk(params, tokens[None], prefixes, kv, False)[0][0]
 
 
-def _target_mask(targets: InterleavedSequence, pattern: Pattern, S: int, K: int):
-    if targets.slots.shape != (S + 1, K):
-        raise ValidationError("targets do not match the logits' step count")
-    if pattern.K != K or len(pattern.steps) != S + 1:
-        raise ValidationError("pattern does not match the logits' step count")
-    return pattern.presence_mask()[1:]
-
-
-def _score_revealed(logits: np.ndarray, targets: np.ndarray, mask: np.ndarray):
+def _score_revealed(logits: np.ndarray, targets: np.ndarray):
     """Summed cross-entropy, argmax hits and d(sum)/dlogits of logits
-    (..., K, M) against the 1-based targets (..., K) at the revealed
-    positions mask (..., K); absence slots carry no information."""
+    (..., K, M) against the 1-based targets (..., K); a target holding the
+    special token is an absent codebook and carries no information."""
     z = logits - logits.max(axis=-1, keepdims=True)
     logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-    revealed = np.nonzero(mask)
-    tok = targets[mask] - 1
+    revealed = np.nonzero(targets != SPECIAL_TOKEN)
+    tok = targets[revealed] - 1
     nll = float(-logp[revealed + (tok,)].sum())
     correct = int((logits[revealed].argmax(axis=-1) == tok).sum())
     dlogits = np.zeros_like(logits)
@@ -583,7 +580,7 @@ def _backward_trunk(params: Parameters, cache, dlogits, grads):
 
     if at is not None:
         dx = dx[at]
-    tokens = np.broadcast_to(tokens, (B, S, c.K)).reshape(B * S, c.K)
+    tokens = tokens.reshape(B * S, c.K)
     vocab = np.arange(c.M + 1)[:, None]
     for k in range(c.K):
         # each step row's gradient lands on the embedding row of its own token
@@ -597,21 +594,20 @@ ROW_BUDGET = 128
 
 def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     """Exact reverse-mode gradients of the pooled masked cross-entropy over the
-    batch (positions pooled across examples). Consecutive examples run as the
-    stacked branches of one trunk pass, as many as ROW_BUDGET holds; a shorter
-    example is right-padded and its pad positions score nothing."""
+    batch (positions pooled across examples), slot rows 0..S-1 of each
+    example its inputs and rows 1..S its targets. Consecutive examples run as
+    the stacked branches of one trunk pass, as many as ROW_BUDGET holds; a
+    shorter example is right-padded with special tokens, which score nothing."""
     if not batch:
         raise ValidationError("empty batch")
     c = params.config
-    tokens = [_coerce_tokens(ex.tokens, c.K) for ex in batch]
-    masks = [_target_mask(ex.targets, ex.pattern, len(t), c.K) for ex, t in zip(batch, tokens)]
-    total_count = int(sum(m.sum() for m in masks))
+    slots = [_coerce_tokens(ex.seq.slots, c) for ex in batch]
+    lens = np.array([len(rows) - 1 for rows in slots])
+    padded = _pad_stack(slots, lens.max() + 1)
+    steps, targets = padded[:, :-1], padded[:, 1:]
+    total_count = int(np.count_nonzero(targets != SPECIAL_TOKEN))
     if total_count == 0:
         raise ValidationError("no revealed positions in the batch")
-    lens = np.array([len(t) for t in tokens])
-    steps = _pad_stack(tokens, lens.max())
-    targets = _pad_stack([ex.targets.slots[1:] for ex in batch], lens.max())
-    mask = _pad_stack(masks, lens.max())
     leads = [_route_condition(ex.condition, c.conditioning_mode)[0] for ex in batch]
     width = lens.max() + max(0 if rows is None else len(rows) for rows in leads)
     per_pass = max(1, ROW_BUDGET // width)
@@ -624,7 +620,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
         S = lens[part].max()
         kv, prefixes = _new_cache(params, [ex.condition for ex in batch[part]], S)
         logits, _, cache = _forward_trunk(params, steps[part, :S], prefixes, kv, True)
-        part_nll, part_correct, dlogits = _score_revealed(logits, targets[part, :S], mask[part, :S])
+        part_nll, part_correct, dlogits = _score_revealed(logits, targets[part, :S])
         nll += part_nll
         correct += part_correct
         dlogits /= total_count
@@ -649,6 +645,12 @@ class TrainHyper:
     condition_dropout: float = 0.2  # CFG: chance a step trains the null condition
 
     def __post_init__(self) -> None:
+        # written so that NaN fails them too
+        for name in ("lr_max", "lr_min", "warmup_steps", "weight_decay", "clip_norm"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not all(0.0 <= b < 1.0 for b in self.betas):
+            raise ValidationError(f"betas must lie in [0, 1), got {self.betas}")
         if not 0.0 <= self.condition_dropout <= 1.0:
             raise ValidationError(
                 f"condition_dropout must lie in [0, 1], got {self.condition_dropout}"
@@ -743,6 +745,8 @@ class EMAWeights:
 
     @classmethod
     def init(cls, params: Parameters, decay: float = 0.99) -> "EMAWeights":
+        if not 0.0 <= decay <= 1.0:  # NaN fails it too
+            raise ValidationError(f"EMA decay must lie in [0, 1], got {decay}")
         return cls(decay=decay, arrays={k: v.copy() for k, v in params.arrays.items()})
 
     def update(self, params: Parameters) -> None:
@@ -806,16 +810,14 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint container; a file that is not one, or whose
     parameter arrays do not match its config, raises ValidationError."""
     try:
-        data = np.load(path, allow_pickle=False)
-    except FileNotFoundError:
-        raise
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as exc:
-        raise ValidationError(f"{path} is not an npz checkpoint") from exc
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise ValidationError(f"{path} is not an npz checkpoint")
-    try:
-        with data:
-            arrays = {k: data[k] for k in data.files}
+        # opened here, not by np.load, which leaves its own handle open when
+        # the archive is truncated
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise ValidationError("not an npz archive")
+            with data:
+                arrays = {k: data[k] for k in data.files}
         header = json.loads(str(arrays["__header__"]))
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
@@ -823,6 +825,10 @@ def load_checkpoint(path) -> Checkpoint:
         opt_step = header.get("opt_step")
         opt_step = None if opt_step is None else int(opt_step)
         meta = header["meta"]
+        if not isinstance(meta, dict):
+            raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")
+    except FileNotFoundError:
+        raise
     except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
             zipfile.BadZipFile) as exc:
         raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc
@@ -831,13 +837,6 @@ def load_checkpoint(path) -> Checkpoint:
         return {k[2:]: v for k, v in arrays.items() if k.startswith(tag)}
 
     params = Parameters(config=config, arrays=prefixed("p:"))
-    expected = _param_shapes(config)
-    got = {name: arr.shape for name, arr in params.arrays.items()}
-    if got != expected:
-        wrong = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
-        raise ValidationError(
-            f"checkpoint parameters do not match its config: {', '.join(wrong[:5])}"
-        )
     opt_state = None
     if opt_step is not None:
         opt_state = AdamWState(step=opt_step, m=prefixed("m:"), v=prefixed("v:"))

@@ -25,7 +25,6 @@ class RVQConfig:
     K: int = 4
     M: int = 64
     d_latent: int = 8
-    frame_rate: float = 50.0
 
     def __post_init__(self) -> None:
         if self.K < 1 or self.M < 1 or self.d_latent < 1:
@@ -74,20 +73,21 @@ class LatentFrames:
         return self.frames.shape[1]
 
 
-def synth_latents(T: int, d_latent: int, seed: int, smoothing: float = 0.95) -> LatentFrames:
-    """Stationary AR(1) walk: x_t = a x_{t-1} + sqrt(1-a^2) z_t, unit marginal
-    variance, lag-1 autocorrelation ~= a."""
+AR1_COEFF = 0.95  # lag-1 autocorrelation of synthetic latents
+
+
+def synth_latents(T: int, d_latent: int, seed: int) -> LatentFrames:
+    """Stationary AR(1) walk: x_t = a x_{t-1} + sqrt(1-a^2) z_t with
+    a = AR1_COEFF, unit marginal variance, lag-1 autocorrelation ~= a."""
     if T < 1:
         raise ValidationError("T must be >= 1")
-    if not 0.0 <= smoothing < 1.0:
-        raise ValidationError("smoothing must lie in [0, 1)")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((T, d_latent))
     frames = np.empty_like(z)
     frames[0] = z[0]
-    step_scale = np.sqrt(1.0 - smoothing**2)
+    step_scale = np.sqrt(1.0 - AR1_COEFF**2)
     for t in range(1, T):
-        frames[t] = smoothing * frames[t - 1] + step_scale * z[t]
+        frames[t] = AR1_COEFF * frames[t - 1] + step_scale * z[t]
     return LatentFrames(frames=frames)
 
 

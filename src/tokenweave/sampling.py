@@ -7,8 +7,8 @@ conditional and the unconditional branch, combines their logits
 at the next step independently - that within-step independence is precisely
 the inexactness the oracle module measures. Rows of steps that are wholly teacher-forced need no logits and are
 fed together with the next row that does, so a prompt is prefilled in one
-call. Greedy decoding consumes no randomness, so prompted continuations are
-seed-independent in greedy mode.
+call. Greedy decoding (temperature 0) consumes no randomness, so greedy
+prompted continuations are seed-independent.
 """
 
 from __future__ import annotations
@@ -21,15 +21,12 @@ from .errors import InvariantError, ValidationError
 from .model import Parameters, forward, open_cache
 from .patterns import InterleavedSequence, Pattern, TokenGrid, revert_pattern
 
-SAMPLE_MODES = ("sample", "greedy")
-
 
 @dataclass(frozen=True)
 class SamplerConfig:
     top_k: int = 250  # clamped to the vocabulary size at use
-    temperature: float = 1.0
+    temperature: float = 1.0  # 0 is greedy decoding: the argmax, no randomness
     guidance_scale: float = 3.0
-    mode: str = "sample"
 
     def __post_init__(self) -> None:
         if self.top_k < 1:
@@ -39,8 +36,6 @@ class SamplerConfig:
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
         if not self.guidance_scale >= 0.0:
             raise ValidationError(f"guidance_scale must be >= 0, got {self.guidance_scale}")
-        if self.mode not in SAMPLE_MODES:
-            raise ValidationError(f"mode must be one of {SAMPLE_MODES}")
 
 
 def cfg_combine(cond_logits: np.ndarray, uncond_logits: np.ndarray, scale: float) -> np.ndarray:
@@ -79,8 +74,8 @@ def _topk_probs(logits: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.
 def sample_token(logits: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> int:
     """Draw one 1-based token id from a length-M logit row.
 
-    Greedy mode or temperature 0 returns the argmax (lowest index on ties)
-    without touching the rng.
+    Temperature 0 (greedy) returns the argmax (lowest index on ties) without
+    touching the rng.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
@@ -89,7 +84,7 @@ def sample_token(logits: np.ndarray, cfg: SamplerConfig, rng: np.random.Generato
         raise ValidationError("logits must not contain NaN or +inf")
     if np.all(np.isneginf(logits)):
         raise ValidationError("all logits are -inf; nothing to sample")
-    if cfg.mode == "greedy" or cfg.temperature == 0.0:
+    if cfg.temperature == 0.0:
         return int(np.argmax(logits)) + 1
     order, p = _topk_probs(logits, cfg)
     return int(rng.choice(order, p=p)) + 1
@@ -157,8 +152,8 @@ def generate(
     only when the scale is not 1 and a condition is present; without a
     condition the combination is the identity either way.
     """
-    if rng is None and not (cfg.mode == "greedy" or cfg.temperature == 0.0):
-        raise ValidationError("sampling mode needs a random generator")
+    if rng is None and cfg.temperature != 0.0:
+        raise ValidationError("sampling at a temperature above 0 needs a random generator")
     return _walk_pattern(params, pattern, condition, cfg, rng, forced=None)
 
 
@@ -181,6 +176,6 @@ def continue_from_prompt(
         raise ValidationError(f"prompt has K={prompt.K} but the pattern has K={pattern.K}")
     if prompt.M > params.config.M:
         raise ValidationError("prompt vocabulary exceeds the model's")
-    if rng is None and not (cfg.mode == "greedy" or cfg.temperature == 0.0):
-        raise ValidationError("sampling mode needs a random generator")
+    if rng is None and cfg.temperature != 0.0:
+        raise ValidationError("sampling at a temperature above 0 needs a random generator")
     return _walk_pattern(params, pattern, condition, cfg, rng, forced=prompt)

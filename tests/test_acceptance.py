@@ -271,7 +271,7 @@ def test_criterion_10_sampling_identities():
         uncond = rng.standard_normal((4, 9))
         assert np.array_equal(cfg_combine(cond, uncond, 1.0), cond)
     # top-k = 1 is greedy for any temperature
-    greedy = SamplerConfig(mode="greedy")
+    greedy = SamplerConfig(temperature=0.0)
     topk1 = SamplerConfig(top_k=1, temperature=3.7)
     for _ in range(200):
         logits = rng.standard_normal(16)

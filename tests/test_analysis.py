@@ -71,7 +71,6 @@ def test_report_invariant_guard():
         MemorizationReport(
             rows=(MemorizationRow(prompt_len=1, exact_match=0.5, partial_match=0.25, n_examples=4),),
             gen_len=4,
-            threshold=0.8,
             exact_monotone=True,
             partial_monotone=True,
         )
@@ -99,7 +98,7 @@ def test_pitch_class_frequency_inverts_classifier():
 
 def test_sonify_shapes():
     q = QuantizedChroma(classes=np.array([0, 9, 5]))
-    audio = sonify_classes(q, sample_rate=32000, segment=4096)
+    audio = sonify_classes(q)
     assert audio.samples.shape == (3 * 4096,)
     with pytest.raises(ValidationError):
         sonify_classes(QuantizedChroma(classes=np.zeros(0, dtype=int)))

@@ -1,13 +1,15 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tokenweave.cli import main
+from tokenweave.cli import build_parser, main
 from tokenweave.conditioning import AudioBuffer, save_wav
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -363,3 +365,148 @@ def test_memorize_feeds_stored_conditions(tmp_path):
                  "--prompt-lens", "1,4", "--gen-len", "4", "--out", str(mem_out)]) == 0
     lines = (mem_out / "memorization.csv").read_text().splitlines()
     assert len(lines) == 3
+
+
+# ---------------------------------------------------------------- malformed input
+
+
+def _bad_ini_values():
+    """(command, flag dest, value) for every typed flag of every subcommand,
+    with a value of the wrong type."""
+    for command, sub in build_parser()[1].items():
+        for action in sub._actions:
+            if not action.option_strings or action.dest in ("help", "config"):
+                continue
+            if isinstance(action, (argparse._StoreTrueAction, argparse.BooleanOptionalAction)):
+                yield command, action.dest, "maybe"
+            elif action.type is not None:
+                yield command, action.dest, "abc"
+            elif action.choices is not None:
+                yield command, action.dest, "bogus"
+            # a free-form string flag has no wrong-typed value
+
+
+BAD_INI = list(_bad_ini_values())
+TRAIN_SMALL = ["train", "--steps", "2", "--timesteps", "4", "--sequences", "2", "--vocab", "8",
+               "--dim", "16"]
+SIZE_FLAGS = {
+    "train": ["--sequences", "--timesteps", "--codebooks", "--vocab", "--d-latent", "--dim",
+              "--layers", "--heads", "--steps", "--log-every"],
+    "generate": ["--timesteps", "--top-k"],
+    "memorize": ["--gen-len"],
+    "chroma": ["--window", "--hop"],
+    "patterns": ["--T", "--K"],
+    "exactness": ["--T", "--K", "--M"],
+}
+SOURCE = {
+    "train": TRAIN_SMALL[1:],
+    "generate": ["--checkpoint", "{ckpt}"],
+    "memorize": ["--checkpoint", "{ckpt}", "--prompt-lens", "1"],
+    "chroma": ["--wav", "{tone.wav}"],
+    "patterns": ["show"],
+    "exactness": [],
+}
+BAD_CHECKPOINTS = [
+    "truncated", "corrupt", "flipped", "not-json", "version", "config-mismatch", "config-bad",
+    "config-unknown-key", "meta-list", "meta-pattern", "meta-timesteps",
+]
+# (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
+MALFORMED = (
+    [
+        pytest.param([command, "--config", f"{{{command}-{dest}.ini}}"], 3,
+                     id=f"ini-{command}-{dest}")
+        for command, dest, _ in BAD_INI
+    ]
+    + [
+        pytest.param([command, "--checkpoint", f"{{{name}.npz}}"], 3, id=f"{command}-{name}")
+        for command in ("generate", "memorize")
+        for name in BAD_CHECKPOINTS
+    ]
+    + [
+        pytest.param(["chroma", "--wav", f"{{{name}.wav}}"], code, id=f"wav-{name}")
+        for name, code in (("empty", 3), ("cut-header", 3), ("cut-frame", 0), ("8-bit", 3))
+    ]
+    + [
+        pytest.param([command, *SOURCE[command], flag, value], 0 if ok else 3,
+                     id=f"size-{command}{flag}={value}")
+        for command, flags in SIZE_FLAGS.items()
+        for flag in flags
+        for value in ("0", "-1")
+        # zero continuation steps score 1 by convention
+        for ok in [(command, flag, value) == ("memorize", "--gen-len", "0")]
+    ]
+    + [
+        pytest.param([*TRAIN_SMALL, *flags], 3, id="hyper" + "".join(flags[:-1]) + "=" + flags[-1])
+        for flags in (
+            ["--clip", "-1"], ["--clip", "nan"], ["--lr", "-1"], ["--lr", "nan"],
+            ["--weight-decay", "-3"], ["--warmup", "-5"], ["--ema", "--ema-decay", "5"],
+            ["--ema", "--ema-decay", "nan"], ["--beta1", "1.0"], ["--beta2", "-0.1"],
+        )
+    ]
+    + [pytest.param(["generate", "--checkpoint", "{ckpt}", "--greedy", "--temperature", "nan"], 3,
+                    id="generate--greedy--temperature=nan")]
+)
+
+
+@pytest.fixture(scope="module")
+def bad_inputs(trained, tmp_path_factory):
+    """Every malformed file MALFORMED names, plus a good checkpoint and WAV."""
+    root = tmp_path_factory.mktemp("bad_inputs")
+    files = {"{ckpt}": trained / "checkpoint.npz"}
+
+    def put(name, data: bytes):
+        files[f"{{{name}}}"] = root / name
+        (root / name).write_bytes(data)
+
+    for command, dest, value in BAD_INI:
+        put(f"{command}-{dest}.ini", f"[{command}]\n{dest} = {value}\n".encode())
+
+    good = (trained / "checkpoint.npz").read_bytes()
+    put("truncated.npz", good[: len(good) // 2])
+    put("corrupt.npz", np.random.default_rng(0).bytes(len(good)))
+    mid = len(good) // 2
+    flipped = bytes(b ^ 0xFF for b in good[mid : mid + 64])
+    put("flipped.npz", good[:mid] + flipped + good[mid + 64 :])
+    with np.load(trained / "checkpoint.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(str(arrays["__header__"]))
+
+    def craft(name, text):
+        files[f"{{{name}.npz}}"] = root / f"{name}.npz"
+        np.savez(root / f"{name}.npz", **{**arrays, "__header__": np.array(text)})
+
+    craft("not-json", "{not json")
+    for name, changes in (
+        ("version", {"version": 99}),
+        ("config-mismatch", {"config": {**header["config"], "D": 2 * header["config"]["D"]}}),
+        ("config-bad", {"config": {**header["config"], "H": 0}}),
+        ("config-unknown-key", {"config": {**header["config"], "turbo": 1}}),
+        ("meta-list", {"meta": ["delay"]}),
+        ("meta-pattern", {"meta": {**header["meta"], "pattern": "bogus"}}),
+        ("meta-timesteps", {"meta": {**header["meta"], "timesteps": "abc"}}),
+    ):
+        craft(name, json.dumps({**header, **changes}))
+
+    tone = root / "tone.wav"
+    save_wav(tone, AudioBuffer(samples=np.sin(np.arange(20000) / 5.0), sample_rate=8000))
+    files["{tone.wav}"] = tone
+    put("empty.wav", b"")
+    put("cut-header.wav", tone.read_bytes()[:30])
+    put("cut-frame.wav", tone.read_bytes()[:-1])
+    files["{8-bit.wav}"] = root / "8-bit.wav"
+    with wave.open(str(root / "8-bit.wav"), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(1)
+        wf.setframerate(8000)
+        wf.writeframes(bytes(range(256)) * 80)
+    return files
+
+
+@pytest.mark.parametrize("argv,code", MALFORMED)
+def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys, argv, code):
+    # warnings are errors under this suite's settings, so a warning counts too
+    argv = [str(bad_inputs.get(a, a)) for a in argv]
+    if argv[0] != "patterns":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == code
+    assert "Traceback" not in capsys.readouterr().err

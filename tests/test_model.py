@@ -102,18 +102,17 @@ def test_open_cache_checks_conditions_as_forward_does():
     params = init_params(TINY, seed=1)
     steps = np.array([[1, 2]])
     wide = ConditioningTensor(rows=np.ones((2, TINY.D + 1)))
-    no_xattn = init_params(replace(TINY, conditioning_mode="prefix"), seed=1)
-    no_xattn = Parameters(config=TINY, arrays=no_xattn.arrays)
     text = encode_text_toy("warm pad", D=TINY.D)
-    for p, cond, message in (
-        (params, wide, "dimension 16"),
-        (no_xattn, text, "without cross-attention parameters"),
-        (params, text.rows, "ConditioningTensor"),
-    ):
+    for cond, message in ((wide, "dimension 16"), (text.rows, "ConditioningTensor")):
         with pytest.raises(ValidationError, match=message):
-            forward(p, steps, condition=cond)
+            forward(params, steps, condition=cond)
         with pytest.raises(ValidationError, match=message):
-            open_cache(p, [cond, None], 4)
+            open_cache(params, [cond, None], 4)
+    # a parameter set without the cross-attention arrays its config needs
+    # cannot be made, so no condition ever reaches a model that lacks them
+    no_xattn = init_params(replace(TINY, conditioning_mode="prefix"), seed=1)
+    with pytest.raises(ValidationError, match=r"layer0\.lnx\.b, layer0\.lnx\.g, layer0\.xattn"):
+        Parameters(config=TINY, arrays=no_xattn.arrays)
     kv = open_cache(params, [text], 1)
     with pytest.raises(ValidationError, match="from the cache"):
         forward(params, steps, condition=text, cache=kv)
@@ -201,7 +200,7 @@ def test_pre_norm_residual_identity_with_zeroed_layers():
             params.arrays[name][:] = 0.0
     steps = np.array([[1, 2], [3, 4], [0, 1]])
     kv, _ = _new_cache(params, [None], len(steps))
-    _, hidden, _ = _forward_trunk(params, steps, None, kv, False)
+    _, hidden, _ = _forward_trunk(params, steps[None], None, kv, False)
     expected = (
         params.arrays["embed.k0"][steps[:, 0]]
         + params.arrays["embed.k1"][steps[:, 1]]
@@ -304,7 +303,8 @@ def test_backward_sums_over_stacked_branches():
 
     def gradients(conds, dl):
         kv, _ = _new_cache(params, conds, len(steps))
-        logits, _, cache = _forward_trunk(params, steps, None, kv, True)
+        shared = np.broadcast_to(steps, (len(conds),) + steps.shape)
+        logits, _, cache = _forward_trunk(params, shared, None, kv, True)
         grads = zero_grads(params)
         _backward_trunk(params, cache, dl, grads)
         return logits, grads
@@ -322,7 +322,7 @@ def test_backward_sums_over_stacked_branches():
 def per_example_reference(params, batch):
     """Loss, accuracy and gradients of the pooled batch from one grad call
     per example, each weighted by its share of the revealed positions."""
-    counts = [ex.pattern.presence_mask()[1:].sum() for ex in batch]
+    counts = [(ex.seq.slots[1:] != 0).sum() for ex in batch]
     loss = accuracy = 0.0
     grads = zero_grads(params)
     for ex, count in zip(batch, counts):
@@ -429,9 +429,9 @@ def test_codebook_permutation_coherence():
 
 def masked_loss(logits, seq, pattern):
     """Mean cross-entropy and accuracy over the revealed positions, as grad scores them."""
-    mask = pattern.presence_mask()[1:]
-    nll, correct, _ = _score_revealed(logits, seq.slots[1:], mask)
-    return nll / mask.sum(), correct / mask.sum()
+    count = pattern.presence_mask()[1:].sum()
+    nll, correct, _ = _score_revealed(logits, seq.slots[1:])
+    return nll / count, correct / count
 
 
 def test_loss_uniform_logits_is_log_m():
@@ -476,9 +476,9 @@ def assert_kink_margin(params, batch, factor=10.0):
     pre-activation may sit within `factor` times the largest shift an eps-size
     parameter perturbation can cause. The frozen seeds honor this."""
     for ex in batch:
-        tokens = _coerce_tokens(ex.tokens, params.config.K)
+        tokens = _coerce_tokens(ex.tokens, params.config)
         kv, prefixes = _new_cache(params, [ex.condition], len(tokens))
-        _, _, cache = _forward_trunk(params, tokens, prefixes, kv, True)
+        _, _, cache = _forward_trunk(params, tokens[None], prefixes, kv, True)
         for layer_cache in cache[2]:
             ln2_out, h = layer_cache[4], layer_cache[5]
             margin = np.abs(h).min() / (FD_EPS * max(np.abs(ln2_out).max(), 1.0))
@@ -543,22 +543,27 @@ def test_gradients_match_finite_differences_prefix():
 
 
 def test_grad_zero_for_absence_rows_when_never_used():
-    config = ModelConfig(K=2, M=5, D=16, L=1, H=2, max_steps=64, conditioning_mode="none")
+    # the embedding row of an id that never occurs as an input gets exactly
+    # zero gradient; every row that does occur gets some
+    config = ModelConfig(K=2, M=6, D=16, L=1, H=2, max_steps=64, conditioning_mode="none")
     params = init_params(config, seed=0)
-    pattern = build_pattern(PatternKind.PARALLEL, 2, 2)
-    grid = TokenGrid(np.array([[1, 2], [3, 4]]), M=5)
-    seq = apply_pattern(pattern, grid)
-    full = TrainExample(
-        tokens=np.array([[2, 3], [1, 4]]),  # no zeros: absence rows never activate
-        targets=seq,
-        pattern=pattern,
-        condition=None,
-    )
-    res = grad(params, [full])
+    pattern = build_pattern(PatternKind.DELAY, 3, 2)
+    ex = example_from_grid(pattern, TokenGrid(np.array([[1, 2], [3, 4], [5, 6]]), M=6))
+    res = grad(params, [ex])
     for k in range(2):
-        assert np.allclose(res.grads[f"embed.k{k}"][0], 0.0)
-        # token id 5 is never an input either
-        assert np.allclose(res.grads[f"embed.k{k}"][5], 0.0)
+        used = np.isin(np.arange(config.M + 1), ex.tokens[:, k])
+        assert not used.all()
+        rows = np.abs(res.grads[f"embed.k{k}"]).max(axis=1)
+        assert (rows[~used] == 0.0).all() and (rows[used] > 0.0).all(), k
+
+
+def test_grad_rejects_target_ids_beyond_the_vocabulary():
+    # the last slot row is a target only, never an input; it is checked too
+    params = init_params(TINY, seed=0)
+    pattern = build_pattern(PatternKind.PARALLEL, 2, TINY.K)
+    seq = apply_pattern(pattern, TokenGrid(np.array([[1, 2], [3, TINY.M + 1]]), M=TINY.M + 1))
+    with pytest.raises(ValidationError, match=r"token ids must lie in 0\.\.5"):
+        grad(params, [TrainExample(seq=seq)])
 
 
 def test_grad_deterministic():

@@ -22,7 +22,7 @@ from tokenweave.sampling import (
     sample_token,
 )
 
-CFG_GREEDY = SamplerConfig(mode="greedy", guidance_scale=1.0)
+CFG_GREEDY = SamplerConfig(temperature=0.0, guidance_scale=1.0)
 
 
 def small_model(mode="none", seed=0, K=2, M=8, L=1):
@@ -207,7 +207,7 @@ def test_generate_guidance_combines_two_passes():
     pushed = cfg_combine(cond_logits, uncond_logits, 3.0)
     assert not np.allclose(pushed, cond_logits)
     # the stacked two-branch walk makes the grid the two full passes make
-    cfg = SamplerConfig(mode="greedy", guidance_scale=3.0)
+    cfg = SamplerConfig(temperature=0.0, guidance_scale=3.0)
     guided = generate(params, pattern, condition=cond, cfg=cfg)
     want = reference_walk(params, pattern, cond, cfg, None, None)
     assert np.array_equal(guided.tokens, want.tokens)
@@ -258,8 +258,6 @@ def test_sampler_config_validation():
         SamplerConfig(top_k=0)
     with pytest.raises(ValidationError):
         SamplerConfig(temperature=-1.0)
-    with pytest.raises(ValidationError):
-        SamplerConfig(mode="nucleus")
     cfg = SamplerConfig()
     assert (cfg.top_k, cfg.temperature, cfg.guidance_scale) == (250, 1.0, 3.0)
 
@@ -277,7 +275,7 @@ def test_cached_walk_matches_full_prefix_walker(kind, mode, condition):
         TokenGrid(tokens=prompt_rng.integers(1, 7, size=(T, 4)), M=6) for T in (2, 4)
     ]
     configs = [
-        SamplerConfig(mode="greedy", guidance_scale=3.0),
+        SamplerConfig(temperature=0.0, guidance_scale=3.0),
         SamplerConfig(top_k=4, temperature=1.5, guidance_scale=3.0),
         SamplerConfig(temperature=1.0, guidance_scale=1.0),
     ]
