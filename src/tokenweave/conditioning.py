@@ -121,11 +121,15 @@ class ConditioningTensor:
         return self.rows.shape[1]
 
 
-def pitch_class_of_frequency(freq_hz: float) -> int:
-    """Closed-form bin mapping: round(12*log2(f/440)) + 9 mod 12 (A = 9, C = 0)."""
-    if freq_hz <= 0:
-        raise ValidationError("frequency must be positive")
-    return int(np.round(PITCH_CLASSES * np.log2(freq_hz / A4_HZ)) + 9) % PITCH_CLASSES
+def pitch_class_of_frequency(freq_hz):
+    """Closed-form bin mapping: round(12*log2(f/440)) + 9 mod 12 (A = 9, C = 0);
+    an int for one frequency, an int64 array for an array of them."""
+    freq = np.asarray(freq_hz, dtype=np.float64)
+    if not np.all((freq > 0) & np.isfinite(freq)):
+        raise ValidationError("frequency must be positive and finite")
+    semitones = np.round(PITCH_CLASSES * np.log2(freq / A4_HZ)).astype(np.int64)
+    classes = (semitones + 9) % PITCH_CLASSES
+    return int(classes) if classes.ndim == 0 else classes
 
 
 def compute_chromagram(
@@ -139,9 +143,7 @@ def compute_chromagram(
         raise ValidationError(f"audio has {n} samples, shorter than one window of {window}")
     freqs = np.arange(window // 2 + 1) * (audio.sample_rate / window)
     valid = (freqs >= MIN_CHROMA_HZ) & (freqs < audio.sample_rate / 2)
-    classes = (
-        np.round(PITCH_CLASSES * np.log2(freqs[valid] / A4_HZ)).astype(np.int64) + 9
-    ) % PITCH_CLASSES
+    classes = pitch_class_of_frequency(freqs[valid])
     fold = np.zeros((int(valid.sum()), PITCH_CLASSES))
     fold[np.arange(len(classes)), classes] = 1.0
 

@@ -45,7 +45,7 @@ from __future__ import annotations
 import json
 import os
 import zipfile
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -80,22 +80,6 @@ class ModelConfig:
         if self.conditioning_mode not in CONDITIONING_MODES:
             raise ValidationError(f"conditioning_mode must be one of {CONDITIONING_MODES}")
 
-    def to_dict(self) -> dict:
-        return {
-            "K": self.K,
-            "M": self.M,
-            "D": self.D,
-            "L": self.L,
-            "H": self.H,
-            "ffn_mult": self.ffn_mult,
-            "max_steps": self.max_steps,
-            "conditioning_mode": self.conditioning_mode,
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "ModelConfig":
-        return cls(**doc)
-
 
 @dataclass
 class Parameters:
@@ -108,12 +92,6 @@ class Parameters:
         if got != expected:
             wrong = sorted(n for n in expected.keys() | got.keys() if expected.get(n) != got.get(n))
             raise ValidationError(f"parameters do not match their config: {', '.join(wrong[:5])}")
-
-    def n_params(self) -> int:
-        return int(sum(a.size for a in self.arrays.values()))
-
-    def copy(self) -> "Parameters":
-        return Parameters(config=self.config, arrays={k: v.copy() for k, v in self.arrays.items()})
 
 
 @dataclass(frozen=True)
@@ -774,7 +752,7 @@ def save_checkpoint(
         payload[f"x:{name}"] = np.asarray(arr)
     header = {
         "version": CHECKPOINT_VERSION,
-        "config": params.config.to_dict(),
+        "config": asdict(params.config),
         "opt_step": opt_state.step if opt_state is not None else None,
         "meta": meta or {},
     }
@@ -821,7 +799,7 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(str(arrays["__header__"]))
         if header.get("version") != CHECKPOINT_VERSION:
             raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
-        config = ModelConfig.from_dict(header["config"])
+        config = ModelConfig(**header["config"])
         opt_step = header.get("opt_step")
         opt_step = None if opt_step is None else int(opt_step)
         meta = header["meta"]

@@ -42,9 +42,6 @@ class PatternStep:
 
     coords: frozenset[Coord]
 
-    def codebooks(self) -> set[int]:
-        return {c.k for c in self.coords}
-
 
 class PatternKind(str, Enum):
     PARALLEL = "parallel"

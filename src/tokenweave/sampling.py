@@ -1,14 +1,15 @@
 """Pattern-driven autoregressive generation.
 
-Walks a pattern step by step over a decode cache (model.open_cache). Each
-step feeds the slot row filled last through one forward that stacks the
-conditional and the unconditional branch, combines their logits
-(classifier-free guidance on raw logits), then samples every codebook revealed
-at the next step independently - that within-step independence is precisely
-the inexactness the oracle module measures. Rows of steps that are wholly teacher-forced need no logits and are
-fed together with the next row that does, so a prompt is prefilled in one
-call. Greedy decoding (temperature 0) consumes no randomness, so greedy
-prompted continuations are seed-independent.
+The pattern is validated on entry and the prompt laid out once as slot rows,
+M + 1 marking each slot still to draw. The walk then goes step by step over a
+decode cache (model.open_cache): one forward, stacking the conditional and the
+unconditional branch, feeds the slot rows filled since the last one; their
+logits are combined (classifier-free guidance on raw logits), and one draw
+fills every slot of the next step - each codebook independently, which is
+precisely the inexactness the oracle module measures. A step the prompt fills
+needs no logits, so a prompt is prefilled in one call. Greedy decoding
+(temperature 0) consumes no randomness, so greedy prompted continuations are
+seed-independent.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError, ValidationError
+from .errors import ValidationError
 from .model import Parameters, forward, open_cache
-from .patterns import InterleavedSequence, Pattern, TokenGrid, revert_pattern
+from .patterns import InterleavedSequence, Pattern, TokenGrid, apply_pattern, revert_pattern
+from .patterns import validate_pattern
 
 
 @dataclass(frozen=True)
@@ -58,36 +60,51 @@ def cfg_combine(cond_logits: np.ndarray, uncond_logits: np.ndarray, scale: float
 
 
 def _topk_probs(logits: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Kept token indices (0-based, ties to the lowest index) and their
-    renormalized softmax probabilities after temperature scaling."""
-    k = min(cfg.top_k, logits.shape[0])
-    order = np.argsort(-logits, kind="stable")[:k]
+    """Per logit row of (..., M): the kept token indices (0-based, ties to the
+    lowest index) and their renormalized softmax probabilities after
+    temperature scaling."""
+    k = min(cfg.top_k, logits.shape[-1])
+    order = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    top = np.take_along_axis(logits, order, axis=-1)
     # the max is subtracted first, so a tiny temperature sends every
     # non-maximal logit to -inf (probability 0) rather than overflowing
     with np.errstate(over="ignore"):
-        zk = (logits[order] - logits[order[0]]) / cfg.temperature
+        zk = (top - top[..., :1]) / cfg.temperature
     p = np.exp(zk)
-    p /= p.sum()
+    p /= p.sum(axis=-1, keepdims=True)
     return order, p
 
 
-def sample_token(logits: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator) -> int:
-    """Draw one 1-based token id from a length-M logit row.
+def sample_token(
+    logits: np.ndarray, cfg: SamplerConfig, rng: np.random.Generator
+) -> int | np.ndarray:
+    """Draw one 1-based token id per logit row of (..., M): an int for a single
+    (M,) row, an int64 array of shape (...) otherwise.
 
+    Rows draw in order, one rng.random() each, so the ids and the rng state
+    afterwards equal those of rng.choice(order, p=p) called row by row.
     Temperature 0 (greedy) returns the argmax (lowest index on ties) without
     touching the rng.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ValidationError("sample_token expects a single logit row")
+    if logits.ndim == 0:
+        raise ValidationError("sample_token expects logit rows, got a scalar")
     if np.isnan(logits).any() or np.isposinf(logits).any():
         raise ValidationError("logits must not contain NaN or +inf")
-    if np.all(np.isneginf(logits)):
-        raise ValidationError("all logits are -inf; nothing to sample")
+    if np.isneginf(logits).all(axis=-1).any():
+        raise ValidationError("a logit row is all -inf; nothing to sample")
     if cfg.temperature == 0.0:
-        return int(np.argmax(logits)) + 1
-    order, p = _topk_probs(logits, cfg)
-    return int(rng.choice(order, p=p)) + 1
+        ids = np.argmax(logits, axis=-1) + 1
+    else:
+        rows = logits.reshape(-1, logits.shape[-1])
+        order, p = _topk_probs(rows, cfg)
+        # Generator.choice(p=) normalises the cumsum and counts the entries
+        # at or below one uniform draw
+        cdf = p.cumsum(axis=-1)
+        cdf /= cdf[:, -1:]
+        pick = (cdf <= rng.random(len(rows))[:, None]).sum(axis=-1)
+        ids = order[np.arange(len(rows)), pick].reshape(logits.shape[:-1]) + 1
+    return int(ids) if logits.ndim == 1 else ids
 
 
 def _walk_pattern(
@@ -96,47 +113,44 @@ def _walk_pattern(
     condition,
     cfg: SamplerConfig,
     rng: np.random.Generator | None,
-    forced: TokenGrid | None,
+    prompt: TokenGrid | None,
 ) -> TokenGrid:
+    report = validate_pattern(pattern)
+    if not report.ok:
+        raise ValidationError(f"pattern is invalid: {report.violations[0]}")
     c = params.config
     if pattern.K != c.K:
         raise ValidationError(f"pattern has K={pattern.K} but the model has K={c.K}")
     if pattern.S > c.max_steps:
         raise ValidationError(f"pattern needs {pattern.S} steps, model max is {c.max_steps}")
+    if rng is None and cfg.temperature != 0.0:
+        raise ValidationError("sampling at a temperature above 0 needs a random generator")
 
-    S = pattern.S
-    slots = np.zeros((S + 1, c.K), dtype=np.int64)
-    written = np.zeros((S + 1, c.K), dtype=bool)
-    presence = pattern.presence_mask()
+    # the prompt's rows, then M + 1 ("not drawn yet") in every other row, laid
+    # out as slot rows; forward's vocabulary check rejects a row fed before it
+    # is filled, and the final InterleavedSequence a slot never drawn
+    undrawn = c.M + 1
+    grid = np.full((pattern.T, pattern.K), undrawn, dtype=np.int64)
+    if prompt is not None:
+        grid[: prompt.T] = prompt.tokens
+    slots = apply_pattern(pattern, TokenGrid(grid, M=undrawn)).slots
     guided = cfg.guidance_scale != 1.0 and condition is not None
-    kv = open_cache(params, [condition, None] if guided else [condition], S)
+    kv = open_cache(params, [condition, None] if guided else [condition], pattern.S)
     fed = 0  # slot rows the cache holds
 
-    for s in range(S):
-        coords = sorted(pattern.steps[s + 1].coords, key=lambda cd: cd.k)
-        # a step whose every coordinate is teacher-forced needs no logits; its
-        # row is fed with the rows of the next step that does
-        if forced is None or any(cd.t > forced.T for cd in coords):
-            # conditioning set must be exactly the union of earlier steps
-            if not np.array_equal(written[fed : s + 1], presence[fed : s + 1]):
-                raise InvariantError("a position was read before the pattern revealed it")
+    for s in range(pattern.S):
+        todo = slots[s + 1] == undrawn
+        # a step with nothing to draw needs no logits; its row is fed with
+        # the rows of the next step that does
+        if todo.any():
             branches = forward(params, slots[fed : s + 1], cache=kv)[:, -1]
             fed = s + 1
             logits = (
                 cfg_combine(branches[0], branches[1], cfg.guidance_scale) if guided else branches[0]
             )
-        for coord in coords:
-            if written[s + 1, coord.k - 1]:
-                raise InvariantError(f"slot for {tuple(coord)} written twice")
-            if forced is not None and coord.t <= forced.T:
-                token = int(forced.tokens[coord.t - 1, coord.k - 1])
-            else:
-                token = sample_token(logits[coord.k - 1], cfg, rng)
-            slots[s + 1, coord.k - 1] = token
-            written[s + 1, coord.k - 1] = True
+            slots[s + 1, todo] = sample_token(logits[todo], cfg, rng)
 
-    seq = InterleavedSequence(slots=slots, M=c.M)
-    return revert_pattern(pattern, seq)
+    return revert_pattern(pattern, InterleavedSequence(slots=slots, M=c.M))
 
 
 def generate(
@@ -152,9 +166,7 @@ def generate(
     only when the scale is not 1 and a condition is present; without a
     condition the combination is the identity either way.
     """
-    if rng is None and cfg.temperature != 0.0:
-        raise ValidationError("sampling at a temperature above 0 needs a random generator")
-    return _walk_pattern(params, pattern, condition, cfg, rng, forced=None)
+    return _walk_pattern(params, pattern, condition, cfg, rng, prompt=None)
 
 
 def continue_from_prompt(
@@ -176,6 +188,4 @@ def continue_from_prompt(
         raise ValidationError(f"prompt has K={prompt.K} but the pattern has K={pattern.K}")
     if prompt.M > params.config.M:
         raise ValidationError("prompt vocabulary exceeds the model's")
-    if rng is None and cfg.temperature != 0.0:
-        raise ValidationError("sampling at a temperature above 0 needs a random generator")
-    return _walk_pattern(params, pattern, condition, cfg, rng, forced=prompt)
+    return _walk_pattern(params, pattern, condition, cfg, rng, prompt=prompt)

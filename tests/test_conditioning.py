@@ -40,6 +40,13 @@ def test_pitch_class_formula_anchors():
     assert pitch_class_of_frequency(261.626) == 0  # C4
     assert pitch_class_of_frequency(329.628) == 4  # E4
     assert pitch_class_of_frequency(32.7) == 0  # C1
+    # an array of frequencies maps element by element, as the chromagram's
+    # bins use it
+    freqs = np.array([440.0, 880.0, 261.626, 329.628, 32.7])
+    assert pitch_class_of_frequency(freqs).tolist() == [9, 9, 0, 4, 0]
+    for bad in (0.0, -1.0, np.nan, np.inf, freqs - 100.0):
+        with pytest.raises(ValidationError, match="positive and finite"):
+            pitch_class_of_frequency(bad)
 
 
 @pytest.mark.parametrize("freq", [440.0, 880.0])

@@ -5,8 +5,11 @@ from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, enc
 from tokenweave.errors import InvariantError, ValidationError
 from tokenweave.model import CombinedCondition, ModelConfig, forward, init_params, open_cache
 from tokenweave.patterns import (
+    Coord,
     InterleavedSequence,
+    Pattern,
     PatternKind,
+    PatternStep,
     TokenGrid,
     apply_pattern,
     build_pattern,
@@ -30,9 +33,22 @@ def small_model(mode="none", seed=0, K=2, M=8, L=1):
     return init_params(config, seed=seed)
 
 
+def reference_draw(row, cfg, rng):
+    """The per-row draw the block draw replaced: the argmax at temperature 0,
+    else one rng.choice over the top-k softmax of one logit row."""
+    if cfg.temperature == 0.0:
+        return int(np.argmax(row)) + 1
+    order = np.argsort(-row, kind="stable")[: min(cfg.top_k, len(row))]
+    with np.errstate(over="ignore"):
+        p = np.exp((row[order] - row[order[0]]) / cfg.temperature)
+    p /= p.sum()
+    return int(rng.choice(order, p=p)) + 1
+
+
 def reference_walk(params, pattern, condition, cfg, rng, forced):
-    """The full-prefix walker the cached one replaced: at every step, one
-    forward over all slots filled so far per guidance branch."""
+    """The full-prefix, coordinate-by-coordinate walker the cached one
+    replaced: at every step, one forward over all slots filled so far per
+    guidance branch, then one draw per revealed codebook."""
     c = params.config
     S = pattern.S
     slots = np.zeros((S + 1, c.K), dtype=np.int64)
@@ -52,7 +68,7 @@ def reference_walk(params, pattern, condition, cfg, rng, forced):
             if forced is not None and coord.t <= forced.T:
                 token = int(forced.tokens[coord.t - 1, coord.k - 1])
             else:
-                token = sample_token(logits[coord.k - 1], cfg, rng)
+                token = reference_draw(logits[coord.k - 1], cfg, rng)
             slots[s + 1, coord.k - 1] = token
             written[s + 1, coord.k - 1] = True
     return revert_pattern(pattern, InterleavedSequence(slots=slots, M=c.M))
@@ -96,10 +112,15 @@ def test_cfg_combine_shape_mismatch():
 
 
 def test_sample_token_greedy_argmax():
+    rng = np.random.default_rng(2)
     token = sample_token(np.array([1.0, 3.0, 2.0]), CFG_GREEDY, None)
     assert token == 2  # 1-based id of the highest logit
     # ties break toward the lowest index
     assert sample_token(np.array([5.0, 5.0, 1.0]), CFG_GREEDY, None) == 1
+    logits = rng.standard_normal(6)
+    before = rng.bit_generator.state
+    assert sample_token(logits, SamplerConfig(temperature=0.0), rng) == int(np.argmax(logits)) + 1
+    assert rng.bit_generator.state == before  # greedy consumes no randomness
 
 
 def test_sample_token_top_k_one_equals_greedy():
@@ -108,13 +129,6 @@ def test_sample_token_top_k_one_equals_greedy():
     for _ in range(50):
         logits = rng.standard_normal(12)
         assert sample_token(logits, cfg, rng) == sample_token(logits, CFG_GREEDY, None)
-
-
-def test_sample_token_temperature_zero_is_argmax():
-    rng = np.random.default_rng(2)
-    cfg = SamplerConfig(temperature=0.0)
-    logits = rng.standard_normal(6)
-    assert sample_token(logits, cfg, rng) == int(np.argmax(logits)) + 1
 
 
 def test_sample_token_converges_to_argmax_as_temperature_falls():
@@ -148,6 +162,28 @@ def test_topk_probs_at_temperature_one_are_bitwise_unchanged():
         assert np.array_equal(got, want)
 
 
+def test_block_draw_matches_per_row_choice():
+    """One draw over a block of logit rows gives the ids, and leaves the rng
+    in the state, of one rng.choice per row: 2,000 seeded cases with ties,
+    -inf entries, top-k 1, 4, 250 and M, and temperatures 0.3, 1 and 1.7."""
+    cases = np.random.default_rng(0)
+    for case in range(2000):
+        M = int(cases.integers(1, 300))
+        logits = np.round(cases.standard_normal((int(cases.integers(1, 5)), M)) * 3.0, 1)
+        logits[cases.random(logits.shape) < 0.2] = -np.inf
+        logits[:, cases.integers(0, M)] = 1.0  # no row all -inf
+        cfg = SamplerConfig(
+            top_k=[1, 4, 250, M][case % 4], temperature=[0.3, 1.0, 1.7][case % 3]
+        )
+        block, rows = np.random.default_rng(case), np.random.default_rng(case)
+        got = sample_token(logits, cfg, block)
+        want = [reference_draw(row, cfg, rows) for row in logits]
+        assert got.tolist() == want, case
+        assert block.bit_generator.state == rows.bit_generator.state, case
+    # a single row still returns one id
+    assert isinstance(sample_token(np.zeros(3), SamplerConfig(), np.random.default_rng(0)), int)
+
+
 def test_sample_token_matches_softmax_ratio():
     # logits [0, ln 2] at temperature 1: probabilities 1/3 and 2/3
     logits = np.array([0.0, np.log(2.0)])
@@ -164,6 +200,11 @@ def test_sample_token_rejects_degenerate_logits():
         sample_token(np.array([np.nan, 0.0]), SamplerConfig(), rng)
     with pytest.raises(ValidationError):
         sample_token(np.array([-np.inf, -np.inf]), SamplerConfig(), rng)
+    # one bad row fails the whole block
+    with pytest.raises(ValidationError, match="all -inf"):
+        sample_token(np.array([[0.0, 1.0], [-np.inf, -np.inf]]), SamplerConfig(), rng)
+    with pytest.raises(ValidationError, match=r"\+inf"):
+        sample_token(np.array([[0.0, 1.0], [np.inf, 0.0]]), CFG_GREEDY, rng)
 
 
 def test_sample_token_honors_neg_inf_mask():
@@ -223,6 +264,30 @@ def test_generate_requires_rng_for_sampling():
     params = small_model()
     with pytest.raises(ValidationError, match="random generator"):
         generate(params, build_pattern(PatternKind.PARALLEL, 2, 2), cfg=SamplerConfig())
+
+
+def _custom_pattern(*steps):
+    coords = [frozenset(Coord(t, k) for t, k in step) for step in ((),) + steps]
+    return Pattern(steps=tuple(PatternStep(c) for c in coords), T=2, K=2)
+
+
+@pytest.mark.parametrize(
+    "pattern,violation",
+    [
+        (_custom_pattern([(1, 1), (1, 2)], [(2, 1), (2, 2)], [(2, 1)]), "appears in steps 2 and 3"),
+        (_custom_pattern([(2, 1), (2, 2)], [(1, 1), (1, 2)]), "not strictly increasing"),
+        (_custom_pattern([(1, 1), (2, 1)], [(1, 2), (2, 2)]), "duplicate codebook 1 in step 1"),
+        (_custom_pattern([(1, 1), (1, 2)], [(2, 1)]), "1 coordinate\\(s\\) missing"),
+    ],
+    ids=["repeated_coordinate", "timesteps_out_of_order", "duplicate_codebook", "missing"],
+)
+def test_invalid_pattern_is_a_validation_error(pattern, violation):
+    params = small_model()
+    prompt = TokenGrid(tokens=np.ones((1, 2), dtype=int), M=8)
+    with pytest.raises(ValidationError, match="pattern is invalid: .*" + violation):
+        generate(params, pattern, cfg=CFG_GREEDY)
+    with pytest.raises(ValidationError, match="pattern is invalid: .*" + violation):
+        continue_from_prompt(params, pattern, prompt, cfg=CFG_GREEDY)
 
 
 def test_continue_full_prompt_is_identity():
