@@ -112,14 +112,18 @@ def test_cfg_combine_shape_mismatch():
 
 
 def test_sample_token_greedy_argmax():
-    rng = np.random.default_rng(2)
     token = sample_token(np.array([1.0, 3.0, 2.0]), CFG_GREEDY, None)
     assert token == 2  # 1-based id of the highest logit
     # ties break toward the lowest index
     assert sample_token(np.array([5.0, 5.0, 1.0]), CFG_GREEDY, None) == 1
+
+
+def test_sample_token_temperature_zero_is_argmax():
+    rng = np.random.default_rng(2)
+    cfg = SamplerConfig(temperature=0.0)
     logits = rng.standard_normal(6)
     before = rng.bit_generator.state
-    assert sample_token(logits, SamplerConfig(temperature=0.0), rng) == int(np.argmax(logits)) + 1
+    assert sample_token(logits, cfg, rng) == int(np.argmax(logits)) + 1
     assert rng.bit_generator.state == before  # greedy consumes no randomness
 
 
