@@ -12,19 +12,15 @@ __version__ = "0.1.0"
 
 from .errors import GuardError, InvariantError, ValidationError
 from .patterns import (
-    Coord,
     InterleavedSequence,
     Pattern,
     PatternKind,
-    PatternStep,
     StepCounts,
     TokenGrid,
-    ValidationReport,
     apply_pattern,
     build_pattern,
     revert_pattern,
     step_counts,
-    validate_pattern,
 )
 from .rvq import (
     Codebook,

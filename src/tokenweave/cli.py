@@ -6,7 +6,8 @@ tool version; re-running with the same configuration reproduces the artifacts
 byte for byte.
 
 Exit codes: 0 ok, 2 usage, 3 validation (bad inputs, malformed files),
-4 guard/resource (table guards, missing files), 5 internal invariant breach.
+4 guard/resource (table guards, missing or unreadable files), 5 internal
+invariant breach.
 
 Flags default to the reference hyperparameters where one exists: top-k 250,
 temperature 1.0, guidance 3.0, condition drop 0.2, merge 0.25, description
@@ -79,7 +80,6 @@ from .patterns import (
     grid_to_csv,
     pattern_from_json,
     step_counts,
-    validate_pattern,
 )
 from .rvq import Codebook, RVQConfig, rvq_decode
 from .sampling import SamplerConfig, generate
@@ -132,7 +132,7 @@ def _args_config(args, skip=("func", "command", "config", "out")) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
 
 
-def _parse_kinds(text: str, K: int) -> list[PatternKind]:
+def _parse_kinds(text: str) -> list[PatternKind]:
     kinds = []
     for name in text.split(","):
         name = name.strip()
@@ -143,9 +143,6 @@ def _parse_kinds(text: str, K: int) -> list[PatternKind]:
         except ValueError:
             valid = ", ".join(k.value for k in PatternKind)
             raise ValidationError(f"unknown pattern kind {name!r}; choose from {valid}")
-    for kind in kinds:
-        if kind in STEREO_KINDS and K % 2:
-            raise ValidationError(f"{kind.value} needs an even K, got {K}")
     return kinds
 
 
@@ -159,20 +156,13 @@ def cmd_patterns(args) -> int:
         return EXIT_OK
     if args.action == "validate":
         path = Path(args.json)
-        if not path.exists():
-            raise GuardError(f"pattern file not found: {path}")
         try:
             text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError as exc:
             raise ValidationError(f"pattern file {path} is not UTF-8 text: {exc}") from exc
-        pattern = pattern_from_json(text)
-        report = validate_pattern(pattern)
-        if report.ok:
-            print("ok")
-            return EXIT_OK
-        for violation in report.violations:
-            print(f"violation: {violation}")
-        return EXIT_VALIDATION
+        pattern_from_json(text)  # an invalid pattern raises, naming every violation
+        print("ok")
+        return EXIT_OK
     # bench
     rows = []
     for kind in PatternKind:
@@ -197,7 +187,8 @@ def cmd_exactness(args) -> int:
     t0 = time.time()
     out_dir = Path(args.out) if args.out else _default_out("exactness")
     out_dir.mkdir(parents=True, exist_ok=True)
-    kinds = _parse_kinds(args.patterns, args.K)
+    kinds = _parse_kinds(args.patterns)
+    # the joint first: its dims guard bounds the T x K tables build_pattern lays out
     joint = make_joint(args.family, args.T, args.K, args.M, seed=args.seed)
     rows = exactness_report(joint, [build_pattern(k, args.T, args.K) for k in kinds])
 
@@ -338,13 +329,6 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------- generate
 
 
-def _load_ckpt(path_text: str):
-    path = Path(path_text)
-    if not path.exists():
-        raise GuardError(f"checkpoint not found: {path}")
-    return load_checkpoint(path)
-
-
 def _flag_or_meta(args, ckpt, key: str, parse, default):
     """parse of the flag named key if given, else of the checkpoint's meta
     value (default if absent); a meta value parse rejects is malformed input."""
@@ -360,7 +344,7 @@ def cmd_generate(args) -> int:
     t0 = time.time()
     out_dir = Path(args.out) if args.out else _default_out("generate")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = _load_ckpt(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     params = ckpt.params
     T = _flag_or_meta(args, ckpt, "timesteps", int, 8)
     kind = _flag_or_meta(args, ckpt, "pattern", PatternKind, "delay")
@@ -410,7 +394,7 @@ def cmd_memorize(args) -> int:
     t0 = time.time()
     out_dir = Path(args.out) if args.out else _default_out("memorize")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ckpt = _load_ckpt(args.checkpoint)
+    ckpt = load_checkpoint(args.checkpoint)
     if "grids" not in ckpt.extra:
         raise ValidationError("checkpoint carries no training grids to memorize against")
     grids = [TokenGrid(tokens=t, M=ckpt.params.config.M) for t in ckpt.extra["grids"]]
@@ -457,10 +441,7 @@ def cmd_chroma(args) -> int:
     t0 = time.time()
     out_dir = Path(args.out) if args.out else _default_out("chroma")
     out_dir.mkdir(parents=True, exist_ok=True)
-    wav_path = Path(args.wav)
-    if not wav_path.exists():
-        raise GuardError(f"WAV file not found: {wav_path}")
-    audio = load_wav(wav_path)
+    audio = load_wav(args.wav)
     chroma = compute_chromagram(audio, window=args.window, hop=args.hop)
     q = quantize_chroma(chroma)
     json_path = out_dir / "chroma.json"
@@ -583,15 +564,14 @@ def _config_path_from_argv(argv: list[str]) -> str | None:
 
 
 def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: str) -> None:
-    path = Path(path_text)
-    if not path.exists():
-        raise GuardError(f"config file not found: {path}")
     ini = configparser.ConfigParser()
     ini.optionxform = str  # keep key case so "T" stays "T"
-    try:
-        ini.read(path)
-    except configparser.Error as exc:
-        raise ValidationError(f"malformed config file: {exc}") from exc
+    # opened here: ConfigParser.read skips a path it cannot open
+    with open(path_text, encoding="utf-8") as fh:
+        try:
+            ini.read_file(fh)
+        except (configparser.Error, UnicodeDecodeError) as exc:
+            raise ValidationError(f"malformed config file: {exc}") from exc
     if command not in ini:
         return
     actions = {a.dest: a for a in sub._actions}
@@ -635,7 +615,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (GuardError, FileNotFoundError) as exc:
+    except (GuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InvariantError as exc:

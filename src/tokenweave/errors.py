@@ -1,7 +1,8 @@
 """Exception taxonomy shared by all modules.
 
 The CLI maps these onto its exit codes: ValidationError -> 3,
-GuardError -> 4, InvariantError -> 5.
+GuardError -> 4 (as it does an OSError from a file that cannot be read),
+InvariantError -> 5.
 """
 
 
@@ -10,7 +11,7 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """A resource guard refused the request (table too large, missing file)."""
+    """A resource guard refused the request (table too large)."""
 
 
 class InvariantError(RuntimeError):

@@ -787,29 +787,27 @@ class Checkpoint:
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint container; a file that is not one, or whose
     parameter arrays do not match its config, raises ValidationError."""
-    try:
-        # opened here, not by np.load, which leaves its own handle open when
-        # the archive is truncated
-        with open(path, "rb") as fh:
+    # opened here, not by np.load, which leaves its own handle open when the
+    # archive is truncated; a path that cannot be opened is the caller's OSError
+    with open(path, "rb") as fh:
+        try:
             data = np.load(fh, allow_pickle=False)
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise ValidationError("not an npz archive")
             with data:
                 arrays = {k: data[k] for k in data.files}
-        header = json.loads(str(arrays["__header__"]))
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
-        config = ModelConfig(**header["config"])
-        opt_step = header.get("opt_step")
-        opt_step = None if opt_step is None else int(opt_step)
-        meta = header["meta"]
-        if not isinstance(meta, dict):
-            raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")
-    except FileNotFoundError:
-        raise
-    except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
-            zipfile.BadZipFile) as exc:
-        raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc
+            header = json.loads(str(arrays["__header__"]))
+            if header.get("version") != CHECKPOINT_VERSION:
+                raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
+            config = ModelConfig(**header["config"])
+            opt_step = header.get("opt_step")
+            opt_step = None if opt_step is None else int(opt_step)
+            meta = header["meta"]
+            if not isinstance(meta, dict):
+                raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")
+        except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
+                zipfile.BadZipFile) as exc:
+            raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc
 
     def prefixed(tag: str) -> dict[str, np.ndarray]:
         return {k[2:]: v for k, v in arrays.items() if k.startswith(tag)}

@@ -6,7 +6,10 @@ a pattern, and measures the total variation distance between the two.
 Nothing is sampled.
 
 Grid outcomes are indexed by flattening positions (t, k) row-major, i.e. axis
-a = (t-1)*K + (k-1) of an (M,)*N table with N = T*K.
+a = (t-1)*K + (k-1) of an (M,)*N table with N = T*K. That is also the flat
+index of (t, k) in a pattern's (T, K) step table, so the positions step s
+reveals are np.flatnonzero(pattern.step.ravel() == s); a Pattern holds its
+invariant by construction, so only its dims are checked against the joint.
 
 The induced law has a closed form. With R_s the positions revealed before
 step s, the induced probability of a full grid x is the product over steps s
@@ -25,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .patterns import Coord, Pattern, TokenGrid, step_counts, validate_pattern
+from .patterns import Pattern, TokenGrid, step_counts
 from .rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
 MAX_TABLE_ENTRIES = 10**6
@@ -74,13 +77,6 @@ class JointDistribution:
     def table(self) -> np.ndarray:
         """View of the table with one axis per grid position."""
         return self.probs.reshape((self.M,) * self.n_positions)
-
-
-def _axis(T: int, K: int, coord: Coord) -> int:
-    t, k = coord
-    if not (1 <= t <= T and 1 <= k <= K):
-        raise ValidationError(f"coordinate {(t, k)} out of range for a {T}x{K} grid")
-    return (t - 1) * K + (k - 1)
 
 
 def grid_index(grid: TokenGrid) -> int:
@@ -173,15 +169,12 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
         raise ValidationError(
             f"pattern is {pattern.T}x{pattern.K} but joint is {joint.T}x{joint.K}"
         )
-    report = validate_pattern(pattern)
-    if not report.ok:
-        raise ValidationError(f"pattern is invalid: {report.violations[0]}")
 
     table = joint.table()
     law = np.ones_like(table)
     revealed: list[int] = []
-    for step in pattern.steps[1:]:
-        axes = sorted(_axis(joint.T, joint.K, c) for c in step.coords)
+    for s in range(1, pattern.S + 1):
+        axes = np.flatnonzero(pattern.step.ravel() == s).tolist()
         prefix = _marginal(table, revealed)
         for a in axes:
             both = _marginal(table, revealed + [a])

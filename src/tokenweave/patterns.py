@@ -3,9 +3,15 @@
 A token grid holds T timesteps x K codebooks of discrete tokens. A pattern is
 an ordered partition of the grid's coordinates into steps; an autoregressive
 model predicts every coordinate of step s in parallel, conditioned on all
-earlier steps. This module builds the standard pattern family (parallel,
-delay, flatten and their partial/stereo variants), validates arbitrary
-patterns, and applies/reverts them between grids and slot sequences.
+earlier steps. A pattern is held as its (T, K) step table, the inverse of the
+partition: step[t-1, k-1] is the step that reveals coordinate (t, k). So every
+coordinate is revealed exactly once by construction, and the constructor
+checks the rest: each entry is >= 1, each codebook's steps strictly increase
+down its timesteps (at most once per step, in timestep order), and each step
+1..S reveals something. This module builds the standard pattern family
+(parallel, delay, flatten and their partial/stereo variants), reads and
+writes the coordinate-list JSON format, and applies/reverts patterns between
+grids and slot sequences.
 
 Coordinates are 1-based. Token ids live in 1..M; id 0 is the reserved special
 token that fills slots where a codebook is absent from a step.
@@ -23,24 +29,6 @@ import numpy as np
 from .errors import ValidationError
 
 SPECIAL_TOKEN = 0
-
-
-class Coord(NamedTuple):
-    """1-based (timestep, codebook) position in a T x K grid."""
-
-    t: int
-    k: int
-
-
-@dataclass(frozen=True)
-class PatternStep:
-    """One step of a pattern.
-
-    Invariant (enforced by the builders and checked by validate_pattern, not
-    by this constructor): no two coordinates share a codebook index.
-    """
-
-    coords: frozenset[Coord]
 
 
 class PatternKind(str, Enum):
@@ -68,44 +56,66 @@ _NOMINAL_T_MULT = {
 }
 
 
+def _table_violations(step: np.ndarray) -> list[str]:
+    """Every way a (T, K) step table fails to be a pattern."""
+    violations = [
+        f"step {step[t, k]} of coordinate {(int(t) + 1, int(k) + 1)} is below 1"
+        for t, k in np.argwhere(step < 1)
+    ]
+    rises = np.diff(step, axis=0)
+    for k, s in sorted({(int(k) + 1, int(step[t, k])) for t, k in np.argwhere(rises == 0)}):
+        violations.append(f"duplicate codebook {k} in step {s}")
+    for k in np.flatnonzero((rises < 0).any(axis=0)) + 1:
+        violations.append(f"codebook {k} timesteps are not strictly increasing across steps")
+    # sorted, repeats kept: a step that reveals nothing is a rise of more than 1
+    revealed = np.sort(step, axis=None)
+    revealed = revealed[revealed >= 1]
+    rise = np.diff(revealed, prepend=0)
+    for a, b in zip((revealed - rise)[rise > 1] + 1, revealed[rise > 1] - 1):
+        span = f"step {a}" if a == b else f"steps {a}-{b}"
+        violations.append(f"nothing is revealed at {span}")
+    return violations
+
+
 @dataclass(frozen=True, eq=False)
 class Pattern:
-    """Ordered partition of {1..T} x {1..K} into steps; steps[0] is empty.
+    """Interleaving pattern held as its read-only int64 (T, K) step table.
 
-    Immutable after construction. Flat coordinate index arrays are precomputed
-    so apply/revert are single vectorized gathers.
+    step[t-1, k-1] = s means step s reveals coordinate (t, k); step 0 reveals
+    nothing and S = step.max() is the last step. The constructor enforces the
+    invariant that makes the table an ordered partition of the grid with each
+    codebook at most once per step: every entry is >= 1, every column strictly
+    increases, and every step in 1..S reveals at least one coordinate. A table
+    that breaks it raises ValidationError naming each violation.
     """
 
-    steps: tuple[PatternStep, ...]
-    T: int
-    K: int
+    step: np.ndarray
     kind: PatternKind | None = None
-    _s_idx: np.ndarray = field(init=False, repr=False, compare=False)
-    _t0: np.ndarray = field(init=False, repr=False, compare=False)
-    _k0: np.ndarray = field(init=False, repr=False, compare=False)
+    S: int = field(init=False)
 
     def __post_init__(self) -> None:
-        s_idx: list[int] = []
-        t0: list[int] = []
-        k0: list[int] = []
-        for s, step in enumerate(self.steps):
-            for c in sorted(step.coords):
-                s_idx.append(s)
-                t0.append(c.t - 1)
-                k0.append(c.k - 1)
-        object.__setattr__(self, "_s_idx", np.asarray(s_idx, dtype=np.int64))
-        object.__setattr__(self, "_t0", np.asarray(t0, dtype=np.int64))
-        object.__setattr__(self, "_k0", np.asarray(k0, dtype=np.int64))
+        step = np.array(self.step, dtype=np.int64)
+        if step.ndim != 2 or 0 in step.shape:
+            raise ValidationError(f"step table must be 2-D with T, K >= 1, got shape {step.shape}")
+        violations = _table_violations(step)
+        if violations:
+            raise ValidationError("pattern is invalid: " + "; ".join(violations))
+        step.flags.writeable = False
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "S", int(step.max()))
 
     @property
-    def S(self) -> int:
-        """Number of steps after the initial empty step."""
-        return len(self.steps) - 1
+    def T(self) -> int:
+        return self.step.shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.step.shape[1]
 
     def presence_mask(self) -> np.ndarray:
         """Bool array of shape (S+1, K): True where codebook k occurs in step s."""
-        mask = np.zeros((len(self.steps), self.K), dtype=bool)
-        mask[self._s_idx, self._k0] = True
+        mask = np.zeros((self.S + 1, self.K), dtype=bool)
+        mask[self.step, np.arange(self.K)] = True
         return mask
 
 
@@ -163,32 +173,26 @@ class InterleavedSequence:
         return self.slots.shape[1]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
 class StepCounts(NamedTuple):
     exact: int
     nominal: int
 
 
-def _delay_profile(kind: PatternKind, K: int) -> list[int]:
-    """Per-codebook step delay for the delay-style kinds."""
+def _delay_profile(kind: PatternKind, k: np.ndarray) -> np.ndarray:
+    """Step delay of each 0-based codebook index k for the delay-style kinds."""
     if kind is PatternKind.PARALLEL:
-        return [0] * K
+        return 0 * k
     if kind is PatternKind.DELAY:
-        return [k - 1 for k in range(1, K + 1)]
+        return k
     if kind is PatternKind.PARTIAL_DELAY:
-        return [0] + [1] * (K - 1)
+        return k > 0
     if kind is PatternKind.STEREO_PARTIAL_DELAY:
         # channels interleave [L1, R1, L2, R2, ...]; both channels of level l
         # are delayed by l-1
-        return [(k + 1) // 2 - 1 for k in range(1, K + 1)]
+        return k // 2
     if kind is PatternKind.STEREO_DELAY:
         # left channel of level l delayed by l-1, right channel by l
-        return [(k + 1) // 2 - 1 if k % 2 == 1 else (k + 1) // 2 for k in range(1, K + 1)]
+        return (k + 1) // 2
     raise ValidationError(f"{kind} is not a delay-style pattern")
 
 
@@ -204,64 +208,16 @@ def build_pattern(kind: PatternKind | str, T: int, K: int) -> Pattern:
             f"cannot build {kind.value} pattern: stereo kinds need an even K, got {K}"
         )
 
-    raw_steps: list[set[Coord]]
+    t, k = np.indices((T, K))  # 0-based timestep and codebook of every cell
     if kind is PatternKind.FLATTEN:
-        raw_steps = [{Coord(t, k)} for t in range(1, T + 1) for k in range(1, K + 1)]
+        step = t * K + k + 1
     elif kind is PatternKind.PARTIAL_FLATTEN:
-        raw_steps = []
-        for t in range(1, T + 1):
-            raw_steps.append({Coord(t, 1)})
-            raw_steps.append({Coord(t, k) for k in range(2, K + 1)})
+        step = t * min(K, 2) + (k > 0) + 1
     elif kind is PatternKind.COARSE_FIRST:
-        raw_steps = [{Coord(t, 1)} for t in range(1, T + 1)]
-        raw_steps += [{Coord(t, k) for k in range(2, K + 1)} for t in range(1, T + 1)]
+        step = t + T * (k > 0) + 1
     else:
-        delays = _delay_profile(kind, K)
-        S = T + max(delays)
-        raw_steps = []
-        for s in range(1, S + 1):
-            coords = {Coord(s - d, k + 1) for k, d in enumerate(delays) if 1 <= s - d <= T}
-            raw_steps.append(coords)
-
-    steps = [PatternStep(frozenset())]
-    steps += [PatternStep(frozenset(c)) for c in raw_steps if c]
-    return Pattern(steps=tuple(steps), T=T, K=K, kind=kind)
-
-
-def validate_pattern(pattern: Pattern) -> ValidationReport:
-    """Check every pattern invariant; violations are data, not exceptions."""
-    violations: list[str] = []
-    if not pattern.steps:
-        return ValidationReport(False, ("pattern has no steps at all",))
-    if pattern.steps[0].coords:
-        violations.append("step 0 is not the empty set")
-
-    seen: dict[Coord, int] = {}
-    for s, step in enumerate(pattern.steps):
-        for c in step.coords:
-            if not (1 <= c.t <= pattern.T and 1 <= c.k <= pattern.K):
-                violations.append(f"coordinate {tuple(c)} out of range at step {s}")
-            elif c in seen:
-                violations.append(f"coordinate {tuple(c)} appears in steps {seen[c]} and {s}")
-            else:
-                seen[c] = s
-        ks = sorted(c.k for c in step.coords)
-        for a, b in zip(ks, ks[1:]):
-            if a == b:
-                violations.append(f"duplicate codebook {a} in step {s}")
-
-    missing = pattern.T * pattern.K - len(
-        {c for c in seen if 1 <= c.t <= pattern.T and 1 <= c.k <= pattern.K}
-    )
-    if missing > 0:
-        violations.append(f"not a partition of the grid: {missing} coordinate(s) missing")
-
-    for k in range(1, pattern.K + 1):
-        stream = [c.t for step in pattern.steps for c in sorted(step.coords) if c.k == k]
-        if any(b <= a for a, b in zip(stream, stream[1:])):
-            violations.append(f"codebook {k} timesteps are not strictly increasing across steps")
-
-    return ValidationReport(not violations, tuple(violations))
+        step = t + _delay_profile(kind, k) + 1
+    return Pattern(step=step, kind=kind)
 
 
 def apply_pattern(pattern: Pattern, grid: TokenGrid) -> InterleavedSequence:
@@ -270,14 +226,14 @@ def apply_pattern(pattern: Pattern, grid: TokenGrid) -> InterleavedSequence:
         raise ValidationError(
             f"pattern is {pattern.T}x{pattern.K} but grid is {grid.T}x{grid.K}"
         )
-    slots = np.full((len(pattern.steps), pattern.K), SPECIAL_TOKEN, dtype=np.int64)
-    slots[pattern._s_idx, pattern._k0] = grid.tokens[pattern._t0, pattern._k0]
+    slots = np.full((pattern.S + 1, pattern.K), SPECIAL_TOKEN, dtype=np.int64)
+    slots[pattern.step, np.arange(pattern.K)] = grid.tokens
     return InterleavedSequence(slots=slots, M=grid.M)
 
 
 def revert_pattern(pattern: Pattern, seq: InterleavedSequence) -> TokenGrid:
     """Recover the grid from a slot sequence; exact inverse of apply_pattern."""
-    expected = (len(pattern.steps), pattern.K)
+    expected = (pattern.S + 1, pattern.K)
     if seq.slots.shape != expected:
         raise ValidationError(f"sequence shape {seq.slots.shape} != expected {expected}")
     mask = pattern.presence_mask()
@@ -287,9 +243,7 @@ def revert_pattern(pattern: Pattern, seq: InterleavedSequence) -> TokenGrid:
         raise ValidationError(
             f"real token at slot (step {s}, codebook {k + 1}) which the pattern marks absent"
         )
-    tokens = np.zeros((pattern.T, pattern.K), dtype=np.int64)
-    tokens[pattern._t0, pattern._k0] = seq.slots[pattern._s_idx, pattern._k0]
-    return TokenGrid(tokens=tokens, M=seq.M)
+    return TokenGrid(tokens=seq.slots[pattern.step, np.arange(pattern.K)], M=seq.M)
 
 
 def step_counts(pattern: Pattern) -> StepCounts:
@@ -299,7 +253,7 @@ def step_counts(pattern: Pattern) -> StepCounts:
     family, 2T for partial flattening and coarse-first, T*K for flattening.
     Patterns without a known kind report nominal = exact.
     """
-    exact = sum(1 for step in pattern.steps[1:] if step.coords)
+    exact = pattern.S
     if pattern.kind is None:
         return StepCounts(exact, exact)
     if pattern.kind is PatternKind.FLATTEN:
@@ -308,36 +262,58 @@ def step_counts(pattern: Pattern) -> StepCounts:
 
 
 def pattern_to_json(pattern: Pattern) -> str:
+    """Pattern document: steps[s] lists the [t, k] coordinates step s reveals."""
+    steps: list[list[list[int]]] = [[] for _ in range(pattern.S + 1)]
+    for (t, k), s in np.ndenumerate(pattern.step):
+        steps[s].append([t + 1, k + 1])
     doc = {
         "kind": pattern.kind.value if pattern.kind is not None else None,
         "T": pattern.T,
         "K": pattern.K,
-        "steps": [[[c.t, c.k] for c in sorted(step.coords)] for step in pattern.steps],
+        "steps": steps,
     }
     return json.dumps(doc)
 
 
 def pattern_from_json(text: str) -> Pattern:
-    """Parse a pattern document. Structure is checked here; invariants are not,
-    so a loaded pattern can be handed to validate_pattern for a report."""
+    """Parse a pattern document, the one reader of the coordinate-list format.
+
+    A document that does not list an ordered partition of its grid raises
+    ValidationError naming every violation: a non-empty step 0, out-of-range,
+    repeated or missing coordinates, then the step table's own checks.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"pattern document is not valid JSON: {exc}") from exc
     try:
-        kind = doc["kind"]
-        steps = tuple(
-            PatternStep(frozenset(Coord(int(t), int(k)) for t, k in step))
-            for step in doc["steps"]
-        )
-        return Pattern(
-            steps=steps,
-            T=int(doc["T"]),
-            K=int(doc["K"]),
-            kind=PatternKind(kind) if kind is not None else None,
-        )
+        kind = None if doc["kind"] is None else PatternKind(doc["kind"])
+        T, K = int(doc["T"]), int(doc["K"])
+        steps = [[(int(t), int(k)) for t, k in coords] for coords in doc["steps"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed pattern document: {exc}") from exc
+    if T < 1 or K < 1:
+        raise ValidationError(f"malformed pattern document: the grid is {T}x{K}")
+
+    violations = ["step 0 is not the empty set"] if steps and steps[0] else []
+    seen: dict[tuple[int, int], int] = {}
+    for s, coords in enumerate(steps):
+        for c in coords:
+            if not (1 <= c[0] <= T and 1 <= c[1] <= K):
+                violations.append(f"coordinate {c} out of range at step {s}")
+            elif c in seen:
+                violations.append(f"coordinate {c} appears in steps {seen[c]} and {s}")
+            else:
+                seen[c] = s
+    if len(seen) < T * K:
+        violations.append(f"not a partition of the grid: {T * K - len(seen)} coordinate(s) missing")
+    if violations:
+        raise ValidationError("pattern is invalid: " + "; ".join(violations))
+    # every coordinate is listed, so the table is no larger than the document
+    step = np.empty((T, K), dtype=np.int64)
+    for (t, k), s in seen.items():
+        step[t - 1, k - 1] = s
+    return Pattern(step=step, kind=kind)
 
 
 def grid_to_csv(grid: TokenGrid) -> str:
@@ -353,11 +329,12 @@ def random_grid(T: int, K: int, M: int, rng: np.random.Generator) -> TokenGrid:
 def format_pattern(pattern: Pattern) -> str:
     """Human-readable layout: codebooks as rows, steps as columns, cells are
     the revealed timestep or '.' when the codebook is absent."""
-    cells = {(c.k, s): c.t for s, step in enumerate(pattern.steps) for c in step.coords}
+    rows = [["."] * pattern.S for _ in range(pattern.K)]
+    for (t, k), s in np.ndenumerate(pattern.step):
+        rows[k][s - 1] = str(t + 1)
     width = max(2, len(str(pattern.T)))
-    header = "step".ljust(6) + " ".join(f"s{s}".rjust(width) for s in range(1, len(pattern.steps)))
+    header = "step".ljust(6) + " ".join(f"s{s}".rjust(width) for s in range(1, pattern.S + 1))
     lines = [header]
-    for k in range(1, pattern.K + 1):
-        row = [str(cells.get((k, s), ".")).rjust(width) for s in range(1, len(pattern.steps))]
-        lines.append(f"k{k}".ljust(6) + " ".join(row))
+    for k, row in enumerate(rows, start=1):
+        lines.append(f"k{k}".ljust(6) + " ".join(cell.rjust(width) for cell in row))
     return "\n".join(lines)

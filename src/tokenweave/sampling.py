@@ -1,7 +1,8 @@
 """Pattern-driven autoregressive generation.
 
-The pattern is validated on entry and the prompt laid out once as slot rows,
-M + 1 marking each slot still to draw. The walk then goes step by step over a
+A Pattern holds its step-table invariant by construction, so the walk only
+checks that the pattern fits the model, then lays the prompt out once as slot
+rows, M + 1 marking each slot still to draw. The walk goes step by step over a
 decode cache (model.open_cache): one forward, stacking the conditional and the
 unconditional branch, feeds the slot rows filled since the last one; their
 logits are combined (classifier-free guidance on raw logits), and one draw
@@ -21,7 +22,6 @@ import numpy as np
 from .errors import ValidationError
 from .model import Parameters, forward, open_cache
 from .patterns import InterleavedSequence, Pattern, TokenGrid, apply_pattern, revert_pattern
-from .patterns import validate_pattern
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,6 @@ def _walk_pattern(
     rng: np.random.Generator | None,
     prompt: TokenGrid | None,
 ) -> TokenGrid:
-    report = validate_pattern(pattern)
-    if not report.ok:
-        raise ValidationError(f"pattern is invalid: {report.violations[0]}")
     c = params.config
     if pattern.K != c.K:
         raise ValidationError(f"pattern has K={pattern.K} but the model has K={c.K}")

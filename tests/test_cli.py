@@ -54,7 +54,7 @@ def test_validate_broken_pattern_exits_3(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
     assert main(["patterns", "validate", "--json", str(path)]) == 3
-    assert "violation" in capsys.readouterr().out
+    assert "not a partition of the grid: 1 coordinate(s) missing" in capsys.readouterr().err
 
 
 def test_validate_good_pattern_exits_0(tmp_path, capsys):
@@ -109,6 +109,12 @@ def test_exactness_guard_exits_4(tmp_path):
 
 def test_exactness_unknown_pattern_exits_3(tmp_path):
     assert main(["exactness", "--patterns", "zigzag", "--out", str(tmp_path / "z")]) == 3
+
+
+def test_exactness_stereo_kind_with_odd_k_exits_3(tmp_path, capsys):
+    assert main(["exactness", "--patterns", "delay,stereo_delay", "--K", "3",
+                 "--out", str(tmp_path / "s")]) == 3
+    assert "stereo kinds need an even K, got 3" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +451,18 @@ MALFORMED = (
     ]
     + [pytest.param(["generate", "--checkpoint", "{ckpt}", "--greedy", "--temperature", "nan"], 3,
                     id="generate--greedy--temperature=nan")]
+    + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
+    # a path that cannot be opened as a file is a resource error, whichever flag names it
+    + [
+        pytest.param(argv, 4, id=f"dir-{argv[0]}{argv[-2]}")
+        for argv in (
+            ["patterns", "validate", "--json", "{dir}"],
+            ["chroma", "--wav", "{dir}"],
+            [*TRAIN_SMALL, "--config", "{dir}"],
+            ["generate", "--checkpoint", "{dir}"],
+            ["memorize", "--checkpoint", "{dir}"],
+        )
+    ]
 )
 
 
@@ -452,7 +470,8 @@ MALFORMED = (
 def bad_inputs(trained, tmp_path_factory):
     """Every malformed file MALFORMED names, plus a good checkpoint and WAV."""
     root = tmp_path_factory.mktemp("bad_inputs")
-    files = {"{ckpt}": trained / "checkpoint.npz"}
+    files = {"{ckpt}": trained / "checkpoint.npz", "{dir}": root / "a-directory"}
+    (root / "a-directory").mkdir()
 
     def put(name, data: bytes):
         files[f"{{{name}}}"] = root / name
@@ -460,6 +479,7 @@ def bad_inputs(trained, tmp_path_factory):
 
     for command, dest, value in BAD_INI:
         put(f"{command}-{dest}.ini", f"[{command}]\n{dest} = {value}\n".encode())
+    put("not-utf8.ini", "[train]\n# déjà\n".encode("latin-1"))
 
     good = (trained / "checkpoint.npz").read_bytes()
     put("truncated.npz", good[: len(good) // 2])

@@ -7,7 +7,6 @@ from tokenweave.errors import GuardError, ValidationError
 from tokenweave.oracle import (
     ExactnessRow,
     JointDistribution,
-    _axis,
     _marginal,
     exactness_report,
     grid_index,
@@ -15,7 +14,7 @@ from tokenweave.oracle import (
     make_joint,
     tv_distance,
 )
-from tokenweave.patterns import STEREO_KINDS, Coord, PatternKind, TokenGrid, build_pattern
+from tokenweave.patterns import STEREO_KINDS, PatternKind, TokenGrid, build_pattern
 
 FAMILIES = ("product", "diagonal", "markov_residual")
 
@@ -27,13 +26,19 @@ def true_conditional(joint, revealed, targets):
     ordered as the targets were given; a zero-probability reveal is an error."""
     if not targets:
         raise ValidationError("need at least one target position")
+
+    def axis(t, k):
+        if not (1 <= t <= joint.T and 1 <= k <= joint.K):
+            raise ValidationError(f"coordinate {(t, k)} out of range for a {joint.T}x{joint.K}")
+        return (t - 1) * joint.K + (k - 1)
+
     rev_axes, rev_vals = [], []
     for coord, token in revealed.items():
         if not 1 <= token <= joint.M:
             raise ValidationError(f"revealed token {token} out of range 1..{joint.M}")
-        rev_axes.append(_axis(joint.T, joint.K, Coord(*coord)))
+        rev_axes.append(axis(*coord))
         rev_vals.append(token - 1)
-    tgt_axes = [_axis(joint.T, joint.K, Coord(*c)) for c in targets]
+    tgt_axes = [axis(*c) for c in targets]
     if len(set(tgt_axes)) != len(tgt_axes):
         raise ValidationError("target positions must be distinct")
     if set(tgt_axes) & set(rev_axes):
@@ -60,8 +65,8 @@ def brute_induced_table(joint, pattern):
     M, N = joint.M, joint.T * joint.K
     flat = joint.probs
 
-    def axis(c):
-        return (c.t - 1) * joint.K + (c.k - 1)
+    def axis(t, k):
+        return (t - 1) * joint.K + (k - 1)
 
     def outcome_digits(idx):
         digits = []
@@ -87,8 +92,9 @@ def brute_induced_table(joint, pattern):
     for i, digits in enumerate(all_digits):
         prob = 1.0
         prefix = {}
-        for step in pattern.steps[1:]:
-            axes = sorted(axis(c) for c in step.coords)
+        for s in range(1, pattern.S + 1):
+            # the 1-based (t, k) step s reveals
+            axes = sorted(axis(t, k) for t, k in np.argwhere(pattern.step == s) + 1)
             for a in axes:
                 prob *= conditional(prefix, a)[digits[a]]
             for a in axes:

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from tokenweave.errors import ValidationError
 from tokenweave.patterns import (
-    Coord,
     InterleavedSequence,
     Pattern,
     PatternKind,
-    PatternStep,
     TokenGrid,
     apply_pattern,
     build_pattern,
@@ -21,7 +19,6 @@ from tokenweave.patterns import (
     random_grid,
     revert_pattern,
     step_counts,
-    validate_pattern,
 )
 
 ALL_KINDS = list(PatternKind)
@@ -29,7 +26,82 @@ STEREO = {PatternKind.STEREO_DELAY, PatternKind.STEREO_PARTIAL_DELAY}
 
 
 def steps_as_sets(pattern):
-    return [set(map(tuple, step.coords)) for step in pattern.steps]
+    """The pattern's steps as sets of 1-based (t, k), read off its table."""
+    sets = [set() for _ in range(pattern.S + 1)]
+    for (t, k), s in np.ndenumerate(pattern.step):
+        sets[s].add((t + 1, k + 1))
+    return sets
+
+
+def pattern_doc(T, K, *steps):
+    """A custom pattern document: step 0 empty, then the given (t, k) lists."""
+    return json.dumps({"kind": None, "T": T, "K": K, "steps": [[]] + [list(s) for s in steps]})
+
+
+def reference_steps(kind, T, K):
+    """The coordinate-set construction the step tables replaced: one set of
+    1-based (t, k) per step, step 0 empty and empty steps dropped."""
+    if kind is PatternKind.FLATTEN:
+        raw = [{(t, k)} for t in range(1, T + 1) for k in range(1, K + 1)]
+    elif kind is PatternKind.PARTIAL_FLATTEN:
+        raw = []
+        for t in range(1, T + 1):
+            raw.append({(t, 1)})
+            raw.append({(t, k) for k in range(2, K + 1)})
+    elif kind is PatternKind.COARSE_FIRST:
+        raw = [{(t, 1)} for t in range(1, T + 1)]
+        raw += [{(t, k) for k in range(2, K + 1)} for t in range(1, T + 1)]
+    else:
+        ks = range(1, K + 1)
+        delays = {
+            PatternKind.PARALLEL: [0] * K,
+            PatternKind.DELAY: [k - 1 for k in ks],
+            PatternKind.PARTIAL_DELAY: [0] + [1] * (K - 1),
+            PatternKind.STEREO_PARTIAL_DELAY: [(k + 1) // 2 - 1 for k in ks],
+            PatternKind.STEREO_DELAY: [(k + 1) // 2 - 1 if k % 2 else (k + 1) // 2 for k in ks],
+        }[kind]
+        raw = [
+            {(s - d, k + 1) for k, d in enumerate(delays) if 1 <= s - d <= T}
+            for s in range(1, T + max(delays) + 1)
+        ]
+    return [set()] + [c for c in raw if c]
+
+
+def reference_format(steps, T, K):
+    """format_pattern as written over coordinate sets."""
+    cells = {(k, s): t for s, step in enumerate(steps) for t, k in step}
+    width = max(2, len(str(T)))
+    lines = ["step".ljust(6) + " ".join(f"s{s}".rjust(width) for s in range(1, len(steps)))]
+    for k in range(1, K + 1):
+        row = [str(cells.get((k, s), ".")).rjust(width) for s in range(1, len(steps))]
+        lines.append(f"k{k}".ljust(6) + " ".join(row))
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_step_tables_match_the_coordinate_set_construction(kind):
+    rng = np.random.default_rng(0)
+    for T in (1, 2, 3, 7, 16):
+        for K in (1, 2, 3, 4, 8):
+            if kind in STEREO and K % 2:
+                continue
+            p = build_pattern(kind, T, K)
+            steps = reference_steps(kind, T, K)
+            table = np.zeros((T, K), dtype=np.int64)
+            for s, step in enumerate(steps):
+                for t, k in step:
+                    table[t - 1, k - 1] = s
+            assert np.array_equal(p.step, table) and p.S == len(steps) - 1
+            grid = random_grid(T, K, 9, rng)
+            slots = np.zeros((len(steps), K), dtype=np.int64)
+            for s, step in enumerate(steps):
+                for t, k in step:
+                    slots[s, k - 1] = grid.tokens[t - 1, k - 1]
+            assert np.array_equal(apply_pattern(p, grid).slots, slots)
+            assert format_pattern(p) == reference_format(steps, T, K)
+            listed = [sorted(map(list, step)) for step in steps]
+            doc = {"kind": kind.value, "T": T, "K": K, "steps": listed}
+            assert pattern_to_json(p).encode() == json.dumps(doc).encode()
 
 
 def test_delay_3x2_layout():
@@ -109,68 +181,39 @@ def test_invalid_dims_rejected(bad_t, bad_k):
 def test_every_built_pattern_validates(kind, T, K):
     if kind in STEREO and K % 2:
         pytest.skip("stereo needs even K")
-    report = validate_pattern(build_pattern(kind, T, K))
-    assert report.ok, report.violations
+    p = build_pattern(kind, T, K)
+    # the table's checks run again on a copy, and the document's on its JSON
+    assert np.array_equal(Pattern(step=p.step.copy()).step, p.step)
+    assert np.array_equal(pattern_from_json(pattern_to_json(p)).step, p.step)
 
 
 def test_validate_duplicate_codebook_in_step():
-    p = Pattern(
-        steps=(
-            PatternStep(frozenset()),
-            PatternStep(frozenset({Coord(1, 1), Coord(2, 1)})),
-            PatternStep(frozenset({Coord(1, 2)})),
-            PatternStep(frozenset({Coord(2, 2)})),
-        ),
-        T=2,
-        K=2,
-    )
-    report = validate_pattern(p)
-    assert not report.ok
-    assert any("duplicate codebook" in v for v in report.violations)
+    doc = pattern_doc(2, 2, [(1, 1), (2, 1)], [(1, 2)], [(2, 2)])
+    with pytest.raises(ValidationError, match="duplicate codebook"):
+        pattern_from_json(doc)
 
 
 def test_validate_missing_coordinate():
-    p = Pattern(
-        steps=(
-            PatternStep(frozenset()),
-            PatternStep(frozenset({Coord(1, 1), Coord(1, 2)})),
-            PatternStep(frozenset({Coord(2, 1)})),
-        ),
-        T=2,
-        K=2,
-    )
-    report = validate_pattern(p)
-    assert not report.ok
-    assert any("not a partition" in v for v in report.violations)
+    doc = pattern_doc(2, 2, [(1, 1), (1, 2)], [(2, 1)])
+    with pytest.raises(ValidationError, match="not a partition"):
+        pattern_from_json(doc)
+    # a document naming a huge grid is counted, not laid out as a table
+    with pytest.raises(ValidationError, match="999999999999 coordinate"):
+        pattern_from_json(pattern_doc(10**6, 10**6, [(1, 1)]))
 
 
 def test_validate_non_monotone_stream():
-    p = Pattern(
-        steps=(
-            PatternStep(frozenset()),
-            PatternStep(frozenset({Coord(2, 1)})),
-            PatternStep(frozenset({Coord(1, 1)})),
-        ),
-        T=2,
-        K=1,
-    )
-    report = validate_pattern(p)
-    assert not report.ok
-    assert any("strictly increasing" in v for v in report.violations)
+    doc = pattern_doc(2, 1, [(2, 1)], [(1, 1)])
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        pattern_from_json(doc)
 
 
 def test_validate_out_of_range_and_nonempty_p0():
-    p = Pattern(
-        steps=(
-            PatternStep(frozenset({Coord(1, 1)})),
-            PatternStep(frozenset({Coord(5, 1)})),
-        ),
-        T=1,
-        K=1,
-    )
-    report = validate_pattern(p)
-    assert any("out of range" in v for v in report.violations)
-    assert any("step 0" in v for v in report.violations)
+    doc = json.dumps({"kind": None, "T": 1, "K": 1, "steps": [[[1, 1]], [[5, 1]]]})
+    with pytest.raises(ValidationError) as info:
+        pattern_from_json(doc)
+    assert "out of range" in str(info.value)
+    assert "step 0" in str(info.value)
 
 
 def test_apply_parallel_2x2():
@@ -249,15 +292,16 @@ def test_roundtrip_property(kind, T, k_pow, seed):
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_partition_and_monotonicity_exhaustive(kind):
     for T, K in [(1, 2), (3, 2), (5, 4), (9, 8)]:
-        p = build_pattern(kind, T, K)
-        coords = [c for step in p.steps for c in step.coords]
+        steps = steps_as_sets(build_pattern(kind, T, K))
+        coords = [c for step in steps for c in step]
         assert len(coords) == T * K
-        assert set(coords) == {Coord(t, k) for t in range(1, T + 1) for k in range(1, K + 1)}
-        for step in p.steps:
-            ks = [c.k for c in step.coords]
+        assert set(coords) == {(t, k) for t in range(1, T + 1) for k in range(1, K + 1)}
+        assert not steps[0] and all(steps[1:])
+        for step in steps:
+            ks = [k for _, k in step]
             assert len(ks) == len(set(ks))
         for k in range(1, K + 1):
-            ts = [c.t for step in p.steps for c in sorted(step.coords) if c.k == k]
+            ts = [t for step in steps for t, kk in sorted(step) if kk == k]
             assert ts == sorted(ts) and len(set(ts)) == len(ts)
 
 
@@ -282,7 +326,7 @@ def test_pattern_json_roundtrip():
     q = pattern_from_json(text)
     assert steps_as_sets(q) == steps_as_sets(p)
     assert q.kind is PatternKind.DELAY
-    assert validate_pattern(q).ok
+    assert np.array_equal(q.step, p.step)
 
 
 def test_pattern_json_malformed():
@@ -290,6 +334,9 @@ def test_pattern_json_malformed():
         pattern_from_json("{not json")
     with pytest.raises(ValidationError):
         pattern_from_json(json.dumps({"kind": "delay", "T": 2}))
+    for T, K in ((0, 2), (2, -1)):
+        with pytest.raises(ValidationError, match="grid is"):
+            pattern_from_json(pattern_doc(T, K))
 
 
 def test_format_pattern_delay_layout():

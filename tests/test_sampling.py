@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,14 +7,13 @@ from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, enc
 from tokenweave.errors import InvariantError, ValidationError
 from tokenweave.model import CombinedCondition, ModelConfig, forward, init_params, open_cache
 from tokenweave.patterns import (
-    Coord,
     InterleavedSequence,
     Pattern,
     PatternKind,
-    PatternStep,
     TokenGrid,
     apply_pattern,
     build_pattern,
+    pattern_from_json,
     random_grid,
     revert_pattern,
 )
@@ -55,22 +56,22 @@ def reference_walk(params, pattern, condition, cfg, rng, forced):
     written = np.zeros((S + 1, c.K), dtype=bool)
     presence = pattern.presence_mask()
     for s in range(S):
-        step = pattern.steps[s + 1]
         if not np.array_equal(written[: s + 1], presence[: s + 1]):
             raise InvariantError("a position was read before the pattern revealed it")
         logits = forward(params, slots[: s + 1], condition=condition)[-1]
         if cfg.guidance_scale != 1.0 and condition is not None:
             uncond = forward(params, slots[: s + 1], condition=None)[-1]
             logits = cfg_combine(logits, uncond, cfg.guidance_scale)
-        for coord in sorted(step.coords, key=lambda cd: cd.k):
-            if written[s + 1, coord.k - 1]:
-                raise InvariantError(f"slot for {tuple(coord)} written twice")
-            if forced is not None and coord.t <= forced.T:
-                token = int(forced.tokens[coord.t - 1, coord.k - 1])
+        # the 1-based (t, k) the step reveals, in codebook order
+        for t, k in sorted((np.argwhere(pattern.step == s + 1) + 1).tolist(), key=lambda c: c[1]):
+            if written[s + 1, k - 1]:
+                raise InvariantError(f"slot for {(t, k)} written twice")
+            if forced is not None and t <= forced.T:
+                token = int(forced.tokens[t - 1, k - 1])
             else:
-                token = reference_draw(logits[coord.k - 1], cfg, rng)
-            slots[s + 1, coord.k - 1] = token
-            written[s + 1, coord.k - 1] = True
+                token = reference_draw(logits[k - 1], cfg, rng)
+            slots[s + 1, k - 1] = token
+            written[s + 1, k - 1] = True
     return revert_pattern(pattern, InterleavedSequence(slots=slots, M=c.M))
 
 
@@ -271,27 +272,35 @@ def test_generate_requires_rng_for_sampling():
 
 
 def _custom_pattern(*steps):
-    coords = [frozenset(Coord(t, k) for t, k in step) for step in ((),) + steps]
-    return Pattern(steps=tuple(PatternStep(c) for c in coords), T=2, K=2)
+    """A 2x2 pattern document: step 0 empty, then the given (t, k) lists."""
+    doc = {"kind": None, "T": 2, "K": 2, "steps": [[]] + [list(step) for step in steps]}
+    return lambda: pattern_from_json(json.dumps(doc))
 
 
+def _table(*rows):
+    return lambda: Pattern(step=np.array(rows))
+
+
+# an invalid pattern never reaches generate or continue_from_prompt: building
+# one, from a document or from a step table, raises
 @pytest.mark.parametrize(
-    "pattern,violation",
+    "build,violation",
     [
         (_custom_pattern([(1, 1), (1, 2)], [(2, 1), (2, 2)], [(2, 1)]), "appears in steps 2 and 3"),
         (_custom_pattern([(2, 1), (2, 2)], [(1, 1), (1, 2)]), "not strictly increasing"),
         (_custom_pattern([(1, 1), (2, 1)], [(1, 2), (2, 2)]), "duplicate codebook 1 in step 1"),
         (_custom_pattern([(1, 1), (1, 2)], [(2, 1)]), "1 coordinate\\(s\\) missing"),
+        (_table([0, 1], [1, 2]), "step 0 of coordinate \\(1, 1\\) is below 1"),
+        (_table([2, 1], [1, 2]), "codebook 1 timesteps are not strictly increasing"),
+        (_table([1, 1], [1, 2]), "duplicate codebook 1 in step 1"),
+        (_table([1, 1], [3, 3]), "nothing is revealed at step 2"),
     ],
-    ids=["repeated_coordinate", "timesteps_out_of_order", "duplicate_codebook", "missing"],
+    ids=["repeated_coordinate", "timesteps_out_of_order", "duplicate_codebook", "missing",
+         "table_entry_0", "table_decreasing", "table_equal_pair", "table_gap"],
 )
-def test_invalid_pattern_is_a_validation_error(pattern, violation):
-    params = small_model()
-    prompt = TokenGrid(tokens=np.ones((1, 2), dtype=int), M=8)
+def test_invalid_pattern_is_a_validation_error(build, violation):
     with pytest.raises(ValidationError, match="pattern is invalid: .*" + violation):
-        generate(params, pattern, cfg=CFG_GREEDY)
-    with pytest.raises(ValidationError, match="pattern is invalid: .*" + violation):
-        continue_from_prompt(params, pattern, prompt, cfg=CFG_GREEDY)
+        build()
 
 
 def test_continue_full_prompt_is_identity():
