@@ -109,18 +109,18 @@ def _write_manifest(
     config: dict,
     seed,
     artifacts: list[Path],
-    t0: float,
-    timings_extra: dict | None = None,
+    t0: float,  # a time.perf_counter() reading
+    timings: dict | None = None,
+    **results,
 ) -> Path:
-    timings = {"wall_seconds": round(time.time() - t0, 6)}
-    timings.update(timings_extra or {})
     manifest = {
         "command": command,
         "config": config,
         "seed": seed,
         "tool_version": __version__,
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
-        "timings": timings,
+        "timings": {"wall_seconds": round(time.perf_counter() - t0, 6), **(timings or {})},
+        **results,
     }
     path = out_dir / "manifest.json"
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -184,7 +184,7 @@ def cmd_patterns(args) -> int:
 
 
 def cmd_exactness(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = Path(args.out) if args.out else _default_out("exactness")
     out_dir.mkdir(parents=True, exist_ok=True)
     kinds = _parse_kinds(args.patterns)
@@ -198,7 +198,8 @@ def cmd_exactness(args) -> int:
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{row.tv:.12g}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _write_manifest(out_dir, "exactness", _args_config(args), args.seed, [csv_path], t0)
+    _write_manifest(out_dir, "exactness", _args_config(args), args.seed, [csv_path], t0,
+                    tv={row.kind: row.tv for row in rows})
 
     for row in rows:
         if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:
@@ -235,7 +236,7 @@ def _build_conditions(args, corpus, model_config, rng):
 
 
 def cmd_train(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     for dest in ("steps", "sequences", "timesteps", "log_every"):
         if getattr(args, dest) < 1:
             flag = dest.replace("_", "-")
@@ -286,8 +287,11 @@ def cmd_train(args) -> int:
 
     log_lines = ["step,lr,loss,accuracy,grad_norm,cond_dropped"]
     stats = None
+    step_ms = []  # the manifest's, not train_log.csv's: that reproduces byte for byte
     for _ in range(args.steps):
+        step_t0 = time.perf_counter()
         state, params, stats = train_step(state, params, batch, hyper, rng)
+        step_ms.append(1e3 * (time.perf_counter() - step_t0))
         if ema is not None:
             ema.update(params)
         if stats.step % args.log_every == 0 or stats.step == args.steps:
@@ -320,7 +324,9 @@ def cmd_train(args) -> int:
     }
     ckpt_path = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt_path, params, state, extra=extra, meta=meta)
-    _write_manifest(out_dir, "train", _args_config(args), args.seed, [log_path, ckpt_path], t0)
+    _write_manifest(out_dir, "train", _args_config(args), args.seed, [log_path, ckpt_path], t0,
+                    {"step_ms_p50": round(float(np.median(step_ms)), 3),
+                     "step_ms_max": round(max(step_ms), 3)})
     print(f"trained {args.steps} steps: loss {stats.loss:.4f} accuracy {stats.accuracy:.4f}")
     print(f"checkpoint: {ckpt_path}")
     return EXIT_OK
@@ -341,7 +347,7 @@ def _flag_or_meta(args, ckpt, key: str, parse, default):
 
 
 def cmd_generate(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = Path(args.out) if args.out else _default_out("generate")
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
@@ -359,10 +365,10 @@ def cmd_generate(args) -> int:
                         guidance_scale=args.guidance)
     if args.greedy:  # --temperature is still range-checked
         cfg = replace(cfg, temperature=0.0)
-    gen_t0 = time.time()
+    gen_t0 = time.perf_counter()
     grid = generate(params, pattern, condition=condition, cfg=cfg,
                     rng=np.random.default_rng(args.seed))
-    gen_seconds = time.time() - gen_t0
+    gen_seconds = time.perf_counter() - gen_t0
     timings = {
         "generate_seconds": round(gen_seconds, 6),
         "steps": pattern.S,
@@ -381,8 +387,7 @@ def cmd_generate(args) -> int:
         wav_path = out_dir / "generated.wav"
         save_wav(wav_path, sonify_classes(classes))
         artifacts.append(wav_path)
-    _write_manifest(out_dir, "generate", _args_config(args), args.seed, artifacts, t0,
-                    timings_extra=timings)
+    _write_manifest(out_dir, "generate", _args_config(args), args.seed, artifacts, t0, timings)
     print(f"grid: {grid_path}")
     return EXIT_OK
 
@@ -391,7 +396,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_memorize(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = Path(args.out) if args.out else _default_out("memorize")
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
@@ -438,7 +443,7 @@ def cmd_memorize(args) -> int:
 
 
 def cmd_chroma(args) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     out_dir = Path(args.out) if args.out else _default_out("chroma")
     out_dir.mkdir(parents=True, exist_ok=True)
     audio = load_wav(args.wav)

@@ -25,7 +25,9 @@ rows, and forward(params, new_rows, cache=kv) then runs the layers over the
 new rows alone. A full-sequence forward is a fresh one-branch cache fed every
 row in one call, where the key mask is exactly the causal mask. Step rows
 take positions 0..S-1 whatever the prefix length, so cached logits equal a
-full-sequence forward.
+full-sequence forward. A cache lays the weights out once, as they are when it
+opens (grad: once per call): a step makes one stacked q/k/v product and cache
+write per layer and one stacked head product, the bits of separate products.
 
 A training example is its pattern's slot sequence: rows 0..S-1 are the
 inputs, rows 1..S the targets, and the loss covers the targets that are not
@@ -256,19 +258,13 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.swapaxes(1, 2).reshape(B * N, H * dh)
 
 
-def _project_kv(kv_in, w, B, H):
-    """Keys and values of the rows kv_in of B branches, split into heads."""
-    _, _, wk, wv, bv, _, _ = w
-    return _split_heads(kv_in @ wk, B, H), _split_heads(kv_in @ wv + bv, B, H)
-
-
-def _attend(q_in, kv_in, kh, vh, w, H, blocked):
-    """The attention core: the rows q_in attend over the keys kh and values
-    vh projected from the rows kv_in, each branch over its own. blocked,
-    broadcast against the (B, H, queries, keys) scores, marks the keys a query
-    may not see. Returns the output rows and the intermediates backward needs."""
-    wq, bq, _, _, _, wo, bo = w
-    qh = _split_heads(q_in @ wq + bq, len(kh), H)
+def _attend(qh, q_in, kv_in, kh, vh, w, blocked):
+    """The attention core: the query heads qh of the rows q_in attend over the
+    keys kh and values vh projected from the rows kv_in, each branch over its
+    own. blocked (None: every key is open), broadcast against the (B, H,
+    queries, keys) scores, marks the keys a query may not see. Returns the
+    output rows and the intermediates backward needs."""
+    wo, bo = w[5:]
     scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1])
     if blocked is not None:
         np.copyto(scores, -np.inf, where=blocked)
@@ -312,35 +308,50 @@ def _weights(A: dict, block: str) -> tuple:
     return tuple(A[f"{block}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
 
 
+def _layout(params: Parameters, n_rows: int) -> tuple:
+    """Per layer the attention _weights, q/k/v stacked (3, D, D) with biases
+    (3, 1, D) (the key's zero: adding +0.0 is exact) and the cross _weights or
+    None; the heads stacked (K, D, M), (K, 1, M); the sinusoid of 0..n_rows-1."""
+    c, A = params.config, params.arrays
+    layers = []
+    for i in range(c.L):
+        w = _weights(A, f"layer{i}.attn")
+        w3, b3 = np.stack([w[0], w[2], w[3]]), np.stack([w[1], np.zeros(c.D), w[4]])[:, None]
+        xw = _weights(A, f"layer{i}.xattn") if f"layer{i}.xattn.wq" in A else None
+        layers.append((w, w3, b3, xw))
+    head_w, head_b = (np.stack([A[f"head.k{k}.{x}"] for k in range(c.K)]) for x in "wb")
+    return layers, head_w, head_b[:, None], sinusoidal_embedding(np.arange(n_rows), c.D)
+
+
 @dataclass
 class DecodeCache:
     """The attention state of B stacked branches, each with its own condition;
     every trunk pass runs over one. Branch b holds lengths[b] rows: its
     prefix-condition rows, then the `steps` step rows fed since the cache
     opened; a branch with fewer rows leaves the tail of its key axis unused,
-    and a per-branch key mask hides it."""
+    and a per-branch key mask hides it. Its weights, laid out once (_layout),
+    are copies of the parameters from when it was opened."""
 
-    keys: np.ndarray  # (L, B, H, rows, D / H) self-attention keys per layer
-    values: np.ndarray  # (L, B, H, rows, D / H)
+    keys_values: np.ndarray  # (L, 2, B, H, rows, D / H) self-attention keys, values per layer
     lengths: np.ndarray  # (B,) rows held per branch
     # None, or the branches that hold a cross condition (a slice when they are
     # adjacent), its rows padded into one (B_c * C_max, D) block, the pad keys
     # to hide (None if none) and per layer the block's projected (keys, values)
     cross: tuple | None
+    layout: tuple
     steps: int = 0
 
 
-def _new_cache(params: Parameters, conditions: Sequence, steps: int):
+def _new_cache(params: Parameters, conditions: Sequence, steps: int, layout=None):
     """An empty decode cache with one branch per condition and room for the
     longest prefix plus `steps` step rows, and each branch's prefix-condition
     rows (None where it has none). Every condition is routed and checked here."""
     c = params.config
-    A = params.arrays
     routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
     if any(rows is not None and rows.shape[1] != c.D for route in routes for rows in route):
         raise ValidationError(f"condition rows must have dimension {c.D}")
     n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
-    shape = (c.L, len(routes), c.H, n_prefix + steps, c.D // c.H)
+    layout = layout or _layout(params, n_prefix + steps)
     held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
     cross = None
     if held:
@@ -348,12 +359,13 @@ def _new_cache(params: Parameters, conditions: Sequence, steps: int):
         rows = _pad_stack([routes[b][1] for b in held], sizes.max()).reshape(-1, c.D)
         pads = np.arange(sizes.max()) >= sizes[:, None]
         blocked = pads[:, None, None, :] if pads.any() else None
-        xw = [_weights(A, f"layer{i}.xattn") for i in range(c.L)]
-        heads = [_project_kv(rows, w, len(held), c.H) for w in xw]
+        heads = [(_split_heads(rows @ xw[2], len(held), c.H),
+                  _split_heads(rows @ xw[3] + xw[4], len(held), c.H)) for *_, xw in layout[0]]
         if held[-1] - held[0] == len(held) - 1:
             held = slice(held[0], held[-1] + 1)
         cross = (held, rows, blocked, heads)
-    kv = DecodeCache(np.zeros(shape), np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross)
+    shape = (c.L, 2, len(routes), c.H, n_prefix + steps, c.D // c.H)
+    kv = DecodeCache(np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross, layout)
     return kv, [prefix_rows for prefix_rows, _ in routes]
 
 
@@ -368,16 +380,17 @@ def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCa
     return kv
 
 
-def _self_attention(kv: DecodeCache, i: int, q_in, w, H, blocked):
-    """Append the new rows of every branch to layer i's keys and values, then
-    attend each new row over the keys of its branch that blocked leaves open."""
-    kh, vh = _project_kv(q_in, w, len(kv.lengths), H)
-    n = kh.shape[2]
-    for b, start in enumerate(kv.lengths):
-        kv.keys[i, b, :, start : start + n] = kh[b]
-        kv.values[i, b, :, start : start + n] = vh[b]
-    end = blocked.shape[-1]
-    return _attend(q_in, q_in, kv.keys[i, :, :, :end], kv.values[i, :, :, :end], w, H, blocked)
+def _self_attention(kv: DecodeCache, i: int, q_in, pos, blocked):
+    """One stacked product projects the new rows of every branch, one write
+    stores their keys and values at key indices pos (B, n); each new row then
+    attends over the keys of its branch that blocked leaves open."""
+    w, w3, b3, _ = kv.layout[0][i]
+    B, n = pos.shape
+    qkv = (np.matmul(q_in, w3) + b3).reshape(3, B, n, kv.keys_values.shape[3], -1)
+    held = kv.keys_values[i]
+    held[:, np.arange(B)[:, None], :, pos] = qkv[1:].transpose(1, 2, 0, 3, 4)
+    kh, vh = held[:, :, :, : int(pos.max()) + 1]
+    return _attend(qkv[0].swapaxes(1, 2), q_in, q_in, kh, vh, w, blocked)
 
 
 def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_cache):
@@ -390,34 +403,34 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
     (B, S, K, M)."""
     c = params.config
     A = params.arrays
+    layers, head_w, head_b, pe = kv.layout
     B = len(kv.lengths)
     S = tokens.shape[1]
     if kv.steps + S > c.max_steps:
         raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
+    lead = np.array([0 if rows is None else len(rows) for rows in prefixes or [None] * B])
+    n = int(lead.max()) + S
+    if n == 0:
+        raise ValidationError("no rows to run: the step inputs are empty and there is no prefix")
+    pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
+    end = int(pos.max()) + 1
+    if end > kv.keys_values.shape[4]:
+        raise ValidationError(f"decode cache is full at {kv.keys_values.shape[4]} rows per branch")
+    # the keys each new row may not see; none if every new row is its branch's last
+    blocked = None if pos.min() == end - 1 else np.arange(end) > pos[:, None, :, None]
 
     x = A["embed.k0"][tokens[..., 0]]
     for k in range(1, c.K):
         x += A[f"embed.k{k}"][tokens[..., k]]
-    x += sinusoidal_embedding(np.arange(kv.steps, kv.steps + S), c.D)
-    lead = 0  # prefix rows per branch
+    x += pe[kv.steps : kv.steps + S]
     at = None  # where prefix rows lead: the index of each step row among all rows
-    if prefixes is not None and any(rows is not None for rows in prefixes):
-        lead = np.array([0 if rows is None else len(rows) for rows in prefixes])
+    if lead.any():
         x = _pad_stack([
-            x[b] if rows is None
-            else np.vstack([rows + sinusoidal_embedding(np.arange(len(rows)), c.D), x[b]])
+            x[b] if rows is None else np.vstack([rows + pe[: len(rows)], x[b]])
             for b, rows in enumerate(prefixes)
-        ], lead.max() + S)
-        at = (np.arange(B)[:, None] * x.shape[1] + lead[:, None] + np.arange(S)).ravel()
-    n = x.shape[1]
-    if n == 0:
-        raise ValidationError("no rows to run: the step inputs are empty and there is no prefix")
+        ], n)
+        at = (np.arange(B)[:, None] * n + lead[:, None] + np.arange(S)).ravel()
     x = x.reshape(B * n, c.D)
-    pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
-    end = int(pos.max()) + 1
-    if end > kv.keys.shape[3]:
-        raise ValidationError(f"decode cache is full at {kv.keys.shape[3]} rows per branch")
-    blocked = np.arange(end) > pos[:, None, :, None]  # the keys each new row may not see
     if kv.cross is not None:
         held, cond_rows, cond_blocked, heads = kv.cross
 
@@ -425,7 +438,7 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
     for i in range(c.L):
         p = f"layer{i}"
         ln1_out, ln1_c = _layernorm_f(x, A[f"{p}.ln1.g"], A[f"{p}.ln1.b"])
-        attn_out, attn_c = _self_attention(kv, i, ln1_out, _weights(A, f"{p}.attn"), c.H, blocked)
+        attn_out, attn_c = _self_attention(kv, i, ln1_out, pos, blocked)
         x = x + attn_out
 
         x_c = None
@@ -433,8 +446,9 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
             xb = x.reshape(B, n, c.D)
             x_in = xb[held].reshape(-1, c.D)
             lnx_out, lnx_c = _layernorm_f(x_in, A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
-            xw = _weights(A, f"{p}.xattn")
-            cross_out, cross_c = _attend(lnx_out, cond_rows, *heads[i], xw, c.H, cond_blocked)
+            xw, (kh, vh) = layers[i][3], heads[i]
+            qh = _split_heads(lnx_out @ xw[0] + xw[1], len(kh), c.H)
+            cross_out, cross_c = _attend(qh, lnx_out, cond_rows, kh, vh, xw, cond_blocked)
             xb[held] += cross_out.reshape(-1, n, c.D)
             x_c = (held, lnx_c, cross_c)
 
@@ -448,9 +462,8 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
     kv.steps += S
     if at is not None:
         x = x[at]
-    logits = np.empty((B * S, c.K, c.M))
-    for k in range(c.K):
-        logits[:, k] = x @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
+    # K stacked per-head products: one (D, K * M) product gives other bits
+    logits = (np.matmul(x, head_w) + head_b).swapaxes(0, 1)
     cache = (tokens, n, caches, x, at) if need_cache else None
     return logits.reshape(B, S, c.K, c.M), x, cache
 
@@ -589,6 +602,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     leads = [_route_condition(ex.condition, c.conditioning_mode)[0] for ex in batch]
     width = lens.max() + max(0 if rows is None else len(rows) for rows in leads)
     per_pass = max(1, ROW_BUDGET // width)
+    layout = _layout(params, width)  # the parameters do not change within the call
 
     grads = zero_grads(params)
     nll = 0.0
@@ -596,7 +610,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     for start in range(0, len(batch), per_pass):
         part = slice(start, start + per_pass)
         S = lens[part].max()
-        kv, prefixes = _new_cache(params, [ex.condition for ex in batch[part]], S)
+        kv, prefixes = _new_cache(params, [ex.condition for ex in batch[part]], S, layout)
         logits, _, cache = _forward_trunk(params, steps[part, :S], prefixes, kv, True)
         part_nll, part_correct, dlogits = _score_revealed(logits, targets[part, :S])
         nll += part_nll

@@ -60,12 +60,12 @@ def cfg_combine(cond_logits: np.ndarray, uncond_logits: np.ndarray, scale: float
 
 
 def _topk_probs(logits: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Per logit row of (..., M): the kept token indices (0-based, ties to the
-    lowest index) and their renormalized softmax probabilities after
+    """Per logit row of (M,) or (N, M): the kept token indices (0-based, ties
+    to the lowest index) and their renormalized softmax probabilities after
     temperature scaling."""
     k = min(cfg.top_k, logits.shape[-1])
     order = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
-    top = np.take_along_axis(logits, order, axis=-1)
+    top = logits[np.arange(len(order))[:, None], order] if order.ndim == 2 else logits[order]
     # the max is subtracted first, so a tiny temperature sends every
     # non-maximal logit to -inf (probability 0) rather than overflowing
     with np.errstate(over="ignore"):
@@ -89,9 +89,10 @@ def sample_token(
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim == 0:
         raise ValidationError("sample_token expects logit rows, got a scalar")
-    if np.isnan(logits).any() or np.isposinf(logits).any():
-        raise ValidationError("logits must not contain NaN or +inf")
-    if np.isneginf(logits).all(axis=-1).any():
+    top = logits.max(axis=-1, initial=-np.inf)  # NaN carries through; -inf if all -inf
+    if not np.isfinite(top).all():
+        if np.isnan(top).any() or np.isposinf(top).any():
+            raise ValidationError("logits must not contain NaN or +inf")
         raise ValidationError("a logit row is all -inf; nothing to sample")
     if cfg.temperature == 0.0:
         ids = np.argmax(logits, axis=-1) + 1

@@ -93,6 +93,17 @@ def test_exactness_diagonal_csv_and_rerun_identical(tmp_path, capsys):
     assert manifest["tool_version"]
 
 
+def test_exactness_manifest_carries_the_csv_tvs(tmp_path, capsys):
+    out = tmp_path / "tv"
+    assert main(["exactness", "--family", "markov_residual", "--T", "2", "--K", "2", "--M", "2",
+                 "--patterns", "parallel,delay,flatten,coarse_first", "--out", str(out)]) == 0
+    tv = json.loads((out / "manifest.json").read_text())["tv"]
+    rows = [line.split(",") for line in (out / "exactness.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 4
+    assert {kind: f"{tv[kind]:.12g}" for kind in tv} == {row[0]: row[-1] for row in rows}
+    assert tv["parallel"] > 0.0
+
+
 def test_exactness_product_all_exact(tmp_path, capsys):
     out = tmp_path / "prod"
     assert main(["exactness", "--family", "product", "--T", "2", "--K", "2", "--M", "2",
@@ -137,6 +148,22 @@ def test_train_writes_checkpoint_log_manifest(trained):
     manifest = json.loads((trained / "manifest.json").read_text())
     assert set(manifest["artifacts"]) == {"checkpoint.npz", "train_log.csv"}
     assert manifest["config"]["steps"] == 80
+
+
+def test_train_step_times_stay_out_of_the_hashed_artifacts(tmp_path, capsys):
+    args = ["train", "--steps", "6", "--timesteps", "4", "--sequences", "2", "--vocab", "4",
+            "--dim", "16", "--log-every", "2", "--seed", "5"]
+    runs = [tmp_path / "a", tmp_path / "b"]
+    for out in runs:
+        assert main([*args, "--out", str(out)]) == 0
+    a, b = (json.loads((out / "manifest.json").read_text()) for out in runs)
+    assert (runs[0] / "train_log.csv").read_bytes() == (runs[1] / "train_log.csv").read_bytes()
+    assert a["artifacts"] == b["artifacts"]
+    for manifest in (a, b):
+        timings = manifest["timings"]
+        assert 0.0 < timings["step_ms_p50"] <= timings["step_ms_max"]
+        assert timings["step_ms_max"] <= 1e3 * timings["wall_seconds"]
+    assert "step_ms" not in (runs[0] / "train_log.csv").read_text()
 
 
 def test_train_loss_decreases(trained):

@@ -1,6 +1,6 @@
 import math
 import tracemalloc
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -19,9 +19,15 @@ from tokenweave.model import (
     _backward_trunk,
     _coerce_tokens,
     _forward_trunk,
+    _layernorm_f,
+    _merge_heads,
     _new_cache,
+    _pad_stack,
     _param_shapes,
+    _route_condition,
     _score_revealed,
+    _split_heads,
+    _weights,
     cosine_lr,
     example_from_grid,
     forward,
@@ -409,6 +415,196 @@ def test_grad_working_set_stays_bounded():
             tracemalloc.stop()
 
     assert peak(batch) < 3 * peak(batch[:1])
+
+
+# The trunk as it ran before the decode cache laid the weights out: one
+# product per projection and per head, a cache write per branch and the
+# sinusoid computed per call. The trunk must match it bit for bit.
+
+
+@dataclass
+class PlainCache:
+    keys: np.ndarray
+    values: np.ndarray
+    lengths: np.ndarray
+    cross: tuple | None
+    steps: int = 0
+
+
+def plain_project_kv(kv_in, w, B, H):
+    _, _, wk, wv, bv, _, _ = w
+    return _split_heads(kv_in @ wk, B, H), _split_heads(kv_in @ wv + bv, B, H)
+
+
+def plain_new_cache(params, conditions, steps):
+    c = params.config
+    A = params.arrays
+    routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
+    n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
+    shape = (c.L, len(routes), c.H, n_prefix + steps, c.D // c.H)
+    held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
+    cross = None
+    if held:
+        sizes = np.array([len(routes[b][1]) for b in held])
+        rows = _pad_stack([routes[b][1] for b in held], sizes.max()).reshape(-1, c.D)
+        pads = np.arange(sizes.max()) >= sizes[:, None]
+        blocked = pads[:, None, None, :] if pads.any() else None
+        xw = [_weights(A, f"layer{i}.xattn") for i in range(c.L)]
+        heads = [plain_project_kv(rows, w, len(held), c.H) for w in xw]
+        if held[-1] - held[0] == len(held) - 1:
+            held = slice(held[0], held[-1] + 1)
+        cross = (held, rows, blocked, heads)
+    kv = PlainCache(np.zeros(shape), np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross)
+    return kv, [prefix_rows for prefix_rows, _ in routes]
+
+
+def plain_attend(q_in, kv_in, kh, vh, w, H, blocked):
+    wq, bq, _, _, _, wo, bo = w
+    qh = _split_heads(q_in @ wq + bq, len(kh), H)
+    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1])
+    if blocked is not None:
+        np.copyto(scores, -np.inf, where=blocked)
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    p = e / e.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(p @ vh)
+    return ctx @ wo + bo, (q_in, kv_in, qh, kh, vh, p, ctx, w)
+
+
+def plain_trunk(params, tokens, prefixes, kv, need_cache):
+    c = params.config
+    A = params.arrays
+    B, S = tokens.shape[:2]
+    x = A["embed.k0"][tokens[..., 0]]
+    for k in range(1, c.K):
+        x += A[f"embed.k{k}"][tokens[..., k]]
+    x += sinusoidal_embedding(np.arange(kv.steps, kv.steps + S), c.D)
+    lead, at = 0, None
+    if prefixes is not None and any(rows is not None for rows in prefixes):
+        lead = np.array([0 if rows is None else len(rows) for rows in prefixes])
+        x = _pad_stack([
+            x[b] if rows is None
+            else np.vstack([rows + sinusoidal_embedding(np.arange(len(rows)), c.D), x[b]])
+            for b, rows in enumerate(prefixes)
+        ], lead.max() + S)
+        at = (np.arange(B)[:, None] * x.shape[1] + lead[:, None] + np.arange(S)).ravel()
+    n = x.shape[1]
+    x = x.reshape(B * n, c.D)
+    pos = kv.lengths[:, None] + np.arange(n)
+    end = int(pos.max()) + 1
+    blocked = np.arange(end) > pos[:, None, :, None]
+    caches = []
+    for i in range(c.L):
+        p = f"layer{i}"
+        ln1_out, ln1_c = _layernorm_f(x, A[f"{p}.ln1.g"], A[f"{p}.ln1.b"])
+        w = _weights(A, f"{p}.attn")
+        kh, vh = plain_project_kv(ln1_out, w, B, c.H)
+        for b, start in enumerate(kv.lengths):
+            kv.keys[i, b, :, start : start + n] = kh[b]
+            kv.values[i, b, :, start : start + n] = vh[b]
+        keys, values = kv.keys[i, :, :, :end], kv.values[i, :, :, :end]
+        attn_out, attn_c = plain_attend(ln1_out, ln1_out, keys, values, w, c.H, blocked)
+        x = x + attn_out
+        x_c = None
+        if kv.cross is not None:
+            held, cond_rows, cond_blocked, heads = kv.cross
+            xb = x.reshape(B, n, c.D)
+            lnx_out, lnx_c = _layernorm_f(xb[held].reshape(-1, c.D), A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
+            xw = _weights(A, f"{p}.xattn")
+            cross_out, cross_c = plain_attend(lnx_out, cond_rows, *heads[i], xw, c.H, cond_blocked)
+            xb[held] += cross_out.reshape(-1, n, c.D)
+            x_c = (held, lnx_c, cross_c)
+        ln2_out, ln2_c = _layernorm_f(x, A[f"{p}.ln2.g"], A[f"{p}.ln2.b"])
+        h = ln2_out @ A[f"{p}.ffn.w1"] + A[f"{p}.ffn.b1"]
+        x = x + np.maximum(h, 0.0) @ A[f"{p}.ffn.w2"] + A[f"{p}.ffn.b2"]
+        if need_cache:
+            caches.append((ln1_c, attn_c, x_c, ln2_c, ln2_out, h))
+    kv.lengths += lead + S
+    kv.steps += S
+    if at is not None:
+        x = x[at]
+    logits = np.empty((B * S, c.K, c.M))
+    for k in range(c.K):
+        logits[:, k] = x @ A[f"head.k{k}.w"] + A[f"head.k{k}.b"]
+    return logits.reshape(B, S, c.K, c.M), (tokens, n, caches, x, at) if need_cache else None
+
+
+def plain_open_cache(params, conditions, steps):
+    kv, prefixes = plain_new_cache(params, conditions, steps)
+    if any(rows is not None for rows in prefixes):
+        empty = np.zeros((len(prefixes), 0, params.config.K), dtype=np.int64)
+        plain_trunk(params, empty, prefixes, kv, False)
+    return kv
+
+
+def plain_grad(params, batch):
+    """grad's loss, accuracy and gradients over the plain trunk."""
+    c = params.config
+    slots = [ex.seq.slots for ex in batch]
+    lens = np.array([len(rows) - 1 for rows in slots])
+    padded = _pad_stack(slots, lens.max() + 1)
+    steps, targets = padded[:, :-1], padded[:, 1:]
+    count = int(np.count_nonzero(targets != 0))
+    leads = [_route_condition(ex.condition, c.conditioning_mode)[0] for ex in batch]
+    per_pass = max(1, ROW_BUDGET // (lens.max() + max(0 if r is None else len(r) for r in leads)))
+    grads = zero_grads(params)
+    nll = correct = 0
+    for start in range(0, len(batch), per_pass):
+        part = slice(start, start + per_pass)
+        S = lens[part].max()
+        kv, prefixes = plain_new_cache(params, [ex.condition for ex in batch[part]], S)
+        logits, cache = plain_trunk(params, steps[part, :S], prefixes, kv, True)
+        part_nll, part_correct, dlogits = _score_revealed(logits, targets[part, :S])
+        nll += part_nll
+        correct += part_correct
+        _backward_trunk(params, cache, dlogits / count, grads)
+    return nll / count, correct / count, grads
+
+
+BITWISE_CONDITIONS = {
+    "none": (TEXT, None),  # ignored
+    "prefix": (CHROMA[3], CHROMA[6]),
+    "cross_attention": (TEXT, TEXT_LONG),
+    # prefixes of 3 and 6 rows: the branches of one cache hold ragged lengths
+    "both": (
+        CombinedCondition(prefix=CHROMA[3], cross=TEXT),
+        CombinedCondition(prefix=CHROMA[6], cross=TEXT_LONG),
+    ),
+}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("mode", list(BITWISE_CONDITIONS))
+def test_trunk_matches_the_plain_trunk_bitwise(mode, K):
+    """forward, cached decoding (a 3-row prefill, then 1-row steps, over two
+    branches) and grad give the plain trunk's bits, at every head width M."""
+    cond, other = BITWISE_CONDITIONS[mode]
+    for M in (2, 3, 5, 16, 64):
+        config = ModelConfig(K=K, M=M, D=D_REF, L=2, H=4, max_steps=32, conditioning_mode=mode)
+        params = init_params(config, seed=10 * K + M)
+        rng = np.random.default_rng(M)
+        steps = rng.integers(0, M + 1, size=(7, K))
+
+        kv, prefixes = plain_new_cache(params, [cond], len(steps))
+        want = plain_trunk(params, steps[None], prefixes, kv, False)[0][0]
+        assert np.array_equal(forward(params, steps, condition=cond), want), M
+
+        for branches in ([cond, None], [cond, other]):
+            kv, plain_kv = open_cache(params, branches, 7), plain_open_cache(params, branches, 7)
+            for rows in (steps[:3], *steps[3:, None]):
+                shared = np.broadcast_to(rows, (2,) + rows.shape)
+                want = plain_trunk(params, shared, None, plain_kv, False)[0]
+                assert np.array_equal(forward(params, rows, cache=kv), want), (M, branches)
+
+        batch = []
+        for j in range(14):
+            pattern = build_pattern((PatternKind.DELAY, PatternKind.FLATTEN)[j % 2], 2 + j % 3, K)
+            grid = random_grid(pattern.T, K, M, rng)
+            batch.append(example_from_grid(pattern, grid, condition=(cond, None, other)[j % 3]))
+        got = grad(params, batch)
+        loss, accuracy, grads = plain_grad(params, batch)
+        assert got.loss == loss and got.accuracy == accuracy, M
+        for name, g in grads.items():
+            assert np.array_equal(got.grads[name], g), (M, name)
 
 
 def test_codebook_permutation_coherence():

@@ -210,6 +210,28 @@ def test_sample_token_rejects_degenerate_logits():
         sample_token(np.array([[0.0, 1.0], [-np.inf, -np.inf]]), SamplerConfig(), rng)
     with pytest.raises(ValidationError, match=r"\+inf"):
         sample_token(np.array([[0.0, 1.0], [np.inf, 0.0]]), CFG_GREEDY, rng)
+    # NaN and +inf take precedence over an all -inf row, wherever each sits
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match=r"NaN or \+inf"):
+            sample_token(np.array([[-np.inf, -np.inf], [0.0, bad]]), SamplerConfig(), rng)
+    with pytest.raises(ValidationError, match=r"NaN or \+inf"):
+        sample_token(np.array([[-np.inf, np.nan], [-np.inf, -np.inf]]), CFG_GREEDY, rng)
+    # an empty row has nothing to sample either
+    with pytest.raises(ValidationError, match="all -inf"):
+        sample_token(np.zeros((2, 0)), SamplerConfig(), rng)
+    # -inf beside finite logits is a mask, not an error
+    mixed = np.array([[-np.inf, 0.5, -np.inf], [2.0, -np.inf, 1.0]])
+    assert sample_token(mixed, SamplerConfig(), rng).tolist()[0] == 2
+    assert sample_token(mixed, CFG_GREEDY, None).tolist() == [2, 1]
+    # a 3-D block draws as its rows flattened: the same ids, the same rng state
+    block = np.round(np.random.default_rng(1).standard_normal((2, 3, 7)), 1)
+    block[0, 1, :3] = -np.inf
+    for cfg in (SamplerConfig(top_k=4), SamplerConfig(temperature=0.7), CFG_GREEDY):
+        shaped, flat = np.random.default_rng(9), np.random.default_rng(9)
+        ids = sample_token(block, cfg, shaped)
+        assert ids.shape == (2, 3)
+        assert ids.ravel().tolist() == sample_token(block.reshape(6, 7), cfg, flat).tolist()
+        assert shaped.bit_generator.state == flat.bit_generator.state
 
 
 def test_sample_token_honors_neg_inf_mask():
