@@ -51,7 +51,6 @@ from .conditioning import (
 from .model import (
     AdamWState,
     CombinedCondition,
-    EMAWeights,
     ModelConfig,
     Parameters,
     TrainExample,

@@ -81,6 +81,7 @@ def memorization_report(
     rows = []
     for prompt_len in prompt_lens:
         span = prompt_len + gen_len
+        pattern = build_pattern(pattern_kind, span, params.config.K) if gen_len else None
         exact = 0
         partial = 0
         for grid, condition in dataset:
@@ -93,7 +94,6 @@ def memorization_report(
                 partial += 1
                 continue
             source = TokenGrid(tokens=grid.tokens[:span], M=grid.M)
-            pattern = build_pattern(pattern_kind, span, grid.K)
             prompt = TokenGrid(tokens=grid.tokens[:prompt_len], M=grid.M)
             out = continue_from_prompt(params, pattern, prompt, condition=condition, cfg=greedy)
             got = out.tokens[prompt_len:span, 0]

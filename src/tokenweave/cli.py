@@ -60,7 +60,6 @@ from .corpus import make_corpus
 from .errors import GuardError, InvariantError, ValidationError
 from .model import (
     AdamWState,
-    EMAWeights,
     ModelConfig,
     TrainHyper,
     example_from_grid,
@@ -283,7 +282,6 @@ def cmd_train(args) -> int:
     if mode == "none":  # TrainHyper has range-checked --cfg-drop; no condition to drop
         hyper = replace(hyper, condition_dropout=0.0)
     state = AdamWState.init(params)
-    ema = EMAWeights.init(params, decay=args.ema_decay) if args.ema else None
 
     log_lines = ["step,lr,loss,accuracy,grad_norm,cond_dropped"]
     stats = None
@@ -292,8 +290,6 @@ def cmd_train(args) -> int:
         step_t0 = time.perf_counter()
         state, params, stats = train_step(state, params, batch, hyper, rng)
         step_ms.append(1e3 * (time.perf_counter() - step_t0))
-        if ema is not None:
-            ema.update(params)
         if stats.step % args.log_every == 0 or stats.step == args.steps:
             log_lines.append(
                 f"{stats.step},{stats.lr:.8g},{stats.loss:.8g},{stats.accuracy:.6f},"
@@ -310,9 +306,6 @@ def cmd_train(args) -> int:
     for i, cond in enumerate(conditions):
         if cond is not None:
             extra[f"cond/{i}"] = cond.rows
-    if ema is not None:
-        for name, arr in ema.arrays.items():
-            extra[f"ema/{name}"] = arr
     meta = {
         "pattern": args.pattern,
         "timesteps": args.timesteps,
@@ -323,7 +316,7 @@ def cmd_train(args) -> int:
         "seed": args.seed,
     }
     ckpt_path = out_dir / "checkpoint.npz"
-    save_checkpoint(ckpt_path, params, state, extra=extra, meta=meta)
+    save_checkpoint(ckpt_path, params, extra=extra, meta=meta)
     _write_manifest(out_dir, "train", _args_config(args), args.seed, [log_path, ckpt_path], t0,
                     {"step_ms_p50": round(float(np.median(step_ms)), 3),
                      "step_ms_max": round(max(step_ms), 3)})
@@ -512,8 +505,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--cfg-drop", type=float, default=0.2)
     p.add_argument("--conditioning", default="none", choices=["none", "text", "chroma"])
     p.add_argument("--share-first-frame", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--ema", action="store_true", help="track EMA evaluation weights")
-    p.add_argument("--ema-decay", type=float, default=0.99)
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")

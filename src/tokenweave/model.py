@@ -59,6 +59,8 @@ from .patterns import SPECIAL_TOKEN, InterleavedSequence, Pattern, TokenGrid, ap
 
 CONDITIONING_MODES = ("none", "prefix", "cross_attention", "both")
 LN_EPS = 1e-5
+FFN_MULT = 4
+ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 1
 
 
@@ -69,12 +71,11 @@ class ModelConfig:
     D: int = 64
     L: int = 2
     H: int = 4
-    ffn_mult: int = 4
     max_steps: int = 2048
     conditioning_mode: str = "none"
 
     def __post_init__(self) -> None:
-        for name in ("K", "M", "D", "L", "H", "ffn_mult", "max_steps"):
+        for name in ("K", "M", "D", "L", "H", "max_steps"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"ModelConfig.{name} must be >= 1")
         if self.D % self.H != 0:
@@ -126,7 +127,7 @@ def example_from_grid(pattern: Pattern, grid: TokenGrid, condition=None) -> Trai
 
 def _param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter array, in init order."""
-    D, F = c.D, c.ffn_mult * c.D
+    D, F = c.D, FFN_MULT * c.D
     shapes = {f"embed.k{k}": (c.M + 1, D) for k in range(c.K)}
     blocks = [("ln1", "attn")]
     if c.conditioning_mode in ("cross_attention", "both"):
@@ -170,12 +171,14 @@ def zero_grads(params: Parameters) -> dict[str, np.ndarray]:
 
 
 def sinusoidal_embedding(positions, D: int) -> np.ndarray:
-    """Alternating sine/cosine encoding; rows index positions."""
+    """Alternating sine/cosine encoding; rows index positions. Columns 2j and
+    2j+1 hold the sine and cosine of one angle."""
     pos = np.asarray(positions, dtype=np.float64).reshape(-1, 1)
-    i = np.arange(D)
-    freq = np.power(10000.0, -2.0 * (i // 2) / D)
-    ang = pos * freq
-    return np.where(i % 2 == 0, np.sin(ang), np.cos(ang))
+    ang = pos * np.power(10000.0, -2.0 * np.arange((D + 1) // 2) / D)
+    out = np.empty((len(pos), D))
+    out[:, 0::2] = np.sin(ang)
+    out[:, 1::2] = np.cos(ang[:, : D // 2])
+    return out
 
 
 def _coerce_tokens(steps, c: ModelConfig) -> np.ndarray:
@@ -627,18 +630,16 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
 @dataclass(frozen=True)
 class TrainHyper:
     lr_max: float = 1e-2
-    lr_min: float = 0.0
     warmup_steps: int = 100
     total_steps: int = 2000
     betas: tuple[float, float] = (0.9, 0.95)
-    eps: float = 1e-8
     weight_decay: float = 0.1
     clip_norm: float = 1.0
     condition_dropout: float = 0.2  # CFG: chance a step trains the null condition
 
     def __post_init__(self) -> None:
         # written so that NaN fails them too
-        for name in ("lr_max", "lr_min", "warmup_steps", "weight_decay", "clip_norm"):
+        for name in ("lr_max", "warmup_steps", "weight_decay", "clip_norm"):
             if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not all(0.0 <= b < 1.0 for b in self.betas):
@@ -671,12 +672,12 @@ class StepStats:
 
 
 def cosine_lr(step: int, hyper: TrainHyper) -> float:
-    """Linear warmup to lr_max, then cosine decay to lr_min at total_steps."""
+    """Linear warmup to lr_max, then cosine decay to 0 at total_steps."""
     if step < hyper.warmup_steps:
         return hyper.lr_max * (step + 1) / hyper.warmup_steps
     span = max(1, hyper.total_steps - hyper.warmup_steps)
     progress = min(1.0, (step - hyper.warmup_steps) / span)
-    return hyper.lr_min + 0.5 * (hyper.lr_max - hyper.lr_min) * (1.0 + np.cos(np.pi * progress))
+    return 0.5 * hyper.lr_max * (1.0 + np.cos(np.pi * progress))
 
 
 def global_grad_norm(grads: dict[str, np.ndarray]) -> float:
@@ -712,7 +713,7 @@ def train_step(
         mhat = state.m[name] / (1.0 - b1**t)
         vhat = state.v[name] / (1.0 - b2**t)
         p = params.arrays[name]
-        p -= lr * mhat / (np.sqrt(vhat) + hyper.eps)
+        p -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         if hyper.weight_decay > 0.0 and p.ndim >= 2:
             p -= lr * hyper.weight_decay * p
         if not np.isfinite(p).all():
@@ -728,46 +729,21 @@ def train_step(
     )
 
 
-@dataclass
-class EMAWeights:
-    """Exponential moving average track for evaluation weights."""
-
-    decay: float
-    arrays: dict[str, np.ndarray]
-
-    @classmethod
-    def init(cls, params: Parameters, decay: float = 0.99) -> "EMAWeights":
-        if not 0.0 <= decay <= 1.0:  # NaN fails it too
-            raise ValidationError(f"EMA decay must lie in [0, 1], got {decay}")
-        return cls(decay=decay, arrays={k: v.copy() for k, v in params.arrays.items()})
-
-    def update(self, params: Parameters) -> None:
-        for name, p in params.arrays.items():
-            self.arrays[name] = self.decay * self.arrays[name] + (1.0 - self.decay) * p
-
-
 def save_checkpoint(
     path,
     params: Parameters,
-    opt_state: AdamWState | None = None,
     extra: dict[str, np.ndarray] | None = None,
     meta: dict | None = None,
 ) -> None:
-    """Single-file container: parameter/optimizer arrays plus a JSON header."""
+    """Single-file container: parameters plus extras, and a JSON header."""
     payload: dict[str, np.ndarray] = {}
     for name, arr in params.arrays.items():
         payload[f"p:{name}"] = arr
-    if opt_state is not None:
-        for name, arr in opt_state.m.items():
-            payload[f"m:{name}"] = arr
-        for name, arr in opt_state.v.items():
-            payload[f"v:{name}"] = arr
     for name, arr in (extra or {}).items():
         payload[f"x:{name}"] = np.asarray(arr)
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),
-        "opt_step": opt_state.step if opt_state is not None else None,
         "meta": meta or {},
     }
     payload["__header__"] = np.array(json.dumps(header, sort_keys=True))
@@ -793,14 +769,14 @@ def write_atomically(path, write: Callable) -> None:
 @dataclass
 class Checkpoint:
     params: Parameters
-    opt_state: AdamWState | None
     extra: dict[str, np.ndarray]
     meta: dict
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint container; a file that is not one, or whose
-    parameter arrays do not match its config, raises ValidationError."""
+    parameter arrays do not match its config, raises ValidationError. Older
+    files' AdamW moments (m:, v:) and header opt_step are ignored."""
     # opened here, not by np.load, which leaves its own handle open when the
     # archive is truncated; a path that cannot be opened is the caller's OSError
     with open(path, "rb") as fh:
@@ -813,9 +789,10 @@ def load_checkpoint(path) -> Checkpoint:
             header = json.loads(str(arrays["__header__"]))
             if header.get("version") != CHECKPOINT_VERSION:
                 raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
-            config = ModelConfig(**header["config"])
-            opt_step = header.get("opt_step")
-            opt_step = None if opt_step is None else int(opt_step)
+            config = {**header["config"]}
+            if config.pop("ffn_mult", FFN_MULT) != FFN_MULT:  # older files name it
+                raise ValidationError(f"ffn_mult is not {FFN_MULT}")
+            config = ModelConfig(**config)
             meta = header["meta"]
             if not isinstance(meta, dict):
                 raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")
@@ -827,7 +804,4 @@ def load_checkpoint(path) -> Checkpoint:
         return {k[2:]: v for k, v in arrays.items() if k.startswith(tag)}
 
     params = Parameters(config=config, arrays=prefixed("p:"))
-    opt_state = None
-    if opt_step is not None:
-        opt_state = AdamWState(step=opt_step, m=prefixed("m:"), v=prefixed("v:"))
-    return Checkpoint(params=params, opt_state=opt_state, extra=prefixed("x:"), meta=meta)
+    return Checkpoint(params=params, extra=prefixed("x:"), meta=meta)

@@ -11,6 +11,7 @@ import pytest
 
 from tokenweave.cli import build_parser, main
 from tokenweave.conditioning import AudioBuffer, save_wav
+from tokenweave.model import load_checkpoint
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -213,6 +214,34 @@ def test_checkpoint_missing_param_exits_3(trained, tmp_path, capsys):
     assert "embed.k3" in err and "Traceback" not in err
 
 
+def test_old_layout_checkpoint_loads_and_samples_alike(trained, tmp_path):
+    # the layout train wrote when it kept AdamW moments, an EMA copy, the
+    # optimizer step and the FFN width in every checkpoint
+    new, old = trained / "checkpoint.npz", tmp_path / "old.npz"
+    with np.load(new) as data:
+        arrays = {k: data[k] for k in data.files}
+    header = json.loads(str(arrays["__header__"]))
+    for name in [k[2:] for k in arrays if k.startswith("p:")]:
+        p = arrays[f"p:{name}"]
+        arrays.update({f"m:{name}": 0.1 * p, f"v:{name}": p * p, f"x:ema/{name}": p + 1.0})
+    header.update(opt_step=17, config={**header["config"], "ffn_mult": 4})
+    np.savez(old, **{**arrays, "__header__": np.array(json.dumps(header, sort_keys=True))})
+
+    a, b = load_checkpoint(new), load_checkpoint(old)
+    assert a.params.config == b.params.config
+    assert all(np.array_equal(arr, b.params.arrays[n]) for n, arr in a.params.arrays.items())
+    assert np.array_equal(a.extra["grids"], b.extra["grids"])
+    assert a.meta == b.meta
+    for ckpt in (new, old):
+        out = tmp_path / ckpt.stem
+        assert main(["generate", "--checkpoint", str(ckpt), "--greedy", "--seed", "7",
+                     "--out", str(out / "gen")]) == 0
+        assert main(["memorize", "--checkpoint", str(ckpt), "--prompt-lens", "1,2,4",
+                     "--gen-len", "4", "--out", str(out / "mem")]) == 0
+    for name in ("gen/grid.csv", "mem/memorization.csv"):
+        assert (tmp_path / "checkpoint" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
+
 def test_checkpoint_not_npz_exits_3(tmp_path, capsys):
     bad = tmp_path / "notes.npz"
     bad.write_text("not a checkpoint\n")
@@ -275,7 +304,9 @@ def test_config_file_unknown_key_exits_3(tmp_path):
     assert main(["patterns", "bench", "--config", str(cfg)]) == 3
 
 
-@pytest.mark.parametrize("key,value", [("pattern", "bogus"), ("steps", "abc"), ("ema", "maybe")])
+@pytest.mark.parametrize(
+    "key,value", [("pattern", "bogus"), ("steps", "abc"), ("share-first-frame", "maybe")]
+)
 def test_config_file_bad_value_exits_3(tmp_path, capsys, key, value):
     cfg = tmp_path / "run.ini"
     cfg.write_text(f"[train]\n{key} = {value}\n")
@@ -441,7 +472,7 @@ SOURCE = {
 }
 BAD_CHECKPOINTS = [
     "truncated", "corrupt", "flipped", "not-json", "version", "config-mismatch", "config-bad",
-    "config-unknown-key", "meta-list", "meta-pattern", "meta-timesteps",
+    "config-unknown-key", "config-ffn-mult", "meta-list", "meta-pattern", "meta-timesteps",
 ]
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
@@ -472,10 +503,12 @@ MALFORMED = (
         pytest.param([*TRAIN_SMALL, *flags], 3, id="hyper" + "".join(flags[:-1]) + "=" + flags[-1])
         for flags in (
             ["--clip", "-1"], ["--clip", "nan"], ["--lr", "-1"], ["--lr", "nan"],
-            ["--weight-decay", "-3"], ["--warmup", "-5"], ["--ema", "--ema-decay", "5"],
-            ["--ema", "--ema-decay", "nan"], ["--beta1", "1.0"], ["--beta2", "-0.1"],
+            ["--weight-decay", "-3"], ["--warmup", "-5"], ["--beta1", "1.0"], ["--beta2", "-0.1"],
         )
     ]
+    # EMA weights are gone: the flag is a usage error, the INI key a validation error
+    + [pytest.param([*TRAIN_SMALL, "--ema"], 2, id="train--ema")]
+    + [pytest.param([*TRAIN_SMALL, "--config", "{train-ema.ini}"], 3, id="ini-train-ema")]
     + [pytest.param(["generate", "--checkpoint", "{ckpt}", "--greedy", "--temperature", "nan"], 3,
                     id="generate--greedy--temperature=nan")]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
@@ -507,6 +540,7 @@ def bad_inputs(trained, tmp_path_factory):
     for command, dest, value in BAD_INI:
         put(f"{command}-{dest}.ini", f"[{command}]\n{dest} = {value}\n".encode())
     put("not-utf8.ini", "[train]\n# déjà\n".encode("latin-1"))
+    put("train-ema.ini", b"[train]\nema = yes\n")
 
     good = (trained / "checkpoint.npz").read_bytes()
     put("truncated.npz", good[: len(good) // 2])
@@ -528,6 +562,7 @@ def bad_inputs(trained, tmp_path_factory):
         ("config-mismatch", {"config": {**header["config"], "D": 2 * header["config"]["D"]}}),
         ("config-bad", {"config": {**header["config"], "H": 0}}),
         ("config-unknown-key", {"config": {**header["config"], "turbo": 1}}),
+        ("config-ffn-mult", {"config": {**header["config"], "ffn_mult": 8}}),
         ("meta-list", {"meta": ["delay"]}),
         ("meta-pattern", {"meta": {**header["meta"], "pattern": "bogus"}}),
         ("meta-timesteps", {"meta": {**header["meta"], "timesteps": "abc"}}),

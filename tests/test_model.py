@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from dataclasses import dataclass, replace
@@ -8,6 +9,7 @@ import pytest
 from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, encode_text_toy
 from tokenweave.errors import ValidationError
 from tokenweave.model import (
+    ADAM_EPS,
     LN_EPS,
     ROW_BUDGET,
     AdamWState,
@@ -789,7 +791,7 @@ def test_train_step_zero_grad_zero_decay_is_identity():
     for name, g in grads.items():
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        params.arrays[name] -= lr * (state.m[name] / (np.sqrt(state.v[name]) + hyper.eps))
+        params.arrays[name] -= lr * (state.m[name] / (np.sqrt(state.v[name]) + ADAM_EPS))
     for name in params.arrays:
         assert np.array_equal(params.arrays[name], before[name])
 
@@ -826,11 +828,12 @@ def test_condition_dropout_is_seeded_and_observable():
 
 
 def test_cosine_schedule_shape():
-    hyper = TrainHyper(lr_max=1.0, lr_min=0.1, warmup_steps=10, total_steps=110)
+    hyper = TrainHyper(lr_max=1.0, warmup_steps=10, total_steps=110)
     lrs = [cosine_lr(s, hyper) for s in range(110)]
     assert lrs[0] == pytest.approx(0.1)
     assert lrs[9] == pytest.approx(1.0)
-    assert lrs[-1] == pytest.approx(0.1, abs=1e-3)
+    assert lrs[-1] == pytest.approx(0.0, abs=1e-3)
+    assert cosine_lr(110, hyper) == cosine_lr(500, hyper) == 0.0
     assert all(b <= a + 1e-12 for a, b in zip(lrs[10:], lrs[11:]))
 
 
@@ -850,18 +853,32 @@ def test_training_decreases_loss_quickly():
 
 def test_checkpoint_roundtrip(tmp_path):
     params = init_params(TINY, seed=6)
-    state = AdamWState.init(params)
-    state.step = 17
     extra = {"grids": np.arange(12).reshape(3, 4)}
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, params, state, extra=extra, meta={"note": "test"})
+    save_checkpoint(path, params, extra=extra, meta={"note": "test"})
     ck = load_checkpoint(path)
     assert ck.params.config == TINY
     for name in params.arrays:
         assert np.array_equal(ck.params.arrays[name], params.arrays[name])
-    assert ck.opt_state.step == 17
     assert np.array_equal(ck.extra["grids"], extra["grids"])
     assert ck.meta["note"] == "test"
+    # parameters and extras only: no optimizer moments, no step count
+    with np.load(path) as data:
+        assert all(k == "__header__" or k.startswith(("p:", "x:")) for k in data.files)
+        header = json.loads(str(data["__header__"]))
+    assert "opt_step" not in header and "ffn_mult" not in header["config"]
+
+
+@pytest.mark.parametrize("D", [1, 8, 15, 16, 47, 48, 64])
+def test_sinusoid_matches_the_where_form(D):
+    def where_form(positions, D):  # sin and cos of every entry, half kept
+        pos = np.asarray(positions, dtype=np.float64).reshape(-1, 1)
+        i = np.arange(D)
+        ang = pos * np.power(10000.0, -2.0 * (i // 2) / D)
+        return np.where(i % 2 == 0, np.sin(ang), np.cos(ang))
+
+    for positions in (np.arange(0), np.arange(1), np.arange(27), np.arange(1600), np.arange(5, 40)):
+        assert np.array_equal(sinusoidal_embedding(positions, D), where_form(positions, D))
 
 
 def test_interrupted_checkpoint_save_keeps_old_file(tmp_path, monkeypatch):
