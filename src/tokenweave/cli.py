@@ -142,6 +142,8 @@ def _parse_kinds(text: str) -> list[PatternKind]:
         except ValueError:
             valid = ", ".join(k.value for k in PatternKind)
             raise ValidationError(f"unknown pattern kind {name!r}; choose from {valid}")
+    if not kinds:
+        raise ValidationError(f"no pattern kinds in {text!r}")
     return kinds
 
 

@@ -775,8 +775,9 @@ class Checkpoint:
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint container; a file that is not one, or whose
-    parameter arrays do not match its config, raises ValidationError. Older
-    files' AdamW moments (m:, v:) and header opt_step are ignored."""
+    parameter arrays do not match its config, raises ValidationError. Only the
+    header and the p: and x: members are read, so older files' AdamW moments
+    (m:, v:) go unread, and their header opt_step is ignored."""
     # opened here, not by np.load, which leaves its own handle open when the
     # archive is truncated; a path that cannot be opened is the caller's OSError
     with open(path, "rb") as fh:
@@ -785,8 +786,9 @@ def load_checkpoint(path) -> Checkpoint:
             if not isinstance(data, np.lib.npyio.NpzFile):
                 raise ValidationError("not an npz archive")
             with data:
-                arrays = {k: data[k] for k in data.files}
-            header = json.loads(str(arrays["__header__"]))
+                header = json.loads(str(data["__header__"]))
+                arrays = {k[2:]: data[k] for k in data.files if k.startswith("p:")}
+                extra = {k[2:]: data[k] for k in data.files if k.startswith("x:")}
             if header.get("version") != CHECKPOINT_VERSION:
                 raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
             config = {**header["config"]}
@@ -799,9 +801,4 @@ def load_checkpoint(path) -> Checkpoint:
         except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
                 zipfile.BadZipFile) as exc:
             raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc
-
-    def prefixed(tag: str) -> dict[str, np.ndarray]:
-        return {k[2:]: v for k, v in arrays.items() if k.startswith(tag)}
-
-    params = Parameters(config=config, arrays=prefixed("p:"))
-    return Checkpoint(params=params, extra=prefixed("x:"), meta=meta)
+    return Checkpoint(params=Parameters(config=config, arrays=arrays), extra=extra, meta=meta)

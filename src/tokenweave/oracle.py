@@ -3,7 +3,8 @@
 Holds explicit joint distributions over tiny token grids, computes the exact
 law of the grids a per-step-independent sampler would generate when it walks
 a pattern, and measures the total variation distance between the two.
-Nothing is sampled.
+Nothing is sampled. The diagonal and markov_residual tables are the law of a
+hidden state chain pushed through one token row per state.
 
 Grid outcomes are indexed by flattening positions (t, k) row-major, i.e. axis
 a = (t-1)*K + (k-1) of an (M,)*N table with N = T*K. That is also the flat
@@ -28,7 +29,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import GuardError, ValidationError
-from .patterns import Pattern, TokenGrid, step_counts
+from .patterns import Pattern, step_counts
 from .rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
 MAX_TABLE_ENTRIES = 10**6
@@ -64,9 +65,10 @@ class JointDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (size,):
             raise ValidationError(f"probability table must be flat with {size} entries")
-        if p.min() < 0:
-            raise ValidationError("probabilities must be nonnegative")
-        if abs(p.sum() - 1.0) > MASS_TOL:
+        # written so that NaN fails them too
+        if not p.min() >= 0:
+            raise ValidationError("probabilities must be nonnegative, not NaN")
+        if not abs(p.sum() - 1.0) <= MASS_TOL:
             raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "probs", p)
 
@@ -79,15 +81,6 @@ class JointDistribution:
         return self.probs.reshape((self.M,) * self.n_positions)
 
 
-def grid_index(grid: TokenGrid) -> int:
-    """Flat table index of a full grid assignment."""
-    digits = (grid.tokens - 1).reshape(-1)
-    idx = 0
-    for d in digits:
-        idx = idx * grid.M + int(d)
-    return idx
-
-
 def make_joint(family: str, T: int, K: int, M: int, seed: int = 0) -> JointDistribution:
     """Construct a test joint.
 
@@ -95,25 +88,36 @@ def make_joint(family: str, T: int, K: int, M: int, seed: int = 0) -> JointDistr
     diagonal: all K codebooks equal per timestep, uniform over M, independent
       across timesteps; maximal within-step dependence.
     markov_residual: law of the grid produced by residual-quantizing a
-      discretized AR(1) latent chain, built by exhaustive path enumeration.
+      discretized AR(1) latent chain, each chain state encoding to one row.
     """
     size = _check_dims(T, K, M)
     if family == "product":
         probs = np.full(size, 1.0 / size)
         probs /= probs.sum()
-        return JointDistribution(T=T, K=K, M=M, probs=probs, family=family)
-    if family == "diagonal":
-        probs = np.zeros(size)
-        table = probs.reshape((M,) * (T * K))
-        for tokens in np.ndindex(*(M,) * T):
-            idx = tuple(np.repeat(tokens, K))
-            table[idx] = M ** (-float(T))
-        probs = table.reshape(-1)
-        probs /= probs.sum()
-        return JointDistribution(T=T, K=K, M=M, probs=probs, family=family)
-    if family == "markov_residual":
-        return _markov_residual_joint(T, K, M, seed)
-    raise ValidationError(f"unknown joint family {family!r}; expected one of {JOINT_FAMILIES}")
+    elif family == "diagonal":
+        uniform = np.full(M, 1.0 / M)
+        rows = np.repeat(np.arange(M)[:, None], K, axis=1)  # state m emits (m, ..., m)
+        probs = _chain_table(uniform, np.tile(uniform, (M, 1)), rows, T, M)
+    elif family == "markov_residual":
+        probs = _markov_residual_table(T, K, M, seed)
+    else:
+        raise ValidationError(f"unknown joint family {family!r}; expected one of {JOINT_FAMILIES}")
+    return JointDistribution(T=T, K=K, M=M, probs=probs, family=family)
+
+
+def _chain_table(init: np.ndarray, trans: np.ndarray, rows: np.ndarray, T: int, M: int) -> np.ndarray:
+    """Normalized flat table of the grids a state chain emits. A path s_1..s_T
+    has probability init[s_1] * trans[s_1, s_2] * ..., multiplied left to
+    right, and writes the 0-based token row rows[s_t] at timestep t; paths add
+    into their grid's row-major index in np.ndindex order."""
+    K = rows.shape[1]
+    codes = rows @ M ** np.arange(K - 1, -1, -1)  # each row's index among the M**K rows
+    p, idx = init, codes
+    for _ in range(1, T):
+        p = p[..., None] * trans
+        idx = idx[..., None] * M**K + codes
+    probs = np.bincount(idx.reshape(-1), weights=p.reshape(-1), minlength=M ** (T * K))
+    return probs / probs.sum()
 
 
 _CHAIN_STATES = 8
@@ -121,7 +125,7 @@ _CHAIN_COEFF = 0.8
 _CHAIN_FIT_LEN = 4096
 
 
-def _markov_residual_joint(T: int, K: int, M: int, seed: int) -> JointDistribution:
+def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
     values = np.linspace(-2.0, 2.0, _CHAIN_STATES)
     var = 1.0 - _CHAIN_COEFF**2
     trans = np.exp(-((values[None, :] - _CHAIN_COEFF * values[:, None]) ** 2) / (2 * var))
@@ -129,25 +133,21 @@ def _markov_residual_joint(T: int, K: int, M: int, seed: int) -> JointDistributi
     init = np.exp(-(values**2) / 2.0)
     init /= init.sum()
 
-    # fit the quantizer cascade on one long sampled path of the same chain
+    # fit the quantizer cascade on one long sampled path of the same chain. A
+    # step draws as Generator.choice(p=) does: it counts the normalized cdf
+    # entries of its row (0 for init, 1 + s after state s) at or below one uniform.
     rng = np.random.default_rng(seed)
-    path = np.empty(_CHAIN_FIT_LEN, dtype=np.int64)
-    path[0] = rng.choice(_CHAIN_STATES, p=init)
+    cdf = np.vstack([init, trans]).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    next_state = (cdf[:, :, None] <= rng.random(_CHAIN_FIT_LEN)).sum(axis=1).tolist()
+    path = [next_state[0][0]]
     for t in range(1, _CHAIN_FIT_LEN):
-        path[t] = rng.choice(_CHAIN_STATES, p=trans[path[t - 1]])
+        path.append(next_state[1 + path[-1]][t])
     fit_frames = LatentFrames(frames=values[path][:, None])
     books = train_codebooks(fit_frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
-
-    probs = np.zeros(M ** (T * K))
-    for states in np.ndindex(*(_CHAIN_STATES,) * T):
-        p = init[states[0]]
-        for a, b in zip(states, states[1:]):
-            p *= trans[a, b]
-        frames = LatentFrames(frames=values[list(states)][:, None])
-        grid = rvq_encode(frames, books)
-        probs[grid_index(grid)] += p
-    probs /= probs.sum()
-    return JointDistribution(T=T, K=K, M=M, probs=probs, family="markov_residual")
+    # the cascade quantizes frame by frame, so each state encodes to one row
+    rows = rvq_encode(LatentFrames(frames=values[:, None]), books).tokens - 1
+    return _chain_table(init, trans, rows, T, M)
 
 
 def _marginal(table: np.ndarray, keep_axes: Iterable[int]) -> np.ndarray:

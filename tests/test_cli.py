@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import wave
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,8 @@ def test_old_layout_checkpoint_loads_and_samples_alike(trained, tmp_path):
         arrays.update({f"m:{name}": 0.1 * p, f"v:{name}": p * p, f"x:ema/{name}": p + 1.0})
     header.update(opt_step=17, config={**header["config"], "ffn_mult": 4})
     np.savez(old, **{**arrays, "__header__": np.array(json.dumps(header, sort_keys=True))})
+    with zipfile.ZipFile(old, "a") as zf:  # a moment member that does not parse goes unread
+        zf.writestr("m:broken.npy", b"\x93NUMPY\x01\x00garbage")
 
     a, b = load_checkpoint(new), load_checkpoint(old)
     assert a.params.config == b.params.config
@@ -512,6 +515,7 @@ MALFORMED = (
     + [pytest.param(["generate", "--checkpoint", "{ckpt}", "--greedy", "--temperature", "nan"], 3,
                     id="generate--greedy--temperature=nan")]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
+    + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
     # a path that cannot be opened as a file is a resource error, whichever flag names it
     + [
         pytest.param(argv, 4, id=f"dir-{argv[0]}{argv[-2]}")

@@ -9,12 +9,12 @@ from tokenweave.oracle import (
     JointDistribution,
     _marginal,
     exactness_report,
-    grid_index,
     induced_distribution,
     make_joint,
     tv_distance,
 )
-from tokenweave.patterns import STEREO_KINDS, PatternKind, TokenGrid, build_pattern
+from tokenweave.patterns import STEREO_KINDS, PatternKind, build_pattern
+from tokenweave.rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
 FAMILIES = ("product", "diagonal", "markov_residual")
 
@@ -55,7 +55,6 @@ def true_conditional(joint, revealed, targets):
     if total <= 0.0:
         raise ValidationError("revealed assignment has probability zero under the joint")
     return marg / total
-
 
 
 def brute_induced_table(joint, pattern):
@@ -303,12 +302,6 @@ def test_dimension_and_table_guards():
         make_joint("mystery", T=1, K=1, M=2)
 
 
-def test_grid_index_row_major():
-    grid = TokenGrid(tokens=np.array([[1, 2], [2, 1]]), M=2)
-    # digits (0,1,1,0) base 2 -> 6
-    assert grid_index(grid) == 6
-
-
 @pytest.mark.parametrize("kind", [PatternKind.FLATTEN, PatternKind.COARSE_FIRST])
 def test_flatten_family_exact_on_k3_grids(kind):
     # K=3 exercises multi-codebook steps beyond the acceptance's K=2 cases;
@@ -360,3 +353,76 @@ def test_stereo_variants_split_on_correlated_streams():
     )
     assert abs(parallel_channels.probs.sum() - 1.0) <= 1e-12
     assert tv_distance(diag, parallel_channels) > 0.1
+
+
+@pytest.mark.parametrize("probs", [[np.nan, np.nan], [np.nan, 1.0], [1.0, np.nan]])
+def test_nan_table_is_rejected(probs):
+    with pytest.raises(ValidationError):
+        JointDistribution(T=1, K=1, M=2, probs=probs)
+
+
+def reference_diagonal_table(T, K, M):
+    """The diagonal family as one table write per timestep assignment."""
+    probs = np.zeros(M ** (T * K))
+    table = probs.reshape((M,) * (T * K))
+    for tokens in np.ndindex(*(M,) * T):
+        table[tuple(np.repeat(tokens, K))] = M ** (-float(T))
+    probs = table.reshape(-1)
+    probs /= probs.sum()
+    return probs
+
+
+def reference_markov_residual_table(T, K, M, seed):
+    """The markov_residual family enumerated path by path: the fit path drawn
+    one rng.choice per step, and every state path quantized by rvq_encode and
+    added at its grid's row-major index."""
+    n_states, coeff = 8, 0.8
+    values = np.linspace(-2.0, 2.0, n_states)
+    var = 1.0 - coeff**2
+    trans = np.exp(-((values[None, :] - coeff * values[:, None]) ** 2) / (2 * var))
+    trans /= trans.sum(axis=1, keepdims=True)
+    init = np.exp(-(values**2) / 2.0)
+    init /= init.sum()
+    rng = np.random.default_rng(seed)
+    path = np.empty(4096, dtype=np.int64)
+    path[0] = rng.choice(n_states, p=init)
+    for t in range(1, len(path)):
+        path[t] = rng.choice(n_states, p=trans[path[t - 1]])
+    frames = LatentFrames(frames=values[path][:, None])
+    books = train_codebooks(frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
+    probs = np.zeros(M ** (T * K))
+    for states in np.ndindex(*(n_states,) * T):
+        p = init[states[0]]
+        for a, b in zip(states, states[1:]):
+            p *= trans[a, b]
+        grid = rvq_encode(LatentFrames(frames=values[list(states)][:, None]), books)
+        idx = 0
+        for digit in (grid.tokens - 1).reshape(-1):  # row-major over (t, k)
+            idx = idx * M + int(digit)
+        probs[idx] += p
+    probs /= probs.sum()
+    return probs
+
+
+# every (T, K, M, seed) the suite and the oracle benchmark build, plus the
+# larger shapes where the per-path enumeration was slowest
+MARKOV_SHAPES = sorted(
+    {(2, 2, 2, 3), (2, 2, 2, 0), (2, 2, 3, 1), (2, 1, 3, 2), (2, 2, 3, 2), (2, 3, 2, 4),
+     (2, 2, 2, 7), (1, 4, 2, 7), (2, 4, 3, 0), (3, 3, 3, 0), (4, 2, 3, 0), (4, 4, 2, 0)}
+    | {(T, 2, M, 5) for T in (1, 2, 3) for M in (2, 3)}
+)
+
+
+@pytest.mark.parametrize("T,K,M,seed", MARKOV_SHAPES)
+def test_markov_residual_chain_table_equals_path_enumeration(T, K, M, seed):
+    joint = make_joint("markov_residual", T, K, M, seed=seed)
+    assert np.array_equal(joint.probs, reference_markov_residual_table(T, K, M, seed))
+
+
+def test_diagonal_chain_table_equals_per_timestep_writes():
+    grid = itertools.product(range(1, 5), repeat=3)
+    shapes = [(T, K, M) for T, K, M in grid if M ** (T * K) <= 10**6]
+    assert len(shapes) == 60
+    for T, K, M in shapes:
+        reference = reference_diagonal_table(T, K, M)
+        assert np.array_equal(make_joint("diagonal", T, K, M).probs, reference), (T, K, M)
