@@ -75,6 +75,8 @@ def memorization_report(
     """
     if not dataset:
         raise ValidationError("memorization needs at least one example")
+    if not prompt_lens:
+        raise ValidationError("memorization needs at least one prompt length")
     if gen_len < 0 or min(prompt_lens, default=0) < 0:
         raise ValidationError("prompt lengths and gen_len must be nonnegative")
     greedy = SamplerConfig(temperature=0.0, guidance_scale=1.0)

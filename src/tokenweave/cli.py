@@ -7,13 +7,16 @@ byte for byte.
 
 Exit codes: 0 ok, 2 usage, 3 validation (bad inputs, malformed files),
 4 guard/resource (table guards, missing or unreadable files), 5 internal
-invariant breach.
+invariant breach. A run that fails a check on its input writes nothing: the
+run directory is made at the command's first write, after every check.
 
 Flags default to the reference hyperparameters where one exists: top-k 250,
 temperature 1.0, guidance 3.0, condition drop 0.2, merge 0.25, description
 drop 0.5, word drop 0.3, chroma window 2^14 and hop 2^12, betas 0.9/0.95,
-weight decay 0.1, gradient clip 1.0. Config files are INI sections named
-after the subcommand; explicit flags override file values.
+weight decay 0.1, gradient clip 1.0; greedy decoding is --temperature 0.
+Flags are spelled in full, as INI keys must be: an abbreviation is a usage
+error. Config files are INI sections named after the subcommand; explicit
+flags override file values.
 
 TOKENWEAVE_OUT sets the default output directory root.
 """
@@ -69,7 +72,7 @@ from .model import (
     train_step,
     write_atomically,
 )
-from .oracle import exactness_report, make_joint
+from .oracle import JOINT_FAMILIES, exactness_report, make_joint
 from .patterns import (
     PatternKind,
     STEREO_KINDS,
@@ -92,8 +95,12 @@ EXIT_GUARD = 4
 EXIT_INVARIANT = 5
 
 
-def _default_out(command: str) -> Path:
-    return Path(os.environ.get("TOKENWEAVE_OUT", "runs")) / command
+def _out_dir(args) -> Path:
+    """The run directory, made here: call it at the command's first write,
+    after every check, so a run that fails its checks leaves nothing behind."""
+    out_dir = Path(args.out or Path(os.environ.get("TOKENWEAVE_OUT", "runs")) / args.command)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def _sha256(path: Path) -> str:
@@ -103,32 +110,34 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    out_dir: Path,
-    command: str,
-    config: dict,
-    seed,
-    artifacts: list[Path],
+    args,
+    artifacts: list[Path],  # in the run directory, where the manifest goes too
     t0: float,  # a time.perf_counter() reading
     timings: dict | None = None,
     **results,
 ) -> Path:
     manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
+        "command": args.command,
+        "config": {k: v for k, v in vars(args).items()
+                   if k not in ("func", "command", "config", "out")},
+        "seed": getattr(args, "seed", None),
         "tool_version": __version__,
         "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
         "timings": {"wall_seconds": round(time.perf_counter() - t0, 6), **(timings or {})},
         **results,
     }
-    path = out_dir / "manifest.json"
+    path = artifacts[0].with_name("manifest.json")
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     write_atomically(path, lambda fh: fh.write(text.encode()))
     return path
 
 
-def _args_config(args, skip=("func", "command", "config", "out")) -> dict:
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)}
+def _seed(text: str) -> int:
+    """--seed's type: numpy seeds a generator from an integer >= 0 only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {value}")
+    return value
 
 
 def _parse_kinds(text: str) -> list[PatternKind]:
@@ -186,21 +195,18 @@ def cmd_patterns(args) -> int:
 
 def cmd_exactness(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out) if args.out else _default_out("exactness")
-    out_dir.mkdir(parents=True, exist_ok=True)
     kinds = _parse_kinds(args.patterns)
     # the joint first: its dims guard bounds the T x K tables build_pattern lays out
     joint = make_joint(args.family, args.T, args.K, args.M, seed=args.seed)
     rows = exactness_report(joint, [build_pattern(k, args.T, args.K) for k in kinds])
 
-    csv_path = out_dir / "exactness.csv"
+    csv_path = _out_dir(args) / "exactness.csv"
     lines = ["pattern,steps_exact,steps_nominal,tv"]
     for row in rows:
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{row.tv:.12g}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _write_manifest(out_dir, "exactness", _args_config(args), args.seed, [csv_path], t0,
-                    tv={row.kind: row.tv for row in rows})
+    _write_manifest(args, [csv_path], t0, tv={row.kind: row.tv for row in rows})
 
     for row in rows:
         if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:
@@ -242,8 +248,6 @@ def cmd_train(args) -> int:
         if getattr(args, dest) < 1:
             flag = dest.replace("_", "-")
             raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, dest)}")
-    out_dir = Path(args.out) if args.out else _default_out("train")
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rvq_config = RVQConfig(K=args.codebooks, M=args.vocab, d_latent=args.d_latent)
     corpus = make_corpus(
@@ -298,6 +302,7 @@ def cmd_train(args) -> int:
                 f"{stats.grad_norm:.8g},{int(stats.condition_dropped)}"
             )
 
+    out_dir = _out_dir(args)
     log_path = out_dir / "train_log.csv"
     log_path.write_text("\n".join(log_lines) + "\n")
 
@@ -319,7 +324,7 @@ def cmd_train(args) -> int:
     }
     ckpt_path = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt_path, params, extra=extra, meta=meta)
-    _write_manifest(out_dir, "train", _args_config(args), args.seed, [log_path, ckpt_path], t0,
+    _write_manifest(args, [log_path, ckpt_path], t0,
                     {"step_ms_p50": round(float(np.median(step_ms)), 3),
                      "step_ms_max": round(max(step_ms), 3)})
     print(f"trained {args.steps} steps: loss {stats.loss:.4f} accuracy {stats.accuracy:.4f}")
@@ -343,8 +348,6 @@ def _flag_or_meta(args, ckpt, key: str, parse, default):
 
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out) if args.out else _default_out("generate")
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
     params = ckpt.params
     T = _flag_or_meta(args, ckpt, "timesteps", int, 8)
@@ -358,8 +361,6 @@ def cmd_generate(args) -> int:
         condition = encode_text_toy(text_normalize(args.text), params.config.D)
     cfg = SamplerConfig(top_k=args.top_k, temperature=args.temperature,
                         guidance_scale=args.guidance)
-    if args.greedy:  # --temperature is still range-checked
-        cfg = replace(cfg, temperature=0.0)
     gen_t0 = time.perf_counter()
     grid = generate(params, pattern, condition=condition, cfg=cfg,
                     rng=np.random.default_rng(args.seed))
@@ -370,19 +371,21 @@ def cmd_generate(args) -> int:
         "seconds_per_step": round(gen_seconds / max(1, pattern.S), 6),
     }
 
-    grid_path = out_dir / "grid.csv"
-    grid_path.write_text(grid_to_csv(grid))
-    artifacts = [grid_path]
     if args.wav:
         if "codebooks" not in ckpt.extra:
             raise ValidationError("checkpoint carries no codebooks; cannot sonify")
         books = [Codebook(centroids=c) for c in ckpt.extra["codebooks"]]
         anchors = class_anchor_latents(books[0].d)
-        classes = latents_to_classes(rvq_decode(grid, books), anchors)
-        wav_path = out_dir / "generated.wav"
-        save_wav(wav_path, sonify_classes(classes))
-        artifacts.append(wav_path)
-    _write_manifest(out_dir, "generate", _args_config(args), args.seed, artifacts, t0, timings)
+        audio = sonify_classes(latents_to_classes(rvq_decode(grid, books), anchors))
+
+    out_dir = _out_dir(args)
+    grid_path = out_dir / "grid.csv"
+    grid_path.write_text(grid_to_csv(grid))
+    artifacts = [grid_path]
+    if args.wav:
+        artifacts.append(out_dir / "generated.wav")
+        save_wav(artifacts[-1], audio)
+    _write_manifest(args, artifacts, t0, timings)
     print(f"grid: {grid_path}")
     return EXIT_OK
 
@@ -392,8 +395,6 @@ def cmd_generate(args) -> int:
 
 def cmd_memorize(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out) if args.out else _default_out("memorize")
-    out_dir.mkdir(parents=True, exist_ok=True)
     ckpt = load_checkpoint(args.checkpoint)
     if "grids" not in ckpt.extra:
         raise ValidationError("checkpoint carries no training grids to memorize against")
@@ -415,22 +416,14 @@ def cmd_memorize(args) -> int:
         ckpt.params, dataset, prompt_lens, args.gen_len, pattern_kind=kind
     )
 
-    csv_path = out_dir / "memorization.csv"
+    csv_path = _out_dir(args) / "memorization.csv"
     lines = ["prompt_len,exact_match,partial_match,n_examples"]
     for row in report.rows:
         lines.append(f"{row.prompt_len},{row.exact_match:.6f},{row.partial_match:.6f},{row.n_examples}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     print(f"monotone: exact={report.exact_monotone} partial={report.partial_monotone}")
-    artifacts = [csv_path]
-    if args.gnuplot:
-        dat_path = out_dir / "memorization.dat"
-        dat_lines = ["# prompt_len exact partial"]
-        for row in report.rows:
-            dat_lines.append(f"{row.prompt_len} {row.exact_match:.6f} {row.partial_match:.6f}")
-        dat_path.write_text("\n".join(dat_lines) + "\n")
-        artifacts.append(dat_path)
-    _write_manifest(out_dir, "memorize", _args_config(args), None, artifacts, t0)
+    _write_manifest(args, [csv_path], t0)
     return EXIT_OK
 
 
@@ -439,55 +432,64 @@ def cmd_memorize(args) -> int:
 
 def cmd_chroma(args) -> int:
     t0 = time.perf_counter()
-    out_dir = Path(args.out) if args.out else _default_out("chroma")
-    out_dir.mkdir(parents=True, exist_ok=True)
     audio = load_wav(args.wav)
     chroma = compute_chromagram(audio, window=args.window, hop=args.hop)
     q = quantize_chroma(chroma)
-    json_path = out_dir / "chroma.json"
+    json_path = _out_dir(args) / "chroma.json"
     json_path.write_text(quantized_chroma_to_json(q) + "\n")
     print(f"frames: {q.F}")
     print(f"chroma: {json_path}")
-    _write_manifest(out_dir, "chroma", _args_config(args), None, [json_path], t0)
+    _write_manifest(args, [json_path], t0)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- wiring
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    """--config, which every subcommand takes; main reads it first with this
+    same declaration, so the INI section becomes the subcommand's defaults."""
+    config = argparse.ArgumentParser(add_help=False, allow_abbrev=False, exit_on_error=False)
+    config.add_argument("--config", help="INI config file")
+    return config
+
+
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="tokenweave",
         description="multi-stream token modeling with codebook interleaving patterns",
+        allow_abbrev=False,
     )
     parser.add_argument("--version", action="version", version=f"tokenweave {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    config = _config_parser()
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="run directory (default: $TOKENWEAVE_OUT/<command>)")
     by_name: dict[str, argparse.ArgumentParser] = {}
 
-    p = subs.add_parser("patterns", help="show, validate, or benchmark interleaving patterns")
+    def add(name, func, summary, parents=(config, out)) -> argparse.ArgumentParser:
+        by_name[name] = subs.add_parser(name, help=summary, parents=parents, allow_abbrev=False)
+        by_name[name].set_defaults(func=func)
+        return by_name[name]
+
+    p = add("patterns", cmd_patterns, "show, validate, or benchmark interleaving patterns",
+            parents=(config,))
     p.add_argument("action", choices=["show", "validate", "bench"])
     p.add_argument("--kind", default="delay", choices=[k.value for k in PatternKind])
     p.add_argument("--T", type=int, default=8)
     p.add_argument("--K", type=int, default=4)
     p.add_argument("--json", help="pattern JSON file (validate)")
     p.add_argument("--as-json", action="store_true", help="machine-readable bench output")
-    p.add_argument("--config", help="INI config file")
-    p.set_defaults(func=cmd_patterns)
-    by_name["patterns"] = p
 
-    p = subs.add_parser("exactness", help="measure decomposition exactness by enumeration")
-    p.add_argument("--family", default="diagonal", choices=["product", "diagonal", "markov_residual"])
+    p = add("exactness", cmd_exactness, "measure decomposition exactness by enumeration")
+    p.add_argument("--family", default="diagonal", choices=JOINT_FAMILIES)
     p.add_argument("--T", type=int, default=2)
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--M", type=int, default=2)
     p.add_argument("--patterns", default="parallel,delay,flatten")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--config", help="INI config file")
-    p.set_defaults(func=cmd_exactness)
-    by_name["exactness"] = p
+    p.add_argument("--seed", type=_seed, default=0)
 
-    p = subs.add_parser("train", help="train the toy decoder on a synthetic corpus")
+    p = add("train", cmd_train, "train the toy decoder on a synthetic corpus")
     p.add_argument("--sequences", type=int, default=4)
     p.add_argument("--timesteps", type=int, default=24)
     p.add_argument("--codebooks", type=int, default=4)
@@ -508,57 +510,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--conditioning", default="none", choices=["none", "text", "chroma"])
     p.add_argument("--share-first-frame", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--log-every", type=int, default=50)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--config", help="INI config file")
-    p.set_defaults(func=cmd_train)
-    by_name["train"] = p
+    p.add_argument("--seed", type=_seed, default=0)
 
-    p = subs.add_parser("generate", help="sample a token grid from a checkpoint")
+    p = add("generate", cmd_generate, "sample a token grid from a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--timesteps", type=int)
     p.add_argument("--pattern", choices=[k.value for k in PatternKind])
     p.add_argument("--text", help="text condition (cross-attention models)")
     p.add_argument("--top-k", type=int, default=250)
-    p.add_argument("--temperature", type=float, default=1.0)
+    p.add_argument("--temperature", type=float, default=1.0, help="0 decodes greedily")
     p.add_argument("--guidance", type=float, default=3.0)
-    p.add_argument("--greedy", action="store_true", help="temperature 0: always the argmax")
     p.add_argument("--wav", action="store_true", help="also write a sonified WAV")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out")
-    p.add_argument("--config", help="INI config file")
-    p.set_defaults(func=cmd_generate)
-    by_name["generate"] = p
+    p.add_argument("--seed", type=_seed, default=0)
 
-    p = subs.add_parser("memorize", help="prompted-continuation memorization report")
+    p = add("memorize", cmd_memorize, "prompted-continuation memorization report")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--prompt-lens", default="1,2,6,12")
     p.add_argument("--gen-len", type=int, default=12)
-    p.add_argument("--gnuplot", action="store_true")
-    p.add_argument("--out")
-    p.add_argument("--config", help="INI config file")
-    p.set_defaults(func=cmd_memorize)
-    by_name["memorize"] = p
 
-    p = subs.add_parser("chroma", help="quantized chromagram of a WAV file")
+    p = add("chroma", cmd_chroma, "quantized chromagram of a WAV file")
     p.add_argument("--wav", required=True)
     p.add_argument("--window", type=int, default=DEFAULT_WINDOW)
     p.add_argument("--hop", type=int, default=DEFAULT_HOP)
-    p.add_argument("--out")
-    p.add_argument("--config", help="INI config file")
-    p.set_defaults(func=cmd_chroma)
-    by_name["chroma"] = p
 
     return parser, by_name
-
-
-def _config_path_from_argv(argv: list[str]) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
 
 
 def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: str) -> None:
@@ -587,7 +562,7 @@ def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: s
                 value = action.type(raw)
             else:
                 value = raw
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValidationError(f"config key {key!r}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             raise ValidationError(
@@ -601,10 +576,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, by_name = build_parser()
     try:
-        if argv and not argv[0].startswith("-") and argv[0] in by_name:
-            cfg_path = _config_path_from_argv(argv)
-            if cfg_path:
-                _apply_ini_defaults(by_name[argv[0]], argv[0], cfg_path)
+        try:
+            cfg_path = _config_parser().parse_known_args(argv)[0].config
+        except argparse.ArgumentError:  # no value: the subcommand's usage line reports it
+            cfg_path = None
+        if cfg_path and argv[0] in by_name:
+            _apply_ini_defaults(by_name[argv[0]], argv[0], cfg_path)
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:

@@ -777,7 +777,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a save_checkpoint container; a file that is not one, or whose
     parameter arrays do not match its config, raises ValidationError. Only the
     header and the p: and x: members are read, so older files' AdamW moments
-    (m:, v:) go unread, and their header opt_step is ignored."""
+    (m:, v:) and EMA copy (x:ema/) go unread, and their header opt_step is
+    ignored."""
     # opened here, not by np.load, which leaves its own handle open when the
     # archive is truncated; a path that cannot be opened is the caller's OSError
     with open(path, "rb") as fh:
@@ -788,7 +789,8 @@ def load_checkpoint(path) -> Checkpoint:
             with data:
                 header = json.loads(str(data["__header__"]))
                 arrays = {k[2:]: data[k] for k in data.files if k.startswith("p:")}
-                extra = {k[2:]: data[k] for k in data.files if k.startswith("x:")}
+                extra = {k[2:]: data[k] for k in data.files
+                         if k.startswith("x:") and not k.startswith("x:ema/")}
             if header.get("version") != CHECKPOINT_VERSION:
                 raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
             config = {**header["config"]}

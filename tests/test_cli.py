@@ -227,8 +227,9 @@ def test_old_layout_checkpoint_loads_and_samples_alike(trained, tmp_path):
         arrays.update({f"m:{name}": 0.1 * p, f"v:{name}": p * p, f"x:ema/{name}": p + 1.0})
     header.update(opt_step=17, config={**header["config"], "ffn_mult": 4})
     np.savez(old, **{**arrays, "__header__": np.array(json.dumps(header, sort_keys=True))})
-    with zipfile.ZipFile(old, "a") as zf:  # a moment member that does not parse goes unread
+    with zipfile.ZipFile(old, "a") as zf:  # moment and EMA members that do not parse go unread
         zf.writestr("m:broken.npy", b"\x93NUMPY\x01\x00garbage")
+        zf.writestr("x:ema/broken.npy", b"\x93NUMPY\x01\x00garbage")
 
     a, b = load_checkpoint(new), load_checkpoint(old)
     assert a.params.config == b.params.config
@@ -237,7 +238,7 @@ def test_old_layout_checkpoint_loads_and_samples_alike(trained, tmp_path):
     assert a.meta == b.meta
     for ckpt in (new, old):
         out = tmp_path / ckpt.stem
-        assert main(["generate", "--checkpoint", str(ckpt), "--greedy", "--seed", "7",
+        assert main(["generate", "--checkpoint", str(ckpt), "--temperature", "0", "--seed", "7",
                      "--out", str(out / "gen")]) == 0
         assert main(["memorize", "--checkpoint", str(ckpt), "--prompt-lens", "1,2,4",
                      "--gen-len", "4", "--out", str(out / "mem")]) == 0
@@ -255,8 +256,7 @@ def test_checkpoint_not_npz_exits_3(tmp_path, capsys):
 def test_memorize_report(trained, tmp_path):
     out = tmp_path / "mem"
     assert main(["memorize", "--checkpoint", str(trained / "checkpoint.npz"),
-                 "--prompt-lens", "1,2,4", "--gen-len", "4", "--gnuplot",
-                 "--out", str(out)]) == 0
+                 "--prompt-lens", "1,2,4", "--gen-len", "4", "--out", str(out)]) == 0
     lines = (out / "memorization.csv").read_text().splitlines()
     assert lines[0] == "prompt_len,exact_match,partial_match,n_examples"
     assert len(lines) == 4
@@ -264,7 +264,6 @@ def test_memorize_report(trained, tmp_path):
         _, exact, partial, n = line.split(",")
         assert float(partial) >= float(exact)
         assert n == "2"
-    assert (out / "memorization.dat").exists()
 
 
 def test_chroma_on_440hz_wav(tmp_path):
@@ -299,6 +298,12 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert main(["patterns", "bench", "--config", str(cfg), "--T", "9", "--as-json"]) == 0
     table = json.loads(capsys.readouterr().out)
     assert table["parallel"]["nominal"] == 9
+
+
+def test_config_without_a_value_is_the_subcommands_usage_error(capsys):
+    assert main(["patterns", "bench", "--config"]) == 2
+    err = capsys.readouterr().err
+    assert "tokenweave patterns: error: argument --config: expected one argument" in err
 
 
 def test_config_file_unknown_key_exits_3(tmp_path):
@@ -372,6 +377,7 @@ def test_malformed_input_exits_3(trained, tmp_path, capsys, argv, message):
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_generate_tiny_temperature_draws_the_argmax(trained, tmp_path, capsys):
@@ -401,6 +407,13 @@ def test_flatten_self_check_invariant_exit_5(tmp_path, monkeypatch):
     code = cli_mod.main(["exactness", "--family", "product", "--T", "1", "--K", "2",
                          "--M", "2", "--patterns", "flatten", "--out", str(tmp_path / "o")])
     assert code == 5
+
+
+def test_family_choices_are_the_oracle_families():
+    from tokenweave.oracle import JOINT_FAMILIES
+
+    family = next(a for a in build_parser()[1]["exactness"]._actions if a.dest == "family")
+    assert tuple(family.choices) == JOINT_FAMILIES
 
 
 def test_version_flag(capsys):
@@ -512,8 +525,17 @@ MALFORMED = (
     # EMA weights are gone: the flag is a usage error, the INI key a validation error
     + [pytest.param([*TRAIN_SMALL, "--ema"], 2, id="train--ema")]
     + [pytest.param([*TRAIN_SMALL, "--config", "{train-ema.ini}"], 3, id="ini-train-ema")]
-    + [pytest.param(["generate", "--checkpoint", "{ckpt}", "--greedy", "--temperature", "nan"], 3,
-                    id="generate--greedy--temperature=nan")]
+    # argparse reads --config, so an abbreviation is a usage error, not a run on the defaults
+    + [pytest.param(["exactness", "--conf", "{exactness-T.ini}"], 2, id="exactness--conf")]
+    + [
+        pytest.param([*argv, "--seed", "-1"], 2, id=f"{argv[0]}--seed=-1")
+        for argv in (["exactness", "--family", "markov_residual"], TRAIN_SMALL,
+                     ["generate", "--checkpoint", "{ckpt}"])
+    ]
+    + [pytest.param([*TRAIN_SMALL, "--config", "{train-seed-negative.ini}"], 3,
+                    id="ini-train-seed-negative")]
+    + [pytest.param(["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", ","], 3,
+                    id="memorize--prompt-lens=,")]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
     + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
     # a path that cannot be opened as a file is a resource error, whichever flag names it
@@ -545,6 +567,7 @@ def bad_inputs(trained, tmp_path_factory):
         put(f"{command}-{dest}.ini", f"[{command}]\n{dest} = {value}\n".encode())
     put("not-utf8.ini", "[train]\n# déjà\n".encode("latin-1"))
     put("train-ema.ini", b"[train]\nema = yes\n")
+    put("train-seed-negative.ini", b"[train]\nseed = -1\n")
 
     good = (trained / "checkpoint.npz").read_bytes()
     put("truncated.npz", good[: len(good) // 2])
@@ -596,3 +619,5 @@ def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys,
         argv += ["--out", str(tmp_path / "o")]
     assert main(argv) == code
     assert "Traceback" not in capsys.readouterr().err
+    if code:  # a run that fails its checks makes no run directory
+        assert not (tmp_path / "o").exists()
