@@ -8,7 +8,8 @@ byte for byte.
 Exit codes: 0 ok, 2 usage, 3 validation (bad inputs, malformed files),
 4 guard/resource (table guards, missing or unreadable files), 5 internal
 invariant breach. A run that fails a check on its input writes nothing: the
-run directory is made at the command's first write, after every check.
+run directory is made at the command's first write, after every check, and
+one that cannot be made is found before any work.
 
 Flags default to the reference hyperparameters where one exists: top-k 250,
 temperature 1.0, guidance 3.0, condition drop 0.2, merge 0.25, description
@@ -95,10 +96,24 @@ EXIT_GUARD = 4
 EXIT_INVARIANT = 5
 
 
+def _out_path(args) -> Path:
+    """The run directory's path, checked without making anything: its nearest
+    existing ancestor (or itself) must be a writable directory."""
+    out_dir = Path(args.out or Path(os.environ.get("TOKENWEAVE_OUT", "runs")) / args.command)
+    existing = out_dir
+    while not existing.exists() and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir() or not os.access(existing, os.W_OK | os.X_OK):
+        raise GuardError(
+            f"cannot make run directory {out_dir}: {existing} is not a writable directory"
+        )
+    return out_dir
+
+
 def _out_dir(args) -> Path:
     """The run directory, made here: call it at the command's first write,
     after every check, so a run that fails its checks leaves nothing behind."""
-    out_dir = Path(args.out or Path(os.environ.get("TOKENWEAVE_OUT", "runs")) / args.command)
+    out_dir = _out_path(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     return out_dir
 
@@ -197,7 +212,9 @@ def cmd_exactness(args) -> int:
     t0 = time.perf_counter()
     kinds = _parse_kinds(args.patterns)
     # the joint first: its dims guard bounds the T x K tables build_pattern lays out
+    joint_t0 = time.perf_counter()
     joint = make_joint(args.family, args.T, args.K, args.M, seed=args.seed)
+    joint_s = time.perf_counter() - joint_t0
     rows = exactness_report(joint, [build_pattern(k, args.T, args.K) for k in kinds])
 
     csv_path = _out_dir(args) / "exactness.csv"
@@ -206,7 +223,8 @@ def cmd_exactness(args) -> int:
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{row.tv:.12g}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _write_manifest(args, [csv_path], t0, tv={row.kind: row.tv for row in rows})
+    _write_manifest(args, [csv_path], t0, {"joint_s": round(joint_s, 6)},
+                    tv={row.kind: row.tv for row in rows})
 
     for row in rows:
         if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:
@@ -250,6 +268,7 @@ def cmd_train(args) -> int:
             raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, dest)}")
 
     rvq_config = RVQConfig(K=args.codebooks, M=args.vocab, d_latent=args.d_latent)
+    corpus_t0 = time.perf_counter()
     corpus = make_corpus(
         args.sequences,
         args.timesteps,
@@ -257,6 +276,7 @@ def cmd_train(args) -> int:
         seed=args.seed,
         share_first_frame=args.share_first_frame,
     )
+    corpus_s = time.perf_counter() - corpus_t0
     mode = {"none": "none", "chroma": "prefix", "text": "cross_attention"}[args.conditioning]
     pattern = build_pattern(PatternKind(args.pattern), args.timesteps, args.codebooks)
     model_config = ModelConfig(
@@ -325,7 +345,8 @@ def cmd_train(args) -> int:
     ckpt_path = out_dir / "checkpoint.npz"
     save_checkpoint(ckpt_path, params, extra=extra, meta=meta)
     _write_manifest(args, [log_path, ckpt_path], t0,
-                    {"step_ms_p50": round(float(np.median(step_ms)), 3),
+                    {"corpus_s": round(corpus_s, 6),
+                     "step_ms_p50": round(float(np.median(step_ms)), 3),
                      "step_ms_max": round(max(step_ms), 3)})
     print(f"trained {args.steps} steps: loss {stats.loss:.4f} accuracy {stats.accuracy:.4f}")
     print(f"checkpoint: {ckpt_path}")
@@ -586,6 +607,8 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
+        if "out" in vars(args):  # a run directory that cannot be made fails before any work
+            _out_path(args)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -127,7 +127,13 @@ class TokenGrid:
     M: int
 
     def __post_init__(self) -> None:
-        tok = np.asarray(self.tokens, dtype=np.int64)
+        tok = np.asarray(self.tokens)
+        if tok.dtype != np.int64:
+            with np.errstate(invalid="ignore"):  # NaN casts to garbage, caught below
+                cast = tok.astype(np.int64)
+            if not np.array_equal(cast, tok):
+                raise ValidationError("grid tokens must be whole numbers")
+            tok = cast
         if tok.ndim != 2:
             raise ValidationError(f"grid tokens must be 2-D, got shape {tok.shape}")
         if self.M < 1:

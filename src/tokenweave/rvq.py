@@ -5,6 +5,15 @@ error left by stages 1..k-1, so streams are correlated and the first stage
 carries most of the energy. Everything is deterministic given a seed:
 nearest-neighbor ties break toward the lowest centroid index and empty
 k-means clusters are reseeded from the farthest points.
+
+A k-means iteration takes its cluster sizes and per-column sums from
+np.bincount over the labels, so each held centroid is its members' sum,
+added in point order, over their count. For d_latent >= 2 that is bitwise
+np.mean of the members; for d_latent = 1 np.mean sums the one column
+pairwise, so the two may differ in the last bit or two. The update depends on
+the labels alone (the rng is drawn only for the initial centroids), so the
+fit stops as soon as an iteration's labels equal the previous ones: the
+remaining iterations would rebuild the same centroids.
 """
 
 from __future__ import annotations
@@ -104,19 +113,26 @@ def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _kmeans(points: np.ndarray, M: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
     T = points.shape[0]
     centroids = points[rng.choice(T, size=M, replace=False)].copy()
+    previous = None
     for _ in range(iterations):
         labels = _nearest(points, centroids)
-        for j in range(M):
-            members = points[labels == j]
-            if len(members):
-                centroids[j] = members.mean(axis=0)
-        empty = [j for j in range(M) if not np.any(labels == j)]
-        if empty:
+        # the update below is a function of the labels alone, so equal labels
+        # would rebuild these very centroids: a fixed point
+        if previous is not None and np.array_equal(labels, previous):
+            break
+        previous = labels
+        counts = np.bincount(labels, minlength=M)
+        sums = np.stack(
+            [np.bincount(labels, weights=column, minlength=M) for column in points.T], axis=1
+        )
+        held = counts > 0
+        centroids[held] = sums[held] / counts[held, None]
+        empty = np.flatnonzero(~held)
+        if empty.size:
             # hand each empty cluster the point currently worst served
             residual = np.linalg.norm(points - centroids[labels], axis=1)
             order = np.argsort(-residual, kind="stable")
-            for j, idx in zip(empty, order):
-                centroids[j] = points[idx]
+            centroids[empty] = points[order[: empty.size]]
     return centroids
 
 

@@ -168,6 +168,30 @@ def test_train_step_times_stay_out_of_the_hashed_artifacts(tmp_path, capsys):
     assert "step_ms" not in (runs[0] / "train_log.csv").read_text()
 
 
+def test_manifests_time_the_codec_fit_and_the_joint(tmp_path, capsys):
+    train_out, exact_out = tmp_path / "train", tmp_path / "exactness"
+    assert main([*TRAIN_SMALL, "--out", str(train_out)]) == 0
+    assert main(["exactness", "--family", "markov_residual", "--T", "2", "--K", "2", "--M", "2",
+                 "--out", str(exact_out)]) == 0
+    for out, key in ((train_out, "corpus_s"), (exact_out, "joint_s")):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert 0.0 <= manifest["timings"][key] <= manifest["timings"]["wall_seconds"]
+
+
+def test_train_with_an_unusable_out_exits_4_before_the_corpus_fit(tmp_path, monkeypatch, capsys):
+    import tokenweave.cli as cli_mod
+
+    calls = []
+    for name in ("make_corpus", "train_step"):
+        monkeypatch.setattr(cli_mod, name, lambda *a, _name=name, **k: calls.append(_name))
+    blocker = tmp_path / "a-file"
+    blocker.write_text("")
+    assert main([*TRAIN_SMALL, "--out", str(blocker / "run")]) == 4
+    assert "cannot make run directory" in capsys.readouterr().err
+    assert calls == []
+    assert blocker.is_file() and sorted(tmp_path.iterdir()) == [blocker]
+
+
 def test_train_loss_decreases(trained):
     rows = [line.split(",") for line in (trained / "train_log.csv").read_text().splitlines()[1:]]
     losses = [float(r[2]) for r in rows]
@@ -536,6 +560,12 @@ MALFORMED = (
                     id="ini-train-seed-negative")]
     + [pytest.param(["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", ","], 3,
                     id="memorize--prompt-lens=,")]
+    # a grid token the int64 cast would change (truncate, or make up for NaN)
+    + [
+        pytest.param(["memorize", "--checkpoint", f"{{{name}.npz}}", "--prompt-lens", "1",
+                      "--gen-len", "4"], 3, id=f"memorize-{name}")
+        for name in ("grids-fractional", "grids-nan")
+    ]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
     + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
     # a path that cannot be opened as a file is a resource error, whichever flag names it
@@ -584,6 +614,11 @@ def bad_inputs(trained, tmp_path_factory):
         np.savez(root / f"{name}.npz", **{**arrays, "__header__": np.array(text)})
 
     craft("not-json", "{not json")
+    nan_grids = arrays["x:grids"].astype(np.float64)
+    nan_grids[0, 0, 0] = np.nan
+    for name, grids in (("grids-fractional", arrays["x:grids"] + 0.5), ("grids-nan", nan_grids)):
+        files[f"{{{name}.npz}}"] = root / f"{name}.npz"
+        np.savez(root / f"{name}.npz", **{**arrays, "x:grids": grids})
     for name, changes in (
         ("version", {"version": 99}),
         ("config-mismatch", {"config": {**header["config"], "D": 2 * header["config"]["D"]}}),

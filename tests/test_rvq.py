@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from test_oracle import MARKOV_SHAPES
 
+from tokenweave import rvq
 from tokenweave.errors import ValidationError
+from tokenweave.oracle import make_joint
 from tokenweave.patterns import TokenGrid
 from tokenweave.rvq import (
     Codebook,
@@ -174,3 +177,113 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         RVQConfig(M=0)
 
+
+
+# ---------------------------------------------------------------- k-means update
+
+
+def _reference_kmeans(points, M, iterations, rng):
+    """k-means as two boolean masks per cluster and iteration, always running
+    all iterations: the reference the bincount update with its fixed-point
+    stop must reproduce."""
+    T = points.shape[0]
+    centroids = points[rng.choice(T, size=M, replace=False)].copy()
+    for _ in range(iterations):
+        labels = rvq._nearest(points, centroids)
+        for j in range(M):
+            members = points[labels == j]
+            if len(members):
+                centroids[j] = members.mean(axis=0)
+        empty = [j for j in range(M) if not np.any(labels == j)]
+        if empty:
+            residual = np.linalg.norm(points - centroids[labels], axis=1)
+            order = np.argsort(-residual, kind="stable")
+            for j, idx in zip(empty, order):
+                centroids[j] = points[idx]
+    return centroids
+
+
+def _kmeans_inputs(d):
+    """(points, M, seed): plain points, and duplicated points with more
+    clusters than distinct points, so some clusters are empty every iteration."""
+    for seed in range(5):
+        points = np.random.default_rng(seed).normal(size=(60, d))
+        yield points, 12, seed
+        yield np.repeat(points[:10], 6, axis=0), 12, seed
+        yield np.repeat(points[:4], 15, axis=0), 6, seed
+
+
+CAPS = (1, 3, 25, 200)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_kmeans_equals_the_per_cluster_mean_bitwise(d):
+    for points, M, seed in _kmeans_inputs(d):
+        for cap in CAPS:
+            got = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
+            want = _reference_kmeans(points, M, cap, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (seed, M, cap)
+
+
+def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
+    # np.mean sums a single column pairwise and bincount adds in point order;
+    # either sum of n terms is off by at most n * eps * max|x|
+    for points, M, seed in _kmeans_inputs(1):
+        points = np.tanh(points) * 2.0  # within the oracle's [-2, 2] latents
+        frames = LatentFrames(frames=points)
+        bound = len(points) * np.finfo(np.float64).eps * np.abs(points).max()
+        for cap in CAPS:
+            got = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
+            want = _reference_kmeans(points, M, cap, np.random.default_rng(seed))
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
+            assert np.array_equal(
+                rvq_encode(frames, [Codebook(centroids=got)]).tokens,
+                rvq_encode(frames, [Codebook(centroids=want)]).tokens,
+            )
+
+
+@pytest.mark.parametrize("T,K,M,seed", MARKOV_SHAPES)
+def test_markov_residual_tables_equal_the_per_cluster_mean_fit(monkeypatch, T, K, M, seed):
+    got = make_joint("markov_residual", T, K, M, seed=seed).probs
+    monkeypatch.setattr(rvq, "_kmeans", _reference_kmeans)
+    assert np.array_equal(got, make_joint("markov_residual", T, K, M, seed=seed).probs)
+
+
+def _updates_before_labels_repeat(monkeypatch, points, M, seed):
+    """The centroid updates a 200-iteration _kmeans runs before it stops at
+    labels equal to the previous iteration's."""
+    calls = []
+    nearest = rvq._nearest
+
+    def counting(*args):
+        calls.append(1)
+        return nearest(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(rvq, "_nearest", counting)
+        rvq._kmeans(points, M, 200, np.random.default_rng(seed))
+    assert len(calls) < 200, "no fixed point within 200 iterations"
+    return len(calls) - 1  # the last call found the repeat
+
+
+@pytest.mark.parametrize(
+    "points,M,cap",
+    [
+        # the continue_short corpus: 16 sequences of 24 frames, M=64, 20 iterations
+        *[
+            (np.vstack([synth_latents(24, 4, seed=s + i).frames for i in range(16)]), 64, 20)
+            for s in (7, 11, 12)
+        ],
+        # the oracle's fit: 4,096 one-dim frames of 8 values, 30 iterations
+        (np.linspace(-2.0, 2.0, 8)[np.random.default_rng(0).integers(0, 8, 4096)][:, None], 3, 30),
+    ],
+    ids=["continue_short-7", "continue_short-11", "continue_short-12", "oracle"],
+)
+def test_a_fit_at_its_fixed_point_is_the_fit_at_any_larger_cap(monkeypatch, points, M, cap):
+    n = _updates_before_labels_repeat(monkeypatch, points, M, seed=0)
+    assert n < cap
+    rng = np.random.default_rng
+    assert np.array_equal(rvq._kmeans(points, M, n, rng(0)), rvq._kmeans(points, M, 200, rng(0)))
+    # the premise of the stop, on the reference that never stops early
+    reference = _reference_kmeans(points, M, n, rng(0))
+    assert np.array_equal(reference, _reference_kmeans(points, M, 200, rng(0)))
