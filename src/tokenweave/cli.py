@@ -166,6 +166,8 @@ def _parse_kinds(text: str) -> list[PatternKind]:
         except ValueError:
             valid = ", ".join(k.value for k in PatternKind)
             raise ValidationError(f"unknown pattern kind {name!r}; choose from {valid}")
+    if len(set(kinds)) < len(kinds):
+        raise ValidationError(f"a pattern kind repeats in {text!r}")
     if not kinds:
         raise ValidationError(f"no pattern kinds in {text!r}")
     return kinds
@@ -215,7 +217,10 @@ def cmd_exactness(args) -> int:
     joint_t0 = time.perf_counter()
     joint = make_joint(args.family, args.T, args.K, args.M, seed=args.seed)
     joint_s = time.perf_counter() - joint_t0
-    rows = exactness_report(joint, [build_pattern(k, args.T, args.K) for k in kinds])
+    patterns = [build_pattern(k, args.T, args.K) for k in kinds]
+    report_t0 = time.perf_counter()
+    rows = exactness_report(joint, patterns)
+    report_s = time.perf_counter() - report_t0
 
     csv_path = _out_dir(args) / "exactness.csv"
     lines = ["pattern,steps_exact,steps_nominal,tv"]
@@ -223,8 +228,8 @@ def cmd_exactness(args) -> int:
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{row.tv:.12g}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    _write_manifest(args, [csv_path], t0, {"joint_s": round(joint_s, 6)},
-                    tv={row.kind: row.tv for row in rows})
+    timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6)}
+    _write_manifest(args, [csv_path], t0, timings, tv={row.kind: row.tv for row in rows})
 
     for row in rows:
         if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:

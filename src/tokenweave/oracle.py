@@ -14,11 +14,12 @@ invariant by construction, so only its dims are checked against the joint.
 
 The induced law has a closed form. With R_s the positions revealed before
 step s, the induced probability of a full grid x is the product over steps s
-and positions a revealed at s of P(x_a | x_{R_s}) = P(x_{R_s}, x_a) / P(x_{R_s}),
-each factor a ratio of two whole-table marginals. A sampler that factorizes
-within a step can reach prefixes outside the joint's support, where that
-ratio is undefined; induced_distribution adopts the maximum-entropy
-convention there and uses 1/M.
+and positions a revealed at s of P(x_a | x_{R_s}) = P(x_{R_s}, x_a) / P(x_{R_s}).
+With the table in reverse reveal order (last revealed leading), each prefix law
+is the next one summed over its leading axis, and P(x_{R_s}, x_a) sums only
+step s's leading axes; entries stay within 1e-15 of whole-table sums. Where a
+within-step-factorized sampler reaches a prefix outside the joint's support,
+the ratio is undefined and induced_distribution uses the maximum-entropy 1/M.
 """
 
 from __future__ import annotations
@@ -150,13 +151,6 @@ def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
     return _chain_table(init, trans, rows, T, M)
 
 
-def _marginal(table: np.ndarray, keep_axes: Iterable[int]) -> np.ndarray:
-    """Sum out every axis not in keep_axes; summed axes stay with length 1,
-    so the result broadcasts against the table."""
-    keep = set(keep_axes)
-    return table.sum(axis=tuple(a for a in range(table.ndim) if a not in keep), keepdims=True)
-
-
 def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDistribution:
     """Exact law of the grid generated by walking the pattern with true
     per-position conditionals, positions within a step drawn independently.
@@ -170,18 +164,22 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
             f"pattern is {pattern.T}x{pattern.K} but joint is {joint.T}x{joint.K}"
         )
 
-    table = joint.table()
-    law = np.ones_like(table)
-    revealed: list[int] = []
-    for s in range(1, pattern.S + 1):
-        axes = np.flatnonzero(pattern.step.ravel() == s).tolist()
-        prefix = _marginal(table, revealed)
-        for a in axes:
-            both = _marginal(table, revealed + [a])
-            fallback = np.full(both.shape, 1.0 / joint.M)
-            law *= np.divide(both, prefix, out=fallback, where=prefix > 0.0)
-        revealed += axes
-    return JointDistribution(T=joint.T, K=joint.K, M=joint.M, probs=law.reshape(-1))
+    M, steps = joint.M, pattern.step.ravel()
+    last_first = np.argsort(steps, kind="stable")[::-1]
+    # prefix[j]: law of the first j positions revealed, the j-th one leading
+    prefix = [np.ascontiguousarray(joint.table().transpose(last_first))]
+    while prefix[0].ndim:
+        prefix.insert(0, prefix[0].sum(axis=0))
+    law, r = np.ones(()), 0
+    for n in np.bincount(steps)[1:].tolist():
+        given, step_law = prefix[r], prefix[r + n]
+        for lead in range(n - 1, -1, -1):  # the step's positions in ascending order
+            others = tuple(ax for ax in range(n) if ax != lead)
+            both = step_law.sum(axis=others, keepdims=True) if others else step_law
+            law = law * np.divide(both, given, out=np.full(both.shape, 1.0 / M), where=given > 0.0)
+        r += n
+    probs = law.transpose(np.argsort(last_first)).ravel()
+    return JointDistribution(T=joint.T, K=joint.K, M=M, probs=probs)
 
 
 def tv_distance(p, q) -> float:

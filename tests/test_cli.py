@@ -178,6 +178,16 @@ def test_manifests_time_the_codec_fit_and_the_joint(tmp_path, capsys):
         assert 0.0 <= manifest["timings"][key] <= manifest["timings"]["wall_seconds"]
 
 
+def test_exactness_manifest_times_the_report(tmp_path, capsys):
+    out = tmp_path / "exactness"
+    assert main(["exactness", "--family", "markov_residual", "--T", "2", "--K", "2", "--M", "2",
+                 "--patterns", "parallel,delay,flatten", "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    timings = manifest["timings"]
+    assert 0.0 <= timings["report_s"] <= timings["wall_seconds"]
+    assert set(manifest["tv"]) == {"parallel", "delay", "flatten"}
+
+
 def test_train_with_an_unusable_out_exits_4_before_the_corpus_fit(tmp_path, monkeypatch, capsys):
     import tokenweave.cli as cli_mod
 
@@ -568,6 +578,9 @@ MALFORMED = (
     ]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
     + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
+    # a repeated kind would compute its law twice and write two rows under one name
+    + [pytest.param(["exactness", "--patterns", "flatten,delay,flatten"], 3,
+                    id="exactness--patterns=repeat")]
     # a path that cannot be opened as a file is a resource error, whichever flag names it
     + [
         pytest.param(argv, 4, id=f"dir-{argv[0]}{argv[-2]}")

@@ -7,7 +7,6 @@ from tokenweave.errors import GuardError, ValidationError
 from tokenweave.oracle import (
     ExactnessRow,
     JointDistribution,
-    _marginal,
     exactness_report,
     induced_distribution,
     make_joint,
@@ -17,6 +16,13 @@ from tokenweave.patterns import STEREO_KINDS, PatternKind, build_pattern
 from tokenweave.rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
 FAMILIES = ("product", "diagonal", "markov_residual")
+
+
+def _marginal(table, keep_axes):
+    """Sum out every axis not in keep_axes; summed axes stay with length 1,
+    so the result broadcasts against the table."""
+    keep = set(keep_axes)
+    return table.sum(axis=tuple(a for a in range(table.ndim) if a not in keep), keepdims=True)
 
 
 def true_conditional(joint, revealed, targets):
@@ -233,12 +239,60 @@ def test_delay_degenerates_to_sequential_at_T1():
 @pytest.mark.parametrize("kind", list(PatternKind))
 @pytest.mark.parametrize("family", FAMILIES)
 def test_induced_matches_independent_enumerator(family, kind):
+    # M = 3 checks the fallback where 1/M differs from 1/2: parallel and the
+    # other within-step products reach zero-probability prefixes on the
+    # diagonal and markov_residual families
     T, K = (1, 4) if kind in STEREO_KINDS else (2, 2)
-    joint = make_joint(family, T=T, K=K, M=2, seed=7)
     pattern = build_pattern(kind, T, K)
-    fast = induced_distribution(joint, pattern).probs
-    slow = brute_induced_table(joint, pattern)
-    assert np.allclose(fast, slow, atol=1e-12)
+    for M in (2, 3):
+        joint = make_joint(family, T=T, K=K, M=M, seed=7)
+        fast = induced_distribution(joint, pattern).probs
+        slow = brute_induced_table(joint, pattern)
+        assert np.allclose(fast, slow, atol=1e-12), M
+
+
+def whole_table_induced(joint, pattern):
+    """The induced law with every factor a ratio of two whole-table marginals
+    in the row-major layout, multiplied into a full-size law step by step."""
+    table = joint.table()
+    law = np.ones_like(table)
+    revealed = []
+    for s in range(1, pattern.S + 1):
+        axes = np.flatnonzero(pattern.step.ravel() == s).tolist()
+        prefix = _marginal(table, revealed)
+        for a in axes:
+            both = _marginal(table, revealed + [a])
+            fallback = np.full(both.shape, 1.0 / joint.M)
+            law *= np.divide(both, prefix, out=fallback, where=prefix > 0.0)
+        revealed += axes
+    return law.reshape(-1)
+
+
+def test_reveal_order_law_matches_whole_table_marginals():
+    # every case with at most 65,536 entries; the two routes add the same
+    # terms in a different order, so they agree to rounding, not bitwise
+    cases = 0
+    for family in FAMILIES:
+        for T, K, M in itertools.product(range(1, 5), repeat=3):
+            if M ** (T * K) > 65536:
+                continue
+            for seed in (0, 1) if family == "markov_residual" else (0,):
+                joint = make_joint(family, T, K, M, seed=seed)
+                for kind in PatternKind:
+                    if kind in STEREO_KINDS and K % 2:
+                        continue
+                    pattern = build_pattern(kind, T, K)
+                    want = whole_table_induced(joint, pattern)
+                    got = induced_distribution(joint, pattern).probs
+                    case = (family, T, K, M, seed, kind.value)
+                    assert np.abs(got - want).max() <= 1e-15, case
+                    assert np.array_equal(got > 0.0, want > 0.0), case
+                    tv = tv_distance(joint.probs, got)
+                    assert abs(tv - tv_distance(joint.probs, want)) <= 1e-14, case
+                    if kind is PatternKind.FLATTEN:
+                        assert tv <= 1e-12, case
+                    cases += 1
+    assert cases == 1592
 
 
 @pytest.mark.parametrize("family", FAMILIES)
