@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .errors import GuardError, InvariantError, ValidationError
 from .patterns import (
-    InterleavedSequence,
     Pattern,
     PatternKind,
     StepCounts,

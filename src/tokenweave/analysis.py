@@ -25,6 +25,7 @@ from .conditioning import (
     PITCH_CLASSES,
     AudioBuffer,
     QuantizedChroma,
+    _class_unit_rows,
     chroma_cosine_similarity,
     compute_chromagram,
     quantize_chroma,
@@ -32,7 +33,7 @@ from .conditioning import (
 from .errors import ValidationError
 from .model import Parameters
 from .patterns import PatternKind, TokenGrid, build_pattern
-from .rvq import Codebook, LatentFrames, rvq_decode
+from .rvq import Codebook, LatentFrames, _nearest, rvq_decode
 from .sampling import SamplerConfig, continue_from_prompt
 
 PARTIAL_MATCH_THRESHOLD = 0.8
@@ -125,21 +126,14 @@ def memorization_report(
 
 def class_anchor_latents(d_latent: int) -> np.ndarray:
     """12 fixed unit vectors, one per pitch class, for the latent -> class snap."""
-    rows = [np.random.default_rng(7000 + c).standard_normal(d_latent) for c in range(PITCH_CLASSES)]
-    anchors = np.stack(rows)
-    return anchors / np.linalg.norm(anchors, axis=1, keepdims=True)
+    return _class_unit_rows(d_latent, base=7000)
 
 
 def latents_to_classes(latents: LatentFrames, anchors: np.ndarray) -> QuantizedChroma:
     """Nearest anchor per frame (Euclidean, ties to the lowest class)."""
     if anchors.shape != (PITCH_CLASSES, latents.d):
         raise ValidationError(f"anchors must be ({PITCH_CLASSES}, {latents.d})")
-    d2 = (
-        np.sum(latents.frames**2, axis=1, keepdims=True)
-        - 2.0 * latents.frames @ anchors.T
-        + np.sum(anchors**2, axis=1)
-    )
-    return QuantizedChroma(classes=np.argmin(d2, axis=1))
+    return QuantizedChroma(classes=_nearest(latents.frames, anchors))
 
 
 def pitch_class_frequency(pitch_class: int) -> float:

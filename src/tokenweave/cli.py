@@ -6,10 +6,10 @@ tool version; re-running with the same configuration reproduces the artifacts
 byte for byte.
 
 Exit codes: 0 ok, 2 usage, 3 validation (bad inputs, malformed files),
-4 guard/resource (table guards, missing or unreadable files), 5 internal
-invariant breach. A run that fails a check on its input writes nothing: the
-run directory is made at the command's first write, after every check, and
-one that cannot be made is found before any work.
+4 guard/resource (table guards, missing or unreadable files, out of memory),
+5 internal invariant breach. A run that fails a check on its input writes
+nothing: the run directory is made at the command's first write, after every
+check, and one that cannot be made is found before any work.
 
 Flags default to the reference hyperparameters where one exists: top-k 250,
 temperature 1.0, guidance 3.0, condition drop 0.2, merge 0.25, description
@@ -88,6 +88,8 @@ from .rvq import Codebook, RVQConfig, rvq_decode
 from .sampling import SamplerConfig, generate
 
 FLATTEN_SELF_CHECK_TV = 1e-9
+# an exact pattern's TV bound; the CSV writes rounding noise below it as 0
+CSV_TV_FLOOR = 1e-12
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -225,7 +227,8 @@ def cmd_exactness(args) -> int:
     csv_path = _out_dir(args) / "exactness.csv"
     lines = ["pattern,steps_exact,steps_nominal,tv"]
     for row in rows:
-        lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{row.tv:.12g}")
+        tv = row.tv if row.tv >= CSV_TV_FLOOR else 0.0
+        lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{tv:.12g}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
     timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6)}
@@ -382,8 +385,9 @@ def cmd_generate(args) -> int:
 
     condition = None
     if args.text:
-        if params.config.conditioning_mode == "none":
-            raise ValidationError("checkpoint model is unconditional; --text has no route")
+        mode = params.config.conditioning_mode
+        if mode != "cross_attention":  # a prefix model would read the text as a melody
+            raise ValidationError(f"--text needs cross-attention; the model's mode is {mode!r}")
         condition = encode_text_toy(text_normalize(args.text), params.config.D)
     cfg = SamplerConfig(top_k=args.top_k, temperature=args.temperature,
                         guidance_scale=args.guidance)
@@ -620,6 +624,9 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except (GuardError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except InvariantError as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)

@@ -277,9 +277,9 @@ def encode_text_toy(text: str, D: int) -> ConditioningTensor:
     return ConditioningTensor(rows=np.stack([_token_unit_vector(t, D) for t in tokens]))
 
 
-def _class_embedding_table(D: int) -> np.ndarray:
-    # one row per pitch class; a fixed seeded stand-in for a learned table
-    rows = [np.random.default_rng(1000 + c).standard_normal(D) for c in range(PITCH_CLASSES)]
+def _class_unit_rows(width: int, base: int) -> np.ndarray:
+    # row c is a unit vector drawn from seed base + c; a stand-in for a learned table
+    rows = [np.random.default_rng(base + c).standard_normal(width) for c in range(PITCH_CLASSES)]
     table = np.stack(rows)
     return table / np.linalg.norm(table, axis=1, keepdims=True)
 
@@ -291,7 +291,7 @@ def chroma_to_condition(q: "QuantizedChroma | np.ndarray | list[int]", D: int) -
     classes = q.classes if isinstance(q, QuantizedChroma) else np.asarray(q, dtype=np.int64)
     if classes.size and (classes.min() < 0 or classes.max() >= PITCH_CLASSES):
         raise ValidationError(f"class ids must lie in 0..{PITCH_CLASSES - 1}")
-    table = _class_embedding_table(D)
+    table = _class_unit_rows(D, base=1000)
     return ConditioningTensor(rows=table[classes].reshape(len(classes), D))
 
 

@@ -55,7 +55,7 @@ import numpy as np
 
 from .conditioning import ConditioningTensor, draw_condition_drop
 from .errors import ValidationError
-from .patterns import SPECIAL_TOKEN, InterleavedSequence, Pattern, TokenGrid, apply_pattern
+from .patterns import SPECIAL_TOKEN, Pattern, TokenGrid, apply_pattern
 
 CONDITIONING_MODES = ("none", "prefix", "cross_attention", "both")
 LN_EPS = 1e-5
@@ -112,17 +112,17 @@ class TrainExample:
     predicts rows 1..S; a slot holding the special token is an absent
     codebook and scores nothing."""
 
-    seq: InterleavedSequence
+    slots: np.ndarray
     condition: object = None  # None | ConditioningTensor | CombinedCondition
 
     @property
     def tokens(self) -> np.ndarray:
         """The (S, K) model inputs, rows 0..S-1 of the slot sequence."""
-        return self.seq.slots[:-1]
+        return self.slots[:-1]
 
 
 def example_from_grid(pattern: Pattern, grid: TokenGrid, condition=None) -> TrainExample:
-    return TrainExample(seq=apply_pattern(pattern, grid), condition=condition)
+    return TrainExample(slots=apply_pattern(pattern, grid), condition=condition)
 
 
 def _param_shapes(c: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -595,7 +595,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     if not batch:
         raise ValidationError("empty batch")
     c = params.config
-    slots = [_coerce_tokens(ex.seq.slots, c) for ex in batch]
+    slots = [_coerce_tokens(ex.slots, c) for ex in batch]
     lens = np.array([len(rows) - 1 for rows in slots])
     padded = _pad_stack(slots, lens.max() + 1)
     steps, targets = padded[:, :-1], padded[:, 1:]

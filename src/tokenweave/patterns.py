@@ -11,7 +11,7 @@ down its timesteps (at most once per step, in timestep order), and each step
 1..S reveals something. This module builds the standard pattern family
 (parallel, delay, flatten and their partial/stereo variants), reads and
 writes the coordinate-list JSON format, and applies/reverts patterns between
-grids and slot sequences.
+grids and slot sequences, plain (S+1, K) int64 arrays whose row 0 is special.
 
 Coordinates are 1-based. Token ids live in 1..M; id 0 is the reserved special
 token that fills slots where a codebook is absent from a step.
@@ -112,12 +112,6 @@ class Pattern:
     def K(self) -> int:
         return self.step.shape[1]
 
-    def presence_mask(self) -> np.ndarray:
-        """Bool array of shape (S+1, K): True where codebook k occurs in step s."""
-        mask = np.zeros((self.S + 1, self.K), dtype=bool)
-        mask[self.step, np.arange(self.K)] = True
-        return mask
-
 
 @dataclass(frozen=True)
 class TokenGrid:
@@ -149,34 +143,6 @@ class TokenGrid:
     @property
     def K(self) -> int:
         return self.tokens.shape[1]
-
-
-@dataclass(frozen=True)
-class InterleavedSequence:
-    """(S+1) x K slot layout produced by a pattern; row 0 is all-special.
-
-    Slot (s, k) holds the grid token when codebook k occurs in step s and the
-    special token SPECIAL_TOKEN = 0 otherwise, so every slot lies in 0..M.
-    """
-
-    slots: np.ndarray
-    M: int
-
-    def __post_init__(self) -> None:
-        slots = np.asarray(self.slots, dtype=np.int64)
-        if slots.ndim != 2:
-            raise ValidationError(f"slots must be 2-D, got shape {slots.shape}")
-        if slots.size and (slots.min() < SPECIAL_TOKEN or slots.max() > self.M):
-            raise ValidationError(f"slots must lie in {SPECIAL_TOKEN}..{self.M}")
-        object.__setattr__(self, "slots", slots)
-
-    @property
-    def S(self) -> int:
-        return self.slots.shape[0] - 1
-
-    @property
-    def K(self) -> int:
-        return self.slots.shape[1]
 
 
 class StepCounts(NamedTuple):
@@ -226,30 +192,35 @@ def build_pattern(kind: PatternKind | str, T: int, K: int) -> Pattern:
     return Pattern(step=step, kind=kind)
 
 
-def apply_pattern(pattern: Pattern, grid: TokenGrid) -> InterleavedSequence:
-    """Lay a grid out as the pattern's slot sequence (row 0 all-special)."""
+def apply_pattern(pattern: Pattern, grid: TokenGrid) -> np.ndarray:
+    """Lay a grid out as the pattern's (S+1, K) int64 slot sequence: slot
+    (s, k) holds the token step s reveals in codebook k+1, SPECIAL_TOKEN where
+    step s reveals nothing there, so row 0 is all-special."""
     if (pattern.T, pattern.K) != (grid.T, grid.K):
         raise ValidationError(
             f"pattern is {pattern.T}x{pattern.K} but grid is {grid.T}x{grid.K}"
         )
     slots = np.full((pattern.S + 1, pattern.K), SPECIAL_TOKEN, dtype=np.int64)
     slots[pattern.step, np.arange(pattern.K)] = grid.tokens
-    return InterleavedSequence(slots=slots, M=grid.M)
+    return slots
 
 
-def revert_pattern(pattern: Pattern, seq: InterleavedSequence) -> TokenGrid:
-    """Recover the grid from a slot sequence; exact inverse of apply_pattern."""
+def revert_pattern(pattern: Pattern, slots: np.ndarray, M: int) -> TokenGrid:
+    """Recover the grid from a slot sequence; exact inverse of apply_pattern.
+    Absent slots must hold SPECIAL_TOKEN, and TokenGrid holds the rest to 1..M."""
+    slots = np.asarray(slots)
     expected = (pattern.S + 1, pattern.K)
-    if seq.slots.shape != expected:
-        raise ValidationError(f"sequence shape {seq.slots.shape} != expected {expected}")
-    mask = pattern.presence_mask()
-    stray = (seq.slots != SPECIAL_TOKEN) & ~mask
+    if slots.shape != expected:
+        raise ValidationError(f"sequence shape {slots.shape} != expected {expected}")
+    cells = (pattern.step, np.arange(pattern.K))
+    stray = slots.copy()
+    stray[cells] = SPECIAL_TOKEN
     if stray.any():
         s, k = np.argwhere(stray)[0]
         raise ValidationError(
             f"real token at slot (step {s}, codebook {k + 1}) which the pattern marks absent"
         )
-    return TokenGrid(tokens=seq.slots[pattern.step, np.arange(pattern.K)], M=seq.M)
+    return TokenGrid(tokens=slots[cells], M=M)
 
 
 def step_counts(pattern: Pattern) -> StepCounts:

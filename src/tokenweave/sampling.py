@@ -1,8 +1,9 @@
 """Pattern-driven autoregressive generation.
 
 A Pattern holds its step-table invariant by construction, so the walk only
-checks that the pattern fits the model, then lays the prompt out once as slot
-rows, M + 1 marking each slot still to draw. The walk goes step by step over a
+checks that the pattern fits the model, then lays the prompt out once as the
+(S+1, K) slot array, M + 1 marking each slot still to draw, and reverts the
+filled array with the model's M at the end. The walk goes step by step over a
 decode cache (model.open_cache): one forward, stacking the conditional and the
 unconditional branch, feeds the slot rows filled since the last one; their
 logits are combined (classifier-free guidance on raw logits), and one draw
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Parameters, forward, open_cache
-from .patterns import InterleavedSequence, Pattern, TokenGrid, apply_pattern, revert_pattern
+from .patterns import Pattern, TokenGrid, apply_pattern, revert_pattern
 
 
 @dataclass(frozen=True)
@@ -126,12 +127,12 @@ def _walk_pattern(
 
     # the prompt's rows, then M + 1 ("not drawn yet") in every other row, laid
     # out as slot rows; forward's vocabulary check rejects a row fed before it
-    # is filled, and the final InterleavedSequence a slot never drawn
+    # is filled, and revert_pattern's grid check a slot never drawn
     undrawn = c.M + 1
     grid = np.full((pattern.T, pattern.K), undrawn, dtype=np.int64)
     if prompt is not None:
         grid[: prompt.T] = prompt.tokens
-    slots = apply_pattern(pattern, TokenGrid(grid, M=undrawn)).slots
+    slots = apply_pattern(pattern, TokenGrid(grid, M=undrawn))
     guided = cfg.guidance_scale != 1.0 and condition is not None
     kv = open_cache(params, [condition, None] if guided else [condition], pattern.S)
     fed = 0  # slot rows the cache holds
@@ -148,7 +149,7 @@ def _walk_pattern(
             )
             slots[s + 1, todo] = sample_token(logits[todo], cfg, rng)
 
-    return revert_pattern(pattern, InterleavedSequence(slots=slots, M=c.M))
+    return revert_pattern(pattern, slots, c.M)
 
 
 def generate(

@@ -103,7 +103,7 @@ def test_criterion_02_roundtrip_1000_grids_per_kind():
             M = int(rng.integers(1, 65))
             grid = random_grid(T, K, M, rng)
             pattern = build_pattern(kind, T, K)
-            back = revert_pattern(pattern, apply_pattern(pattern, grid))
+            back = revert_pattern(pattern, apply_pattern(pattern, grid), grid.M)
             if not np.array_equal(back.tokens, grid.tokens):
                 mismatches += 1
     wall = time.perf_counter() - t0

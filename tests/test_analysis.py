@@ -15,6 +15,7 @@ from tokenweave.analysis import (
 from tokenweave.conditioning import (
     QuantizedChroma,
     chroma_cosine_similarity,
+    chroma_to_condition,
     pitch_class_of_frequency,
 )
 from tokenweave.corpus import make_corpus
@@ -109,6 +110,25 @@ def test_latents_to_classes_snaps_to_anchor():
     latents = LatentFrames(frames=np.stack([anchors[3] * 1.01, anchors[7] * 0.97]))
     out = latents_to_classes(latents, anchors)
     assert out.classes.tolist() == [3, 7]
+
+
+def test_class_tables_and_snap_match_their_reference_formulas():
+    # test-local copies of the two seeded tables and the snap, as each module
+    # spelled them before they shared one builder and rvq's nearest search
+    def table(width, seed_base):
+        rows = np.stack([np.random.default_rng(seed_base + c).standard_normal(width)
+                         for c in range(12)])
+        return rows / np.linalg.norm(rows, axis=1, keepdims=True)
+
+    for width in (1, 4, 16):
+        anchors = class_anchor_latents(width)
+        assert np.array_equal(anchors, table(width, 7000))
+        assert np.array_equal(chroma_to_condition(np.arange(12), width).rows, table(width, 1000))
+        frames = np.random.default_rng(width).standard_normal((300, width))
+        d2 = (np.sum(frames**2, axis=1, keepdims=True) - 2.0 * frames @ anchors.T
+              + np.sum(anchors**2, axis=1))
+        got = latents_to_classes(LatentFrames(frames=frames), anchors).classes
+        assert np.array_equal(got, np.argmin(d2, axis=1))
 
 
 def test_chroma_adherence_closed_loop_through_rvq():

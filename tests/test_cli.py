@@ -13,6 +13,8 @@ import pytest
 from tokenweave.cli import build_parser, main
 from tokenweave.conditioning import AudioBuffer, save_wav
 from tokenweave.model import load_checkpoint
+from tokenweave.oracle import exactness_report, make_joint
+from tokenweave.patterns import PatternKind, build_pattern
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -102,8 +104,26 @@ def test_exactness_manifest_carries_the_csv_tvs(tmp_path, capsys):
     tv = json.loads((out / "manifest.json").read_text())["tv"]
     rows = [line.split(",") for line in (out / "exactness.csv").read_text().splitlines()[1:]]
     assert len(rows) == 4
-    assert {kind: f"{tv[kind]:.12g}" for kind in tv} == {row[0]: row[-1] for row in rows}
+    # the CSV writes a TV below 1e-12 as 0
+    floored = {kind: f"{v if v >= 1e-12 else 0.0:.12g}" for kind, v in tv.items()}
+    assert floored == {row[0]: row[-1] for row in rows}
     assert tv["parallel"] > 0.0
+
+
+def test_exactness_csv_writes_rounding_noise_as_zero(tmp_path, capsys):
+    # every pattern is exact on a product joint; the raw TVs hold rounding noise
+    out = tmp_path / "noise"
+    kinds = [k.value for k in PatternKind]
+    assert main(["exactness", "--family", "product", "--T", "3", "--K", "2", "--M", "3",
+                 "--patterns", ",".join(kinds), "--out", str(out)]) == 0
+    csv = (out / "exactness.csv").read_text()
+    assert csv in capsys.readouterr().out
+    assert [line.split(",")[-1] for line in csv.splitlines()[1:]] == ["0"] * len(kinds)
+    raw = exactness_report(make_joint("product", 3, 2, 3, seed=0),
+                           [build_pattern(k, 3, 2) for k in kinds])
+    tv = json.loads((out / "manifest.json").read_text())["tv"]
+    assert tv == {row.kind: row.tv for row in raw}
+    assert any(v > 0.0 for v in tv.values())
 
 
 def test_exactness_product_all_exact(tmp_path, capsys):
@@ -232,6 +252,55 @@ def test_generate_wav_sonification(trained, tmp_path):
     assert main(["generate", "--checkpoint", str(trained / "checkpoint.npz"), "--seed", "1",
                  "--wav", "--out", str(out)]) == 0
     assert (out / "generated.wav").stat().st_size > 1000
+
+
+@pytest.mark.parametrize("conditioning,mode", [("text", None), ("chroma", "prefix"),
+                                               ("none", "none")])
+def test_generate_text_needs_a_cross_attention_checkpoint(tmp_path, capsys, conditioning, mode):
+    # a prefix model would take the text embedding as its melody
+    model = tmp_path / "model"
+    assert main([*TRAIN_SMALL, "--conditioning", conditioning, "--out", str(model)]) == 0
+    out = tmp_path / "g"
+    argv = ["generate", "--checkpoint", str(model / "checkpoint.npz"), "--text", "warm piano",
+            "--out", str(out)]
+    if mode is None:
+        assert main(argv) == 0 and (out / "grid.csv").exists()
+        return
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert repr(mode) in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# what a child may map: the Python and numpy baseline peaks near 110 MB
+CHILD_ADDRESS_SPACE = 2 << 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["generate", "--checkpoint", "{ckpt}", "--timesteps", "100000000"],
+                     id="generate-timesteps"),
+        pytest.param(["train", "--dim", "4000000", "--heads", "1", "--timesteps", "16", "--vocab",
+                      "4", "--steps", "1", "--sequences", "1"], id="train-dim"),
+    ],
+)
+def test_out_of_memory_exits_4(trained, tmp_path, argv):
+    # the child caps its own address space, so the allocation fails there and
+    # cannot take this machine's memory
+    limited = (
+        "import resource, sys; "
+        f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE})); "
+        "from tokenweave.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    argv = [str(trained / "checkpoint.npz") if a == "{ckpt}" else a for a in argv]
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", limited, *argv, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 4, proc.stderr
+    assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_generate_missing_checkpoint_exits_4(tmp_path):

@@ -332,7 +332,7 @@ def test_backward_sums_over_stacked_branches():
 def per_example_reference(params, batch):
     """Loss, accuracy and gradients of the pooled batch from one grad call
     per example, each weighted by its share of the revealed positions."""
-    counts = [(ex.seq.slots[1:] != 0).sum() for ex in batch]
+    counts = [(ex.slots[1:] != 0).sum() for ex in batch]
     loss = accuracy = 0.0
     grads = zero_grads(params)
     for ex, count in zip(batch, counts):
@@ -541,7 +541,7 @@ def plain_open_cache(params, conditions, steps):
 def plain_grad(params, batch):
     """grad's loss, accuracy and gradients over the plain trunk."""
     c = params.config
-    slots = [ex.seq.slots for ex in batch]
+    slots = [ex.slots for ex in batch]
     lens = np.array([len(rows) - 1 for rows in slots])
     padded = _pad_stack(slots, lens.max() + 1)
     steps, targets = padded[:, :-1], padded[:, 1:]
@@ -627,30 +627,30 @@ def test_codebook_permutation_coherence():
     assert np.array_equal(out, ref[:, ::-1, :])
 
 
-def masked_loss(logits, seq, pattern):
+def masked_loss(logits, slots, pattern):
     """Mean cross-entropy and accuracy over the revealed positions, as grad scores them."""
-    count = pattern.presence_mask()[1:].sum()
-    nll, correct, _ = _score_revealed(logits, seq.slots[1:])
+    count = pattern.T * pattern.K  # every coordinate is revealed once
+    nll, correct, _ = _score_revealed(logits, slots[1:])
     return nll / count, correct / count
 
 
 def test_loss_uniform_logits_is_log_m():
     pattern = build_pattern(PatternKind.PARALLEL, 2, 2)
     grid = TokenGrid(np.array([[1, 2], [3, 4]]), M=4)
-    seq = apply_pattern(pattern, grid)
+    slots = apply_pattern(pattern, grid)
     logits = np.zeros((2, 2, 4))
-    assert masked_loss(logits, seq, pattern)[0] == pytest.approx(math.log(4.0), abs=1e-12)
+    assert masked_loss(logits, slots, pattern)[0] == pytest.approx(math.log(4.0), abs=1e-12)
 
 
 def test_loss_one_hot_correct_logits_near_zero():
     pattern = build_pattern(PatternKind.PARALLEL, 2, 2)
     grid = TokenGrid(np.array([[1, 2], [3, 4]]), M=4)
-    seq = apply_pattern(pattern, grid)
+    slots = apply_pattern(pattern, grid)
     logits = np.full((2, 2, 4), -50.0)
     for s in range(2):
         for k in range(2):
-            logits[s, k, seq.slots[s + 1, k] - 1] = 50.0
-    loss, accuracy = masked_loss(logits, seq, pattern)
+            logits[s, k, slots[s + 1, k] - 1] = 50.0
+    loss, accuracy = masked_loss(logits, slots, pattern)
     assert loss < 1e-12
     assert accuracy == 1.0
 
@@ -658,14 +658,14 @@ def test_loss_one_hot_correct_logits_near_zero():
 def test_loss_invariant_to_masked_positions():
     pattern = build_pattern(PatternKind.DELAY, 2, 2)  # has absent slots
     grid = TokenGrid(np.array([[1, 2], [3, 4]]), M=4)
-    seq = apply_pattern(pattern, grid)
+    slots = apply_pattern(pattern, grid)
     rng = np.random.default_rng(0)
     logits = rng.standard_normal((3, 2, 4))
-    base = masked_loss(logits, seq, pattern)
-    mask = pattern.presence_mask()[1:]
+    base = masked_loss(logits, slots, pattern)
+    mask = slots[1:] != 0
     noisy = logits.copy()
     noisy[~mask] = rng.standard_normal(((~mask).sum(), 4)) * 100.0
-    assert masked_loss(noisy, seq, pattern) == base
+    assert masked_loss(noisy, slots, pattern) == base
 
 
 FD_EPS = 1e-4
@@ -760,10 +760,10 @@ def test_grad_zero_for_absence_rows_when_never_used():
 def test_grad_rejects_target_ids_beyond_the_vocabulary():
     # the last slot row is a target only, never an input; it is checked too
     params = init_params(TINY, seed=0)
-    pattern = build_pattern(PatternKind.PARALLEL, 2, TINY.K)
-    seq = apply_pattern(pattern, TokenGrid(np.array([[1, 2], [3, TINY.M + 1]]), M=TINY.M + 1))
-    with pytest.raises(ValidationError, match=r"token ids must lie in 0\.\.5"):
-        grad(params, [TrainExample(seq=seq)])
+    for bad in (-1, TINY.M + 1):
+        slots = np.array([[0, 0], [1, 2], [3, bad]])
+        with pytest.raises(ValidationError, match=r"token ids must lie in 0\.\.5"):
+            grad(params, [TrainExample(slots=slots)])
 
 
 def test_grad_deterministic():

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from tokenweave.errors import ValidationError
 from tokenweave.patterns import (
-    InterleavedSequence,
     Pattern,
     PatternKind,
     TokenGrid,
@@ -97,7 +96,7 @@ def test_step_tables_match_the_coordinate_set_construction(kind):
             for s, step in enumerate(steps):
                 for t, k in step:
                     slots[s, k - 1] = grid.tokens[t - 1, k - 1]
-            assert np.array_equal(apply_pattern(p, grid).slots, slots)
+            assert np.array_equal(apply_pattern(p, grid), slots)
             assert format_pattern(p) == reference_format(steps, T, K)
             listed = [sorted(map(list, step)) for step in steps]
             doc = {"kind": kind.value, "T": T, "K": K, "steps": listed}
@@ -218,20 +217,20 @@ def test_validate_out_of_range_and_nonempty_p0():
 
 def test_apply_parallel_2x2():
     grid = TokenGrid(np.array([[5, 7], [6, 8]]), M=8)
-    seq = apply_pattern(build_pattern(PatternKind.PARALLEL, 2, 2), grid)
-    assert seq.slots.tolist() == [[0, 0], [5, 7], [6, 8]]
+    slots = apply_pattern(build_pattern(PatternKind.PARALLEL, 2, 2), grid)
+    assert slots.tolist() == [[0, 0], [5, 7], [6, 8]]
 
 
 def test_apply_delay_2x2():
     grid = TokenGrid(np.array([[5, 7], [6, 8]]), M=8)
-    seq = apply_pattern(build_pattern(PatternKind.DELAY, 2, 2), grid)
-    assert seq.slots.tolist() == [[0, 0], [5, 0], [6, 7], [0, 8]]
+    slots = apply_pattern(build_pattern(PatternKind.DELAY, 2, 2), grid)
+    assert slots.tolist() == [[0, 0], [5, 0], [6, 7], [0, 8]]
 
 
 def test_apply_flatten_1x1():
     grid = TokenGrid(np.array([[9]]), M=9)
-    seq = apply_pattern(build_pattern(PatternKind.FLATTEN, 1, 1), grid)
-    assert seq.slots.tolist() == [[0], [9]]
+    slots = apply_pattern(build_pattern(PatternKind.FLATTEN, 1, 1), grid)
+    assert slots.tolist() == [[0], [9]]
 
 
 def test_apply_dimension_mismatch():
@@ -244,29 +243,30 @@ def test_roundtrip_delay_3x2():
     rng = np.random.default_rng(0)
     grid = random_grid(3, 2, 16, rng)
     p = build_pattern(PatternKind.DELAY, 3, 2)
-    assert np.array_equal(revert_pattern(p, apply_pattern(p, grid)).tokens, grid.tokens)
+    assert np.array_equal(revert_pattern(p, apply_pattern(p, grid), grid.M).tokens, grid.tokens)
 
 
 def test_roundtrip_stereo_delay_10x8():
     rng = np.random.default_rng(1)
     grid = random_grid(10, 8, 32, rng)
     p = build_pattern(PatternKind.STEREO_DELAY, 10, 8)
-    assert np.array_equal(revert_pattern(p, apply_pattern(p, grid)).tokens, grid.tokens)
+    assert np.array_equal(revert_pattern(p, apply_pattern(p, grid), grid.M).tokens, grid.tokens)
 
 
 def test_revert_rejects_token_in_absent_slot():
     p = build_pattern(PatternKind.DELAY, 2, 2)
     grid = TokenGrid(np.array([[5, 7], [6, 8]]), M=8)
-    slots = apply_pattern(p, grid).slots.copy()
-    slots[1, 1] = 3  # delay keeps codebook 2 absent at step 1
-    with pytest.raises(ValidationError, match="marks absent"):
-        revert_pattern(p, InterleavedSequence(slots=slots, M=8))
+    for stray in (3, -1):
+        slots = apply_pattern(p, grid)
+        slots[1, 1] = stray  # delay keeps codebook 2 absent at step 1
+        with pytest.raises(ValidationError, match="marks absent"):
+            revert_pattern(p, slots, 8)
 
 
 def test_revert_rejects_wrong_shape():
     p = build_pattern(PatternKind.PARALLEL, 2, 2)
     with pytest.raises(ValidationError, match="shape"):
-        revert_pattern(p, InterleavedSequence(slots=np.zeros((2, 2), dtype=int), M=4))
+        revert_pattern(p, np.zeros((2, 2), dtype=int), 4)
 
 
 @settings(max_examples=60, deadline=None)
@@ -284,7 +284,7 @@ def test_roundtrip_property(kind, T, k_pow, seed):
     M = int(rng.integers(1, 65))
     grid = random_grid(T, K, M, rng)
     p = build_pattern(kind, T, K)
-    back = revert_pattern(p, apply_pattern(p, grid))
+    back = revert_pattern(p, apply_pattern(p, grid), grid.M)
     assert np.array_equal(back.tokens, grid.tokens)
     assert back.M == grid.M
 
@@ -310,11 +310,11 @@ def test_grid_rejects_out_of_range_tokens():
         TokenGrid(np.array([[0, 1]]), M=4)
     with pytest.raises(ValidationError):
         TokenGrid(np.array([[5, 1]]), M=4)
-    # slots additionally hold the special token 0, and nothing below it
-    with pytest.raises(ValidationError):
-        InterleavedSequence(slots=np.array([[-1, 1]]), M=4)
-    with pytest.raises(ValidationError):
-        InterleavedSequence(slots=np.array([[0, 5]]), M=4)
+    # the slots a pattern reveals become grid tokens, so the same range holds there
+    p = build_pattern(PatternKind.DELAY, 1, 2)
+    for bad in (0, 5):
+        with pytest.raises(ValidationError, match=r"1\.\.4"):
+            revert_pattern(p, np.array([[0, 0], [bad, 0], [0, 1]]), 4)
 
 
 def test_pattern_json_roundtrip():

@@ -7,7 +7,6 @@ from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, enc
 from tokenweave.errors import InvariantError, ValidationError
 from tokenweave.model import CombinedCondition, ModelConfig, forward, init_params, open_cache
 from tokenweave.patterns import (
-    InterleavedSequence,
     Pattern,
     PatternKind,
     TokenGrid,
@@ -54,7 +53,8 @@ def reference_walk(params, pattern, condition, cfg, rng, forced):
     S = pattern.S
     slots = np.zeros((S + 1, c.K), dtype=np.int64)
     written = np.zeros((S + 1, c.K), dtype=bool)
-    presence = pattern.presence_mask()
+    presence = np.zeros((S + 1, c.K), dtype=bool)
+    presence[pattern.step, np.arange(c.K)] = True
     for s in range(S):
         if not np.array_equal(written[: s + 1], presence[: s + 1]):
             raise InvariantError("a position was read before the pattern revealed it")
@@ -72,7 +72,7 @@ def reference_walk(params, pattern, condition, cfg, rng, forced):
                 token = reference_draw(logits[k - 1], cfg, rng)
             slots[s + 1, k - 1] = token
             written[s + 1, k - 1] = True
-    return revert_pattern(pattern, InterleavedSequence(slots=slots, M=c.M))
+    return revert_pattern(pattern, slots, c.M)
 
 
 D_TEST = 16
@@ -400,7 +400,7 @@ def test_cached_logits_match_full_prefix_forward(kind, mode, condition):
     params = small_model(mode=mode, seed=2, K=4, M=6, L=2)
     pattern = build_pattern(kind, 4, 4)
     grid = random_grid(4, 4, 6, np.random.default_rng(1))
-    slots = apply_pattern(pattern, grid).slots[:-1]
+    slots = apply_pattern(pattern, grid)[:-1]
     kv = open_cache(params, [condition, None], len(slots))
     chunks = [slice(0, 3)] + [slice(s, s + 1) for s in range(3, len(slots))]
     for chunk in chunks:
