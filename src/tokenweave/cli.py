@@ -12,9 +12,9 @@ nothing: the run directory is made at the command's first write, after every
 check, and one that cannot be made is found before any work.
 
 Flags default to the reference hyperparameters where one exists: top-k 250,
-temperature 1.0, guidance 3.0, condition drop 0.2, merge 0.25, description
-drop 0.5, word drop 0.3, chroma window 2^14 and hop 2^12, betas 0.9/0.95,
-weight decay 0.1, gradient clip 1.0; greedy decoding is --temperature 0.
+temperature 1.0, guidance 3.0, condition drop 0.2, chroma window 2^14 and hop
+2^12, betas 0.9/0.95, weight decay 0.1, gradient clip 1.0; greedy decoding is
+--temperature 0.
 Flags are spelled in full, as INI keys must be: an abbreviation is a usage
 error. Config files are INI sections named after the subcommand; explicit
 flags override file values.

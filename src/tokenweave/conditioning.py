@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 
 PITCH_CLASSES = 12
 A4_HZ = 440.0
@@ -33,14 +33,9 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim != 1:
-            raise ValidationError("audio samples must be 1-D (mono)")
-        if not np.isfinite(s).all():
-            raise ValidationError("audio samples must be finite")
         if self.sample_rate <= 0:
             raise ValidationError("sample_rate must be positive")
-        object.__setattr__(self, "samples", s)
+        object.__setattr__(self, "samples", checked_array(self.samples, "audio samples (mono)", 1))
 
 
 @dataclass(frozen=True)
@@ -49,11 +44,9 @@ class Chromagram:
     frame_hop_seconds: float
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.frames, dtype=np.float64)
-        if f.ndim != 2 or f.shape[1] != PITCH_CLASSES:
+        f = checked_array(self.frames, "chromagram energies", 2, low=0)
+        if f.shape[1] != PITCH_CLASSES:
             raise ValidationError(f"chromagram needs shape (F, {PITCH_CLASSES})")
-        if f.size and f.min() < 0:
-            raise ValidationError("chromagram energies must be nonnegative")
         object.__setattr__(self, "frames", f)
 
     @property
@@ -66,11 +59,8 @@ class QuantizedChroma:
     classes: np.ndarray  # (F,) ints in 0..11
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.classes, dtype=np.int64)
-        if c.ndim != 1:
-            raise ValidationError("quantized chroma must be 1-D")
-        if c.size and (c.min() < 0 or c.max() >= PITCH_CLASSES):
-            raise ValidationError(f"pitch classes must lie in 0..{PITCH_CLASSES - 1}")
+        c = checked_array(self.classes, "pitch classes", 1, whole=True,
+                          low=0, high=PITCH_CLASSES - 1)
         object.__setattr__(self, "classes", c)
 
     @property
@@ -105,12 +95,7 @@ class ConditioningTensor:
     rows: np.ndarray
 
     def __post_init__(self) -> None:
-        r = np.asarray(self.rows, dtype=np.float64)
-        if r.ndim != 2:
-            raise ValidationError("conditioning tensor must be 2-D")
-        if not np.isfinite(r).all():
-            raise ValidationError("conditioning tensor must be finite")
-        object.__setattr__(self, "rows", r)
+        object.__setattr__(self, "rows", checked_array(self.rows, "conditioning tensor", 2))
 
     @property
     def T_C(self) -> int:
@@ -288,11 +273,9 @@ def chroma_to_condition(q: "QuantizedChroma | np.ndarray | list[int]", D: int) -
     """Embedding-table lookup of pitch classes 0..11, one row per frame."""
     if D < 1:
         raise ValidationError("D must be >= 1")
-    classes = q.classes if isinstance(q, QuantizedChroma) else np.asarray(q, dtype=np.int64)
-    if classes.size and (classes.min() < 0 or classes.max() >= PITCH_CLASSES):
-        raise ValidationError(f"class ids must lie in 0..{PITCH_CLASSES - 1}")
+    classes = (q if isinstance(q, QuantizedChroma) else QuantizedChroma(q)).classes
     table = _class_unit_rows(D, base=1000)
-    return ConditioningTensor(rows=table[classes].reshape(len(classes), D))
+    return ConditioningTensor(rows=table[classes])
 
 
 def draw_condition_drop(p: float, rng: np.random.Generator) -> bool:

@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditioning import ConditioningTensor, draw_condition_drop
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 from .patterns import SPECIAL_TOKEN, Pattern, TokenGrid, apply_pattern
 
 CONDITIONING_MODES = ("none", "prefix", "cross_attention", "both")
@@ -183,13 +183,9 @@ def sinusoidal_embedding(positions, D: int) -> np.ndarray:
 
 def _coerce_tokens(steps, c: ModelConfig) -> np.ndarray:
     """The (S, K) int64 token matrix of the step inputs, ids in 0..M."""
-    tokens = np.asarray(steps, dtype=np.int64)
-    if tokens.ndim != 2:
-        raise ValidationError("step inputs must form an (S, K) matrix")
+    tokens = checked_array(steps, "token ids", 2, whole=True, low=0, high=c.M)
     if tokens.shape[1] != c.K:
         raise ValidationError(f"step inputs carry {tokens.shape[1]} codebooks, model has {c.K}")
-    if tokens.size and (tokens.min() < 0 or tokens.max() > c.M):
-        raise ValidationError(f"token ids must lie in 0..{c.M}")
     return tokens
 
 
@@ -797,6 +793,10 @@ def load_checkpoint(path) -> Checkpoint:
             if config.pop("ffn_mult", FFN_MULT) != FFN_MULT:  # older files name it
                 raise ValidationError(f"ffn_mult is not {FFN_MULT}")
             config = ModelConfig(**config)
+            # checked here, where they come from outside, not in Parameters,
+            # which also takes init_params' fresh draws; it checks the shapes
+            arrays = {name: checked_array(a, f"parameter {name}", a.ndim)
+                      for name, a in arrays.items()}
             meta = header["meta"]
             if not isinstance(meta, dict):
                 raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")

@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import GuardError, ValidationError
+from .errors import GuardError, ValidationError, checked_array
 from .patterns import Pattern, step_counts
 from .rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
@@ -63,12 +63,9 @@ class JointDistribution:
 
     def __post_init__(self) -> None:
         size = _check_dims(self.T, self.K, self.M)
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = checked_array(self.probs, "probabilities", 1, low=0)
         if p.shape != (size,):
             raise ValidationError(f"probability table must be flat with {size} entries")
-        # written so that NaN fails them too
-        if not p.min() >= 0:
-            raise ValidationError("probabilities must be nonnegative, not NaN")
         if not abs(p.sum() - 1.0) <= MASS_TOL:
             raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
         object.__setattr__(self, "probs", p)

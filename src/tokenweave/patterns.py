@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 
 SPECIAL_TOKEN = 0
 
@@ -44,16 +44,8 @@ class PatternKind(str, Enum):
 
 STEREO_KINDS = frozenset({PatternKind.STEREO_DELAY, PatternKind.STEREO_PARTIAL_DELAY})
 
-# Nominal step counts per kind, in units of T (flatten scales with K instead).
-_NOMINAL_T_MULT = {
-    PatternKind.PARALLEL: 1,
-    PatternKind.DELAY: 1,
-    PatternKind.PARTIAL_DELAY: 1,
-    PatternKind.STEREO_DELAY: 1,
-    PatternKind.STEREO_PARTIAL_DELAY: 1,
-    PatternKind.PARTIAL_FLATTEN: 2,
-    PatternKind.COARSE_FIRST: 2,
-}
+# the parallel/delay family: each codebook runs at a fixed delay, so S = T + the largest delay
+_DELAY_KINDS = STEREO_KINDS | {PatternKind.PARALLEL, PatternKind.DELAY, PatternKind.PARTIAL_DELAY}
 
 
 def _table_violations(step: np.ndarray) -> list[str]:
@@ -94,8 +86,8 @@ class Pattern:
     S: int = field(init=False)
 
     def __post_init__(self) -> None:
-        step = np.array(self.step, dtype=np.int64)
-        if step.ndim != 2 or 0 in step.shape:
+        step = checked_array(self.step, "step table", 2, whole=True).copy()
+        if 0 in step.shape:
             raise ValidationError(f"step table must be 2-D with T, K >= 1, got shape {step.shape}")
         violations = _table_violations(step)
         if violations:
@@ -121,19 +113,9 @@ class TokenGrid:
     M: int
 
     def __post_init__(self) -> None:
-        tok = np.asarray(self.tokens)
-        if tok.dtype != np.int64:
-            with np.errstate(invalid="ignore"):  # NaN casts to garbage, caught below
-                cast = tok.astype(np.int64)
-            if not np.array_equal(cast, tok):
-                raise ValidationError("grid tokens must be whole numbers")
-            tok = cast
-        if tok.ndim != 2:
-            raise ValidationError(f"grid tokens must be 2-D, got shape {tok.shape}")
         if self.M < 1:
             raise ValidationError("M must be >= 1")
-        if tok.size and (tok.min() < 1 or tok.max() > self.M):
-            raise ValidationError(f"grid tokens must lie in 1..{self.M}")
+        tok = checked_array(self.tokens, "grid tokens", 2, whole=True, low=1, high=self.M)
         object.__setattr__(self, "tokens", tok)
 
     @property
@@ -208,7 +190,7 @@ def apply_pattern(pattern: Pattern, grid: TokenGrid) -> np.ndarray:
 def revert_pattern(pattern: Pattern, slots: np.ndarray, M: int) -> TokenGrid:
     """Recover the grid from a slot sequence; exact inverse of apply_pattern.
     Absent slots must hold SPECIAL_TOKEN, and TokenGrid holds the rest to 1..M."""
-    slots = np.asarray(slots)
+    slots = checked_array(slots, "slot sequence", 2, whole=True)
     expected = (pattern.S + 1, pattern.K)
     if slots.shape != expected:
         raise ValidationError(f"sequence shape {slots.shape} != expected {expected}")
@@ -226,16 +208,11 @@ def revert_pattern(pattern: Pattern, slots: np.ndarray, M: int) -> TokenGrid:
 def step_counts(pattern: Pattern) -> StepCounts:
     """Exact step count S plus the nominal count used in headline comparisons.
 
-    Nominal counts round the delay-style tails away: T for the parallel/delay
-    family, 2T for partial flattening and coarse-first, T*K for flattening.
-    Patterns without a known kind report nominal = exact.
+    The nominal count rounds a delay-style tail away: T for the parallel/delay
+    family. Every other pattern, custom ones included, reports nominal = S
+    (T*K for flattening, 2T for partial flattening and coarse-first at K >= 2).
     """
-    exact = pattern.S
-    if pattern.kind is None:
-        return StepCounts(exact, exact)
-    if pattern.kind is PatternKind.FLATTEN:
-        return StepCounts(exact, pattern.T * pattern.K)
-    return StepCounts(exact, pattern.T * _NOMINAL_T_MULT[pattern.kind])
+    return StepCounts(pattern.S, pattern.T if pattern.kind in _DELAY_KINDS else pattern.S)
 
 
 def pattern_to_json(pattern: Pattern) -> str:

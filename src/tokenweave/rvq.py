@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_array
 from .patterns import TokenGrid
 
 
@@ -45,12 +45,7 @@ class Codebook:
     centroids: np.ndarray  # (M, d_latent)
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.centroids, dtype=np.float64)
-        if c.ndim != 2:
-            raise ValidationError("codebook centroids must be a 2-D array")
-        if not np.isfinite(c).all():
-            raise ValidationError("codebook centroids must be finite")
-        object.__setattr__(self, "centroids", c)
+        object.__setattr__(self, "centroids", checked_array(self.centroids, "codebook centroids", 2))
 
     @property
     def M(self) -> int:
@@ -66,12 +61,7 @@ class LatentFrames:
     frames: np.ndarray  # (T, d_latent)
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.frames, dtype=np.float64)
-        if f.ndim != 2:
-            raise ValidationError("latent frames must be a 2-D array")
-        if not np.isfinite(f).all():
-            raise ValidationError("latent frames must be finite")
-        object.__setattr__(self, "frames", f)
+        object.__setattr__(self, "frames", checked_array(self.frames, "latent frames", 2))
 
     @property
     def T(self) -> int:
@@ -199,13 +189,11 @@ def residual_energy_profile(frames: LatentFrames, codebooks: list[Codebook]) -> 
     Nonincreasing whenever frames come from the corpus the cascade was fit on;
     out-of-distribution frames get no hard guarantee.
     """
-    _, d = _check_books(codebooks)
-    if frames.d != d:
-        raise ValidationError(f"frames are {frames.d}-dim, codebooks are {d}-dim")
+    grid = rvq_encode(frames, codebooks)
     residual = frames.frames.copy()
     profile = [float(np.mean(np.sum(residual**2, axis=1)))]
-    for book in codebooks:
-        residual -= book.centroids[_nearest(residual, book.centroids)]
+    for book, ids in zip(codebooks, grid.tokens.T):
+        residual -= book.centroids[ids - 1]
         profile.append(float(np.mean(np.sum(residual**2, axis=1))))
     return np.asarray(profile)
 

@@ -639,11 +639,17 @@ MALFORMED = (
                     id="ini-train-seed-negative")]
     + [pytest.param(["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", ","], 3,
                     id="memorize--prompt-lens=,")]
-    # a grid token the int64 cast would change (truncate, or make up for NaN)
+    # a grid token the int64 cast would change (truncate, or make up for NaN), and
+    # checkpoint members that hold text where numbers belong
     + [
         pytest.param(["memorize", "--checkpoint", f"{{{name}.npz}}", "--prompt-lens", "1",
                       "--gen-len", "4"], 3, id=f"memorize-{name}")
-        for name in ("grids-fractional", "grids-nan")
+        for name in ("grids-fractional", "grids-nan", "grids-text", "cond-text", "param-text")
+    ]
+    + [
+        pytest.param(["generate", "--checkpoint", f"{{{name}.npz}}", *flags], 3,
+                     id=f"generate-{name}")
+        for name, flags in (("codebooks-text", ["--wav"]), ("param-text", []))
     ]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
     + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
@@ -698,9 +704,16 @@ def bad_inputs(trained, tmp_path_factory):
     craft("not-json", "{not json")
     nan_grids = arrays["x:grids"].astype(np.float64)
     nan_grids[0, 0, 0] = np.nan
-    for name, grids in (("grids-fractional", arrays["x:grids"] + 0.5), ("grids-nan", nan_grids)):
+    for name, member, value in (
+        ("grids-fractional", "x:grids", arrays["x:grids"] + 0.5),
+        ("grids-nan", "x:grids", nan_grids),
+        ("grids-text", "x:grids", arrays["x:grids"].astype(str)),
+        ("codebooks-text", "x:codebooks", arrays["x:codebooks"].astype(str)),
+        ("cond-text", "x:cond/0", np.full((2, header["config"]["D"]), "0.5")),
+        ("param-text", "p:head.k0.b", arrays["p:head.k0.b"].astype(str)),
+    ):
         files[f"{{{name}.npz}}"] = root / f"{name}.npz"
-        np.savez(root / f"{name}.npz", **{**arrays, "x:grids": grids})
+        np.savez(root / f"{name}.npz", **{**arrays, member: value})
     for name, changes in (
         ("version", {"version": 99}),
         ("config-mismatch", {"config": {**header["config"], "D": 2 * header["config"]["D"]}}),

@@ -137,6 +137,8 @@ def test_step_count_table_1500x4(kind, exact, nominal):
     counts = step_counts(build_pattern(kind, T=1500, K=4))
     assert counts.exact == exact
     assert counts.nominal == nominal
+    # one codebook leaves no tail to round away, and a nominal count never exceeds S
+    assert step_counts(build_pattern(kind, T=10, K=1)) == (10, 10)
 
 
 def test_stereo_partial_delay_nominal_1500x8():
