@@ -26,8 +26,11 @@ new rows alone. A full-sequence forward is a fresh one-branch cache fed every
 row in one call, where the key mask is exactly the causal mask. Step rows
 take positions 0..S-1 whatever the prefix length, so cached logits equal a
 full-sequence forward. A cache lays the weights out once, as they are when it
-opens (grad: once per call): a step makes one stacked q/k/v product and cache
-write per layer and one stacked head product, the bits of separate products.
+opens (grad: once per call): a step makes one embedding gather, one stacked
+q/k/v product and cache write per layer and one stacked head product, the
+bits of separate lookups and products. While its branches share one length,
+as they do unless prefixes of different lengths fed them, that write is one
+slice, and a single new row needs no key mask.
 
 A training example is its pattern's slot sequence: rows 0..S-1 are the
 inputs, rows 1..S the targets, and the loss covers the targets that are not
@@ -45,6 +48,7 @@ and parameters in place (single writer).
 from __future__ import annotations
 
 import json
+import math
 import os
 import zipfile
 from dataclasses import asdict, dataclass, replace
@@ -264,12 +268,13 @@ def _attend(qh, q_in, kv_in, kh, vh, w, blocked):
     queries, keys) scores, marks the keys a query may not see. Returns the
     output rows and the intermediates backward needs."""
     wo, bo = w[5:]
-    scores = qh @ kh.swapaxes(-1, -2) / np.sqrt(qh.shape[-1])
+    scores = qh @ kh.swapaxes(-1, -2)
+    scores /= math.sqrt(qh.shape[-1])
     if blocked is not None:
         np.copyto(scores, -np.inf, where=blocked)
-    smax = scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores - smax)
-    p = e / e.sum(axis=-1, keepdims=True)
+    scores -= np.maximum.reduce(scores, axis=-1, keepdims=True)
+    p = np.exp(scores, out=scores)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     ctx = _merge_heads(p @ vh)
     return ctx @ wo + bo, (q_in, kv_in, qh, kh, vh, p, ctx, w)
 
@@ -308,31 +313,39 @@ def _weights(A: dict, block: str) -> tuple:
 
 
 def _layout(params: Parameters, n_rows: int) -> tuple:
-    """Per layer the attention _weights, q/k/v stacked (3, D, D) with biases
-    (3, 1, D) (the key's zero: adding +0.0 is exact) and the cross _weights or
-    None; the heads stacked (K, D, M), (K, 1, M); the sinusoid of 0..n_rows-1."""
+    """Per layer its norms' (g, b), the attention _weights, q/k/v stacked
+    (3, D, D) with biases (3, 1, D) (the key's zero: adding +0.0 is exact),
+    the cross norm and _weights or None, and the FFN (w1, b1, w2, b2); the
+    embedding tables stacked (K, M + 1, D); the heads stacked (K, D, M),
+    (K, 1, M); the sinusoid of 0..n_rows-1."""
     c, A = params.config, params.arrays
     layers = []
     for i in range(c.L):
-        w = _weights(A, f"layer{i}.attn")
-        w3, b3 = np.stack([w[0], w[2], w[3]]), np.stack([w[1], np.zeros(c.D), w[4]])[:, None]
-        xw = _weights(A, f"layer{i}.xattn") if f"layer{i}.xattn.wq" in A else None
-        layers.append((w, w3, b3, xw))
-    head_w, head_b = (np.stack([A[f"head.k{k}.{x}"] for k in range(c.K)]) for x in "wb")
-    return layers, head_w, head_b[:, None], sinusoidal_embedding(np.arange(n_rows), c.D)
+        p = f"layer{i}"
+        w = _weights(A, f"{p}.attn")
+        w3, b3 = np.array([w[0], w[2], w[3]]), np.array([w[1], np.zeros(c.D), w[4]])[:, None]
+        ln1, ln2 = ((A[f"{p}.{ln}.g"], A[f"{p}.{ln}.b"]) for ln in ("ln1", "ln2"))
+        cross = (((A[f"{p}.lnx.g"], A[f"{p}.lnx.b"]), _weights(A, f"{p}.xattn"))
+                 if f"{p}.xattn.wq" in A else None)
+        ffn = tuple(A[f"{p}.ffn.{x}"] for x in ("w1", "b1", "w2", "b2"))
+        layers.append((ln1, (w, w3, b3), cross, ln2, ffn))
+    embed = np.array([A[f"embed.k{k}"] for k in range(c.K)])
+    head_w, head_b = (np.array([A[f"head.k{k}.{x}"] for k in range(c.K)]) for x in "wb")
+    return layers, embed, head_w, head_b[:, None], sinusoidal_embedding(np.arange(n_rows), c.D)
 
 
 @dataclass
 class DecodeCache:
     """The attention state of B stacked branches, each with its own condition;
-    every trunk pass runs over one. Branch b holds lengths[b] rows: its
-    prefix-condition rows, then the `steps` step rows fed since the cache
-    opened; a branch with fewer rows leaves the tail of its key axis unused,
-    and a per-branch key mask hides it. Its weights, laid out once (_layout),
-    are copies of the parameters from when it was opened."""
+    every trunk pass runs over one. A branch holds its prefix-condition rows,
+    then the `steps` step rows fed since the cache opened. lengths is the rows
+    every branch holds, an int, until prefixes of different lengths make it
+    the (B,) rows per branch for good; a per-branch key mask then hides the
+    unused tail of a shorter branch's key axis. Its weights are laid out once
+    (_layout) when it opens, partly as the parameters' own arrays."""
 
     keys_values: np.ndarray  # (L, 2, B, H, rows, D / H) self-attention keys, values per layer
-    lengths: np.ndarray  # (B,) rows held per branch
+    lengths: int | np.ndarray  # rows held: by every branch, or (B,) per branch
     # None, or the branches that hold a cross condition (a slice when they are
     # adjacent), its rows padded into one (B_c * C_max, D) block, the pad keys
     # to hide (None if none) and per layer the block's projected (keys, values)
@@ -359,12 +372,13 @@ def _new_cache(params: Parameters, conditions: Sequence, steps: int, layout=None
         pads = np.arange(sizes.max()) >= sizes[:, None]
         blocked = pads[:, None, None, :] if pads.any() else None
         heads = [(_split_heads(rows @ xw[2], len(held), c.H),
-                  _split_heads(rows @ xw[3] + xw[4], len(held), c.H)) for *_, xw in layout[0]]
+                  _split_heads(rows @ xw[3] + xw[4], len(held), c.H))
+                 for _, _, (_, xw), *_ in layout[0]]
         if held[-1] - held[0] == len(held) - 1:
             held = slice(held[0], held[-1] + 1)
         cross = (held, rows, blocked, heads)
     shape = (c.L, 2, len(routes), c.H, n_prefix + steps, c.D // c.H)
-    kv = DecodeCache(np.zeros(shape), np.zeros(len(routes), dtype=np.int64), cross, layout)
+    kv = DecodeCache(np.zeros(shape), 0, cross, layout)
     return kv, [prefix_rows for prefix_rows, _ in routes]
 
 
@@ -379,16 +393,18 @@ def open_cache(params: Parameters, conditions: Sequence, steps: int) -> DecodeCa
     return kv
 
 
-def _self_attention(kv: DecodeCache, i: int, q_in, pos, blocked):
+def _self_attention(store, weights, q_in, B, pos, end, blocked):
     """One stacked product projects the new rows of every branch, one write
-    stores their keys and values at key indices pos (B, n); each new row then
-    attends over the keys of its branch that blocked leaves open."""
-    w, w3, b3, _ = kv.layout[0][i]
-    B, n = pos.shape
-    qkv = (np.matmul(q_in, w3) + b3).reshape(3, B, n, kv.keys_values.shape[3], -1)
-    held = kv.keys_values[i]
-    held[:, np.arange(B)[:, None], :, pos] = qkv[1:].transpose(1, 2, 0, 3, 4)
-    kh, vh = held[:, :, :, : int(pos.max()) + 1]
+    stores their keys and values in the layer's (2, B, H, rows, D / H) store
+    at key rows pos, a slice or the (B, n) key index of each new row; each
+    then attends over the first `end` keys of its branch that blocked leaves open."""
+    w, w3, b3 = weights
+    qkv = (np.matmul(q_in, w3) + b3).reshape(3, B, len(q_in) // B, store.shape[2], -1)
+    if isinstance(pos, slice):
+        store[:, :, :, pos] = qkv[1:].swapaxes(2, 3)
+    else:
+        store[:, np.arange(B)[:, None], :, pos] = qkv[1:].transpose(1, 2, 0, 3, 4)
+    kh, vh = store[:, :, :, :end]
     return _attend(qkv[0].swapaxes(1, 2), q_in, q_in, kh, vh, w, blocked)
 
 
@@ -401,63 +417,64 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
     branch-major, so row-wise work runs once for all of them; the logits are
     (B, S, K, M)."""
     c = params.config
-    A = params.arrays
-    layers, head_w, head_b, pe = kv.layout
-    B = len(kv.lengths)
-    S = tokens.shape[1]
+    layers, embed, head_w, head_b, pe = kv.layout
+    B, S = tokens.shape[:2]
     if kv.steps + S > c.max_steps:
         raise ValidationError(f"sequence exceeds max_steps={c.max_steps}")
-    lead = np.array([0 if rows is None else len(rows) for rows in prefixes or [None] * B])
-    n = int(lead.max()) + S
+    lead = [0] * B if prefixes is None else [0 if rows is None else len(rows) for rows in prefixes]
+    n = max(lead) + S
     if n == 0:
         raise ValidationError("no rows to run: the step inputs are empty and there is no prefix")
-    pos = kv.lengths[:, None] + np.arange(n)  # (B, n) key index of each new row
-    end = int(pos.max()) + 1
+    ragged = isinstance(kv.lengths, np.ndarray) or min(lead) < max(lead)
+    if ragged:
+        starts = np.zeros(B, dtype=np.int64) + kv.lengths  # rows per branch
+        pos = starts[:, None] + np.arange(n)  # (B, n) key index of each new row
+        end = int(pos.max()) + 1
+        blocked = np.arange(end) > pos[:, None, :, None]
+    else:  # every branch continues at key row kv.lengths
+        pos, end = slice(kv.lengths, kv.lengths + n), kv.lengths + n
+        blocked = None if n == 1 else np.arange(end) > np.arange(kv.lengths, end)[:, None]
     if end > kv.keys_values.shape[4]:
         raise ValidationError(f"decode cache is full at {kv.keys_values.shape[4]} rows per branch")
-    # the keys each new row may not see; none if every new row is its branch's last
-    blocked = None if pos.min() == end - 1 else np.arange(end) > pos[:, None, :, None]
 
-    x = A["embed.k0"][tokens[..., 0]]
-    for k in range(1, c.K):
-        x += A[f"embed.k{k}"][tokens[..., k]]
+    # the K lookups summed over the codebook axis, in order, as K adds would
+    x = np.add.reduce(embed[np.arange(c.K), tokens], axis=-2)
     x += pe[kv.steps : kv.steps + S]
     at = None  # where prefix rows lead: the index of each step row among all rows
-    if lead.any():
+    if n > S:
         x = _pad_stack([
             x[b] if rows is None else np.vstack([rows + pe[: len(rows)], x[b]])
             for b, rows in enumerate(prefixes)
         ], n)
-        at = (np.arange(B)[:, None] * n + lead[:, None] + np.arange(S)).ravel()
+        at = (np.arange(B)[:, None] * n + np.array(lead)[:, None] + np.arange(S)).ravel()
     x = x.reshape(B * n, c.D)
     if kv.cross is not None:
         held, cond_rows, cond_blocked, heads = kv.cross
 
     caches = []
-    for i in range(c.L):
-        p = f"layer{i}"
-        ln1_out, ln1_c = _layernorm_f(x, A[f"{p}.ln1.g"], A[f"{p}.ln1.b"])
-        attn_out, attn_c = _self_attention(kv, i, ln1_out, pos, blocked)
+    for i, (ln1, attn, cross, ln2, (w1, b1, w2, b2)) in enumerate(layers):
+        ln1_out, ln1_c = _layernorm_f(x, *ln1)
+        attn_out, attn_c = _self_attention(kv.keys_values[i], attn, ln1_out, B, pos, end, blocked)
         x = x + attn_out
 
         x_c = None
         if kv.cross is not None:
             xb = x.reshape(B, n, c.D)
             x_in = xb[held].reshape(-1, c.D)
-            lnx_out, lnx_c = _layernorm_f(x_in, A[f"{p}.lnx.g"], A[f"{p}.lnx.b"])
-            xw, (kh, vh) = layers[i][3], heads[i]
+            lnx_out, lnx_c = _layernorm_f(x_in, *cross[0])
+            xw, (kh, vh) = cross[1], heads[i]
             qh = _split_heads(lnx_out @ xw[0] + xw[1], len(kh), c.H)
             cross_out, cross_c = _attend(qh, lnx_out, cond_rows, kh, vh, xw, cond_blocked)
             xb[held] += cross_out.reshape(-1, n, c.D)
             x_c = (held, lnx_c, cross_c)
 
-        ln2_out, ln2_c = _layernorm_f(x, A[f"{p}.ln2.g"], A[f"{p}.ln2.b"])
-        h = ln2_out @ A[f"{p}.ffn.w1"] + A[f"{p}.ffn.b1"]
-        x = x + np.maximum(h, 0.0) @ A[f"{p}.ffn.w2"] + A[f"{p}.ffn.b2"]
+        ln2_out, ln2_c = _layernorm_f(x, *ln2)
+        h = ln2_out @ w1 + b1
+        x = x + np.maximum(h, 0.0) @ w2 + b2
         if need_cache:
             caches.append((ln1_c, attn_c, x_c, ln2_c, ln2_out, h))
 
-    kv.lengths += lead + S
+    kv.lengths = starts + lead + S if ragged else end
     kv.steps += S
     if at is not None:
         x = x[at]
@@ -481,7 +498,7 @@ def forward(
     if cache is not None:
         if condition is not None:
             raise ValidationError("a cached forward takes its conditions from the cache")
-        shared = tokens[None].repeat(len(cache.lengths), axis=0)
+        shared = tokens[None].repeat(cache.keys_values.shape[2], axis=0)
         return _forward_trunk(params, shared, None, cache, False)[0]
     kv, prefixes = _new_cache(params, [condition], len(tokens))
     return _forward_trunk(params, tokens[None], prefixes, kv, False)[0][0]

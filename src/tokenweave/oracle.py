@@ -183,14 +183,15 @@ def tv_distance(p, q) -> float:
     """Total variation distance 0.5 * sum |p - q| over a shared index space.
 
     Accepts JointDistribution laws (dims are cross-checked) or bare
-    probability arrays of equal shape.
+    probability arrays of equal shape, each checked at its own rank: finite,
+    non-negative numbers.
     """
     if hasattr(p, "probs") and hasattr(q, "probs"):
         for attr in ("T", "K", "M"):
             if getattr(p, attr) != getattr(q, attr):
                 raise ValidationError(f"distributions disagree on {attr}")
-    pa = p.probs if hasattr(p, "probs") else np.asarray(p, dtype=np.float64)
-    qa = q.probs if hasattr(q, "probs") else np.asarray(q, dtype=np.float64)
+    pa = p.probs if hasattr(p, "probs") else checked_array(p, "probabilities", np.ndim(p), low=0)
+    qa = q.probs if hasattr(q, "probs") else checked_array(q, "probabilities", np.ndim(q), low=0)
     if pa.shape != qa.shape:
         raise ValidationError("distributions live on different index spaces")
     return float(0.5 * np.abs(pa - qa).sum())

@@ -215,20 +215,6 @@ def step_counts(pattern: Pattern) -> StepCounts:
     return StepCounts(pattern.S, pattern.T if pattern.kind in _DELAY_KINDS else pattern.S)
 
 
-def pattern_to_json(pattern: Pattern) -> str:
-    """Pattern document: steps[s] lists the [t, k] coordinates step s reveals."""
-    steps: list[list[list[int]]] = [[] for _ in range(pattern.S + 1)]
-    for (t, k), s in np.ndenumerate(pattern.step):
-        steps[s].append([t + 1, k + 1])
-    doc = {
-        "kind": pattern.kind.value if pattern.kind is not None else None,
-        "T": pattern.T,
-        "K": pattern.K,
-        "steps": steps,
-    }
-    return json.dumps(doc)
-
-
 def pattern_from_json(text: str) -> Pattern:
     """Parse a pattern document, the one reader of the coordinate-list format.
 
@@ -273,11 +259,6 @@ def pattern_from_json(text: str) -> Pattern:
 def grid_to_csv(grid: TokenGrid) -> str:
     """CSV text: one row per timestep, one column per codebook."""
     return "".join(",".join(str(v) for v in row) + "\n" for row in grid.tokens)
-
-
-def random_grid(T: int, K: int, M: int, rng: np.random.Generator) -> TokenGrid:
-    """Uniform random grid, mainly for tests and synthetic corpora."""
-    return TokenGrid(tokens=rng.integers(1, M + 1, size=(T, K)), M=M)
 
 
 def format_pattern(pattern: Pattern) -> str:

@@ -9,9 +9,10 @@ unconditional branch, feeds the slot rows filled since the last one; their
 logits are combined (classifier-free guidance on raw logits), and one draw
 fills every slot of the next step - each codebook independently, which is
 precisely the inexactness the oracle module measures. A step the prompt fills
-needs no logits, so a prompt is prefilled in one call. Greedy decoding
-(temperature 0) consumes no randomness, so greedy prompted continuations are
-seed-independent.
+needs no logits, so a prompt is prefilled in one call; the steps to draw are
+read off the slot array once per walk. Greedy decoding (temperature 0) uses
+no randomness, so greedy prompted continuations are seed-independent. At
+temperature 1 a draw skips the division by the temperature: x / 1 is x.
 """
 
 from __future__ import annotations
@@ -64,15 +65,18 @@ def _topk_probs(logits: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.
     """Per logit row of (M,) or (N, M): the kept token indices (0-based, ties
     to the lowest index) and their renormalized softmax probabilities after
     temperature scaling."""
-    k = min(cfg.top_k, logits.shape[-1])
-    order = np.argsort(-logits, axis=-1, kind="stable")[..., :k]
+    order = (-logits).argsort(axis=-1, kind="stable")
+    if cfg.top_k < logits.shape[-1]:
+        order = order[..., : cfg.top_k]
     top = logits[np.arange(len(order))[:, None], order] if order.ndim == 2 else logits[order]
     # the max is subtracted first, so a tiny temperature sends every
     # non-maximal logit to -inf (probability 0) rather than overflowing
-    with np.errstate(over="ignore"):
-        zk = (top - top[..., :1]) / cfg.temperature
-    p = np.exp(zk)
-    p /= p.sum(axis=-1, keepdims=True)
+    zk = top - top[..., :1]
+    if cfg.temperature != 1.0:
+        with np.errstate(over="ignore"):
+            zk /= cfg.temperature
+    p = np.exp(zk, out=zk)
+    p /= np.add.reduce(p, axis=-1, keepdims=True)
     return order, p
 
 
@@ -90,7 +94,7 @@ def sample_token(
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim == 0:
         raise ValidationError("sample_token expects logit rows, got a scalar")
-    top = logits.max(axis=-1, initial=-np.inf)  # NaN carries through; -inf if all -inf
+    top = np.maximum.reduce(logits, axis=-1, initial=-np.inf)  # NaN carries; -inf if all -inf
     if not np.isfinite(top).all():
         if np.isnan(top).any() or np.isposinf(top).any():
             raise ValidationError("logits must not contain NaN or +inf")
@@ -102,9 +106,9 @@ def sample_token(
         order, p = _topk_probs(rows, cfg)
         # Generator.choice(p=) normalises the cumsum and counts the entries
         # at or below one uniform draw
-        cdf = p.cumsum(axis=-1)
+        cdf = np.add.accumulate(p, axis=-1)
         cdf /= cdf[:, -1:]
-        pick = (cdf <= rng.random(len(rows))[:, None]).sum(axis=-1)
+        pick = np.add.reduce(cdf <= rng.random(len(rows))[:, None], axis=-1)
         ids = order[np.arange(len(rows)), pick].reshape(logits.shape[:-1]) + 1
     return int(ids) if logits.ndim == 1 else ids
 
@@ -136,18 +140,14 @@ def _walk_pattern(
     guided = cfg.guidance_scale != 1.0 and condition is not None
     kv = open_cache(params, [condition, None] if guided else [condition], pattern.S)
     fed = 0  # slot rows the cache holds
-
-    for s in range(pattern.S):
-        todo = slots[s + 1] == undrawn
-        # a step with nothing to draw needs no logits; its row is fed with
-        # the rows of the next step that does
-        if todo.any():
-            branches = forward(params, slots[fed : s + 1], cache=kv)[:, -1]
-            fed = s + 1
-            logits = (
-                cfg_combine(branches[0], branches[1], cfg.guidance_scale) if guided else branches[0]
-            )
-            slots[s + 1, todo] = sample_token(logits[todo], cfg, rng)
+    # step s fills slot row s + 1, which no earlier step writes; a step with
+    # nothing to draw needs no logits, and its row is fed with the next one's
+    todo = slots[1:] == undrawn
+    for s in np.flatnonzero(todo.any(axis=1)).tolist():
+        branches = forward(params, slots[fed : s + 1], cache=kv)[:, -1]
+        fed = s + 1
+        logits = cfg_combine(*branches, cfg.guidance_scale) if guided else branches[0]
+        slots[s + 1, todo[s]] = sample_token(logits[todo[s]], cfg, rng)
 
     return revert_pattern(pattern, slots, c.M)
 

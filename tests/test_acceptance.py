@@ -43,12 +43,13 @@ from tokenweave.patterns import (
     PatternKind,
     apply_pattern,
     build_pattern,
-    random_grid,
     revert_pattern,
 )
 from tokenweave.rvq import RVQConfig, residual_energy_profile, synth_latents, train_codebooks
 from tokenweave.sampling import SamplerConfig, cfg_combine, sample_token
 from tokenweave.sampling import _topk_probs
+
+from helpers import random_grid
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 STEREO = {PatternKind.STEREO_DELAY, PatternKind.STEREO_PARTIAL_DELAY}

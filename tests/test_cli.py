@@ -62,7 +62,8 @@ def test_validate_broken_pattern_exits_3(tmp_path, capsys):
 
 
 def test_validate_good_pattern_exits_0(tmp_path, capsys):
-    from tokenweave.patterns import PatternKind, build_pattern, pattern_to_json
+    from helpers import pattern_to_json
+    from tokenweave.patterns import PatternKind, build_pattern
 
     path = tmp_path / "ok.json"
     path.write_text(pattern_to_json(build_pattern(PatternKind.DELAY, 3, 2)))

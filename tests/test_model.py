@@ -43,7 +43,9 @@ from tokenweave.model import (
     train_step,
     zero_grads,
 )
-from tokenweave.patterns import PatternKind, TokenGrid, apply_pattern, build_pattern, random_grid
+from tokenweave.patterns import PatternKind, TokenGrid, apply_pattern, build_pattern
+
+from helpers import random_grid
 
 TINY = ModelConfig(K=2, M=5, D=16, L=2, H=2, max_steps=64, conditioning_mode="cross_attention")
 

@@ -313,6 +313,17 @@ def test_tv_distance_metric_properties():
         assert tv_distance(p, r) <= tv_distance(p, q) + tv_distance(q, r) + 1e-15
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [[0.5, np.nan], [0.5, np.inf], [-0.5, 1.5], ["0.5", "0.5"]],
+    ids=["nan", "inf", "negative", "text"],
+)
+def test_tv_distance_rejects_malformed_bare_arrays(bad):
+    for p, q in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
+        with pytest.raises(ValidationError):
+            tv_distance(p, q)
+
+
 def test_tv_distance_rejects_mismatched_spaces():
     a = make_joint("product", T=1, K=2, M=2)
     b = make_joint("product", T=2, K=2, M=2)

@@ -14,11 +14,11 @@ from tokenweave.patterns import (
     build_pattern,
     format_pattern,
     pattern_from_json,
-    pattern_to_json,
-    random_grid,
     revert_pattern,
     step_counts,
 )
+
+from helpers import pattern_to_json, random_grid
 
 ALL_KINDS = list(PatternKind)
 STEREO = {PatternKind.STEREO_DELAY, PatternKind.STEREO_PARTIAL_DELAY}

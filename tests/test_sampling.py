@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from tokenweave import sampling
 from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, encode_text_toy
 from tokenweave.errors import InvariantError, ValidationError
 from tokenweave.model import CombinedCondition, ModelConfig, forward, init_params, open_cache
@@ -13,7 +14,6 @@ from tokenweave.patterns import (
     apply_pattern,
     build_pattern,
     pattern_from_json,
-    random_grid,
     revert_pattern,
 )
 from tokenweave.sampling import (
@@ -24,6 +24,8 @@ from tokenweave.sampling import (
     generate,
     sample_token,
 )
+
+from helpers import random_grid
 
 CFG_GREEDY = SamplerConfig(temperature=0.0, guidance_scale=1.0)
 
@@ -390,6 +392,40 @@ def test_cached_walk_matches_full_prefix_walker(kind, mode, condition):
                     params, pattern, prompt, condition=condition, cfg=cfg, rng=rng
                 )
             assert np.array_equal(got.tokens, want.tokens), (prompt and prompt.T, cfg)
+
+
+def test_walker_calls_the_module_once_per_step_that_draws(monkeypatch):
+    """The walker looks forward, cfg_combine and sample_token up on the
+    sampling module, where a trace wraps them, and calls each once per step
+    with a slot to draw and never for a step the prompt fills."""
+    params = small_model(mode="cross_attention", seed=1, K=4, M=6, L=1)
+    pattern = build_pattern(PatternKind.DELAY, 4, 4)
+    calls = []
+
+    def counting(name):
+        real = getattr(sampling, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("forward", "cfg_combine", "sample_token"):
+        monkeypatch.setattr(sampling, name, counting(name))
+    tokens = np.random.default_rng(0).integers(1, 7, size=(4, 4))
+    cfg = SamplerConfig(guidance_scale=3.0)
+    for P in (None, 0, 1, 2, 3, 4):  # None: generate
+        calls.clear()
+        rng = np.random.default_rng(2)
+        if P is None:
+            generate(params, pattern, condition=TEXT, cfg=cfg, rng=rng)
+        else:
+            prompt = TokenGrid(tokens=tokens[:P], M=6)
+            continue_from_prompt(params, pattern, prompt, condition=TEXT, cfg=cfg, rng=rng)
+        # the steps that reveal a timestep past the prompt
+        draws = len(np.unique(pattern.step[P or 0 :]))
+        assert calls == ["forward", "cfg_combine", "sample_token"] * draws, P
 
 
 @pytest.mark.parametrize("mode,condition", CONDITIONED)
