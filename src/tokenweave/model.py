@@ -36,7 +36,9 @@ A training example is its pattern's slot sequence: rows 0..S-1 are the
 inputs, rows 1..S the targets, and the loss covers the targets that are not
 the special (absence) token. grad runs the batch in passes of at most
 ROW_BUDGET rows, one branch per example, which bounds the activations kept
-for backward; shorter examples are right-padded with special tokens.
+for backward; shorter examples are right-padded with special tokens. The
+hand-written backward reads the same per-layer arrays as the forward, which
+_blocks alone looks up by name, and adds each gradient in place.
 
 Key projections carry no bias: softmax is invariant to a per-query constant
 shift, so a key bias cannot affect the loss and would defeat gradient checks.
@@ -234,19 +236,19 @@ def _layernorm_f(x: np.ndarray, g: np.ndarray, b: np.ndarray):
     return g * xhat + b, (xhat, inv, g)
 
 
-def _layernorm_b(dy: np.ndarray, cache):
-    xhat, inv, g = cache
+def _layernorm_b(dy: np.ndarray, cache, grads) -> np.ndarray:
+    """dx of the norm that left cache; adds dg and db into grads, its (g, b)."""
+    (xhat, inv, g), (gg, gb) = cache, grads
     D = dy.shape[-1]
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
+    gg += (dy * xhat).sum(axis=0)
+    gb += dy.sum(axis=0)
     dxhat = dy * g
     # means over D, summed as in _layernorm_f
-    dx = inv * (
+    return inv * (
         dxhat
         - np.add.reduce(dxhat, axis=-1, keepdims=True) / D
         - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / D)
     )
-    return dx, dg, db
 
 
 def _split_heads(x: np.ndarray, B: int, H: int) -> np.ndarray:
@@ -279,58 +281,61 @@ def _attend(qh, q_in, kv_in, kh, vh, w, blocked):
     return ctx @ wo + bo, (q_in, kv_in, qh, kh, vh, p, ctx, w)
 
 
-def _attention_b(dout, cache):
-    q_in, kv_in, qh, kh, vh, p, ctx, w = cache
-    wq, bq, wk, wv, bv, wo, bo = w
+def _attention_b(dout, cache, grads):
+    """(dq_in, dkv_in) of the attention that left cache; adds the gradients
+    of its weights into grads, a tuple in _weights order."""
+    q_in, kv_in, qh, kh, vh, p, ctx, (wq, _, wk, wv, _, wo, _) = cache
+    gwq, gbq, gwk, gwv, gbv, gwo, gbo = grads
     B, H, _, dh = qh.shape
-    dwo = ctx.T @ dout
-    dbo = dout.sum(axis=0)
+    gwo += ctx.T @ dout
+    gbo += dout.sum(axis=0)
     dctx = _split_heads(dout @ wo.T, B, H)
     dp = dctx @ vh.swapaxes(-1, -2)
     dvh = p.swapaxes(-1, -2) @ dctx
     ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
     dqh = ds @ kh / np.sqrt(dh)
     dkh = ds.swapaxes(-1, -2) @ qh / np.sqrt(dh)
-    dq = _merge_heads(dqh)
-    dk = _merge_heads(dkh)
-    dv = _merge_heads(dvh)
-    dq_in = dq @ wq.T
-    dkv_in = dk @ wk.T + dv @ wv.T
-    grads = {
-        "wq": q_in.T @ dq,
-        "bq": dq.sum(axis=0),
-        "wk": kv_in.T @ dk,
-        "wv": kv_in.T @ dv,
-        "bv": dv.sum(axis=0),
-        "wo": dwo,
-        "bo": dbo,
-    }
-    return dq_in, dkv_in, grads
+    dq, dk, dv = _merge_heads(dqh), _merge_heads(dkh), _merge_heads(dvh)
+    gwq += q_in.T @ dq
+    gbq += dq.sum(axis=0)
+    gwk += kv_in.T @ dk
+    gwv += kv_in.T @ dv
+    gbv += dv.sum(axis=0)
+    return dq @ wq.T, dk @ wk.T + dv @ wv.T
 
 
 def _weights(A: dict, block: str) -> tuple:
     return tuple(A[f"{block}.{n}"] for n in ("wq", "bq", "wk", "wv", "bv", "wo", "bo"))
 
 
-def _layout(params: Parameters, n_rows: int) -> tuple:
-    """Per layer its norms' (g, b), the attention _weights, q/k/v stacked
-    (3, D, D) with biases (3, 1, D) (the key's zero: adding +0.0 is exact),
-    the cross norm and _weights or None, and the FFN (w1, b1, w2, b2); the
-    embedding tables stacked (K, M + 1, D); the heads stacked (K, D, M),
-    (K, 1, M); the sinusoid of 0..n_rows-1."""
-    c, A = params.config, params.arrays
+def _blocks(A: dict, c: ModelConfig) -> tuple:
+    """The arrays of A (the parameters, or grads) by reference, as the trunk
+    walks them: per layer the ln1 (g, b), the attention _weights, the cross
+    block ((g, b), _weights) or None, the ln2 (g, b) and the FFN
+    (w1, b1, w2, b2); the K embedding tables; the K heads' (w, b)."""
     layers = []
     for i in range(c.L):
         p = f"layer{i}"
-        w = _weights(A, f"{p}.attn")
-        w3, b3 = np.array([w[0], w[2], w[3]]), np.array([w[1], np.zeros(c.D), w[4]])[:, None]
         ln1, ln2 = ((A[f"{p}.{ln}.g"], A[f"{p}.{ln}.b"]) for ln in ("ln1", "ln2"))
         cross = (((A[f"{p}.lnx.g"], A[f"{p}.lnx.b"]), _weights(A, f"{p}.xattn"))
                  if f"{p}.xattn.wq" in A else None)
         ffn = tuple(A[f"{p}.ffn.{x}"] for x in ("w1", "b1", "w2", "b2"))
-        layers.append((ln1, (w, w3, b3), cross, ln2, ffn))
-    embed = np.array([A[f"embed.k{k}"] for k in range(c.K)])
-    head_w, head_b = (np.array([A[f"head.k{k}.{x}"] for k in range(c.K)]) for x in "wb")
+        layers.append((ln1, _weights(A, f"{p}.attn"), cross, ln2, ffn))
+    embed = [A[f"embed.k{k}"] for k in range(c.K)]
+    return layers, embed, [(A[f"head.k{k}.w"], A[f"head.k{k}.b"]) for k in range(c.K)]
+
+
+def _layout(params: Parameters, n_rows: int) -> tuple:
+    """The parameters' _blocks, each attention's _weights joined by q/k/v
+    stacked (3, D, D) and biases (3, 1, D) (the key's zero: adding +0.0 is
+    exact), the embedding tables stacked (K, M + 1, D), the heads stacked
+    (K, D, M), (K, 1, M); the sinusoid of 0..n_rows-1."""
+    c = params.config
+    layers, embed, heads = _blocks(params.arrays, c)
+    for i, (ln1, w, cross, ln2, ffn) in enumerate(layers):
+        w3, b3 = np.array([w[0], w[2], w[3]]), np.array([w[1], np.zeros(c.D), w[4]])[:, None]
+        layers[i] = (ln1, (w, w3, b3), cross, ln2, ffn)
+    embed, head_w, head_b = (np.array(x) for x in (embed, *zip(*heads)))
     return layers, embed, head_w, head_b[:, None], sinusoidal_embedding(np.arange(n_rows), c.D)
 
 
@@ -528,70 +533,53 @@ class GradResult:
 
 
 def _backward_trunk(params: Parameters, cache, dlogits, grads):
-    """Add to grads the gradients of the trunk pass that left cache, given
-    dlogits shaped like its (B, S, K, M) logits. Consumes cache: each layer's
+    """Add to grads, in place, the gradients of the trunk pass that left cache,
+    given dlogits shaped like its (B, S, K, M) logits, walking the _blocks of
+    the parameters and of grads in reverse. Consumes cache: each layer's
     activations are released once their gradients are taken."""
     c = params.config
-    A = params.arrays
     tokens, n, caches, hidden, at = cache
     B, S = dlogits.shape[:2]
+    layers, _, heads = _blocks(params.arrays, c)
+    g_layers, g_embed, g_heads = _blocks(grads, c)
 
-    dlogits = dlogits.reshape(B * S, c.K, c.M)
     dhidden = np.zeros_like(hidden)
-    for k in range(c.K):
-        dk = dlogits[:, k, :]
-        grads[f"head.k{k}.w"] += hidden.T @ dk
-        grads[f"head.k{k}.b"] += dk.sum(axis=0)
-        dhidden += dk @ A[f"head.k{k}.w"].T
+    for dk, (w, _), (gw, gb) in zip(dlogits.reshape(-1, c.K, c.M).swapaxes(0, 1), heads, g_heads):
+        gw += hidden.T @ dk
+        gb += dk.sum(axis=0)
+        dhidden += dk @ w.T
     dx = dhidden
     if at is not None:
         dx = np.zeros((B * n, c.D))
         dx[at] = dhidden
 
-    for i in reversed(range(c.L)):
-        p = f"layer{i}"
+    for (*_, (w1, _, w2, _)), g_layer in zip(reversed(layers), reversed(g_layers)):
+        g_ln1, g_attn, g_cross, g_ln2, (gw1, gb1, gw2, gb2) = g_layer
         ln1_c, attn_c, x_c, ln2_c, ln2_out, h = caches.pop()
 
         # ffn block: x3 = x2 + relu(ln2(x2) @ w1 + b1) @ w2 + b2
-        dr = dx @ A[f"{p}.ffn.w2"].T
-        grads[f"{p}.ffn.w2"] += np.maximum(h, 0.0).T @ dx
-        grads[f"{p}.ffn.b2"] += dx.sum(axis=0)
-        dh = dr * (h > 0.0)
-        grads[f"{p}.ffn.w1"] += ln2_out.T @ dh
-        grads[f"{p}.ffn.b1"] += dh.sum(axis=0)
-        dln2_out = dh @ A[f"{p}.ffn.w1"].T
-        dx2, dg, db = _layernorm_b(dln2_out, ln2_c)
-        grads[f"{p}.ln2.g"] += dg
-        grads[f"{p}.ln2.b"] += db
-        dx = dx + dx2
+        gw2 += np.maximum(h, 0.0).T @ dx
+        gb2 += dx.sum(axis=0)
+        dh = (dx @ w2.T) * (h > 0.0)
+        gw1 += ln2_out.T @ dh
+        gb1 += dh.sum(axis=0)
+        dx = dx + _layernorm_b(dh @ w1.T, ln2_c, g_ln2)
 
         if x_c is not None:
             held, lnx_c, cross_c = x_c
             dxb = dx.reshape(B, n, c.D)
-            dq_in, _dkv, att_g = _attention_b(dxb[held].reshape(-1, c.D), cross_c)
-            for name, gval in att_g.items():
-                grads[f"{p}.xattn.{name}"] += gval
-            dlnx, dg, db = _layernorm_b(dq_in, lnx_c)
-            grads[f"{p}.lnx.g"] += dg
-            grads[f"{p}.lnx.b"] += db
-            dxb[held] += dlnx.reshape(-1, n, c.D)
+            dq_in, _ = _attention_b(dxb[held].reshape(-1, c.D), cross_c, g_cross[1])
+            dxb[held] += _layernorm_b(dq_in, lnx_c, g_cross[0]).reshape(-1, n, c.D)
 
-        dqkv, dkv2, att_g = _attention_b(dx, attn_c)
-        for name, gval in att_g.items():
-            grads[f"{p}.attn.{name}"] += gval
-        dln1 = dqkv + dkv2  # self-attention: queries and keys/values share input
-        dln1_out, dg, db = _layernorm_b(dln1, ln1_c)
-        grads[f"{p}.ln1.g"] += dg
-        grads[f"{p}.ln1.b"] += db
-        dx = dx + dln1_out
+        dq_in, dkv_in = _attention_b(dx, attn_c, g_attn)  # queries, keys and values share input
+        dx = dx + _layernorm_b(dq_in + dkv_in, ln1_c, g_ln1)
 
     if at is not None:
         dx = dx[at]
-    tokens = tokens.reshape(B * S, c.K)
     vocab = np.arange(c.M + 1)[:, None]
-    for k in range(c.K):
+    for tok, g in zip(tokens.reshape(B * S, c.K).T, g_embed):
         # each step row's gradient lands on the embedding row of its own token
-        grads[f"embed.k{k}"] += (tokens[:, k] == vocab).astype(np.float64) @ dx
+        g += (tok == vocab).astype(np.float64) @ dx
 
 
 # rows (prefix and step, padding included) of one trunk pass of grad: bounds
@@ -749,11 +737,8 @@ def save_checkpoint(
     meta: dict | None = None,
 ) -> None:
     """Single-file container: parameters plus extras, and a JSON header."""
-    payload: dict[str, np.ndarray] = {}
-    for name, arr in params.arrays.items():
-        payload[f"p:{name}"] = arr
-    for name, arr in (extra or {}).items():
-        payload[f"x:{name}"] = np.asarray(arr)
+    payload = {f"p:{name}": arr for name, arr in params.arrays.items()}
+    payload.update({f"x:{name}": np.asarray(arr) for name, arr in (extra or {}).items()})
     header = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(params.config),

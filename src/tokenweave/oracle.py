@@ -182,16 +182,16 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
 def tv_distance(p, q) -> float:
     """Total variation distance 0.5 * sum |p - q| over a shared index space.
 
-    Accepts JointDistribution laws (dims are cross-checked) or bare
-    probability arrays of equal shape, each checked at its own rank: finite,
-    non-negative numbers.
+    Accepts JointDistribution laws (dims are cross-checked) or bare flat
+    probability arrays of equal length, checked as JointDistribution.probs
+    is: 1-D, finite, non-negative numbers.
     """
     if hasattr(p, "probs") and hasattr(q, "probs"):
         for attr in ("T", "K", "M"):
             if getattr(p, attr) != getattr(q, attr):
                 raise ValidationError(f"distributions disagree on {attr}")
-    pa = p.probs if hasattr(p, "probs") else checked_array(p, "probabilities", np.ndim(p), low=0)
-    qa = q.probs if hasattr(q, "probs") else checked_array(q, "probabilities", np.ndim(q), low=0)
+    pa = p.probs if hasattr(p, "probs") else checked_array(p, "probabilities", 1, low=0)
+    qa = q.probs if hasattr(q, "probs") else checked_array(q, "probabilities", 1, low=0)
     if pa.shape != qa.shape:
         raise ValidationError("distributions live on different index spaces")
     return float(0.5 * np.abs(pa - qa).sum())

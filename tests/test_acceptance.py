@@ -143,6 +143,7 @@ def test_criterion_04_inexactness_witness():
     ok(4, f"parallel: diagonal TV = {tv_diag:.12f}, product TV = {tv_prod:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_05_gradient_correctness():
     from test_model import assert_kink_margin, block_relative_errors
     from tokenweave.conditioning import encode_text_toy as embed_text
@@ -189,6 +190,7 @@ def test_criterion_06_causality_bitwise():
     ok(6, f"{perturbations} future perturbations at S=8, zero bitwise violations")
 
 
+@pytest.mark.slow
 def test_criterion_07_overfit_and_memorization_trend():
     t0 = time.perf_counter()
     corpus = make_corpus(4, T=24, config=RVQConfig(K=4, M=16, d_latent=4), seed=0,

@@ -540,8 +540,105 @@ def plain_open_cache(params, conditions, steps):
     return kv
 
 
+def plain_layernorm_b(dy, cache):
+    xhat, inv, g = cache
+    D = dy.shape[-1]
+    dg = (dy * xhat).sum(axis=0)
+    db = dy.sum(axis=0)
+    dxhat = dy * g
+    dx = inv * (
+        dxhat
+        - np.add.reduce(dxhat, axis=-1, keepdims=True) / D
+        - xhat * (np.add.reduce(dxhat * xhat, axis=-1, keepdims=True) / D)
+    )
+    return dx, dg, db
+
+
+def plain_attention_b(dout, cache):
+    q_in, kv_in, qh, kh, vh, p, ctx, w = cache
+    wq, bq, wk, wv, bv, wo, bo = w
+    B, H, _, dh = qh.shape
+    dwo = ctx.T @ dout
+    dbo = dout.sum(axis=0)
+    dctx = _split_heads(dout @ wo.T, B, H)
+    dp = dctx @ vh.swapaxes(-1, -2)
+    dvh = p.swapaxes(-1, -2) @ dctx
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True))
+    dqh = ds @ kh / np.sqrt(dh)
+    dkh = ds.swapaxes(-1, -2) @ qh / np.sqrt(dh)
+    dq = _merge_heads(dqh)
+    dk = _merge_heads(dkh)
+    dv = _merge_heads(dvh)
+    grads = {
+        "wq": q_in.T @ dq,
+        "bq": dq.sum(axis=0),
+        "wk": kv_in.T @ dk,
+        "wv": kv_in.T @ dv,
+        "bv": dv.sum(axis=0),
+        "wo": dwo,
+        "bo": dbo,
+    }
+    return dq @ wq.T, dk @ wk.T + dv @ wv.T, grads
+
+
+def plain_backward(params, cache, dlogits, grads):
+    """The trunk's backward spelled out by parameter name: adds to grads the
+    gradients of the plain_trunk pass that left cache."""
+    c = params.config
+    A = params.arrays
+    tokens, n, caches, hidden, at = cache
+    B, S = dlogits.shape[:2]
+    dlogits = dlogits.reshape(B * S, c.K, c.M)
+    dhidden = np.zeros_like(hidden)
+    for k in range(c.K):
+        dk = dlogits[:, k, :]
+        grads[f"head.k{k}.w"] += hidden.T @ dk
+        grads[f"head.k{k}.b"] += dk.sum(axis=0)
+        dhidden += dk @ A[f"head.k{k}.w"].T
+    dx = dhidden
+    if at is not None:
+        dx = np.zeros((B * n, c.D))
+        dx[at] = dhidden
+    for i in reversed(range(c.L)):
+        p = f"layer{i}"
+        ln1_c, attn_c, x_c, ln2_c, ln2_out, h = caches.pop()
+        dr = dx @ A[f"{p}.ffn.w2"].T
+        grads[f"{p}.ffn.w2"] += np.maximum(h, 0.0).T @ dx
+        grads[f"{p}.ffn.b2"] += dx.sum(axis=0)
+        dh = dr * (h > 0.0)
+        grads[f"{p}.ffn.w1"] += ln2_out.T @ dh
+        grads[f"{p}.ffn.b1"] += dh.sum(axis=0)
+        dx2, dg, db = plain_layernorm_b(dh @ A[f"{p}.ffn.w1"].T, ln2_c)
+        grads[f"{p}.ln2.g"] += dg
+        grads[f"{p}.ln2.b"] += db
+        dx = dx + dx2
+        if x_c is not None:
+            held, lnx_c, cross_c = x_c
+            dxb = dx.reshape(B, n, c.D)
+            dq_in, _, att_g = plain_attention_b(dxb[held].reshape(-1, c.D), cross_c)
+            for name, gval in att_g.items():
+                grads[f"{p}.xattn.{name}"] += gval
+            dlnx, dg, db = plain_layernorm_b(dq_in, lnx_c)
+            grads[f"{p}.lnx.g"] += dg
+            grads[f"{p}.lnx.b"] += db
+            dxb[held] += dlnx.reshape(-1, n, c.D)
+        dqkv, dkv2, att_g = plain_attention_b(dx, attn_c)
+        for name, gval in att_g.items():
+            grads[f"{p}.attn.{name}"] += gval
+        dln1_out, dg, db = plain_layernorm_b(dqkv + dkv2, ln1_c)
+        grads[f"{p}.ln1.g"] += dg
+        grads[f"{p}.ln1.b"] += db
+        dx = dx + dln1_out
+    if at is not None:
+        dx = dx[at]
+    tokens = tokens.reshape(B * S, c.K)
+    vocab = np.arange(c.M + 1)[:, None]
+    for k in range(c.K):
+        grads[f"embed.k{k}"] += (tokens[:, k] == vocab).astype(np.float64) @ dx
+
+
 def plain_grad(params, batch):
-    """grad's loss, accuracy and gradients over the plain trunk."""
+    """grad's loss, accuracy and gradients over the plain trunk and backward."""
     c = params.config
     slots = [ex.slots for ex in batch]
     lens = np.array([len(rows) - 1 for rows in slots])
@@ -560,7 +657,7 @@ def plain_grad(params, batch):
         part_nll, part_correct, dlogits = _score_revealed(logits, targets[part, :S])
         nll += part_nll
         correct += part_correct
-        _backward_trunk(params, cache, dlogits / count, grads)
+        plain_backward(params, cache, dlogits / count, grads)
     return nll / count, correct / count, grads
 
 
@@ -580,7 +677,8 @@ BITWISE_CONDITIONS = {
 @pytest.mark.parametrize("mode", list(BITWISE_CONDITIONS))
 def test_trunk_matches_the_plain_trunk_bitwise(mode, K):
     """forward, cached decoding (a 3-row prefill, then 1-row steps, over two
-    branches) and grad give the plain trunk's bits, at every head width M."""
+    branches) and grad give the plain trunk's bits, at every head width M;
+    grad's gradients also give the plain backward's bits."""
     cond, other = BITWISE_CONDITIONS[mode]
     for M in (2, 3, 5, 16, 64):
         config = ModelConfig(K=K, M=M, D=D_REF, L=2, H=4, max_steps=32, conditioning_mode=mode)

@@ -315,8 +315,8 @@ def test_tv_distance_metric_properties():
 
 @pytest.mark.parametrize(
     "bad",
-    [[0.5, np.nan], [0.5, np.inf], [-0.5, 1.5], ["0.5", "0.5"]],
-    ids=["nan", "inf", "negative", "text"],
+    [[0.5, np.nan], [0.5, np.inf], [-0.5, 1.5], ["0.5", "0.5"], [[0.5], [0.5, 0.1]]],
+    ids=["nan", "inf", "negative", "text", "ragged"],
 )
 def test_tv_distance_rejects_malformed_bare_arrays(bad):
     for p, q in ((bad, [0.5, 0.5]), ([0.5, 0.5], bad)):
