@@ -13,7 +13,10 @@ np.mean of the members; for d_latent = 1 np.mean sums the one column
 pairwise, so the two may differ in the last bit or two. The update depends on
 the labels alone (the rng is drawn only for the initial centroids), so the
 fit stops as soon as an iteration's labels equal the previous ones: the
-remaining iterations would rebuild the same centroids.
+remaining iterations would rebuild the same centroids. The points' squared
+norms, which every nearest-centroid search adds, are computed once per fit.
+make_corpus steps all its sequences' AR(1) walks in one recursion
+(_ar1_latents) and encodes their pooled frames once.
 """
 
 from __future__ import annotations
@@ -75,37 +78,42 @@ class LatentFrames:
 AR1_COEFF = 0.95  # lag-1 autocorrelation of synthetic latents
 
 
+def _ar1_latents(T: int, d_latent: int, seeds) -> np.ndarray:
+    """(len(seeds), T, d_latent) walks: each walk's normals come from its own
+    seed, then one recursion steps all walks at once."""
+    z = np.stack([np.random.default_rng(s).standard_normal((T, d_latent)) for s in seeds])
+    frames = np.empty_like(z)
+    frames[:, 0] = z[:, 0]
+    step_scale = np.sqrt(1.0 - AR1_COEFF**2)
+    for t in range(1, T):
+        frames[:, t] = AR1_COEFF * frames[:, t - 1] + step_scale * z[:, t]
+    return frames
+
+
 def synth_latents(T: int, d_latent: int, seed: int) -> LatentFrames:
     """Stationary AR(1) walk: x_t = a x_{t-1} + sqrt(1-a^2) z_t with
     a = AR1_COEFF, unit marginal variance, lag-1 autocorrelation ~= a."""
     if T < 1:
         raise ValidationError("T must be >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((T, d_latent))
-    frames = np.empty_like(z)
-    frames[0] = z[0]
-    step_scale = np.sqrt(1.0 - AR1_COEFF**2)
-    for t in range(1, T):
-        frames[t] = AR1_COEFF * frames[t - 1] + step_scale * z[t]
-    return LatentFrames(frames=frames)
+    return LatentFrames(frames=_ar1_latents(T, d_latent, [seed])[0])
 
 
-def _nearest(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # squared distances via expansion; argmin breaks ties toward the lowest index
-    d2 = (
-        np.sum(points**2, axis=1, keepdims=True)
-        - 2.0 * points @ centroids.T
-        + np.sum(centroids**2, axis=1)
-    )
+def _nearest(points: np.ndarray, centroids: np.ndarray, norms=None) -> np.ndarray:
+    # squared distances via expansion, from the points' squared norms (n, 1)
+    # where the caller holds them; argmin breaks ties toward the lowest index
+    if norms is None:
+        norms = np.sum(points**2, axis=1, keepdims=True)
+    d2 = norms - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)
     return np.argmin(d2, axis=1)
 
 
 def _kmeans(points: np.ndarray, M: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
     T = points.shape[0]
     centroids = points[rng.choice(T, size=M, replace=False)].copy()
+    norms = np.sum(points**2, axis=1, keepdims=True)
     previous = None
     for _ in range(iterations):
-        labels = _nearest(points, centroids)
+        labels = _nearest(points, centroids, norms)
         # the update below is a function of the labels alone, so equal labels
         # would rebuild these very centroids: a fixed point
         if previous is not None and np.array_equal(labels, previous):

@@ -3,6 +3,7 @@ import pytest
 from test_oracle import MARKOV_SHAPES
 
 from tokenweave import rvq
+from tokenweave.corpus import make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.oracle import make_joint
 from tokenweave.patterns import TokenGrid
@@ -24,6 +25,13 @@ def test_synth_latents_deterministic():
     assert np.array_equal(a.frames, b.frames)
     c = synth_latents(100, 8, seed=2)
     assert not np.array_equal(a.frames, c.frames)
+
+
+def test_corpus_latents_are_the_per_seed_walks():
+    # without share_first_frame, sequence i is synth_latents at seed + i
+    corpus = make_corpus(6, 20, RVQConfig(K=2, M=8, d_latent=3), seed=11)
+    for i, latents in enumerate(corpus.latents):
+        assert np.array_equal(latents.frames, synth_latents(20, 3, seed=11 + i).frames)
 
 
 def test_synth_latents_lag1_autocorrelation():
