@@ -61,7 +61,7 @@ from .conditioning import (
     word_dropout,
 )
 from .corpus import make_corpus
-from .errors import GuardError, InvariantError, ValidationError
+from .errors import GuardError, InvariantError, ValidationError, checked_array
 from .model import (
     AdamWState,
     ModelConfig,
@@ -404,9 +404,10 @@ def cmd_generate(args) -> int:
     if args.wav:
         if "codebooks" not in ckpt.extra:
             raise ValidationError("checkpoint carries no codebooks; cannot sonify")
-        books = [Codebook(centroids=c) for c in ckpt.extra["codebooks"]]
-        anchors = class_anchor_latents(books[0].d)
-        audio = sonify_classes(latents_to_classes(rvq_decode(grid, books), anchors))
+        books = [Codebook(centroids=c)
+                 for c in checked_array(ckpt.extra["codebooks"], "checkpoint codebooks", 3)]
+        latents = rvq_decode(grid, books)  # zero stages raise here
+        audio = sonify_classes(latents_to_classes(latents, class_anchor_latents(latents.d)))
 
     out_dir = _out_dir(args)
     grid_path = out_dir / "grid.csv"
@@ -430,10 +431,15 @@ def cmd_memorize(args) -> int:
         raise ValidationError("checkpoint carries no training grids to memorize against")
     grids = [TokenGrid(tokens=t, M=ckpt.params.config.M) for t in ckpt.extra["grids"]]
     # prompts are fed together with the conditioning each sequence was trained on
-    conditions = [
-        ConditioningTensor(rows=ckpt.extra[f"cond/{i}"]) if f"cond/{i}" in ckpt.extra else None
-        for i in range(len(grids))
-    ]
+    conditioned = ckpt.meta.get("conditioning", "none") != "none" or any(
+        name.startswith("cond/") for name in ckpt.extra)
+    missing = [i for i in range(len(grids)) if f"cond/{i}" not in ckpt.extra]
+    if conditioned and missing:
+        raise ValidationError(
+            f"checkpoint was trained with conditions but holds none for sequence {missing[0]}"
+        )
+    conditions = [ConditioningTensor(rows=ckpt.extra[f"cond/{i}"]) if conditioned else None
+                  for i in range(len(grids))]
     dataset = list(zip(grids, conditions))
     try:
         prompt_lens = [int(x) for x in args.prompt_lens.split(",") if x.strip()]

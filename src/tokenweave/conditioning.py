@@ -10,6 +10,7 @@ are reproducible from its seed.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import string
 import wave
@@ -241,19 +242,28 @@ def text_normalize(text: str) -> str:
     return " ".join(out)
 
 
+# distinct (word, D) pairs held; at D = 64 a full cache is about 0.6 MB
+_TOKEN_CACHE_SIZE = 1024
+
+
+@functools.lru_cache(maxsize=_TOKEN_CACHE_SIZE)
 def _token_unit_vector(token: str, D: int) -> np.ndarray:
+    # cached: read-only, so no caller can change the row a later caller gets
     seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "little")
     v = np.random.default_rng(seed).standard_normal(D)
     norm = np.linalg.norm(v)
     if norm == 0.0:  # astronomically unlikely; keep the unit-norm contract anyway
         v[0] = 1.0
         norm = 1.0
-    return v / norm
+    v = v / norm
+    v.flags.writeable = False
+    return v
 
 
 def encode_text_toy(text: str, D: int) -> ConditioningTensor:
     """One deterministic unit row per whitespace token, seeded by a hash of the
-    token string. Empty text yields the T_C = 0 null condition."""
+    token string and drawn once per process for each (token, D); the rows are
+    stacked copies. Empty text yields the T_C = 0 null condition."""
     if D < 1:
         raise ValidationError("D must be >= 1")
     tokens = text.split()
@@ -298,8 +308,10 @@ def load_wav(path) -> AudioBuffer:
                 raise ValidationError(f"only mono or stereo WAV is supported, got {channels}")
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError) as exc:  # EOFError: the file ends inside its header
-        reason = str(exc) or "truncated header"
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        # EOFError: the file ends inside its header; a bare RuntimeError: a chunk
+        # size runs past the chunk, so wave's seek to the next chunk fails
+        reason = str(exc) or ("truncated header" if isinstance(exc, EOFError) else "bad chunk size")
         raise ValidationError(f"malformed WAV file {path}: {reason}") from exc
     # a file cut inside its data keeps its whole frames
     raw = raw[: len(raw) - len(raw) % (2 * channels)]

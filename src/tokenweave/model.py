@@ -82,7 +82,11 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         for name in ("K", "M", "D", "L", "H", "max_steps"):
-            if getattr(self, name) < 1:
+            value = getattr(self, name)
+            # a checkpoint header is JSON, so a float or bool can arrive here
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValidationError(f"ModelConfig.{name} must be an integer, got {value!r}")
+            if value < 1:
                 raise ValidationError(f"ModelConfig.{name} must be >= 1")
         if self.D % self.H != 0:
             raise ValidationError(f"D={self.D} must be divisible by H={self.H}")

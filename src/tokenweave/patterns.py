@@ -219,8 +219,9 @@ def pattern_from_json(text: str) -> Pattern:
     """Parse a pattern document, the one reader of the coordinate-list format.
 
     A document that does not list an ordered partition of its grid raises
-    ValidationError naming every violation: a non-empty step 0, out-of-range,
-    repeated or missing coordinates, then the step table's own checks.
+    ValidationError naming every violation: a T, K or coordinate that is not
+    a JSON integer, a non-empty step 0, out-of-range, repeated or missing
+    coordinates, empty trailing steps, then the step table's own checks.
     """
     try:
         doc = json.loads(text)
@@ -228,10 +229,13 @@ def pattern_from_json(text: str) -> Pattern:
         raise ValidationError(f"pattern document is not valid JSON: {exc}") from exc
     try:
         kind = None if doc["kind"] is None else PatternKind(doc["kind"])
-        T, K = int(doc["T"]), int(doc["K"])
-        steps = [[(int(t), int(k)) for t, k in coords] for coords in doc["steps"]]
+        T, K = doc["T"], doc["K"]
+        steps = [[(t, k) for t, k in coords] for coords in doc["steps"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed pattern document: {exc}") from exc
+    # JSON integers only: int() would truncate 2.5 and parse "2"
+    if any(type(v) is not int for v in (T, K, *(v for coords in steps for c in coords for v in c))):
+        raise ValidationError("malformed pattern document: T, K and coordinates must be integers")
     if T < 1 or K < 1:
         raise ValidationError(f"malformed pattern document: the grid is {T}x{K}")
 
@@ -247,6 +251,11 @@ def pattern_from_json(text: str) -> Pattern:
                 seen[c] = s
     if len(seen) < T * K:
         violations.append(f"not a partition of the grid: {T * K - len(seen)} coordinate(s) missing")
+    # the table ends at its last revealing step, so it cannot see trailing empty ones
+    last, end = max(seen.values(), default=0), len(steps) - 1
+    if end > last:
+        violations.append(f"nothing is revealed at step {end}" if end == last + 1
+                          else f"nothing is revealed at steps {last + 1}-{end}")
     if violations:
         raise ValidationError("pattern is invalid: " + "; ".join(violations))
     # every coordinate is listed, so the table is no larger than the document

@@ -593,6 +593,7 @@ SOURCE = {
 BAD_CHECKPOINTS = [
     "truncated", "corrupt", "flipped", "not-json", "version", "config-mismatch", "config-bad",
     "config-unknown-key", "config-ffn-mult", "meta-list", "meta-pattern", "meta-timesteps",
+    "config-fractional",
 ]
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
@@ -608,7 +609,8 @@ MALFORMED = (
     ]
     + [
         pytest.param(["chroma", "--wav", f"{{{name}.wav}}"], code, id=f"wav-{name}")
-        for name, code in (("empty", 3), ("cut-header", 3), ("cut-frame", 0), ("8-bit", 3))
+        for name, code in (("empty", 3), ("cut-header", 3), ("cut-frame", 0), ("8-bit", 3),
+                           ("fmt-size", 3))
     ]
     + [
         pytest.param([command, *SOURCE[command], flag, value], 0 if ok else 3,
@@ -645,12 +647,20 @@ MALFORMED = (
     + [
         pytest.param(["memorize", "--checkpoint", f"{{{name}.npz}}", "--prompt-lens", "1",
                       "--gen-len", "4"], 3, id=f"memorize-{name}")
-        for name in ("grids-fractional", "grids-nan", "grids-text", "cond-text", "param-text")
+        for name in ("grids-fractional", "grids-nan", "grids-text", "cond-text", "param-text",
+                     "meta-conditioned", "cond-partial")
     ]
     + [
         pytest.param(["generate", "--checkpoint", f"{{{name}.npz}}", *flags], 3,
                      id=f"generate-{name}")
-        for name, flags in (("codebooks-text", ["--wav"]), ("param-text", []))
+        for name, flags in (("codebooks-text", ["--wav"]), ("codebooks-empty", ["--wav"]),
+                            ("param-text", []))
+    ]
+    # T as a fraction or a string, and an empty step after the last
+    + [
+        pytest.param(["patterns", "validate", "--json", f"{{{name}.json}}"], 3,
+                     id=f"validate-{name}")
+        for name in ("T-fractional", "T-text", "trailing-empty")
     ]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
     + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
@@ -710,6 +720,9 @@ def bad_inputs(trained, tmp_path_factory):
         ("grids-nan", "x:grids", nan_grids),
         ("grids-text", "x:grids", arrays["x:grids"].astype(str)),
         ("codebooks-text", "x:codebooks", arrays["x:codebooks"].astype(str)),
+        ("codebooks-empty", "x:codebooks", arrays["x:codebooks"][:0]),
+        # a condition for sequence 0 only: a conditioned run saves one for every sequence
+        ("cond-partial", "x:cond/0", np.zeros((2, header["config"]["D"]))),
         ("cond-text", "x:cond/0", np.full((2, header["config"]["D"]), "0.5")),
         ("param-text", "p:head.k0.b", arrays["p:head.k0.b"].astype(str)),
     ):
@@ -724,6 +737,8 @@ def bad_inputs(trained, tmp_path_factory):
         ("meta-list", {"meta": ["delay"]}),
         ("meta-pattern", {"meta": {**header["meta"], "pattern": "bogus"}}),
         ("meta-timesteps", {"meta": {**header["meta"], "timesteps": "abc"}}),
+        ("config-fractional", {"config": {**header["config"], "K": 4.5}}),
+        ("meta-conditioned", {"meta": {**header["meta"], "conditioning": "text"}}),
     ):
         craft(name, json.dumps({**header, **changes}))
 
@@ -733,6 +748,11 @@ def bad_inputs(trained, tmp_path_factory):
     put("empty.wav", b"")
     put("cut-header.wav", tone.read_bytes()[:30])
     put("cut-frame.wav", tone.read_bytes()[:-1])
+    put("fmt-size.wav", tone.read_bytes()[:16] + b"\xff" + tone.read_bytes()[17:])
+    for name, T, tail in (("T-fractional", 2.5, []), ("T-text", "2", []),
+                          ("trailing-empty", 2, [[]])):
+        steps = [[], [[1, 1]], [[2, 1]], *tail]
+        put(f"{name}.json", json.dumps({"kind": None, "T": T, "K": 1, "steps": steps}).encode())
     files["{8-bit.wav}"] = root / "8-bit.wav"
     with wave.open(str(root / "8-bit.wav"), "wb") as wf:
         wf.setnchannels(1)

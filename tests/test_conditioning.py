@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenweave import conditioning
 from tokenweave.conditioning import (
     Chromagram,
     AudioBuffer,
@@ -194,6 +197,44 @@ def test_encode_text_toy_deterministic_and_unit():
     # same token anywhere gives the same row
     c = encode_text_toy("synth synth", D=16)
     assert np.array_equal(c.rows[0], c.rows[1])
+
+
+def uncached_token_unit_vector(token, D):
+    """The per-occurrence draw the cached one must reproduce bit for bit."""
+    seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "little")
+    v = np.random.default_rng(seed).standard_normal(D)
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        v[0] = 1.0
+        norm = 1.0
+    return v / norm
+
+
+@pytest.mark.parametrize("D", [1, 2, 16, 48, 64])
+def test_encode_text_toy_rows_are_the_uncached_draws(D):
+    text = "warm analog synth warm pad index: 7 ünïcode synth 42"
+    rows = encode_text_toy(text, D).rows
+    assert rows.flags.writeable
+    for row, token in zip(rows, text.split(), strict=True):
+        assert row.tobytes() == uncached_token_unit_vector(token, D).tobytes()
+    # a caller that writes to its rows changes no later encoding
+    rows[:] = 0.0
+    again = encode_text_toy(text, D).rows
+    assert again.tobytes() == np.stack(
+        [uncached_token_unit_vector(t, D) for t in text.split()]).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        conditioning._token_unit_vector("warm", D)[0] = 0.0
+
+
+def test_token_cache_is_bounded():
+    bound = conditioning._TOKEN_CACHE_SIZE
+    assert conditioning._token_unit_vector.cache_info().maxsize == bound
+    words = [f"w{i}" for i in range(bound + 5)]
+    rows = encode_text_toy(" ".join(words), D=2).rows
+    assert conditioning._token_unit_vector.cache_info().currsize == bound
+    # the evicted first words are drawn again, to the same bits
+    first = encode_text_toy(" ".join(words[:5]), D=2).rows
+    assert first.tobytes() == rows[:5].tobytes()
 
 
 def test_encode_text_toy_empty_is_null_condition():

@@ -1006,6 +1006,12 @@ def test_config_validation():
         ModelConfig(K=0, M=4)
     with pytest.raises(ValidationError):
         ModelConfig(K=1, M=4, conditioning_mode="sideways")
+    # a checkpoint header is JSON: a fraction or a bool is not a size
+    for name, bad in (("K", 4.5), ("M", 4.0), ("D", True), ("L", "2"), ("H", np.float64(2)),
+                      ("max_steps", None)):
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            ModelConfig(**{"K": 1, "M": 4, "D": 8, "H": 2, name: bad})
+    assert ModelConfig(K=np.int64(2), M=4).K == 2
 
 
 @pytest.mark.slow

@@ -341,6 +341,21 @@ def test_pattern_json_malformed():
             pattern_from_json(pattern_doc(T, K))
 
 
+@pytest.mark.parametrize("T,K,steps,match", [
+    (2.5, 1, [[], [[1, 1]], [[2, 1]]], "integers"),
+    (2.0, 1, [[], [[1, 1]], [[2, 1]]], "integers"),
+    ("2", 1, [[], [[1, 1]], [[2, 1]]], "integers"),
+    (2, True, [[], [[1, 1]], [[2, 1]]], "integers"),
+    (2, 1, [[], [[1, 1]], [[2.0, 1]]], "integers"),
+    (2, 1, [[], [["1", 1]], [[2, 1]]], "integers"),
+    (2, 1, [[], [[1, 1]], [[2, 1]], []], "nothing is revealed at step 3$"),
+    (2, 1, [[], [[1, 1]], [[2, 1]], [], []], "nothing is revealed at steps 3-4$"),
+])
+def test_pattern_json_needs_integers_and_no_trailing_empty_step(T, K, steps, match):
+    with pytest.raises(ValidationError, match=match):
+        pattern_from_json(json.dumps({"kind": None, "T": T, "K": K, "steps": steps}))
+
+
 def test_format_pattern_delay_layout():
     text = format_pattern(build_pattern(PatternKind.DELAY, 3, 2))
     lines = text.splitlines()
