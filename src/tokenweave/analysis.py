@@ -96,11 +96,10 @@ def memorization_report(
                 exact += 1
                 partial += 1
                 continue
-            source = TokenGrid(tokens=grid.tokens[:span], M=grid.M)
             prompt = TokenGrid(tokens=grid.tokens[:prompt_len], M=grid.M)
             out = continue_from_prompt(params, pattern, prompt, condition=condition, cfg=greedy)
             got = out.tokens[prompt_len:span, 0]
-            want = source.tokens[prompt_len:span, 0]
+            want = grid.tokens[prompt_len:span, 0]
             matches = int(np.sum(got == want))
             exact += int(matches == gen_len)
             partial += int(matches / gen_len >= PARTIAL_MATCH_THRESHOLD - 1e-12)

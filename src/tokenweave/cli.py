@@ -429,7 +429,8 @@ def cmd_memorize(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     if "grids" not in ckpt.extra:
         raise ValidationError("checkpoint carries no training grids to memorize against")
-    grids = [TokenGrid(tokens=t, M=ckpt.params.config.M) for t in ckpt.extra["grids"]]
+    grids = [TokenGrid(tokens=t, M=ckpt.params.config.M)
+             for t in checked_array(ckpt.extra["grids"], "checkpoint grids", 3, whole=True)]
     # prompts are fed together with the conditioning each sequence was trained on
     conditioned = ckpt.meta.get("conditioning", "none") != "none" or any(
         name.startswith("cond/") for name in ckpt.extra)
@@ -620,6 +621,8 @@ def main(argv=None) -> int:
             _apply_ini_defaults(by_name[argv[0]], argv[0], cfg_path)
         try:
             args = parser.parse_args(argv)
+            if args.command == "patterns" and args.action == "validate" and args.json is None:
+                by_name["patterns"].error("validate needs --json")
         except SystemExit as exc:
             return int(exc.code or 0)
         if "out" in vars(args):  # a run directory that cannot be made fails before any work

@@ -42,7 +42,6 @@ class AudioBuffer:
 @dataclass(frozen=True)
 class Chromagram:
     frames: np.ndarray  # (F, 12) nonnegative energies, C..B
-    frame_hop_seconds: float
 
     def __post_init__(self) -> None:
         f = checked_array(self.frames, "chromagram energies", 2, low=0)
@@ -139,13 +138,11 @@ def compute_chromagram(
     segments = np.stack([audio.samples[s : s + window] for s in starts]) * hann
     energy = np.abs(np.fft.rfft(segments, axis=1)) ** 2
     frames = energy[:, valid] @ fold
-    return Chromagram(frames=frames, frame_hop_seconds=hop / audio.sample_rate)
+    return Chromagram(frames=frames)
 
 
 def quantize_chroma(c: Chromagram) -> QuantizedChroma:
     """Argmax pitch class per frame; ties (and all-zero frames) take the lowest index."""
-    if c.F == 0:
-        return QuantizedChroma(classes=np.zeros(0, dtype=np.int64))
     return QuantizedChroma(classes=np.argmax(c.frames, axis=1))
 
 
@@ -251,11 +248,7 @@ def _token_unit_vector(token: str, D: int) -> np.ndarray:
     # cached: read-only, so no caller can change the row a later caller gets
     seed = int.from_bytes(hashlib.sha256(token.encode("utf-8")).digest()[:8], "little")
     v = np.random.default_rng(seed).standard_normal(D)
-    norm = np.linalg.norm(v)
-    if norm == 0.0:  # astronomically unlikely; keep the unit-norm contract anyway
-        v[0] = 1.0
-        norm = 1.0
-    v = v / norm
+    v = v / np.linalg.norm(v)
     v.flags.writeable = False
     return v
 

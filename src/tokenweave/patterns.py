@@ -144,10 +144,8 @@ def _delay_profile(kind: PatternKind, k: np.ndarray) -> np.ndarray:
         # channels interleave [L1, R1, L2, R2, ...]; both channels of level l
         # are delayed by l-1
         return k // 2
-    if kind is PatternKind.STEREO_DELAY:
-        # left channel of level l delayed by l-1, right channel by l
-        return (k + 1) // 2
-    raise ValidationError(f"{kind} is not a delay-style pattern")
+    # STEREO_DELAY: left channel of level l delayed by l-1, right channel by l
+    return (k + 1) // 2
 
 
 def build_pattern(kind: PatternKind | str, T: int, K: int) -> Pattern:

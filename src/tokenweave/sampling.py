@@ -68,7 +68,10 @@ def _topk_probs(logits: np.ndarray, cfg: SamplerConfig) -> tuple[np.ndarray, np.
     order = (-logits).argsort(axis=-1, kind="stable")
     if cfg.top_k < logits.shape[-1]:
         order = order[..., : cfg.top_k]
-    top = logits[np.arange(len(order))[:, None], order] if order.ndim == 2 else logits[order]
+    # one gather for (M,) and (N, M) alike: row r's indices offset by r * M into
+    # the flat logits (np.take_along_axis gathers the same at twice the call cost)
+    start = np.arange(0, logits.size, logits.shape[-1]).reshape(*order.shape[:-1], 1)
+    top = logits.reshape(-1)[order + start]
     # the max is subtracted first, so a tiny temperature sends every
     # non-maximal logit to -inf (probability 0) rather than overflowing
     zk = top - top[..., :1]

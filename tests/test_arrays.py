@@ -34,7 +34,7 @@ HOLDERS = {
     "Codebook": (Codebook, np.ones((3, 2)), False),
     "LatentFrames": (LatentFrames, np.ones((3, 2)), False),
     "AudioBuffer": (lambda a: AudioBuffer(a, sample_rate=8000), np.zeros(8), False),
-    "Chromagram": (lambda a: Chromagram(a, frame_hop_seconds=0.1), np.ones((2, 12)), False),
+    "Chromagram": (Chromagram, np.ones((2, 12)), False),
     "ConditioningTensor": (ConditioningTensor, np.ones((2, 4)), False),
     "JointDistribution": (lambda a: JointDistribution(1, 1, 2, a), np.array([0.5, 0.5]), False),
 }

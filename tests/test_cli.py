@@ -74,6 +74,13 @@ def test_validate_missing_file_exits_4(tmp_path):
     assert main(["patterns", "validate", "--json", str(tmp_path / "nope.json")]) == 4
 
 
+def test_validate_without_json_prints_the_usage(capsys):
+    assert main(["patterns", "validate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tokenweave patterns") and "[--json JSON]" in err
+    assert "validate needs --json" in err
+
+
 def test_usage_error_exits_2(tmp_path):
     proc = run_cli(["patterns", "bench", "--T", "not_a_number"], tmp_path)
     assert proc.returncode == 2
@@ -610,7 +617,7 @@ MALFORMED = (
     + [
         pytest.param(["chroma", "--wav", f"{{{name}.wav}}"], code, id=f"wav-{name}")
         for name, code in (("empty", 3), ("cut-header", 3), ("cut-frame", 0), ("8-bit", 3),
-                           ("fmt-size", 3))
+                           ("fmt-size", 3), ("3-channel", 3))
     ]
     + [
         pytest.param([command, *SOURCE[command], flag, value], 0 if ok else 3,
@@ -647,21 +654,25 @@ MALFORMED = (
     + [
         pytest.param(["memorize", "--checkpoint", f"{{{name}.npz}}", "--prompt-lens", "1",
                       "--gen-len", "4"], 3, id=f"memorize-{name}")
-        for name in ("grids-fractional", "grids-nan", "grids-text", "cond-text", "param-text",
-                     "meta-conditioned", "cond-partial")
+        for name in ("grids-fractional", "grids-nan", "grids-text", "grids-rank0",
+                     "grids-missing", "cond-text", "param-text", "meta-conditioned",
+                     "cond-partial")
     ]
     + [
         pytest.param(["generate", "--checkpoint", f"{{{name}.npz}}", *flags], 3,
                      id=f"generate-{name}")
         for name, flags in (("codebooks-text", ["--wav"]), ("codebooks-empty", ["--wav"]),
-                            ("param-text", []))
+                            ("codebooks-missing", ["--wav"]), ("param-text", []))
     ]
+    # np.load reads a plain .npy as one array, not as an archive
+    + [pytest.param(["generate", "--checkpoint", "{plain.npy}"], 3, id="generate-plain-npy")]
     # T as a fraction or a string, and an empty step after the last
     + [
         pytest.param(["patterns", "validate", "--json", f"{{{name}.json}}"], 3,
                      id=f"validate-{name}")
         for name in ("T-fractional", "T-text", "trailing-empty")
     ]
+    + [pytest.param(["patterns", "validate"], 2, id="validate-no-json")]
     + [pytest.param([*TRAIN_SMALL, "--config", "{not-utf8.ini}"], 3, id="ini-not-utf8")]
     + [pytest.param(["exactness", "--patterns", ","], 3, id="exactness--patterns=,")]
     # a repeated kind would compute its law twice and write two rows under one name
@@ -721,6 +732,7 @@ def bad_inputs(trained, tmp_path_factory):
         ("grids-text", "x:grids", arrays["x:grids"].astype(str)),
         ("codebooks-text", "x:codebooks", arrays["x:codebooks"].astype(str)),
         ("codebooks-empty", "x:codebooks", arrays["x:codebooks"][:0]),
+        ("grids-rank0", "x:grids", np.array(3)),
         # a condition for sequence 0 only: a conditioned run saves one for every sequence
         ("cond-partial", "x:cond/0", np.zeros((2, header["config"]["D"]))),
         ("cond-text", "x:cond/0", np.full((2, header["config"]["D"]), "0.5")),
@@ -728,6 +740,11 @@ def bad_inputs(trained, tmp_path_factory):
     ):
         files[f"{{{name}.npz}}"] = root / f"{name}.npz"
         np.savez(root / f"{name}.npz", **{**arrays, member: value})
+    for name, member in (("grids-missing", "x:grids"), ("codebooks-missing", "x:codebooks")):
+        files[f"{{{name}.npz}}"] = root / f"{name}.npz"
+        np.savez(root / f"{name}.npz", **{k: v for k, v in arrays.items() if k != member})
+    files["{plain.npy}"] = root / "plain.npy"
+    np.save(root / "plain.npy", arrays["x:grids"])
     for name, changes in (
         ("version", {"version": 99}),
         ("config-mismatch", {"config": {**header["config"], "D": 2 * header["config"]["D"]}}),
@@ -753,12 +770,13 @@ def bad_inputs(trained, tmp_path_factory):
                           ("trailing-empty", 2, [[]])):
         steps = [[], [[1, 1]], [[2, 1]], *tail]
         put(f"{name}.json", json.dumps({"kind": None, "T": T, "K": 1, "steps": steps}).encode())
-    files["{8-bit.wav}"] = root / "8-bit.wav"
-    with wave.open(str(root / "8-bit.wav"), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(1)
-        wf.setframerate(8000)
-        wf.writeframes(bytes(range(256)) * 80)
+    for name, channels, width in (("8-bit", 1, 1), ("3-channel", 3, 2)):
+        files[f"{{{name}.wav}}"] = root / f"{name}.wav"
+        with wave.open(str(root / f"{name}.wav"), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(width)
+            wf.setframerate(8000)
+            wf.writeframes(bytes(range(256)) * 80 * channels * width)
     return files
 
 

@@ -89,7 +89,7 @@ def test_chromagram_rejects_short_audio():
 def test_quantize_single_peak_and_tie():
     frames = np.zeros((2, 12))
     frames[0, 9] = 5.0
-    q = quantize_chroma(Chromagram(frames=frames, frame_hop_seconds=0.1))
+    q = quantize_chroma(Chromagram(frames=frames))
     assert q.classes.tolist() == [9, 0]
 
 
