@@ -52,7 +52,6 @@ class MemorizationRow:
 @dataclass(frozen=True)
 class MemorizationReport:
     rows: tuple[MemorizationRow, ...]
-    gen_len: int
     exact_monotone: bool
     partial_monotone: bool
 
@@ -117,7 +116,6 @@ def memorization_report(
     partial_mono = all(b.partial_match >= a.partial_match for a, b in zip(ordered, ordered[1:]))
     return MemorizationReport(
         rows=tuple(rows),
-        gen_len=gen_len,
         exact_monotone=exact_mono,
         partial_monotone=partial_mono,
     )

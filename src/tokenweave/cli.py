@@ -28,6 +28,7 @@ import argparse
 import configparser
 import hashlib
 import json
+import operator
 import os
 import sys
 import time
@@ -47,8 +48,6 @@ from .conditioning import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
     ConditioningTensor,
-    PreprocessConfig,
-    TextAnnotation,
     chroma_to_condition,
     compute_chromagram,
     encode_text_toy,
@@ -251,20 +250,15 @@ def _build_conditions(args, corpus, model_config, rng):
     if args.conditioning == "none":
         return [None] * len(corpus.grids)
     if args.conditioning == "chroma":
-        anchors = class_anchor_latents(corpus.config.d_latent)
+        anchors = class_anchor_latents(args.d_latent)
         return [
             chroma_to_condition(latents_to_classes(lf, anchors), model_config.D)
             for lf in corpus.latents
         ]
-    prep = PreprocessConfig()
     conditions = []
     for i in range(len(corpus.grids)):
-        ann = TextAnnotation(
-            description=f"synthetic ar1 clip {i}",
-            tags={"index": str(i), "family": "ar1"},
-        )
-        text = word_dropout(text_normalize(merge_conditions(ann, prep, rng)), prep.word_dropout, rng)
-        conditions.append(encode_text_toy(text, model_config.D))
+        merged = merge_conditions(f"synthetic ar1 clip {i}", {"index": str(i), "family": "ar1"}, rng)
+        conditions.append(encode_text_toy(word_dropout(text_normalize(merged), rng), model_config.D))
     return conditions
 
 
@@ -379,7 +373,7 @@ def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     ckpt = load_checkpoint(args.checkpoint)
     params = ckpt.params
-    T = _flag_or_meta(args, ckpt, "timesteps", int, 8)
+    T = _flag_or_meta(args, ckpt, "timesteps", operator.index, 8)  # 2.5 is malformed, not 2
     kind = _flag_or_meta(args, ckpt, "pattern", PatternKind, "delay")
     pattern = build_pattern(kind, T, params.config.K)
 
@@ -432,8 +426,9 @@ def cmd_memorize(args) -> int:
     grids = [TokenGrid(tokens=t, M=ckpt.params.config.M)
              for t in checked_array(ckpt.extra["grids"], "checkpoint grids", 3, whole=True)]
     # prompts are fed together with the conditioning each sequence was trained on
-    conditioned = ckpt.meta.get("conditioning", "none") != "none" or any(
-        name.startswith("cond/") for name in ckpt.extra)
+    conditioned = (ckpt.params.config.conditioning_mode != "none"
+                   or ckpt.meta.get("conditioning", "none") != "none"
+                   or any(name.startswith("cond/") for name in ckpt.extra))
     missing = [i for i in range(len(grids)) if f"cond/{i}" not in ckpt.extra]
     if conditioned and missing:
         raise ValidationError(

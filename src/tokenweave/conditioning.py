@@ -4,8 +4,9 @@ Melody: short-time chromagrams (12 pitch classes, A4 = 440 Hz reference)
 quantized to the per-frame argmax class, which is the information bottleneck
 fed to the decoder. Text: the normalization / condition-merging / word-dropout
 pipeline plus a deterministic hash-seeded toy embedder standing in for a
-pretrained encoder. All stochastic ops take an explicit numpy Generator and
-are reproducible from its seed.
+pretrained encoder. The three augmentation rates are module constants
+(MERGE_PROB, DESCRIPTION_DROPOUT, WORD_DROPOUT), not settings. All stochastic
+ops take an explicit numpy Generator and are reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import functools
 import hashlib
 import string
 import wave
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,25 +67,6 @@ class QuantizedChroma:
     @property
     def F(self) -> int:
         return self.classes.shape[0]
-
-
-@dataclass(frozen=True)
-class TextAnnotation:
-    description: str = ""
-    tags: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class PreprocessConfig:
-    merge_prob: float = 0.25
-    description_dropout: float = 0.5
-    word_dropout: float = 0.3
-
-    def __post_init__(self) -> None:
-        for name in ("merge_prob", "description_dropout", "word_dropout"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValidationError(f"{name} must lie in [0, 1], got {v}")
 
 
 @dataclass(frozen=True)
@@ -159,32 +141,29 @@ def chroma_cosine_similarity(a: QuantizedChroma, b: QuantizedChroma) -> float:
     return float(np.mean(a.classes[:n] == b.classes[:n]))
 
 
-def merge_conditions(ann: TextAnnotation, cfg: PreprocessConfig, rng: np.random.Generator) -> str:
-    """With probability merge_prob, append "key: value" tags (sorted by key) to
+def merge_conditions(description: str, tags: dict[str, str], rng: np.random.Generator) -> str:
+    """With probability MERGE_PROB, append "key: value" tags (sorted by key) to
     the description; upon merging, drop the description itself with probability
-    description_dropout. Without tags the description passes through unchanged."""
-    if not ann.tags:
-        return ann.description
-    if rng.random() >= cfg.merge_prob:
-        return ann.description
-    tag_parts = [f"{k}: {ann.tags[k]}" for k in sorted(ann.tags)]
-    if rng.random() < cfg.description_dropout or not ann.description:
+    DESCRIPTION_DROPOUT. Without tags the description passes through unchanged."""
+    if not tags:
+        return description
+    if rng.random() >= MERGE_PROB:
+        return description
+    tag_parts = [f"{k}: {tags[k]}" for k in sorted(tags)]
+    if rng.random() < DESCRIPTION_DROPOUT or not description:
         return ", ".join(tag_parts)
-    return ", ".join([ann.description] + tag_parts)
+    return ", ".join([description] + tag_parts)
 
 
-def word_dropout(text: str, p: float = 0.3, rng: np.random.Generator | None = None) -> str:
-    """Drop each whitespace-delimited word independently with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"dropout probability must lie in [0, 1], got {p}")
-    if p == 0.0:
-        return text
-    if rng is None:
-        raise ValidationError("word_dropout with p > 0 needs a random generator")
-    words = text.split()
-    kept = [w for w in words if rng.random() >= p]
-    return " ".join(kept)
+def word_dropout(text: str, rng: np.random.Generator) -> str:
+    """Drop each whitespace-delimited word independently with probability WORD_DROPOUT."""
+    return " ".join(w for w in text.split() if rng.random() >= WORD_DROPOUT)
 
+
+# text augmentation rates: merge the tags, then drop the description; drop each word
+MERGE_PROB = 0.25
+DESCRIPTION_DROPOUT = 0.5
+WORD_DROPOUT = 0.3
 
 # fixed stop-word list; part of the text_normalize interface
 STOP_WORDS = frozenset(

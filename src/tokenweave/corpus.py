@@ -28,7 +28,6 @@ class Corpus:
     grids: tuple[TokenGrid, ...]
     latents: tuple[LatentFrames, ...]
     codebooks: tuple[Codebook, ...]
-    config: RVQConfig
 
 
 def make_corpus(
@@ -51,5 +50,4 @@ def make_corpus(
         grids=tuple(TokenGrid(tokens=t, M=config.M) for t in tokens),
         latents=tuple(LatentFrames(frames=f) for f in frames),
         codebooks=tuple(codebooks),
-        config=config,
     )

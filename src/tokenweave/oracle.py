@@ -179,22 +179,13 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
     return JointDistribution(T=joint.T, K=joint.K, M=M, probs=probs)
 
 
-def tv_distance(p, q) -> float:
-    """Total variation distance 0.5 * sum |p - q| over a shared index space.
-
-    Accepts JointDistribution laws (dims are cross-checked) or bare flat
-    probability arrays of equal length, checked as JointDistribution.probs
-    is: 1-D, finite, non-negative numbers.
-    """
-    if hasattr(p, "probs") and hasattr(q, "probs"):
-        for attr in ("T", "K", "M"):
-            if getattr(p, attr) != getattr(q, attr):
-                raise ValidationError(f"distributions disagree on {attr}")
-    pa = p.probs if hasattr(p, "probs") else checked_array(p, "probabilities", 1, low=0)
-    qa = q.probs if hasattr(q, "probs") else checked_array(q, "probabilities", 1, low=0)
-    if pa.shape != qa.shape:
-        raise ValidationError("distributions live on different index spaces")
-    return float(0.5 * np.abs(pa - qa).sum())
+def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
+    """Total variation distance 0.5 * sum |p - q| between two laws on one
+    (T, K, M) index space."""
+    for attr in ("T", "K", "M"):
+        if getattr(p, attr) != getattr(q, attr):
+            raise ValidationError(f"distributions disagree on {attr}")
+    return float(0.5 * np.abs(p.probs - q.probs).sum())
 
 
 @dataclass(frozen=True)

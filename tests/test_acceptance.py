@@ -15,12 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tokenweave import conditioning
 from tokenweave.analysis import chroma_of_sonified, memorization_report
 from tokenweave.conditioning import (
     AudioBuffer,
-    PreprocessConfig,
     QuantizedChroma,
-    TextAnnotation,
     chroma_cosine_similarity,
     compute_chromagram,
     draw_condition_drop,
@@ -300,29 +299,30 @@ def test_criterion_10_sampling_identities():
            f"vs softmax [0.3333, 0.6667], ratio {ratio:.4f}")
 
 
-def test_criterion_11_text_pipeline_probabilities():
+def test_criterion_11_text_pipeline_probabilities(monkeypatch):
     trials = 100_000
-    ann = TextAnnotation(description="desc", tags={"bpm": "90"})
+    tags = {"bpm": "90"}
 
     merged = sum(
-        merge_conditions(ann, PreprocessConfig(), np.random.default_rng(s)) != "desc"
+        merge_conditions("desc", tags, np.random.default_rng(s)) != "desc"
         for s in range(trials)
     )
     p_merge = merged / trials
     assert abs(p_merge - 0.25) <= 0.01
 
-    force_merge = PreprocessConfig(merge_prob=1.0)
-    dropped_desc = sum(
-        merge_conditions(ann, force_merge, np.random.default_rng(s)) == "bpm: 90"
-        for s in range(trials)
-    )
+    with monkeypatch.context() as force:
+        force.setattr(conditioning, "MERGE_PROB", 1.0)
+        dropped_desc = sum(
+            merge_conditions("desc", tags, np.random.default_rng(s)) == "bpm: 90"
+            for s in range(trials)
+        )
     p_desc = dropped_desc / trials
     assert abs(p_desc - 0.5) <= 0.01
 
     text = " ".join(f"w{i}" for i in range(10))
     survivors = 0
     for s in range(trials):
-        survivors += len(word_dropout(text, 0.3, np.random.default_rng(s)).split())
+        survivors += len(word_dropout(text, np.random.default_rng(s)).split())
     p_word = 1.0 - survivors / (10 * trials)
     assert abs(p_word - 0.3) <= 0.01
 

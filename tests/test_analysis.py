@@ -71,7 +71,6 @@ def test_report_invariant_guard():
     with pytest.raises(ValidationError):
         MemorizationReport(
             rows=(MemorizationRow(prompt_len=1, exact_match=0.5, partial_match=0.25, n_examples=4),),
-            gen_len=4,
             exact_monotone=True,
             partial_monotone=True,
         )

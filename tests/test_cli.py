@@ -282,6 +282,35 @@ def test_generate_text_needs_a_cross_attention_checkpoint(tmp_path, capsys, cond
 
 # what a child may map: the Python and numpy baseline peaks near 110 MB
 CHILD_ADDRESS_SPACE = 2 << 30
+# calls main on each argv of the JSON list on stdin and prints one JSON line
+# [exit code, stderr] per argv; warnings are errors, as in this suite
+CAPPED_MAIN = f"""
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE}))
+from tokenweave.cli import main
+for argv in json.load(sys.stdin):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:  # escaped main: record its traceback, run the rest
+            traceback.print_exc()
+            code = None
+    print(json.dumps([code, err.getvalue()]), flush=True)
+"""
+
+
+def run_capped(argvs):
+    """(exit code, stderr) of main on each argv, run in one child that caps
+    its own address space: an allocation fails there and cannot take this
+    machine's memory."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", CAPPED_MAIN],
+                          input=json.dumps(argvs), capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
 
 
 @pytest.mark.parametrize(
@@ -294,20 +323,10 @@ CHILD_ADDRESS_SPACE = 2 << 30
     ],
 )
 def test_out_of_memory_exits_4(trained, tmp_path, argv):
-    # the child caps its own address space, so the allocation fails there and
-    # cannot take this machine's memory
-    limited = (
-        "import resource, sys; "
-        f"resource.setrlimit(resource.RLIMIT_AS, ({CHILD_ADDRESS_SPACE}, {CHILD_ADDRESS_SPACE})); "
-        "from tokenweave.cli import main; sys.exit(main(sys.argv[1:]))"
-    )
     argv = [str(trained / "checkpoint.npz") if a == "{ckpt}" else a for a in argv]
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
-               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", limited, *argv, "--out", str(tmp_path / "o")],
-                          capture_output=True, text=True, env=env, timeout=300)
-    assert proc.returncode == 4, proc.stderr
-    assert "out of memory" in proc.stderr and "Traceback" not in proc.stderr
+    [(code, err)] = run_capped([[*argv, "--out", str(tmp_path / "o")]])
+    assert code == 4, err
+    assert "out of memory" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 
@@ -602,6 +621,7 @@ BAD_CHECKPOINTS = [
     "config-unknown-key", "config-ffn-mult", "meta-list", "meta-pattern", "meta-timesteps",
     "config-fractional",
 ]
+HUGE_CHECKPOINTS = ["config-K-huge", "config-L-huge"]
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
     [
@@ -656,13 +676,19 @@ MALFORMED = (
                       "--gen-len", "4"], 3, id=f"memorize-{name}")
         for name in ("grids-fractional", "grids-nan", "grids-text", "grids-rank0",
                      "grids-missing", "cond-text", "param-text", "meta-conditioned",
-                     "cond-partial")
+                     "cond-partial", "mode-conditioned")
     ]
     + [
         pytest.param(["generate", "--checkpoint", f"{{{name}.npz}}", *flags], 3,
                      id=f"generate-{name}")
         for name, flags in (("codebooks-text", ["--wav"]), ("codebooks-empty", ["--wav"]),
                             ("codebooks-missing", ["--wav"]), ("param-text", []))
+    ]
+    # sizes whose full parameter schema would not fit in memory; run in a capped child
+    + [
+        pytest.param([command, "--checkpoint", f"{{{name}.npz}}"], 3, id=f"{command}-{name}")
+        for command in ("generate", "memorize")
+        for name in HUGE_CHECKPOINTS
     ]
     # np.load reads a plain .npy as one array, not as an archive
     + [pytest.param(["generate", "--checkpoint", "{plain.npy}"], 3, id="generate-plain-npy")]
@@ -756,6 +782,10 @@ def bad_inputs(trained, tmp_path_factory):
         ("meta-timesteps", {"meta": {**header["meta"], "timesteps": "abc"}}),
         ("config-fractional", {"config": {**header["config"], "K": 4.5}}),
         ("meta-conditioned", {"meta": {**header["meta"], "conditioning": "text"}}),
+        # a prefix model has the same parameter set as an unconditioned one
+        ("mode-conditioned", {"config": {**header["config"], "conditioning_mode": "prefix"}}),
+        ("config-K-huge", {"config": {**header["config"], "K": 10**9}}),
+        ("config-L-huge", {"config": {**header["config"], "L": 10**9}}),
     ):
         craft(name, json.dumps({**header, **changes}))
 
@@ -783,10 +813,75 @@ def bad_inputs(trained, tmp_path_factory):
 @pytest.mark.parametrize("argv,code", MALFORMED)
 def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys, argv, code):
     # warnings are errors under this suite's settings, so a warning counts too
+    capped = any(f"{{{name}.npz}}" in argv for name in HUGE_CHECKPOINTS)
     argv = [str(bad_inputs.get(a, a)) for a in argv]
     if argv[0] != "patterns":
         argv += ["--out", str(tmp_path / "o")]
-    assert main(argv) == code
-    assert "Traceback" not in capsys.readouterr().err
+    got, err = run_capped([argv])[0] if capped else (main(argv), capsys.readouterr().err)
+    assert got == code, err
+    assert "Traceback" not in err
     if code:  # a run that fails its checks makes no run directory
         assert not (tmp_path / "o").exists()
+
+
+# ---------------------------------------------------------------- checkpoint sweep
+
+SWEEP_SEED = 23
+SWEEP_VALUES = (0, -1, 2.5, "x", None, 10**9)
+# what of a checkpoint only one command reads; both read the rest
+READERS = {"meta.timesteps": ("generate",), "meta.conditioning": ("memorize",),
+           "x:codebooks": ("generate",), "x:grids": ("memorize",)}
+SWEEP_FLAGS = {"generate": ["--wav"], "memorize": ["--prompt-lens", "1", "--gen-len", "4"]}
+# a cap on the step count: nothing is sized by it, so the checkpoint is well formed
+WELL_FORMED = {"config.max_steps=1000000000"}
+
+
+def _checkpoint_mutants(arrays, rng):
+    """(what, change, archive members) for each mutant of a checkpoint: every
+    header version, config and command-read meta value set to each
+    SWEEP_VALUES entry, and every member given a non-numeric dtype, another
+    rank, or removed. The meta keys no command reads are a free-form record."""
+    header = json.loads(str(arrays["__header__"]))
+    fields = [("version", None), *(("config", k) for k in header["config"]),
+              *(("meta", k) for k in ("pattern", "timesteps", "conditioning"))]
+    for section, key in fields:
+        for value in SWEEP_VALUES:
+            changed = json.loads(json.dumps(header))
+            if key is None:
+                changed[section] = value
+            else:
+                changed[section][key] = value
+            members = {**arrays, "__header__": np.array(json.dumps(changed))}
+            yield section if key is None else f"{section}.{key}", f"={value}", members
+    for member, arr in arrays.items():
+        kinds = ["S", "O"] if arr.dtype.kind == "U" else ["U", "S", "c16", "O"]
+        yield member, ":dtype", {**arrays, member: arr.astype(rng.choice(kinds))}
+        ndim = int(rng.choice([n for n in range(4) if n != arr.ndim]))
+        reranked = (arr.reshape((1,) * (ndim - arr.ndim) + arr.shape) if ndim > arr.ndim
+                    else arr.reshape(arr.shape[: ndim - 1] + (-1,)) if ndim else arr.ravel()[0])
+        yield member, f":rank{ndim}", {**arrays, member: np.asarray(reranked)}
+        yield member, ":absent", {k: v for k, v in arrays.items() if k != member}
+
+
+def test_checkpoint_mutant_sweep_never_ends_in_a_traceback(trained, tmp_path):
+    # all mutants run in one child that caps its own address space, since a
+    # size of 10**9 may allocate before a check rejects it
+    with np.load(trained / "checkpoint.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    runs = []
+    mutants = _checkpoint_mutants(arrays, np.random.default_rng(SWEEP_SEED))
+    for i, (what, change, members) in enumerate(mutants):
+        path = tmp_path / f"m{i}.npz"
+        np.savez(path, **members)
+        for command in READERS.get(what, ("generate", "memorize")):
+            out = tmp_path / f"o{i}-{command}"
+            argv = [command, "--checkpoint", str(path), *SWEEP_FLAGS[command], "--out", str(out)]
+            runs.append((command, what + change, out, argv))
+    results = run_capped([argv for *_, argv in runs])
+    assert len(results) == len(runs) == 384
+    failures = []
+    for (command, mutant, out, _), (code, err) in zip(runs, results):
+        want = (0,) if mutant in WELL_FORMED else (3, 4)
+        if code not in want or "Traceback" in err or (code and out.exists()):
+            failures.append(f"{command} {mutant}: exit {code}: {err.strip()[-300:]}")
+    assert not failures, "\n".join(failures)

@@ -11,9 +11,7 @@ from tokenweave.conditioning import (
     AudioBuffer,
     Chromagram,
     ConditioningTensor,
-    PreprocessConfig,
     QuantizedChroma,
-    TextAnnotation,
     chroma_cosine_similarity,
     chroma_to_condition,
     compute_chromagram,
@@ -121,45 +119,43 @@ def test_similarity_random_sequences_near_one_twelfth():
 
 
 def test_merge_no_tags_identity():
-    ann = TextAnnotation(description="calm piano piece")
-    cfg = PreprocessConfig()
     for seed in range(20):
-        assert merge_conditions(ann, cfg, np.random.default_rng(seed)) == "calm piano piece"
+        assert merge_conditions("calm piano piece", {}, np.random.default_rng(seed)) == "calm piano piece"
 
 
-def test_merge_tags_only_when_description_dropped():
-    ann = TextAnnotation(description="calm piano", tags={"bpm": "90", "key": "C"})
-    cfg = PreprocessConfig(merge_prob=1.0, description_dropout=1.0)
-    out = merge_conditions(ann, cfg, np.random.default_rng(0))
+def test_merge_tags_only_when_description_dropped(monkeypatch):
+    monkeypatch.setattr(conditioning, "MERGE_PROB", 1.0)
+    monkeypatch.setattr(conditioning, "DESCRIPTION_DROPOUT", 1.0)
+    out = merge_conditions("calm piano", {"bpm": "90", "key": "C"}, np.random.default_rng(0))
     assert out == "bpm: 90, key: C"
 
 
-def test_merge_appends_sorted_tags():
-    ann = TextAnnotation(description="calm piano", tags={"key": "C", "bpm": "90"})
-    cfg = PreprocessConfig(merge_prob=1.0, description_dropout=0.0)
-    out = merge_conditions(ann, cfg, np.random.default_rng(0))
+def test_merge_appends_sorted_tags(monkeypatch):
+    monkeypatch.setattr(conditioning, "MERGE_PROB", 1.0)
+    monkeypatch.setattr(conditioning, "DESCRIPTION_DROPOUT", 0.0)
+    out = merge_conditions("calm piano", {"key": "C", "bpm": "90"}, np.random.default_rng(0))
     assert out == "calm piano, bpm: 90, key: C"
 
 
 def test_merge_frequency_monte_carlo():
-    ann = TextAnnotation(description="desc", tags={"bpm": "90"})
-    cfg = PreprocessConfig()
     fired = sum(
-        merge_conditions(ann, cfg, np.random.default_rng(seed)) != "desc"
+        merge_conditions("desc", {"bpm": "90"}, np.random.default_rng(seed)) != "desc"
         for seed in range(100000)
     )
     assert abs(fired / 100000 - 0.25) < 0.01
 
 
-def test_word_dropout_identities():
-    assert word_dropout("a  b   c", p=0.0) == "a  b   c"
-    assert word_dropout("one two three", p=1.0, rng=np.random.default_rng(0)) == ""
+def test_word_dropout_identities(monkeypatch):
+    monkeypatch.setattr(conditioning, "WORD_DROPOUT", 0.0)
+    assert word_dropout("a  b   c", np.random.default_rng(0)) == "a b c"
+    monkeypatch.setattr(conditioning, "WORD_DROPOUT", 1.0)
+    assert word_dropout("one two three", np.random.default_rng(0)) == ""
 
 
 def test_word_dropout_deterministic():
     text = " ".join(f"w{i}" for i in range(20))
-    a = word_dropout(text, 0.3, np.random.default_rng(5))
-    b = word_dropout(text, 0.3, np.random.default_rng(5))
+    a = word_dropout(text, np.random.default_rng(5))
+    b = word_dropout(text, np.random.default_rng(5))
     assert a == b
 
 
@@ -168,8 +164,37 @@ def test_word_dropout_binomial_expectation():
     total = 0
     trials = 100000
     for seed in range(trials):
-        total += len(word_dropout(text, 0.3, np.random.default_rng(seed)).split())
+        total += len(word_dropout(text, np.random.default_rng(seed)).split())
     assert abs(total / trials - 7.0) < 0.05
+
+
+def _parent_pipeline(description, tags, rng):
+    """The text pipeline as it ran when its rates were settings, at their
+    defaults (merge 0.25, description drop 0.5, word drop 0.3)."""
+    text = description
+    if tags and rng.random() < 0.25:
+        tag_parts = [f"{k}: {tags[k]}" for k in sorted(tags)]
+        if rng.random() < 0.5 or not description:
+            text = ", ".join(tag_parts)
+        else:
+            text = ", ".join([description] + tag_parts)
+    return " ".join([w for w in text_normalize(text).split() if rng.random() >= 0.3])
+
+
+def test_text_pipeline_keeps_the_draws_of_the_configurable_rates():
+    cases = [
+        ("synthetic ar1 clip 3", {"index": "3", "family": "ar1"}),
+        ("calm piano, the strings are playing", {"bpm": "90", "key": "C"}),
+        ("", {"mood": "dark"}),
+        ("no tags at all", {}),
+    ]
+    for seed in range(200):
+        for description, tags in cases:
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = word_dropout(text_normalize(merge_conditions(description, tags, rng)), rng)
+            assert got == _parent_pipeline(description, tags, ref_rng), (seed, description)
+            # the generators stand at the same place, so the next draws agree too
+            assert rng.random() == ref_rng.random()
 
 
 def test_text_normalize_example():
@@ -304,13 +329,6 @@ def test_load_wav_rejects_non_16bit(tmp_path):
 def test_quantized_chroma_json_roundtrip():
     q = QuantizedChroma(classes=np.array([0, 9, 11, 3]))
     assert quantized_chroma_to_json(q) == "[0, 9, 11, 3]"
-
-
-def test_preprocess_config_validation():
-    with pytest.raises(ValidationError):
-        PreprocessConfig(merge_prob=1.5)
-    cfg = PreprocessConfig()
-    assert (cfg.merge_prob, cfg.description_dropout, cfg.word_dropout) == (0.25, 0.5, 0.3)
 
 
 def test_conditioning_tensor_validation():

@@ -85,7 +85,7 @@ def test_param_count_accounting_300m():
     per_layer = 2 * D + (4 * D * D + 3 * D) + 2 * D + (D * 4 * D + 4 * D + 4 * D * D + D)
     expected = K * (M + 1) * D + L * per_layer + K * (D * M + M)
     # Parameters holds exactly these shapes, so counting them needs no arrays
-    n_params = sum(math.prod(shape) for shape in _param_shapes(config).values())
+    n_params = sum(math.prod(shape) for _, shape in _param_shapes(config))
     assert n_params == expected
     assert abs(n_params - 3e8) / 3e8 < 0.10
 
