@@ -22,13 +22,11 @@ import numpy as np
 
 from .conditioning import (
     A4_HZ,
-    PITCH_CLASSES,
     AudioBuffer,
     QuantizedChroma,
     _class_unit_rows,
     chroma_cosine_similarity,
     compute_chromagram,
-    quantize_chroma,
 )
 from .errors import ValidationError
 from .model import Parameters
@@ -79,6 +77,12 @@ def memorization_report(
         raise ValidationError("memorization needs at least one prompt length")
     if gen_len < 0 or min(prompt_lens, default=0) < 0:
         raise ValidationError("prompt lengths and gen_len must be nonnegative")
+    # checked once, before any pattern table is laid out
+    longest, shortest = max(prompt_lens), min(grid.T for grid, _ in dataset)
+    if longest + gen_len > shortest:
+        raise ValidationError(
+            f"prompt {longest} + continuation {gen_len} exceeds grid length {shortest}"
+        )
     greedy = SamplerConfig(temperature=0.0, guidance_scale=1.0)
     rows = []
     for prompt_len in prompt_lens:
@@ -87,10 +91,6 @@ def memorization_report(
         exact = 0
         partial = 0
         for grid, condition in dataset:
-            if span > grid.T:
-                raise ValidationError(
-                    f"prompt {prompt_len} + continuation {gen_len} exceeds grid length {grid.T}"
-                )
             if gen_len == 0:
                 exact += 1
                 partial += 1
@@ -126,11 +126,10 @@ def class_anchor_latents(d_latent: int) -> np.ndarray:
     return _class_unit_rows(d_latent, base=7000)
 
 
-def latents_to_classes(latents: LatentFrames, anchors: np.ndarray) -> QuantizedChroma:
-    """Nearest anchor per frame (Euclidean, ties to the lowest class)."""
-    if anchors.shape != (PITCH_CLASSES, latents.d):
-        raise ValidationError(f"anchors must be ({PITCH_CLASSES}, {latents.d})")
-    return QuantizedChroma(classes=_nearest(latents.frames, anchors))
+def latents_to_classes(latents: LatentFrames) -> QuantizedChroma:
+    """Nearest of the class_anchor_latents(latents.d) anchors per frame
+    (Euclidean, ties to the lowest class)."""
+    return QuantizedChroma(classes=_nearest(latents.frames, class_anchor_latents(latents.d)))
 
 
 def pitch_class_frequency(pitch_class: int) -> float:
@@ -153,20 +152,15 @@ def sonify_classes(q: QuantizedChroma) -> AudioBuffer:
 
 def chroma_of_sonified(q: QuantizedChroma) -> QuantizedChroma:
     audio = sonify_classes(q)
-    return quantize_chroma(compute_chromagram(audio, window=SONIFY_SEGMENT, hop=SONIFY_SEGMENT))
+    return compute_chromagram(audio, window=SONIFY_SEGMENT, hop=SONIFY_SEGMENT)
 
 
 def chroma_adherence(
-    grid: TokenGrid,
-    codebooks: list[Codebook],
-    anchors: np.ndarray,
-    reference: QuantizedChroma,
+    grid: TokenGrid, codebooks: list[Codebook], reference: QuantizedChroma
 ) -> float:
     """Cosine similarity between the reference chroma and the chroma measured
-    from the generated grid's sonification (decode -> snap to anchors ->
-    sines -> chromagram -> argmax). Length mismatch truncates."""
-    latents = rvq_decode(grid, codebooks)
-    classes = latents_to_classes(latents, anchors)
-    measured = chroma_of_sonified(classes)
+    from the generated grid's sonification (decode -> snap to the class
+    anchors -> sines -> chromagram argmax). Length mismatch truncates."""
+    measured = chroma_of_sonified(latents_to_classes(rvq_decode(grid, codebooks)))
     return chroma_cosine_similarity(measured, reference)
 

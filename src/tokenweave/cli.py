@@ -38,12 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (
-    class_anchor_latents,
-    latents_to_classes,
-    memorization_report,
-    sonify_classes,
-)
+from .analysis import latents_to_classes, memorization_report, sonify_classes
 from .conditioning import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
@@ -53,7 +48,6 @@ from .conditioning import (
     encode_text_toy,
     load_wav,
     merge_conditions,
-    quantize_chroma,
     quantized_chroma_to_json,
     save_wav,
     text_normalize,
@@ -250,11 +244,8 @@ def _build_conditions(args, corpus, model_config, rng):
     if args.conditioning == "none":
         return [None] * len(corpus.grids)
     if args.conditioning == "chroma":
-        anchors = class_anchor_latents(args.d_latent)
-        return [
-            chroma_to_condition(latents_to_classes(lf, anchors), model_config.D)
-            for lf in corpus.latents
-        ]
+        return [chroma_to_condition(latents_to_classes(lf), model_config.D)
+                for lf in corpus.latents]
     conditions = []
     for i in range(len(corpus.grids)):
         merged = merge_conditions(f"synthetic ar1 clip {i}", {"index": str(i), "family": "ar1"}, rng)
@@ -375,6 +366,10 @@ def cmd_generate(args) -> int:
     params = ckpt.params
     T = _flag_or_meta(args, ckpt, "timesteps", operator.index, 8)  # 2.5 is malformed, not 2
     kind = _flag_or_meta(args, ckpt, "pattern", PatternKind, "delay")
+    if T > params.config.max_steps:  # every kind takes at least T steps; refused before the table
+        raise ValidationError(
+            f"pattern needs at least {T} steps, model max is {params.config.max_steps}"
+        )
     pattern = build_pattern(kind, T, params.config.K)
 
     condition = None
@@ -400,8 +395,7 @@ def cmd_generate(args) -> int:
             raise ValidationError("checkpoint carries no codebooks; cannot sonify")
         books = [Codebook(centroids=c)
                  for c in checked_array(ckpt.extra["codebooks"], "checkpoint codebooks", 3)]
-        latents = rvq_decode(grid, books)  # zero stages raise here
-        audio = sonify_classes(latents_to_classes(latents, class_anchor_latents(latents.d)))
+        audio = sonify_classes(latents_to_classes(rvq_decode(grid, books)))  # zero stages raise
 
     out_dir = _out_dir(args)
     grid_path = out_dir / "grid.csv"
@@ -465,8 +459,7 @@ def cmd_memorize(args) -> int:
 def cmd_chroma(args) -> int:
     t0 = time.perf_counter()
     audio = load_wav(args.wav)
-    chroma = compute_chromagram(audio, window=args.window, hop=args.hop)
-    q = quantize_chroma(chroma)
+    q = compute_chromagram(audio, window=args.window, hop=args.hop)
     json_path = _out_dir(args) / "chroma.json"
     json_path.write_text(quantized_chroma_to_json(q) + "\n")
     print(f"frames: {q.F}")

@@ -41,21 +41,6 @@ class AudioBuffer:
 
 
 @dataclass(frozen=True)
-class Chromagram:
-    frames: np.ndarray  # (F, 12) nonnegative energies, C..B
-
-    def __post_init__(self) -> None:
-        f = checked_array(self.frames, "chromagram energies", 2, low=0)
-        if f.shape[1] != PITCH_CLASSES:
-            raise ValidationError(f"chromagram needs shape (F, {PITCH_CLASSES})")
-        object.__setattr__(self, "frames", f)
-
-    @property
-    def F(self) -> int:
-        return self.frames.shape[0]
-
-
-@dataclass(frozen=True)
 class QuantizedChroma:
     classes: np.ndarray  # (F,) ints in 0..11
 
@@ -101,8 +86,10 @@ def pitch_class_of_frequency(freq_hz):
 
 def compute_chromagram(
     audio: AudioBuffer, window: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP
-) -> Chromagram:
-    """Hann-windowed STFT energy folded onto the 12 pitch classes per frame."""
+) -> QuantizedChroma:
+    """Hann-windowed STFT energy folded onto the 12 pitch classes per frame,
+    kept as each frame's argmax class; ties (and all-zero frames) take the
+    lowest class."""
     if window < 1 or hop < 1:
         raise ValidationError(f"window and hop must be >= 1, got window={window} hop={hop}")
     n = audio.samples.shape[0]
@@ -119,13 +106,7 @@ def compute_chromagram(
     starts = np.arange(n_frames) * hop
     segments = np.stack([audio.samples[s : s + window] for s in starts]) * hann
     energy = np.abs(np.fft.rfft(segments, axis=1)) ** 2
-    frames = energy[:, valid] @ fold
-    return Chromagram(frames=frames)
-
-
-def quantize_chroma(c: Chromagram) -> QuantizedChroma:
-    """Argmax pitch class per frame; ties (and all-zero frames) take the lowest index."""
-    return QuantizedChroma(classes=np.argmax(c.frames, axis=1))
+    return QuantizedChroma(classes=np.argmax(energy[:, valid] @ fold, axis=1))
 
 
 def chroma_cosine_similarity(a: QuantizedChroma, b: QuantizedChroma) -> float:
@@ -251,13 +232,11 @@ def _class_unit_rows(width: int, base: int) -> np.ndarray:
     return table / np.linalg.norm(table, axis=1, keepdims=True)
 
 
-def chroma_to_condition(q: "QuantizedChroma | np.ndarray | list[int]", D: int) -> ConditioningTensor:
+def chroma_to_condition(q: QuantizedChroma, D: int) -> ConditioningTensor:
     """Embedding-table lookup of pitch classes 0..11, one row per frame."""
     if D < 1:
         raise ValidationError("D must be >= 1")
-    classes = (q if isinstance(q, QuantizedChroma) else QuantizedChroma(q)).classes
-    table = _class_unit_rows(D, base=1000)
-    return ConditioningTensor(rows=table[classes])
+    return ConditioningTensor(rows=_class_unit_rows(D, base=1000)[q.classes])
 
 
 def draw_condition_drop(p: float, rng: np.random.Generator) -> bool:

@@ -811,6 +811,6 @@ def load_checkpoint(path) -> Checkpoint:
             if not isinstance(meta, dict):
                 raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")
         except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
-                zipfile.BadZipFile) as exc:
+                RecursionError, zipfile.BadZipFile) as exc:  # RecursionError: a too-deep header
             raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc
     return Checkpoint(params=Parameters(config=config, arrays=arrays), extra=extra, meta=meta)

@@ -223,7 +223,7 @@ def pattern_from_json(text: str) -> Pattern:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValidationError(f"pattern document is not valid JSON: {exc}") from exc
     try:
         kind = None if doc["kind"] is None else PatternKind(doc["kind"])

@@ -24,7 +24,6 @@ from tokenweave.conditioning import (
     compute_chromagram,
     draw_condition_drop,
     merge_conditions,
-    quantize_chroma,
     word_dropout,
 )
 from tokenweave.corpus import make_corpus
@@ -237,7 +236,7 @@ def test_criterion_08_chroma_correctness():
     t = np.arange(2 * rate) / rate
     for freq in (440.0, 880.0):
         audio = AudioBuffer(samples=0.5 * np.sin(2 * np.pi * freq * t), sample_rate=rate)
-        q = quantize_chroma(compute_chromagram(audio))
+        q = compute_chromagram(audio)
         assert q.F > 0 and (q.classes == 9).all(), f"{freq} Hz missed class 9"
         assert chroma_cosine_similarity(q, q) == 1.0
     rng = np.random.default_rng(0)
@@ -308,7 +307,7 @@ def test_criterion_11_text_pipeline_probabilities(monkeypatch):
         for s in range(trials)
     )
     p_merge = merged / trials
-    assert abs(p_merge - 0.25) <= 0.01
+    assert abs(p_merge - 0.25) < 0.01
 
     with monkeypatch.context() as force:
         force.setattr(conditioning, "MERGE_PROB", 1.0)
@@ -317,19 +316,19 @@ def test_criterion_11_text_pipeline_probabilities(monkeypatch):
             for s in range(trials)
         )
     p_desc = dropped_desc / trials
-    assert abs(p_desc - 0.5) <= 0.01
+    assert abs(p_desc - 0.5) < 0.01
 
     text = " ".join(f"w{i}" for i in range(10))
     survivors = 0
     for s in range(trials):
         survivors += len(word_dropout(text, np.random.default_rng(s)).split())
     p_word = 1.0 - survivors / (10 * trials)
-    assert abs(p_word - 0.3) <= 0.01
+    assert abs(p_word - 0.3) < 0.005
 
     # the draw train_step makes once per step at the default --cfg-drop
     dropped = sum(draw_condition_drop(0.2, np.random.default_rng(s)) for s in range(trials))
     p_cfg = dropped / trials
-    assert abs(p_cfg - 0.2) <= 0.01
+    assert abs(p_cfg - 0.2) < 0.01
     ok(11, f"recovered probabilities merge {p_merge:.4f}, desc-drop {p_desc:.4f}, "
            f"word-drop {p_word:.4f}, cfg-drop {p_cfg:.4f}")
 

@@ -107,7 +107,7 @@ def test_sonify_shapes():
 def test_latents_to_classes_snaps_to_anchor():
     anchors = class_anchor_latents(6)
     latents = LatentFrames(frames=np.stack([anchors[3] * 1.01, anchors[7] * 0.97]))
-    out = latents_to_classes(latents, anchors)
+    out = latents_to_classes(latents)
     assert out.classes.tolist() == [3, 7]
 
 
@@ -122,11 +122,12 @@ def test_class_tables_and_snap_match_their_reference_formulas():
     for width in (1, 4, 16):
         anchors = class_anchor_latents(width)
         assert np.array_equal(anchors, table(width, 7000))
-        assert np.array_equal(chroma_to_condition(np.arange(12), width).rows, table(width, 1000))
+        rows = chroma_to_condition(QuantizedChroma(np.arange(12)), width).rows
+        assert np.array_equal(rows, table(width, 1000))
         frames = np.random.default_rng(width).standard_normal((300, width))
         d2 = (np.sum(frames**2, axis=1, keepdims=True) - 2.0 * frames @ anchors.T
               + np.sum(anchors**2, axis=1))
-        got = latents_to_classes(LatentFrames(frames=frames), anchors).classes
+        got = latents_to_classes(LatentFrames(frames=frames)).classes
         assert np.array_equal(got, np.argmin(d2, axis=1))
 
 
@@ -140,7 +141,7 @@ def test_chroma_adherence_closed_loop_through_rvq():
     decoded = rvq_decode(grid, books)
     assert np.allclose(decoded.frames, anchors[classes])
     ref = QuantizedChroma(classes=classes)
-    sim = chroma_adherence(grid, books, anchors, ref)
+    sim = chroma_adherence(grid, books, ref)
     assert sim == 1.0
 
 
@@ -150,7 +151,7 @@ def test_chroma_adherence_truncates_on_length_mismatch():
     classes = np.array([2, 7, 11])
     grid = TokenGrid(tokens=(classes + 1)[:, None], M=12)
     ref = QuantizedChroma(classes=np.array([2, 7]))
-    assert chroma_adherence(grid, books, anchors, ref) == 1.0
+    assert chroma_adherence(grid, books, ref) == 1.0
 
 
 def test_corpus_share_first_frame():

@@ -7,7 +7,6 @@ import pytest
 
 from tokenweave.conditioning import (
     AudioBuffer,
-    Chromagram,
     ConditioningTensor,
     QuantizedChroma,
     chroma_to_condition,
@@ -30,11 +29,11 @@ HOLDERS = {
     "forward": (lambda a: forward(PARAMS, a), np.array([[0, 0], [1, 2]]), True),
     "grad": (lambda a: grad(PARAMS, [TrainExample(slots=a)]), np.array([[0, 0], [1, 2]]), True),
     "QuantizedChroma": (QuantizedChroma, np.array([1, 11]), True),
-    "chroma_to_condition": (lambda a: chroma_to_condition(a, 4), np.array([1, 11]), True),
+    "chroma_to_condition": (lambda a: chroma_to_condition(QuantizedChroma(a), 4),
+                            np.array([1, 11]), True),
     "Codebook": (Codebook, np.ones((3, 2)), False),
     "LatentFrames": (LatentFrames, np.ones((3, 2)), False),
     "AudioBuffer": (lambda a: AudioBuffer(a, sample_rate=8000), np.zeros(8), False),
-    "Chromagram": (Chromagram, np.ones((2, 12)), False),
     "ConditioningTensor": (ConditioningTensor, np.ones((2, 4)), False),
     "JointDistribution": (lambda a: JointDistribution(1, 1, 2, a), np.array([0.5, 0.5]), False),
 }

@@ -316,14 +316,11 @@ def run_capped(argvs):
 @pytest.mark.parametrize(
     "argv",
     [
-        pytest.param(["generate", "--checkpoint", "{ckpt}", "--timesteps", "100000000"],
-                     id="generate-timesteps"),
         pytest.param(["train", "--dim", "4000000", "--heads", "1", "--timesteps", "16", "--vocab",
                       "4", "--steps", "1", "--sequences", "1"], id="train-dim"),
     ],
 )
-def test_out_of_memory_exits_4(trained, tmp_path, argv):
-    argv = [str(trained / "checkpoint.npz") if a == "{ckpt}" else a for a in argv]
+def test_out_of_memory_exits_4(tmp_path, argv):
     [(code, err)] = run_capped([[*argv, "--out", str(tmp_path / "o")]])
     assert code == 4, err
     assert "out of memory" in err and "Traceback" not in err
@@ -622,6 +619,15 @@ BAD_CHECKPOINTS = [
     "config-fractional",
 ]
 HUGE_CHECKPOINTS = ["config-K-huge", "config-L-huge"]
+# sizes far past any grid or model: each must be refused before a table of that
+# size is laid out, so these rows run in a child that caps its address space
+HUGE_SIZES = {
+    "generate-timesteps": ["generate", "--checkpoint", "{ckpt}", "--timesteps", "100000000"],
+    "memorize-gen-len": ["memorize", "--checkpoint", "{ckpt}", "--gen-len", "100000000"],
+    "memorize-prompt-lens": ["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "100000000"],
+}
+CAPPED = {*HUGE_SIZES, *(f"{command}-{name}" for command in ("generate", "memorize")
+                         for name in HUGE_CHECKPOINTS)}
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
     [
@@ -690,6 +696,14 @@ MALFORMED = (
         for command in ("generate", "memorize")
         for name in HUGE_CHECKPOINTS
     ]
+    + [pytest.param(argv, 3, id=name) for name, argv in HUGE_SIZES.items()]
+    # JSON nested 1,000 deep, where json's decoder runs out of recursion depth
+    + [pytest.param(["patterns", "validate", "--json", "{deep.json}"], 3, id="validate-deep")]
+    + [
+        pytest.param([command, "--checkpoint", "{header-deep.npz}"], 3,
+                     id=f"{command}-header-deep")
+        for command in ("generate", "memorize")
+    ]
     # np.load reads a plain .npy as one array, not as an archive
     + [pytest.param(["generate", "--checkpoint", "{plain.npy}"], 3, id="generate-plain-npy")]
     # T as a fraction or a string, and an empty step after the last
@@ -750,6 +764,8 @@ def bad_inputs(trained, tmp_path_factory):
         np.savez(root / f"{name}.npz", **{**arrays, "__header__": np.array(text)})
 
     craft("not-json", "{not json")
+    craft("header-deep", "[" * 1000 + "]" * 1000)
+    put("deep.json", b"[" * 1000 + b"]" * 1000)
     nan_grids = arrays["x:grids"].astype(np.float64)
     nan_grids[0, 0, 0] = np.nan
     for name, member, value in (
@@ -811,9 +827,10 @@ def bad_inputs(trained, tmp_path_factory):
 
 
 @pytest.mark.parametrize("argv,code", MALFORMED)
-def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys, argv, code):
+def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys, request,
+                                                   argv, code):
     # warnings are errors under this suite's settings, so a warning counts too
-    capped = any(f"{{{name}.npz}}" in argv for name in HUGE_CHECKPOINTS)
+    capped = request.node.callspec.id in CAPPED
     argv = [str(bad_inputs.get(a, a)) for a in argv]
     if argv[0] != "patterns":
         argv += ["--out", str(tmp_path / "o")]

@@ -6,7 +6,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 import pytest
 
-from tokenweave.conditioning import ConditioningTensor, chroma_to_condition, encode_text_toy
+from tokenweave.conditioning import (
+    ConditioningTensor,
+    QuantizedChroma,
+    chroma_to_condition,
+    encode_text_toy,
+)
 from tokenweave.errors import ValidationError
 from tokenweave.model import (
     ADAM_EPS,
@@ -276,7 +281,8 @@ def reference_forward(params, steps, condition=None):
 D_REF = 16
 TEXT = encode_text_toy("warm pad", D=D_REF)
 EMPTY = ConditioningTensor(rows=np.zeros((0, D_REF)))
-CHROMA = {n: chroma_to_condition(np.arange(n) * 5 % 12, D=D_REF) for n in (1, 3, 6)}
+CHROMA = {n: chroma_to_condition(QuantizedChroma(np.arange(n) * 5 % 12), D=D_REF)
+          for n in (1, 3, 6)}
 
 
 @pytest.mark.parametrize(
@@ -820,17 +826,6 @@ def block_relative_errors(params, batch, eps=FD_EPS):
 
 
 @pytest.mark.slow
-def test_gradients_match_finite_differences_cross_attention():
-    params = init_params(TINY, seed=13)
-    cond = encode_text_toy("slow strings", D=TINY.D)
-    batch, _, _ = tiny_batch(TINY, seed=1, T=5, condition=cond)  # S = 6 for delay K=2
-    assert_kink_margin(params, batch)
-    errors = block_relative_errors(params, batch)
-    worst = max(errors.values())
-    assert worst < 1e-5, sorted(errors.items(), key=lambda kv: -kv[1])[:5]
-
-
-@pytest.mark.slow
 def test_gradients_match_finite_differences_no_condition():
     config = ModelConfig(K=2, M=5, D=16, L=2, H=2, max_steps=64, conditioning_mode="none")
     params = init_params(config, seed=44)
@@ -1025,12 +1020,10 @@ def test_config_validation():
 
 @pytest.mark.slow
 def test_gradients_match_finite_differences_both_modes():
-    from tokenweave.conditioning import chroma_to_condition
-
     config = ModelConfig(K=2, M=5, D=16, L=1, H=2, max_steps=64, conditioning_mode="both")
     params = init_params(config, seed=22)
     cond = CombinedCondition(
-        prefix=chroma_to_condition([3, 9, 9], config.D),
+        prefix=chroma_to_condition(QuantizedChroma([3, 9, 9]), config.D),
         cross=encode_text_toy("two words", config.D),
     )
     batch, _, _ = tiny_batch(config, seed=6, T=4, condition=cond)
