@@ -78,6 +78,16 @@ def test_chromagram_rejects_short_audio():
         compute_chromagram(short)
 
 
+def test_quantize_single_peak_and_tie():
+    # a tone that stops half way: frames over the tone take its single peak
+    # (A = 9), the all-zero frames after it fall to the tie rule's class 0
+    tone = sine(440.0).samples
+    tone[tone.shape[0] // 2 :] = 0.0
+    classes = compute_chromagram(AudioBuffer(samples=tone, sample_rate=32000)).classes
+    assert classes[0] == 9 and classes[-1] == 0
+    assert set(classes.tolist()) == {0, 9}
+
+
 def test_similarity_self_and_disjoint():
     a = QuantizedChroma(classes=np.array([0, 5, 9, 9]))
     b = QuantizedChroma(classes=np.array([1, 6, 10, 10]))
@@ -124,6 +134,14 @@ def test_merge_appends_sorted_tags(monkeypatch):
     assert out == "calm piano, bpm: 90, key: C"
 
 
+def test_merge_frequency_monte_carlo():
+    fired = sum(
+        merge_conditions("desc", {"bpm": "90"}, np.random.default_rng(seed)) != "desc"
+        for seed in range(100000)
+    )
+    assert abs(fired / 100000 - 0.25) < 0.01
+
+
 def test_word_dropout_identities(monkeypatch):
     monkeypatch.setattr(conditioning, "WORD_DROPOUT", 0.0)
     assert word_dropout("a  b   c", np.random.default_rng(0)) == "a b c"
@@ -136,6 +154,15 @@ def test_word_dropout_deterministic():
     a = word_dropout(text, np.random.default_rng(5))
     b = word_dropout(text, np.random.default_rng(5))
     assert a == b
+
+
+def test_word_dropout_binomial_expectation():
+    text = " ".join(f"w{i}" for i in range(10))
+    total = 0
+    trials = 100000
+    for seed in range(trials):
+        total += len(word_dropout(text, np.random.default_rng(seed)).split())
+    assert abs(total / trials - 7.0) < 0.05
 
 
 def _parent_pipeline(description, tags, rng):

@@ -826,6 +826,17 @@ def block_relative_errors(params, batch, eps=FD_EPS):
 
 
 @pytest.mark.slow
+def test_gradients_match_finite_differences_cross_attention():
+    params = init_params(TINY, seed=13)
+    cond = encode_text_toy("slow strings", D=TINY.D)
+    batch, _, _ = tiny_batch(TINY, seed=1, T=5, condition=cond)  # S = 6 for delay K=2
+    assert_kink_margin(params, batch)
+    errors = block_relative_errors(params, batch)
+    worst = max(errors.values())
+    assert worst < 1e-5, sorted(errors.items(), key=lambda kv: -kv[1])[:5]
+
+
+@pytest.mark.slow
 def test_gradients_match_finite_differences_no_condition():
     config = ModelConfig(K=2, M=5, D=16, L=2, H=2, max_steps=64, conditioning_mode="none")
     params = init_params(config, seed=44)
