@@ -506,7 +506,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--json", help="pattern JSON file (validate)")
     p.add_argument("--as-json", action="store_true", help="machine-readable bench output")
 
-    p = add("exactness", cmd_exactness, "measure decomposition exactness by enumeration")
+    p = add("exactness", cmd_exactness, "measure decomposition exactness from closed-form sums")
     p.add_argument("--family", default="diagonal", choices=JOINT_FAMILIES)
     p.add_argument("--T", type=int, default=2)
     p.add_argument("--K", type=int, default=2)
@@ -594,6 +594,7 @@ def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: s
                 f"config key {key!r}: {value!r} is not one of {', '.join(map(str, action.choices))}"
             )
         overrides[dest] = value
+        action.required = False  # the file supplies it; a flag still overrides
     sub.set_defaults(**overrides)
 
 

@@ -185,15 +185,12 @@ def _strip_lemma_fixpoint(word: str) -> str:
 
 
 def text_normalize(text: str) -> str:
-    """Lowercase, strip edge punctuation, drop stop words, lemmatize by the
-    suffix rule table. Idempotent: stripping and rules run to a joint fixed
-    point and stop words are filtered again after lemmatization."""
+    """Lowercase, strip edge punctuation, lemmatize by the suffix rule table,
+    drop stop words. Idempotent: stripping and rules run to a joint fixed
+    point, and every stop word is such a fixed point."""
     out: list[str] = []
     for raw in text.split():
-        word = raw.lower().strip(_PUNCT)
-        if not word or word in STOP_WORDS:
-            continue
-        word = _strip_lemma_fixpoint(word)
+        word = _strip_lemma_fixpoint(raw.lower())
         if word and word not in STOP_WORDS:
             out.append(word)
     return " ".join(out)

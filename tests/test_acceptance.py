@@ -6,11 +6,7 @@ lines. Several criteria carry wall-clock budgets, asserted here.
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +20,6 @@ from tokenweave.conditioning import (
     compute_chromagram,
     draw_condition_drop,
     merge_conditions,
-    word_dropout,
 )
 from tokenweave.corpus import make_corpus
 from tokenweave.model import (
@@ -43,13 +38,18 @@ from tokenweave.patterns import (
     build_pattern,
     revert_pattern,
 )
-from tokenweave.rvq import RVQConfig, residual_energy_profile, synth_latents, train_codebooks
+from tokenweave.rvq import RVQConfig
 from tokenweave.sampling import SamplerConfig, cfg_combine, sample_token
 from tokenweave.sampling import _topk_probs
 
-from helpers import random_grid
+from helpers import (
+    TRIALS,
+    bench_step_table_process,
+    random_grid,
+    rvq_energy_profile,
+    text_pipeline_counts,
+)
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
 STEREO = {PatternKind.STEREO_DELAY, PatternKind.STEREO_PARTIAL_DELAY}
 
 
@@ -76,17 +76,13 @@ def test_criterion_01_step_count_table(capsys):
     }
     for kind, nominal in expected.items():
         assert table[kind]["nominal"] == nominal
+    assert table["delay"]["exact"] == 1503
     assert wall < 1.0, f"bench took {wall:.2f}s"
 
     # and the real process-level surface emits the same table
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.run(
-        [sys.executable, "-m", "tokenweave", "patterns", "bench",
-         "--T", "1500", "--K", "4", "--as-json"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == table
+    returncode, stdout, stderr = bench_step_table_process()
+    assert returncode == 0, stderr
+    assert json.loads(stdout) == table
     ok(1, f"nominal counts 1500/1500/1500/3000/3000/6000 in {wall:.2f}s")
 
 
@@ -143,22 +139,11 @@ def test_criterion_04_inexactness_witness():
 
 @pytest.mark.slow
 def test_criterion_05_gradient_correctness():
-    from test_model import assert_kink_margin, block_relative_errors
-    from tokenweave.conditioning import encode_text_toy as embed_text
+    from test_model import cross_attention_fd_errors
 
-    t0 = time.perf_counter()
-    config = ModelConfig(K=2, M=5, D=16, L=2, H=2, max_steps=64,
-                         conditioning_mode="cross_attention")
-    params = init_params(config, seed=13)
-    cond = embed_text("slow strings", D=config.D)
-    pattern = build_pattern(PatternKind.DELAY, 5, 2)  # S = 6
-    grid = random_grid(5, 2, 5, np.random.default_rng(1))
-    batch = [example_from_grid(pattern, grid, condition=cond)]
-    assert pattern.S == 6
-    assert_kink_margin(params, batch)
-    errors = block_relative_errors(params, batch, eps=1e-4)
+    # the budget holds the one computation, whichever test ran it
+    errors, wall = cross_attention_fd_errors()
     worst = max(errors.values())
-    wall = time.perf_counter() - t0
     assert worst < 1e-5, sorted(errors.items(), key=lambda kv: -kv[1])[:3]
     assert wall < 60.0, f"gradient check took {wall:.2f}s"
     ok(5, f"max block relative error {worst:.2e} (eps 1e-4, float64), {wall:.1f}s")
@@ -253,9 +238,7 @@ def test_criterion_08_chroma_correctness():
 
 
 def test_criterion_09_rvq_energy_profile():
-    frames = synth_latents(2000, 8, seed=0)
-    books = train_codebooks(frames, RVQConfig(K=4, M=64, d_latent=8), iterations=20, seed=0)
-    profile = residual_energy_profile(frames, books)
+    profile = np.array(rvq_energy_profile())
     assert profile.shape == (5,)
     assert all(b < a for a, b in zip(profile, profile[1:])), profile
     drops = -np.diff(profile)
@@ -299,35 +282,28 @@ def test_criterion_10_sampling_identities():
 
 
 def test_criterion_11_text_pipeline_probabilities(monkeypatch):
-    trials = 100_000
     tags = {"bpm": "90"}
 
-    merged = sum(
-        merge_conditions("desc", tags, np.random.default_rng(s)) != "desc"
-        for s in range(trials)
-    )
-    p_merge = merged / trials
+    # the unforced counts, shared with tests/test_conditioning.py
+    merged, survivors = text_pipeline_counts()
+    p_merge = merged / TRIALS
     assert abs(p_merge - 0.25) < 0.01
 
     with monkeypatch.context() as force:
         force.setattr(conditioning, "MERGE_PROB", 1.0)
         dropped_desc = sum(
             merge_conditions("desc", tags, np.random.default_rng(s)) == "bpm: 90"
-            for s in range(trials)
+            for s in range(TRIALS)
         )
-    p_desc = dropped_desc / trials
+    p_desc = dropped_desc / TRIALS
     assert abs(p_desc - 0.5) < 0.01
 
-    text = " ".join(f"w{i}" for i in range(10))
-    survivors = 0
-    for s in range(trials):
-        survivors += len(word_dropout(text, np.random.default_rng(s)).split())
-    p_word = 1.0 - survivors / (10 * trials)
+    p_word = 1.0 - survivors / (10 * TRIALS)
     assert abs(p_word - 0.3) < 0.005
 
     # the draw train_step makes once per step at the default --cfg-drop
-    dropped = sum(draw_condition_drop(0.2, np.random.default_rng(s)) for s in range(trials))
-    p_cfg = dropped / trials
+    dropped = sum(draw_condition_drop(0.2, np.random.default_rng(s)) for s in range(TRIALS))
+    p_cfg = dropped / TRIALS
     assert abs(p_cfg - 0.2) < 0.01
     ok(11, f"recovered probabilities merge {p_merge:.4f}, desc-drop {p_desc:.4f}, "
            f"word-drop {p_word:.4f}, cfg-drop {p_cfg:.4f}")

@@ -5,7 +5,6 @@ import subprocess
 import sys
 import wave
 import zipfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +15,7 @@ from tokenweave.model import load_checkpoint
 from tokenweave.oracle import exactness_report, make_joint
 from tokenweave.patterns import PatternKind, build_pattern
 
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+from helpers import SRC, bench_step_table_process
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -33,10 +32,10 @@ def run_cli(args, tmp_path, env_extra=None):
     )
 
 
-def test_bench_reproduces_step_count_table(tmp_path):
-    proc = run_cli(["patterns", "bench", "--T", "1500", "--K", "4", "--as-json"], tmp_path)
-    assert proc.returncode == 0
-    table = json.loads(proc.stdout)
+def test_bench_reproduces_step_count_table():
+    returncode, stdout, _ = bench_step_table_process()  # criterion 1's process
+    assert returncode == 0
+    table = json.loads(stdout)
     assert table["parallel"]["nominal"] == 1500
     assert table["delay"]["nominal"] == 1500
     assert table["partial_delay"]["nominal"] == 1500
@@ -425,6 +424,28 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     assert main(["patterns", "bench", "--config", str(cfg), "--T", "9", "--as-json"]) == 0
     table = json.loads(capsys.readouterr().out)
     assert table["parallel"]["nominal"] == 9
+
+
+def test_config_file_supplies_required_arguments(trained, tmp_path, capsys):
+    wav = tmp_path / "tone.wav"
+    save_wav(wav, AudioBuffer(samples=np.sin(np.arange(20000) / 5.0), sample_rate=8000))
+    (tmp_path / "chroma.ini").write_text(f"[chroma]\nwav = {wav}\n")
+    out = tmp_path / "ch"
+    assert main(["chroma", "--config", str(tmp_path / "chroma.ini"), "--out", str(out)]) == 0
+    assert (out / "chroma.json").exists()
+    (tmp_path / "generate.ini").write_text(
+        f"[generate]\ncheckpoint = {trained / 'checkpoint.npz'}\ntimesteps = 4\n")
+    out = tmp_path / "gen"
+    assert main(["generate", "--config", str(tmp_path / "generate.ini"), "--out", str(out)]) == 0
+    assert (out / "grid.csv").exists()
+    (tmp_path / "patterns.ini").write_text("[patterns]\naction = show\nT = 3\nK = 2\n")
+    capsys.readouterr()
+    assert main(["patterns", "--config", str(tmp_path / "patterns.ini")]) == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[1:] == [".", "1", "2", "3"]
+    # a flag or positional on the command line still wins
+    assert main(["patterns", "bench", "--config", str(tmp_path / "patterns.ini"),
+                 "--as-json"]) == 0
+    assert json.loads(capsys.readouterr().out)["parallel"]["nominal"] == 3
 
 
 def test_config_without_a_value_is_the_subcommands_usage_error(capsys):
@@ -826,19 +847,38 @@ def bad_inputs(trained, tmp_path_factory):
     return files
 
 
+def _resolve(argv, files, out):
+    """argv with each "{name}" replaced by its file, and --out for a command
+    that writes a run directory."""
+    argv = [str(files.get(a, a)) for a in argv]
+    return argv if argv[0] == "patterns" else [*argv, "--out", str(out)]
+
+
+@pytest.fixture(scope="module")
+def capped_runs(bad_inputs, tmp_path_factory):
+    """(exit code, stderr, run directory) of each CAPPED row of MALFORMED, all
+    run in one child that caps its address space."""
+    root = tmp_path_factory.mktemp("capped")
+    rows = [(row.id, row.values[0], root / row.id / "o") for row in MALFORMED
+            if row.id in CAPPED]
+    results = run_capped([_resolve(argv, bad_inputs, out) for _, argv, out in rows])
+    return {name: (*result, out) for (name, _, out), result in zip(rows, results)}
+
+
 @pytest.mark.parametrize("argv,code", MALFORMED)
 def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys, request,
                                                    argv, code):
     # warnings are errors under this suite's settings, so a warning counts too
-    capped = request.node.callspec.id in CAPPED
-    argv = [str(bad_inputs.get(a, a)) for a in argv]
-    if argv[0] != "patterns":
-        argv += ["--out", str(tmp_path / "o")]
-    got, err = run_capped([argv])[0] if capped else (main(argv), capsys.readouterr().err)
+    name = request.node.callspec.id
+    if name in CAPPED:
+        got, err, out = request.getfixturevalue("capped_runs")[name]
+    else:
+        out = tmp_path / "o"
+        got, err = main(_resolve(argv, bad_inputs, out)), capsys.readouterr().err
     assert got == code, err
     assert "Traceback" not in err
     if code:  # a run that fails its checks makes no run directory
-        assert not (tmp_path / "o").exists()
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------- checkpoint sweep
