@@ -3,9 +3,10 @@
 A corpus is built as whole-corpus arrays. Sequence i draws its normals from
 seed + i, as synth_latents does, and one AR(1) recursion steps all sequences
 at once. The cascade is fit on the pooled frames (each k-means fit computes
-their squared norms once), and one encode of those frames is split into the
-grids (at T = 1 a rounding tie may resolve otherwise than in a one-row encode
-of the sequence alone).
+their squared norms once), and the codes it returns for those frames, the
+tokens an encode under the fitted books gives, are split into the grids (at
+T = 1 a rounding tie may resolve otherwise than in a one-row encode of the
+sequence alone).
 
 share_first_frame forces every sequence to open with the same latent frame
 (hence the same token row), which keeps 1-token prompts ambiguous in the
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 from .errors import ValidationError
 from .patterns import TokenGrid
-from .rvq import Codebook, LatentFrames, RVQConfig, _ar1_latents, rvq_encode, train_codebooks
+from .rvq import Codebook, LatentFrames, RVQConfig, _ar1_latents, train_codebooks
 
 CODEBOOK_ITERATIONS = 20  # k-means iterations per stage of the corpus quantizer
 
@@ -44,8 +45,8 @@ def make_corpus(
     if share_first_frame:
         frames[1:, 0] = frames[0, 0]
     pooled = LatentFrames(frames=frames.reshape(-1, config.d_latent))
-    codebooks = train_codebooks(pooled, config, iterations=CODEBOOK_ITERATIONS, seed=seed)
-    tokens = rvq_encode(pooled, codebooks).tokens.reshape(n_sequences, T, config.K)
+    codebooks, codes = train_codebooks(pooled, config, iterations=CODEBOOK_ITERATIONS, seed=seed)
+    tokens = codes.reshape(n_sequences, T, config.K)
     return Corpus(
         grids=tuple(TokenGrid(tokens=t, M=config.M) for t in tokens),
         latents=tuple(LatentFrames(frames=f) for f in frames),

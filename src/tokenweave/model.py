@@ -651,6 +651,11 @@ class TrainHyper:
         for name in ("lr_max", "warmup_steps", "weight_decay", "clip_norm"):
             if not getattr(self, name) >= 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # an infinite step or decay makes the first update non-finite; an
+        # infinite clip_norm means no clipping
+        for name in ("lr_max", "weight_decay"):
+            if getattr(self, name) == math.inf:
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
         if not all(0.0 <= b < 1.0 for b in self.betas):
             raise ValidationError(f"betas must lie in [0, 1), got {self.betas}")
         if not 0.0 <= self.condition_dropout <= 1.0:

@@ -142,7 +142,7 @@ def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
     for t in range(1, _CHAIN_FIT_LEN):
         path.append(next_state[1 + path[-1]][t])
     fit_frames = LatentFrames(frames=values[path][:, None])
-    books = train_codebooks(fit_frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
+    books, _ = train_codebooks(fit_frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
     # the cascade quantizes frame by frame, so each state encodes to one row
     rows = rvq_encode(LatentFrames(frames=values[:, None]), books).tokens - 1
     return _chain_table(init, trans, rows, T, M)

@@ -13,10 +13,12 @@ np.mean of the members; for d_latent = 1 np.mean sums the one column
 pairwise, so the two may differ in the last bit or two. The update depends on
 the labels alone (the rng is drawn only for the initial centroids), so the
 fit stops as soon as an iteration's labels equal the previous ones: the
-remaining iterations would rebuild the same centroids. The points' squared
-norms, which every nearest-centroid search adds, are computed once per fit.
-make_corpus steps all its sequences' AR(1) walks in one recursion
-(_ar1_latents) and encodes their pooled frames once.
+remaining iterations would rebuild the same centroids, and those labels are
+already the returned centroids' nearest (a stage stopped by its iteration cap
+searches once more). The points' squared norms, which every nearest-centroid
+search adds, are computed once per fit. train_codebooks returns each stage's
+labels as the frames' codes, which are the tokens rvq_encode would give, so
+make_corpus splits them into its grids without encoding again.
 """
 
 from __future__ import annotations
@@ -100,15 +102,21 @@ def synth_latents(T: int, d_latent: int, seed: int) -> LatentFrames:
 
 def _nearest(points: np.ndarray, centroids: np.ndarray, norms=None) -> np.ndarray:
     # squared distances via expansion, from the points' squared norms (n, 1)
-    # where the caller holds them; argmin breaks ties toward the lowest index
+    # where the caller holds them; argmin breaks ties toward the lowest index.
+    # One (n, M) array, added to in place: bitwise norms - 2 * points @ c.T + |c|^2
     if norms is None:
         norms = np.sum(points**2, axis=1, keepdims=True)
-    d2 = norms - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)
+    d2 = points @ (-2.0 * centroids.T)
+    d2 += norms
+    d2 += np.sum(centroids**2, axis=1)
     return np.argmin(d2, axis=1)
 
 
-def _kmeans(points: np.ndarray, M: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
-    T = points.shape[0]
+def _kmeans(
+    points: np.ndarray, M: int, iterations: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """(centroids, labels): the labels are the returned centroids' nearest."""
+    T, d = points.shape
     centroids = points[rng.choice(T, size=M, replace=False)].copy()
     norms = np.sum(points**2, axis=1, keepdims=True)
     previous = None
@@ -117,12 +125,12 @@ def _kmeans(points: np.ndarray, M: int, iterations: int, rng: np.random.Generato
         # the update below is a function of the labels alone, so equal labels
         # would rebuild these very centroids: a fixed point
         if previous is not None and np.array_equal(labels, previous):
-            break
+            return centroids, labels
         previous = labels
         counts = np.bincount(labels, minlength=M)
-        sums = np.stack(
-            [np.bincount(labels, weights=column, minlength=M) for column in points.T], axis=1
-        )
+        # bin (label, column) adds its column's entries in point order
+        bins = (labels[:, None] * d + np.arange(d)).ravel()
+        sums = np.bincount(bins, weights=points.ravel(), minlength=M * d).reshape(M, d)
         held = counts > 0
         centroids[held] = sums[held] / counts[held, None]
         empty = np.flatnonzero(~held)
@@ -131,13 +139,14 @@ def _kmeans(points: np.ndarray, M: int, iterations: int, rng: np.random.Generato
             residual = np.linalg.norm(points - centroids[labels], axis=1)
             order = np.argsort(-residual, kind="stable")
             centroids[empty] = points[order[: empty.size]]
-    return centroids
+    return centroids, _nearest(points, centroids, norms)
 
 
 def train_codebooks(
     frames: LatentFrames, config: RVQConfig, iterations: int = 25, seed: int = 0
-) -> list[Codebook]:
-    """Fit the K-stage cascade: stage k runs k-means on the residuals of 1..k-1."""
+) -> tuple[list[Codebook], np.ndarray]:
+    """Fit the K-stage cascade: stage k runs k-means on the residuals of 1..k-1.
+    Returns the books and the frames' (T, K) codes, rvq_encode's 1-based tokens."""
     if frames.T < config.M:
         raise ValidationError(
             f"insufficient data: {frames.T} frames < {config.M} centroids per stage"
@@ -147,11 +156,13 @@ def train_codebooks(
     rng = np.random.default_rng(seed)
     residual = frames.frames.copy()
     books: list[Codebook] = []
-    for _ in range(config.K):
-        centroids = _kmeans(residual, config.M, iterations, rng)
+    tokens = np.empty((frames.T, config.K), dtype=np.int64)
+    for k in range(config.K):
+        centroids, labels = _kmeans(residual, config.M, iterations, rng)
         books.append(Codebook(centroids=centroids))
-        residual = residual - centroids[_nearest(residual, centroids)]
-    return books
+        tokens[:, k] = labels + 1
+        residual -= centroids[labels]
+    return books, tokens
 
 
 def _check_books(codebooks: list[Codebook]) -> tuple[int, int]:

@@ -680,6 +680,7 @@ MALFORMED = (
         for flags in (
             ["--clip", "-1"], ["--clip", "nan"], ["--lr", "-1"], ["--lr", "nan"],
             ["--weight-decay", "-3"], ["--warmup", "-5"], ["--beta1", "1.0"], ["--beta2", "-0.1"],
+            ["--lr", "inf"], ["--weight-decay", "inf"],
         )
     ]
     # EMA weights are gone: the flag is a usage error, the INI key a validation error
@@ -879,6 +880,18 @@ def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys,
     assert "Traceback" not in err
     if code:  # a run that fails its checks makes no run directory
         assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,name", [("--lr", "lr_max"), ("--weight-decay", "weight_decay")])
+def test_train_refuses_an_infinite_step_or_decay_before_training(tmp_path, capsys, flag, name):
+    out = tmp_path / "o"
+    assert main([*TRAIN_SMALL, flag, "inf", "--out", str(out)]) == 3
+    assert f"{name} must be finite, got inf" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_takes_an_infinite_clip_as_no_clipping(tmp_path):
+    assert main([*TRAIN_SMALL, "--clip", "inf", "--out", str(tmp_path / "o")]) == 0
 
 
 # ---------------------------------------------------------------- checkpoint sweep

@@ -30,7 +30,8 @@ def _per_step_latents(T, d_latent, seed):
 
 def _per_sequence_corpus(n, T, config, seed, share_first_frame):
     """The corpus built one sequence at a time: per-seed walks, vstack,
-    train_codebooks, then one rvq_encode per sequence."""
+    train_codebooks for the books alone (its codes set aside), then one
+    rvq_encode per sequence."""
     latents = [_per_step_latents(T, config.d_latent, seed + i) for i in range(n)]
     if share_first_frame and n > 1:
         first = latents[0].frames[0]
@@ -38,7 +39,7 @@ def _per_sequence_corpus(n, T, config, seed, share_first_frame):
             LatentFrames(frames=np.vstack([first[None, :], lf.frames[1:]])) for lf in latents
         ]
     pooled = LatentFrames(frames=np.vstack([lf.frames for lf in latents]))
-    books = train_codebooks(pooled, config, iterations=CODEBOOK_ITERATIONS, seed=seed)
+    books, _ = train_codebooks(pooled, config, iterations=CODEBOOK_ITERATIONS, seed=seed)
     return latents, books, [rvq_encode(lf, books) for lf in latents]
 
 

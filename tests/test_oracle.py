@@ -447,7 +447,7 @@ def reference_markov_residual_table(T, K, M, seed):
     for t in range(1, len(path)):
         path[t] = rng.choice(n_states, p=trans[path[t - 1]])
     frames = LatentFrames(frames=values[path][:, None])
-    books = train_codebooks(frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
+    books, _ = train_codebooks(frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
     probs = np.zeros(M ** (T * K))
     for states in np.ndindex(*(n_states,) * T):
         p = init[states[0]]

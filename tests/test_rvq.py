@@ -3,7 +3,7 @@ import pytest
 from helpers import rvq_energy_profile
 from test_oracle import MARKOV_SHAPES
 
-from tokenweave import rvq
+from tokenweave import corpus, oracle, rvq
 from tokenweave.corpus import make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.oracle import make_joint
@@ -60,7 +60,7 @@ def test_kmeans_fixed_point_on_distinct_vectors():
     pts = rng.normal(size=(16, 3)) * 10.0
     frames = LatentFrames(frames=pts)
     cfg = RVQConfig(K=1, M=16, d_latent=3)
-    books = train_codebooks(frames, cfg, iterations=10, seed=0)
+    books, _ = train_codebooks(frames, cfg, iterations=10, seed=0)
     got = books[0].centroids
     # centroids are a permutation of the input vectors, quantization error 0
     assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, pts.tolist()))
@@ -73,7 +73,7 @@ def test_kmeans_objective_nonincreasing_in_iterations():
     cfg = RVQConfig(K=1, M=16, d_latent=4)
     errors = []
     for iters in (1, 2, 5, 10, 20):
-        books = train_codebooks(frames, cfg, iterations=iters, seed=11)
+        books, _ = train_codebooks(frames, cfg, iterations=iters, seed=11)
         errors.append(residual_energy_profile(frames, books)[1])
     assert all(b <= a + 1e-12 for a, b in zip(errors, errors[1:]))
 
@@ -81,8 +81,8 @@ def test_kmeans_objective_nonincreasing_in_iterations():
 def test_train_codebooks_deterministic():
     frames = synth_latents(256, 4, seed=0)
     cfg = RVQConfig(K=3, M=8, d_latent=4)
-    a = train_codebooks(frames, cfg, iterations=5, seed=9)
-    b = train_codebooks(frames, cfg, iterations=5, seed=9)
+    a, _ = train_codebooks(frames, cfg, iterations=5, seed=9)
+    b, _ = train_codebooks(frames, cfg, iterations=5, seed=9)
     for x, y in zip(a, b):
         assert np.array_equal(x.centroids, y.centroids)
 
@@ -129,7 +129,7 @@ def test_encode_idempotent_on_code_lattice():
 def test_encode_idempotent_single_stage_any_corpus():
     # with one stage the reconstruction IS a centroid, so re-encoding is exact
     frames = synth_latents(500, 4, seed=2)
-    books = train_codebooks(frames, RVQConfig(K=1, M=16, d_latent=4), iterations=15, seed=4)
+    books, _ = train_codebooks(frames, RVQConfig(K=1, M=16, d_latent=4), iterations=15, seed=4)
     g1 = rvq_encode(frames, books)
     g2 = rvq_encode(rvq_decode(g1, books), books)
     assert np.array_equal(g1.tokens, g2.tokens)
@@ -158,7 +158,7 @@ def test_decode_rejects_oversized_vocab():
 def test_reconstruction_error_improves_with_stages():
     frames = synth_latents(400, 6, seed=8)
     cfg = RVQConfig(K=4, M=12, d_latent=6)
-    books = train_codebooks(frames, cfg, iterations=15, seed=8)
+    books, _ = train_codebooks(frames, cfg, iterations=15, seed=8)
     grid = rvq_encode(frames, books)
     errs = []
     for k in range(1, 5):
@@ -188,14 +188,24 @@ def test_config_validation():
 # ---------------------------------------------------------------- k-means update
 
 
-def _reference_kmeans(points, M, iterations, rng):
+def _reference_nearest(points, centroids):
+    """Nearest-centroid labels from the squared distances expanded as three
+    temporaries; argmin breaks ties toward the lowest index."""
+    norms = np.sum(points**2, axis=1, keepdims=True)
+    d2 = norms - 2.0 * points @ centroids.T + np.sum(centroids**2, axis=1)
+    return np.argmin(d2, axis=1)
+
+
+def _reference_kmeans(points, M, iterations, rng, history=None):
     """k-means as two boolean masks per cluster and iteration, always running
     all iterations: the reference the bincount update with its fixed-point
-    stop must reproduce."""
+    stop must reproduce. Each iteration's labels go to history when given."""
     T = points.shape[0]
     centroids = points[rng.choice(T, size=M, replace=False)].copy()
     for _ in range(iterations):
-        labels = rvq._nearest(points, centroids)
+        labels = _reference_nearest(points, centroids)
+        if history is not None:
+            history.append(labels)
         for j in range(M):
             members = points[labels == j]
             if len(members):
@@ -222,13 +232,29 @@ def _kmeans_inputs(d):
 CAPS = (1, 3, 25, 200)
 
 
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_nearest_equals_the_three_temporary_expansion_bitwise(d):
+    # centroids drawn from duplicated points repeat, so those points tie exactly
+    for points, M, seed in _kmeans_inputs(d):
+        rng = np.random.default_rng(seed)
+        for scale in (1e-3, 1.0, 1e3):
+            x = points * scale
+            drawn = x[rng.choice(len(x), size=M, replace=False)]
+            for centroids in (drawn, scale * rng.normal(size=(M, d))):
+                want = _reference_nearest(x, centroids)
+                norms = np.sum(x**2, axis=1, keepdims=True)
+                assert np.array_equal(rvq._nearest(x, centroids), want), (seed, M, scale)
+                assert np.array_equal(rvq._nearest(x, centroids, norms), want), (seed, M, scale)
+
+
 @pytest.mark.parametrize("d", [2, 4, 8])
 def test_kmeans_equals_the_per_cluster_mean_bitwise(d):
     for points, M, seed in _kmeans_inputs(d):
         for cap in CAPS:
-            got = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
+            got, labels = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
             want = _reference_kmeans(points, M, cap, np.random.default_rng(seed))
             assert np.array_equal(got, want), (seed, M, cap)
+            assert np.array_equal(labels, _reference_nearest(points, want)), (seed, M, cap)
 
 
 def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
@@ -239,7 +265,7 @@ def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
         frames = LatentFrames(frames=points)
         bound = len(points) * np.finfo(np.float64).eps * np.abs(points).max()
         for cap in CAPS:
-            got = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
+            got, _ = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
             want = _reference_kmeans(points, M, cap, np.random.default_rng(seed))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
             assert np.array_equal(
@@ -250,9 +276,112 @@ def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
 
 @pytest.mark.parametrize("T,K,M,seed", MARKOV_SHAPES)
 def test_markov_residual_tables_equal_the_per_cluster_mean_fit(monkeypatch, T, K, M, seed):
+    def reference_fit(points, M, iterations, rng):
+        centroids = _reference_kmeans(points, M, iterations, rng)
+        return centroids, _reference_nearest(points, centroids)
+
     got = make_joint("markov_residual", T, K, M, seed=seed).probs
-    monkeypatch.setattr(rvq, "_kmeans", _reference_kmeans)
+    monkeypatch.setattr(rvq, "_kmeans", reference_fit)
     assert np.array_equal(got, make_joint("markov_residual", T, K, M, seed=seed).probs)
+
+
+# ---------------------------------------------------------------- the fit's codes
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_fit_codes_equal_an_encode_bitwise(d):
+    # a 3-stage cascade over fixed-point stops, cap stops and empty-cluster reseeds
+    for points, M, seed in _kmeans_inputs(d):
+        frames = LatentFrames(frames=points)
+        for cap in CAPS:
+            config = RVQConfig(K=3, M=M, d_latent=d)
+            books, codes = train_codebooks(frames, config, iterations=cap, seed=seed)
+            assert codes.dtype == np.int64
+            assert np.array_equal(codes, rvq_encode(frames, books).tokens), (seed, M, cap)
+
+
+@pytest.mark.parametrize("T,K,M,seed", MARKOV_SHAPES)
+def test_markov_residual_fit_codes_equal_an_encode(monkeypatch, T, K, M, seed):
+    fits = []
+
+    def recording(frames, config, **kwargs):
+        books, codes = train_codebooks(frames, config, **kwargs)
+        fits.append((frames, books, codes))
+        return books, codes
+
+    monkeypatch.setattr(oracle, "train_codebooks", recording)
+    make_joint("markov_residual", T, K, M, seed=seed)
+    [(frames, books, codes)] = fits
+    assert np.array_equal(codes, rvq_encode(frames, books).tokens)
+
+
+# ---------------------------------------------------------------- search counts
+
+
+def _count_searches(monkeypatch, module, build):
+    """(build()'s result, the nearest-centroid searches it makes, the count
+    when each call of module.train_codebooks returned)."""
+    calls, at_fit_end = [], []
+    nearest, fit = rvq._nearest, module.train_codebooks
+
+    def counting(*args):
+        calls.append(1)
+        return nearest(*args)
+
+    def fitting(*args, **kwargs):
+        out = fit(*args, **kwargs)
+        at_fit_end.append(len(calls))
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(rvq, "_nearest", counting)
+        m.setattr(module, "train_codebooks", fitting)
+        result = build()
+    return result, len(calls), at_fit_end
+
+
+def _reference_searches(points, config, iterations, seed):
+    """The searches a fit needs: per stage, one per iteration up to the first
+    whose labels repeat the previous iteration's, or every iteration and one
+    more search for the final labels when none repeats."""
+    rng = np.random.default_rng(seed)
+    residual, total = points.copy(), 0
+    for _ in range(config.K):
+        history = []
+        centroids = _reference_kmeans(residual, config.M, iterations, rng, history)
+        repeats = [i for i in range(1, iterations) if np.array_equal(history[i], history[i - 1])]
+        total += repeats[0] + 1 if repeats else iterations + 1
+        residual = residual - centroids[_reference_nearest(residual, centroids)]
+    return total
+
+
+@pytest.mark.parametrize(
+    "n,T,config,share,searches",
+    [
+        # the continue_short and train workloads' corpora at seed 1; two of the
+        # train corpus's stages stop at the iteration cap
+        (16, 24, RVQConfig(K=4, M=64, d_latent=4), False, 51),
+        (32, 24, RVQConfig(K=4, M=16, d_latent=4), True, 75),
+    ],
+    ids=["continue_short", "train"],
+)
+def test_make_corpus_searches_each_code_once(monkeypatch, n, T, config, share, searches):
+    built, total, at_fit_end = _count_searches(
+        monkeypatch, corpus, lambda: make_corpus(n, T, config, seed=1, share_first_frame=share)
+    )
+    # none after the fit: its codes are the grids
+    assert at_fit_end == [total] and total == searches
+    points = np.vstack([latents.frames for latents in built.latents])
+    assert total == _reference_searches(points, config, corpus.CODEBOOK_ITERATIONS, seed=1)
+
+
+def test_markov_residual_joint_searches_the_fit_once(monkeypatch):
+    # the oracle workload's markov_residual joint: the fit, then one encode of
+    # the chain's 8 states (one search per stage)
+    _, total, at_fit_end = _count_searches(
+        monkeypatch, oracle, lambda: make_joint("markov_residual", 2, 4, 3, seed=0)
+    )
+    assert (at_fit_end, total) == ([11], 15)
 
 
 def _updates_before_labels_repeat(monkeypatch, points, M, seed):
@@ -289,7 +418,7 @@ def test_a_fit_at_its_fixed_point_is_the_fit_at_any_larger_cap(monkeypatch, poin
     n = _updates_before_labels_repeat(monkeypatch, points, M, seed=0)
     assert n < cap
     rng = np.random.default_rng
-    assert np.array_equal(rvq._kmeans(points, M, n, rng(0)), rvq._kmeans(points, M, 200, rng(0)))
+    assert np.array_equal(rvq._kmeans(points, M, n, rng(0))[0], rvq._kmeans(points, M, 200, rng(0))[0])
     # the premise of the stop, on the reference that never stops early
     reference = _reference_kmeans(points, M, n, rng(0))
     assert np.array_equal(reference, _reference_kmeans(points, M, 200, rng(0)))
