@@ -1,4 +1,4 @@
-"""Memorization analysis and melody-adherence evaluation over trained models.
+"""Memorization analysis and sonification of generated grids.
 
 Memorization: greedy-continue each training example from prompts of varying
 length and report the fraction whose first-codebook continuation matches the
@@ -6,12 +6,10 @@ source exactly, and the fraction matching at least 80% of tokens. Monotone
 trends across prompt lengths are reported (flagged on the report), never
 asserted.
 
-Melody adherence closes the loop without a neural vocoder: a generated grid is
-decoded to latents, latents snap to the nearest of 12 fixed pitch-class anchor
-vectors, each class is rendered as its pure sine for one analysis window, and
-the chromagram of that sonification is compared to the reference. The
-sonification is deliberately non-physical; it exists so the chroma metric has
-a closed loop at desk scale.
+Sonification stands in for a neural vocoder: decoded latents snap to the
+nearest of 12 fixed pitch-class anchor vectors and each class sounds as its
+pure sine for one analysis window; it serves `generate --wav` and the
+chromagram round trip of acceptance criterion 8.
 """
 
 from __future__ import annotations
@@ -25,13 +23,12 @@ from .conditioning import (
     AudioBuffer,
     QuantizedChroma,
     _class_unit_rows,
-    chroma_cosine_similarity,
     compute_chromagram,
 )
 from .errors import ValidationError
 from .model import Parameters
 from .patterns import PatternKind, TokenGrid, build_pattern
-from .rvq import Codebook, LatentFrames, _nearest, rvq_decode
+from .rvq import LatentFrames, _nearest
 from .sampling import SamplerConfig, continue_from_prompt
 
 PARTIAL_MATCH_THRESHOLD = 0.8
@@ -153,14 +150,3 @@ def sonify_classes(q: QuantizedChroma) -> AudioBuffer:
 def chroma_of_sonified(q: QuantizedChroma) -> QuantizedChroma:
     audio = sonify_classes(q)
     return compute_chromagram(audio, window=SONIFY_SEGMENT, hop=SONIFY_SEGMENT)
-
-
-def chroma_adherence(
-    grid: TokenGrid, codebooks: list[Codebook], reference: QuantizedChroma
-) -> float:
-    """Cosine similarity between the reference chroma and the chroma measured
-    from the generated grid's sonification (decode -> snap to the class
-    anchors -> sines -> chromagram argmax). Length mismatch truncates."""
-    measured = chroma_of_sonified(latents_to_classes(rvq_decode(grid, codebooks)))
-    return chroma_cosine_similarity(measured, reference)
-

@@ -80,6 +80,8 @@ from .patterns import (
 from .rvq import Codebook, RVQConfig, rvq_decode
 from .sampling import SamplerConfig, generate
 
+# --conditioning value -> the ModelConfig.conditioning_mode it trains
+CONDITIONING_ROUTES = {"none": "none", "text": "cross_attention", "chroma": "prefix"}
 FLATTEN_SELF_CHECK_TV = 1e-9
 # an exact pattern's TV bound; the CSV writes rounding noise below it as 0
 CSV_TV_FLOOR = 1e-12
@@ -260,17 +262,9 @@ def cmd_train(args) -> int:
             flag = dest.replace("_", "-")
             raise ValidationError(f"--{flag} must be >= 1, got {getattr(args, dest)}")
 
+    # every flag is checked before the codec fit, the slow part of the set-up
     rvq_config = RVQConfig(K=args.codebooks, M=args.vocab, d_latent=args.d_latent)
-    corpus_t0 = time.perf_counter()
-    corpus = make_corpus(
-        args.sequences,
-        args.timesteps,
-        rvq_config,
-        seed=args.seed,
-        share_first_frame=args.share_first_frame,
-    )
-    corpus_s = time.perf_counter() - corpus_t0
-    mode = {"none": "none", "chroma": "prefix", "text": "cross_attention"}[args.conditioning]
+    mode = CONDITIONING_ROUTES[args.conditioning]
     pattern = build_pattern(PatternKind(args.pattern), args.timesteps, args.codebooks)
     model_config = ModelConfig(
         K=args.codebooks,
@@ -281,14 +275,6 @@ def cmd_train(args) -> int:
         max_steps=max(64, 2 * pattern.S),
         conditioning_mode=mode,
     )
-    params = init_params(model_config, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
-    conditions = _build_conditions(args, corpus, model_config, rng)
-    batch = [
-        example_from_grid(pattern, grid, condition=cond)
-        for grid, cond in zip(corpus.grids, conditions)
-    ]
-
     hyper = TrainHyper(
         lr_max=args.lr,
         warmup_steps=args.warmup,
@@ -300,6 +286,23 @@ def cmd_train(args) -> int:
     )
     if mode == "none":  # TrainHyper has range-checked --cfg-drop; no condition to drop
         hyper = replace(hyper, condition_dropout=0.0)
+
+    corpus_t0 = time.perf_counter()
+    corpus = make_corpus(
+        args.sequences,
+        args.timesteps,
+        rvq_config,
+        seed=args.seed,
+        share_first_frame=args.share_first_frame,
+    )
+    corpus_s = time.perf_counter() - corpus_t0
+    params = init_params(model_config, seed=args.seed)
+    rng = np.random.default_rng(args.seed)
+    conditions = _build_conditions(args, corpus, model_config, rng)
+    batch = [
+        example_from_grid(pattern, grid, condition=cond)
+        for grid, cond in zip(corpus.grids, conditions)
+    ]
     state = AdamWState.init(params)
 
     log_lines = ["step,lr,loss,accuracy,grad_norm,cond_dropped"]
@@ -532,7 +535,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--weight-decay", type=float, default=0.1)
     p.add_argument("--clip", type=float, default=1.0)
     p.add_argument("--cfg-drop", type=float, default=0.2)
-    p.add_argument("--conditioning", default="none", choices=["none", "text", "chroma"])
+    p.add_argument("--conditioning", default="none", choices=list(CONDITIONING_ROUTES))
     p.add_argument("--share-first-frame", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--log-every", type=int, default=50)
     p.add_argument("--seed", type=_seed, default=0)

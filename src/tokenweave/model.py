@@ -9,9 +9,8 @@ output at position s to logits for the tokens revealed at step s+1.
 
 Conditioning routes, fixed by ModelConfig.conditioning_mode: "cross_attention"
 feeds the tensor to every layer's cross-attention block; "prefix" prepends it
-to the input rows; "both" takes a CombinedCondition and does both at once;
-"none" ignores it. A condition is a ConditioningTensor (or CombinedCondition)
-and None is the null condition; an empty tensor skips the blocks entirely, so
+to the input rows; "none" ignores it. A condition is a ConditioningTensor and
+None is the null condition; an empty tensor skips the blocks entirely, so
 cross-attention with an empty tensor computes exactly the unconditional pass.
 
 Every forward runs over a DecodeCache: per layer the self-attention keys and
@@ -64,7 +63,7 @@ from .conditioning import ConditioningTensor, draw_condition_drop
 from .errors import ValidationError, checked_array
 from .patterns import SPECIAL_TOKEN, Pattern, TokenGrid, apply_pattern
 
-CONDITIONING_MODES = ("none", "prefix", "cross_attention", "both")
+CONDITIONING_MODES = ("none", "prefix", "cross_attention")
 LN_EPS = 1e-5
 FFN_MULT = 4
 ADAM_EPS = 1e-8
@@ -112,14 +111,6 @@ class Parameters:
 
 
 @dataclass(frozen=True)
-class CombinedCondition:
-    """Joint routing: a prefix tensor (melody) plus a cross-attention tensor (text)."""
-
-    prefix: ConditioningTensor | None = None
-    cross: ConditioningTensor | None = None
-
-
-@dataclass(frozen=True)
 class TrainExample:
     """One training sequence: the (S+1, K) slot sequence a pattern lays a
     grid out as, and its condition. The model reads slot rows 0..S-1 and
@@ -127,7 +118,7 @@ class TrainExample:
     codebook and scores nothing."""
 
     slots: np.ndarray
-    condition: object = None  # None | ConditioningTensor | CombinedCondition
+    condition: ConditioningTensor | None = None
 
     @property
     def tokens(self) -> np.ndarray:
@@ -145,7 +136,7 @@ def _param_shapes(c: ModelConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
     for k in range(c.K):
         yield f"embed.k{k}", (c.M + 1, D)
     blocks = [("ln1", "attn")]
-    if c.conditioning_mode in ("cross_attention", "both"):
+    if c.conditioning_mode == "cross_attention":
         blocks.append(("lnx", "xattn"))
     for i in range(c.L):
         p = f"layer{i}"
@@ -211,25 +202,15 @@ def _pad_stack(arrays: Sequence[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def _cond_rows(obj) -> np.ndarray | None:
-    if obj is None:
-        return None
-    if not isinstance(obj, ConditioningTensor):
-        raise ValidationError(f"a condition must be a ConditioningTensor, got {type(obj).__name__}")
-    return obj.rows if obj.T_C > 0 else None
-
-
 def _route_condition(condition, mode: str) -> tuple[np.ndarray | None, np.ndarray | None]:
     """Resolve (prefix_rows, cross_rows) from the condition and the model's mode."""
     if mode == "none" or condition is None:
         return None, None
-    if isinstance(condition, CombinedCondition):
-        if mode != "both":
-            raise ValidationError("CombinedCondition requires conditioning mode 'both'")
-        return _cond_rows(condition.prefix), _cond_rows(condition.cross)
-    rows = _cond_rows(condition)
-    if mode == "both":
-        raise ValidationError("mode 'both' needs a CombinedCondition")
+    if not isinstance(condition, ConditioningTensor):
+        raise ValidationError(
+            f"a condition must be a ConditioningTensor, got {type(condition).__name__}"
+        )
+    rows = condition.rows if condition.T_C > 0 else None
     return (rows, None) if mode == "prefix" else (None, rows)
 
 

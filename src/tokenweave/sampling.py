@@ -28,6 +28,9 @@ from .patterns import Pattern, TokenGrid, apply_pattern, revert_pattern
 
 @dataclass(frozen=True)
 class SamplerConfig:
+    """Infinite temperature is legal and draws uniformly from the top k; an
+    infinite guidance scale is not, as it sends every logit to +-inf or NaN."""
+
     top_k: int = 250  # clamped to the vocabulary size at use
     temperature: float = 1.0  # 0 is greedy decoding: the argmax, no randomness
     guidance_scale: float = 3.0
@@ -40,6 +43,8 @@ class SamplerConfig:
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
         if not self.guidance_scale >= 0.0:
             raise ValidationError(f"guidance_scale must be >= 0, got {self.guidance_scale}")
+        if self.guidance_scale == np.inf:
+            raise ValidationError(f"guidance_scale must be finite, got {self.guidance_scale}")
 
 
 def cfg_combine(cond_logits: np.ndarray, uncond_logits: np.ndarray, scale: float) -> np.ndarray:

@@ -4,7 +4,6 @@ import pytest
 from tokenweave.analysis import (
     MemorizationReport,
     MemorizationRow,
-    chroma_adherence,
     chroma_of_sonified,
     class_anchor_latents,
     latents_to_classes,
@@ -22,7 +21,7 @@ from tokenweave.corpus import make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.model import ModelConfig, init_params
 from tokenweave.patterns import PatternKind, TokenGrid
-from tokenweave.rvq import Codebook, LatentFrames, RVQConfig, rvq_decode
+from tokenweave.rvq import LatentFrames, RVQConfig
 
 
 def random_dataset(n=4, T=12, K=2, M=16, seed=0):
@@ -129,29 +128,6 @@ def test_class_tables_and_snap_match_their_reference_formulas():
               + np.sum(anchors**2, axis=1))
         got = latents_to_classes(LatentFrames(frames=frames)).classes
         assert np.array_equal(got, np.argmin(d2, axis=1))
-
-
-def test_chroma_adherence_closed_loop_through_rvq():
-    # build codebooks whose stage-1 centroids sit exactly on the anchors, so a
-    # grid of stage-1 tokens decodes onto the anchor lattice
-    anchors = class_anchor_latents(4)
-    books = [Codebook(centroids=anchors.copy())]
-    classes = np.array([2, 2, 7, 11, 0])
-    grid = TokenGrid(tokens=(classes + 1)[:, None], M=12)
-    decoded = rvq_decode(grid, books)
-    assert np.allclose(decoded.frames, anchors[classes])
-    ref = QuantizedChroma(classes=classes)
-    sim = chroma_adherence(grid, books, ref)
-    assert sim == 1.0
-
-
-def test_chroma_adherence_truncates_on_length_mismatch():
-    anchors = class_anchor_latents(4)
-    books = [Codebook(centroids=anchors.copy())]
-    classes = np.array([2, 7, 11])
-    grid = TokenGrid(tokens=(classes + 1)[:, None], M=12)
-    ref = QuantizedChroma(classes=np.array([2, 7]))
-    assert chroma_adherence(grid, books, ref) == 1.0
 
 
 def test_corpus_share_first_frame():

@@ -9,9 +9,10 @@ import zipfile
 import numpy as np
 import pytest
 
-from tokenweave.cli import build_parser, main
+from tokenweave import cli
+from tokenweave.cli import CONDITIONING_ROUTES, build_parser, main
 from tokenweave.conditioning import AudioBuffer, save_wav
-from tokenweave.model import load_checkpoint
+from tokenweave.model import CONDITIONING_MODES, ModelConfig, init_params, load_checkpoint
 from tokenweave.oracle import exactness_report, make_joint
 from tokenweave.patterns import PatternKind, build_pattern
 
@@ -511,6 +512,8 @@ def test_train_cfg_drop_out_of_range_exits_3(tmp_path, capsys, conditioning):
                      "temperature", id="generate-temperature-nan"),
         pytest.param(["generate", "--checkpoint", "{ckpt}", "--guidance", "nan"],
                      "guidance_scale", id="generate-guidance-nan"),
+        pytest.param(["generate", "--checkpoint", "{ckpt}", "--guidance", "inf"],
+                     "guidance_scale must be finite, got inf", id="generate-guidance-inf"),
     ],
 )
 def test_malformed_input_exits_3(trained, tmp_path, capsys, argv, message):
@@ -826,6 +829,14 @@ def bad_inputs(trained, tmp_path_factory):
         ("config-L-huge", {"config": {**header["config"], "L": 10**9}}),
     ):
         craft(name, json.dumps({**header, **changes}))
+    # a full cross-attention parameter set under "both", a mode name no model has
+    cross = init_params(ModelConfig(**{**header["config"], "conditioning_mode": "cross_attention"}),
+                        seed=0)
+    both = {**header, "config": {**header["config"], "conditioning_mode": "both"}}
+    files["{mode-both.npz}"] = root / "mode-both.npz"
+    params = {f"p:{n}": a for n, a in cross.arrays.items()}
+    np.savez(root / "mode-both.npz",
+             **{**arrays, **params, "__header__": np.array(json.dumps(both))})
 
     tone = root / "tone.wav"
     save_wav(tone, AudioBuffer(samples=np.sin(np.arange(20000) / 5.0), sample_rate=8000))
@@ -880,6 +891,35 @@ def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys,
     assert "Traceback" not in err
     if code:  # a run that fails its checks makes no run directory
         assert not out.exists()
+
+
+def test_checkpoint_in_mode_both_exits_3_naming_the_modes(bad_inputs, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(_resolve(["generate", "--checkpoint", "{mode-both.npz}"], bad_inputs, out)) == 3
+    err = capsys.readouterr().err
+    assert f"conditioning_mode must be one of {CONDITIONING_MODES}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_every_model_mode_has_a_train_route():
+    assert set(CONDITIONING_ROUTES.values()) == set(CONDITIONING_MODES)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--heads", "5"], ["--layers", "0"], ["--lr", "inf"], ["--cfg-drop", "2"],
+     ["--pattern", "stereo_delay", "--codebooks", "3"]],
+    ids=lambda flags: "=".join(flags[:2]),
+)
+def test_train_checks_every_flag_before_the_codec_fit(monkeypatch, tmp_path, capsys, flags):
+    def fit(*args, **kwargs):
+        raise AssertionError("the codec fit ran before every flag was checked")
+
+    monkeypatch.setattr(cli, "make_corpus", fit)
+    out = tmp_path / "o"
+    assert main([*TRAIN_SMALL, *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("flag,name", [("--lr", "lr_max"), ("--weight-decay", "weight_decay")])

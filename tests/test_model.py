@@ -21,7 +21,6 @@ from tokenweave.model import (
     LN_EPS,
     ROW_BUDGET,
     AdamWState,
-    CombinedCondition,
     ModelConfig,
     Parameters,
     TrainExample,
@@ -198,21 +197,6 @@ def test_prefix_condition_changes_logits_and_keeps_shape():
     assert not np.allclose(a, forward(params, steps))
 
 
-def test_both_mode_routes_prefix_and_cross():
-    config = ModelConfig(K=2, M=5, D=16, L=1, H=2, max_steps=64, conditioning_mode="both")
-    params = init_params(config, seed=3)
-    steps = np.array([[1, 2], [3, 0]])
-    chroma = ConditioningTensor(rows=np.random.default_rng(0).standard_normal((3, config.D)))
-    text = encode_text_toy("warm pad", D=config.D)
-    joint = forward(params, steps, condition=CombinedCondition(prefix=chroma, cross=text))
-    only_prefix = forward(params, steps, condition=CombinedCondition(prefix=chroma, cross=None))
-    only_cross = forward(params, steps, condition=CombinedCondition(prefix=None, cross=text))
-    assert not np.allclose(joint, only_prefix)
-    assert not np.allclose(joint, only_cross)
-    with pytest.raises(ValidationError):
-        forward(params, steps, condition=text)
-
-
 def test_pre_norm_residual_identity_with_zeroed_layers():
     params = init_params(TINY, seed=7)
     for name in params.arrays:
@@ -236,9 +220,7 @@ def reference_forward(params, steps, condition=None):
     A = params.arrays
     prefix = cross = None
     if c.conditioning_mode != "none" and condition is not None:
-        if isinstance(condition, CombinedCondition):
-            prefix, cross = condition.prefix, condition.cross
-        elif c.conditioning_mode == "prefix":
+        if c.conditioning_mode == "prefix":
             prefix = condition
         else:
             cross = condition
@@ -299,10 +281,6 @@ CHROMA = {n: chroma_to_condition(QuantizedChroma(np.arange(n) * 5 % 12), D=D_REF
         pytest.param("cross_attention", None, id="cross-null"),
         pytest.param("cross_attention", TEXT, id="cross"),
         pytest.param("cross_attention", EMPTY, id="cross-empty"),
-        pytest.param("both", CombinedCondition(prefix=CHROMA[3], cross=TEXT), id="both"),
-        pytest.param("both", CombinedCondition(prefix=CHROMA[6], cross=None), id="both-prefix_only"),
-        pytest.param("both", CombinedCondition(prefix=None, cross=TEXT), id="both-cross_only"),
-        pytest.param("both", CombinedCondition(prefix=EMPTY, cross=TEXT), id="both-empty_prefix"),
     ],
 )
 def test_forward_matches_plain_reference(mode, condition):
@@ -366,17 +344,6 @@ TEXT_LONG = encode_text_toy("slow bright strings and drums", D=D_REF)
         pytest.param("prefix", [CHROMA[3], None, EMPTY, CHROMA[6], TEXT, CHROMA[1]], id="prefix"),
         pytest.param("cross_attention", [TEXT, None, TEXT_LONG, EMPTY, TEXT], id="cross"),
         pytest.param("cross_attention", [TEXT_LONG, TEXT], id="cross-all_held"),
-        pytest.param(
-            "both",
-            [
-                CombinedCondition(prefix=CHROMA[3], cross=TEXT),
-                None,
-                CombinedCondition(prefix=None, cross=TEXT_LONG),
-                CombinedCondition(prefix=CHROMA[6], cross=None),
-                CombinedCondition(prefix=EMPTY, cross=TEXT),
-            ],
-            id="both",
-        ),
     ],
 )
 def test_batched_grad_matches_per_example_grads(mode, conditions):
@@ -672,13 +639,9 @@ def plain_grad(params, batch):
 
 BITWISE_CONDITIONS = {
     "none": (TEXT, None),  # ignored
+    # prefixes of 3 and 6 rows: the branches of one cache hold ragged lengths
     "prefix": (CHROMA[3], CHROMA[6]),
     "cross_attention": (TEXT, TEXT_LONG),
-    # prefixes of 3 and 6 rows: the branches of one cache hold ragged lengths
-    "both": (
-        CombinedCondition(prefix=CHROMA[3], cross=TEXT),
-        CombinedCondition(prefix=CHROMA[6], cross=TEXT_LONG),
-    ),
 }
 
 
@@ -1042,17 +1005,3 @@ def test_config_validation():
         with pytest.raises(ValidationError, match=f"{name} must be an integer"):
             ModelConfig(**{"K": 1, "M": 4, "D": 8, "H": 2, name: bad})
     assert ModelConfig(K=np.int64(2), M=4).K == 2
-
-
-@pytest.mark.slow
-def test_gradients_match_finite_differences_both_modes():
-    config = ModelConfig(K=2, M=5, D=16, L=1, H=2, max_steps=64, conditioning_mode="both")
-    params = init_params(config, seed=22)
-    cond = CombinedCondition(
-        prefix=chroma_to_condition(QuantizedChroma([3, 9, 9]), config.D),
-        cross=encode_text_toy("two words", config.D),
-    )
-    batch, _, _ = tiny_batch(config, seed=6, T=4, condition=cond)
-    assert_kink_margin(params, batch)
-    errors = block_relative_errors(params, batch)
-    assert max(errors.values()) < 1e-5

@@ -11,7 +11,7 @@ from tokenweave.conditioning import (
     encode_text_toy,
 )
 from tokenweave.errors import InvariantError, ValidationError
-from tokenweave.model import CombinedCondition, ModelConfig, forward, init_params, open_cache
+from tokenweave.model import ModelConfig, forward, init_params, open_cache
 from tokenweave.patterns import (
     Pattern,
     PatternKind,
@@ -88,16 +88,13 @@ MELODY = chroma_to_condition(QuantizedChroma([0, 4, 7, 4, 2]), D=D_TEST)
 EMPTY = ConditioningTensor(rows=np.zeros((0, D_TEST)))
 
 # (model conditioning mode, condition): every route, a condition the model
-# ignores, an empty tensor and a CombinedCondition with one side missing
+# ignores and an empty tensor
 CONDITIONED = [
     pytest.param("none", None, id="none"),
     pytest.param("none", TEXT, id="none-ignored_text"),
     pytest.param("prefix", MELODY, id="prefix"),
     pytest.param("cross_attention", TEXT, id="cross_attention"),
-    pytest.param("both", CombinedCondition(prefix=MELODY, cross=TEXT), id="both"),
     pytest.param("cross_attention", EMPTY, id="cross_attention-empty"),
-    pytest.param("both", CombinedCondition(prefix=MELODY, cross=None), id="both-prefix_only"),
-    pytest.param("both", CombinedCondition(prefix=None, cross=TEXT), id="both-cross_only"),
 ]
 
 
@@ -365,6 +362,8 @@ def test_sampler_config_validation():
         SamplerConfig(top_k=0)
     with pytest.raises(ValidationError):
         SamplerConfig(temperature=-1.0)
+    with pytest.raises(ValidationError, match="guidance_scale must be finite, got inf"):
+        SamplerConfig(guidance_scale=np.inf)
     cfg = SamplerConfig()
     assert (cfg.top_k, cfg.temperature, cfg.guidance_scale) == (250, 1.0, 3.0)
 
