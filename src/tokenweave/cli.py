@@ -38,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import latents_to_classes, memorization_report, sonify_classes
 from .conditioning import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
@@ -46,10 +45,12 @@ from .conditioning import (
     chroma_to_condition,
     compute_chromagram,
     encode_text_toy,
+    latents_to_classes,
     load_wav,
     merge_conditions,
     quantized_chroma_to_json,
     save_wav,
+    sonify_classes,
     text_normalize,
     word_dropout,
 )
@@ -78,7 +79,7 @@ from .patterns import (
     step_counts,
 )
 from .rvq import Codebook, RVQConfig, rvq_decode
-from .sampling import SamplerConfig, generate
+from .sampling import SamplerConfig, generate, memorization_report
 
 # --conditioning value -> the ModelConfig.conditioning_mode it trains
 CONDITIONING_ROUTES = {"none": "none", "text": "cross_attention", "chroma": "prefix"}
@@ -363,11 +364,18 @@ def _flag_or_meta(args, ckpt, key: str, parse, default):
         raise ValidationError(f"checkpoint {args.checkpoint}: meta {key}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """operator.index of value, refusing a bool: a JSON true is not the count 1."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return operator.index(value)  # 2.5 is malformed, not 2
+
+
 def cmd_generate(args) -> int:
     t0 = time.perf_counter()
     ckpt = load_checkpoint(args.checkpoint)
     params = ckpt.params
-    T = _flag_or_meta(args, ckpt, "timesteps", operator.index, 8)  # 2.5 is malformed, not 2
+    T = _flag_or_meta(args, ckpt, "timesteps", _integer, 8)
     kind = _flag_or_meta(args, ckpt, "pattern", PatternKind, "delay")
     if T > params.config.max_steps:  # every kind takes at least T steps; refused before the table
         raise ValidationError(

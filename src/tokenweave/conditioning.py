@@ -1,4 +1,4 @@
-"""Melody and text conditioning.
+"""Melody and text conditioning, and the sonification of pitch classes.
 
 Melody: short-time chromagrams (12 pitch classes, A4 = 440 Hz reference)
 quantized to the per-frame argmax class, which is the information bottleneck
@@ -7,6 +7,11 @@ pipeline plus a deterministic hash-seeded toy embedder standing in for a
 pretrained encoder. The three augmentation rates are module constants
 (MERGE_PROB, DESCRIPTION_DROPOUT, WORD_DROPOUT), not settings. All stochastic
 ops take an explicit numpy Generator and are reproducible from its seed.
+
+Sonification stands in for a neural vocoder: decoded latents snap to the
+nearest of 12 fixed pitch-class anchor vectors and each class sounds as its
+pure sine for one analysis window; it serves `generate --wav` and the
+chromagram round trip of acceptance criterion 8.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, checked_array
+from .rvq import LatentFrames, _nearest
 
 PITCH_CLASSES = 12
 A4_HZ = 440.0
@@ -27,6 +33,9 @@ MIN_CHROMA_HZ = 32.7  # C1; spectral bins below this are ignored
 
 DEFAULT_WINDOW = 2**14
 DEFAULT_HOP = 2**12
+
+SONIFY_RATE = 32000
+SONIFY_SEGMENT = 4096  # samples per frame; analysis uses window = hop = segment
 
 
 @dataclass(frozen=True)
@@ -234,6 +243,40 @@ def chroma_to_condition(q: QuantizedChroma, D: int) -> ConditioningTensor:
     if D < 1:
         raise ValidationError("D must be >= 1")
     return ConditioningTensor(rows=_class_unit_rows(D, base=1000)[q.classes])
+
+
+def class_anchor_latents(d_latent: int) -> np.ndarray:
+    """12 fixed unit vectors, one per pitch class, for the latent -> class snap."""
+    return _class_unit_rows(d_latent, base=7000)
+
+
+def latents_to_classes(latents: LatentFrames) -> QuantizedChroma:
+    """Nearest of the class_anchor_latents(latents.d) anchors per frame
+    (Euclidean, ties to the lowest class)."""
+    return QuantizedChroma(classes=_nearest(latents.frames, class_anchor_latents(latents.d)))
+
+
+def pitch_class_frequency(pitch_class: int) -> float:
+    """Render class c in the octave around A4: 440 * 2^((c-9)/12)."""
+    return float(A4_HZ * 2.0 ** ((pitch_class - 9) / 12.0))
+
+
+def sonify_classes(q: QuantizedChroma) -> AudioBuffer:
+    """One pure-sine segment of SONIFY_SEGMENT samples per frame; the segment
+    equals the analysis window so each chroma frame sees exactly one class."""
+    if q.F == 0:
+        raise ValidationError("nothing to sonify")
+    pieces = []
+    t = np.arange(SONIFY_SEGMENT) / SONIFY_RATE
+    for c in q.classes:
+        freq = pitch_class_frequency(int(c))
+        pieces.append(0.5 * np.sin(2.0 * np.pi * freq * t))
+    return AudioBuffer(samples=np.concatenate(pieces), sample_rate=SONIFY_RATE)
+
+
+def chroma_of_sonified(q: QuantizedChroma) -> QuantizedChroma:
+    audio = sonify_classes(q)
+    return compute_chromagram(audio, window=SONIFY_SEGMENT, hop=SONIFY_SEGMENT)
 
 
 def draw_condition_drop(p: float, rng: np.random.Generator) -> bool:

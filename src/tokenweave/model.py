@@ -777,14 +777,15 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             data = np.load(fh, allow_pickle=False)
             if not isinstance(data, np.lib.npyio.NpzFile):
-                raise ValidationError("not an npz archive")
+                raise ValueError("not an npz archive")
             with data:
                 header = json.loads(str(data["__header__"]))
                 arrays = {k[2:]: data[k] for k in data.files if k.startswith("p:")}
                 extra = {k[2:]: data[k] for k in data.files
                          if k.startswith("x:") and not k.startswith("x:ema/")}
-            if header.get("version") != CHECKPOINT_VERSION:
-                raise ValidationError(f"unsupported checkpoint version {header.get('version')}")
+            version = header.get("version")
+            if isinstance(version, bool) or version != CHECKPOINT_VERSION:  # JSON true == 1
+                raise ValidationError(f"unsupported checkpoint version {version}")
             config = {**header["config"]}
             if config.pop("ffn_mult", FFN_MULT) != FFN_MULT:  # older files name it
                 raise ValidationError(f"ffn_mult is not {FFN_MULT}")
@@ -796,6 +797,8 @@ def load_checkpoint(path) -> Checkpoint:
             meta = header["meta"]
             if not isinstance(meta, dict):
                 raise ValidationError(f"meta is a JSON {type(meta).__name__}, not an object")
+        except ValidationError as exc:  # the file reads, but its content is refused
+            raise ValidationError(f"checkpoint {path}: {exc}") from exc
         except (OSError, EOFError, ValueError, KeyError, TypeError, AttributeError,
                 RecursionError, zipfile.BadZipFile) as exc:  # RecursionError: a too-deep header
             raise ValidationError(f"unreadable checkpoint {path}: {exc}") from exc

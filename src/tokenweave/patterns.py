@@ -9,8 +9,8 @@ coordinate is revealed exactly once by construction, and the constructor
 checks the rest: each entry is >= 1, each codebook's steps strictly increase
 down its timesteps (at most once per step, in timestep order), and each step
 1..S reveals something. This module builds the standard pattern family
-(parallel, delay, flatten and their partial/stereo variants), reads and
-writes the coordinate-list JSON format, and applies/reverts patterns between
+(parallel, delay, flatten and their partial/stereo variants), reads the
+coordinate-list JSON format, and applies/reverts patterns between
 grids and slot sequences, plain (S+1, K) int64 arrays whose row 0 is special.
 
 Coordinates are 1-based. Token ids live in 1..M; id 0 is the reserved special

@@ -13,6 +13,12 @@ needs no logits, so a prompt is prefilled in one call; the steps to draw are
 read off the slot array once per walk. Greedy decoding (temperature 0) uses
 no randomness, so greedy prompted continuations are seed-independent. At
 temperature 1 a draw skips the division by the temperature: x / 1 is x.
+
+Memorization: greedy-continue each training example from prompts of varying
+length and report the fraction whose first-codebook continuation matches the
+source exactly, and the fraction matching at least 80% of tokens. Monotone
+trends across prompt lengths are reported (flagged on the report), never
+asserted.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import Parameters, forward, open_cache
-from .patterns import Pattern, TokenGrid, apply_pattern, revert_pattern
+from .patterns import Pattern, PatternKind, TokenGrid, apply_pattern, build_pattern, revert_pattern
+
+PARTIAL_MATCH_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -196,3 +204,85 @@ def continue_from_prompt(
     if prompt.M > params.config.M:
         raise ValidationError("prompt vocabulary exceeds the model's")
     return _walk_pattern(params, pattern, condition, cfg, rng, prompt=prompt)
+
+
+@dataclass(frozen=True)
+class MemorizationRow:
+    prompt_len: int
+    exact_match: float
+    partial_match: float
+    n_examples: int
+
+
+@dataclass(frozen=True)
+class MemorizationReport:
+    rows: tuple[MemorizationRow, ...]
+    exact_monotone: bool
+    partial_monotone: bool
+
+    def __post_init__(self) -> None:
+        for row in self.rows:
+            if not 0.0 <= row.exact_match <= row.partial_match <= 1.0:
+                raise ValidationError("match fractions must satisfy 0 <= exact <= partial <= 1")
+
+
+def memorization_report(
+    params: Parameters,
+    dataset: list[tuple[TokenGrid, object]],
+    prompt_lens: list[int],
+    gen_len: int,
+    pattern_kind: PatternKind | str = PatternKind.DELAY,
+) -> MemorizationReport:
+    """Greedy prompted continuation; only codebook-1 tokens are compared.
+
+    All K codebooks of the prompt region are teacher-forced. gen_len = 0 rows
+    score 1.0 by convention (empty comparison).
+    """
+    if not dataset:
+        raise ValidationError("memorization needs at least one example")
+    if not prompt_lens:
+        raise ValidationError("memorization needs at least one prompt length")
+    if gen_len < 0 or min(prompt_lens, default=0) < 0:
+        raise ValidationError("prompt lengths and gen_len must be nonnegative")
+    # checked once, before any pattern table is laid out
+    longest, shortest = max(prompt_lens), min(grid.T for grid, _ in dataset)
+    if longest + gen_len > shortest:
+        raise ValidationError(
+            f"prompt {longest} + continuation {gen_len} exceeds grid length {shortest}"
+        )
+    greedy = SamplerConfig(temperature=0.0, guidance_scale=1.0)
+    rows = []
+    for prompt_len in prompt_lens:
+        span = prompt_len + gen_len
+        pattern = build_pattern(pattern_kind, span, params.config.K) if gen_len else None
+        exact = 0
+        partial = 0
+        for grid, condition in dataset:
+            if gen_len == 0:
+                exact += 1
+                partial += 1
+                continue
+            prompt = TokenGrid(tokens=grid.tokens[:prompt_len], M=grid.M)
+            out = continue_from_prompt(params, pattern, prompt, condition=condition, cfg=greedy)
+            got = out.tokens[prompt_len:span, 0]
+            want = grid.tokens[prompt_len:span, 0]
+            matches = int(np.sum(got == want))
+            exact += int(matches == gen_len)
+            partial += int(matches / gen_len >= PARTIAL_MATCH_THRESHOLD - 1e-12)
+        n = len(dataset)
+        rows.append(
+            MemorizationRow(
+                prompt_len=prompt_len,
+                exact_match=exact / n,
+                partial_match=partial / n,
+                n_examples=n,
+            )
+        )
+    ordered = sorted(rows, key=lambda r: r.prompt_len)
+    exact_mono = all(b.exact_match >= a.exact_match for a, b in zip(ordered, ordered[1:]))
+    partial_mono = all(b.partial_match >= a.partial_match for a, b in zip(ordered, ordered[1:]))
+    return MemorizationReport(
+        rows=tuple(rows),
+        exact_monotone=exact_mono,
+        partial_monotone=partial_mono,
+    )

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from tokenweave import conditioning
-from tokenweave.analysis import chroma_of_sonified, memorization_report
 from tokenweave.conditioning import (
     AudioBuffer,
     QuantizedChroma,
     chroma_cosine_similarity,
+    chroma_of_sonified,
     compute_chromagram,
     draw_condition_drop,
     merge_conditions,
@@ -39,7 +39,7 @@ from tokenweave.patterns import (
     revert_pattern,
 )
 from tokenweave.rvq import RVQConfig
-from tokenweave.sampling import SamplerConfig, cfg_combine, sample_token
+from tokenweave.sampling import SamplerConfig, cfg_combine, memorization_report, sample_token
 from tokenweave.sampling import _topk_probs
 
 from helpers import (

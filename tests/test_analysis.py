@@ -1,27 +1,23 @@
 import numpy as np
 import pytest
 
-from tokenweave.analysis import (
-    MemorizationReport,
-    MemorizationRow,
-    chroma_of_sonified,
-    class_anchor_latents,
-    latents_to_classes,
-    memorization_report,
-    pitch_class_frequency,
-    sonify_classes,
-)
 from tokenweave.conditioning import (
     QuantizedChroma,
     chroma_cosine_similarity,
+    chroma_of_sonified,
     chroma_to_condition,
+    class_anchor_latents,
+    latents_to_classes,
+    pitch_class_frequency,
     pitch_class_of_frequency,
+    sonify_classes,
 )
 from tokenweave.corpus import make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.model import ModelConfig, init_params
 from tokenweave.patterns import PatternKind, TokenGrid
 from tokenweave.rvq import LatentFrames, RVQConfig
+from tokenweave.sampling import MemorizationReport, MemorizationRow, memorization_report
 
 
 def random_dataset(n=4, T=12, K=2, M=16, seed=0):

@@ -898,6 +898,7 @@ def test_checkpoint_in_mode_both_exits_3_naming_the_modes(bad_inputs, tmp_path, 
     assert main(_resolve(["generate", "--checkpoint", "{mode-both.npz}"], bad_inputs, out)) == 3
     err = capsys.readouterr().err
     assert f"conditioning_mode must be one of {CONDITIONING_MODES}" in err
+    assert "unreadable" not in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -937,7 +938,7 @@ def test_train_takes_an_infinite_clip_as_no_clipping(tmp_path):
 # ---------------------------------------------------------------- checkpoint sweep
 
 SWEEP_SEED = 23
-SWEEP_VALUES = (0, -1, 2.5, "x", None, 10**9)
+SWEEP_VALUES = (0, -1, 2.5, "x", None, 10**9, True)
 # what of a checkpoint only one command reads; both read the rest
 READERS = {"meta.timesteps": ("generate",), "meta.conditioning": ("memorize",),
            "x:codebooks": ("generate",), "x:grids": ("memorize",)}
@@ -988,7 +989,7 @@ def test_checkpoint_mutant_sweep_never_ends_in_a_traceback(trained, tmp_path):
             argv = [command, "--checkpoint", str(path), *SWEEP_FLAGS[command], "--out", str(out)]
             runs.append((command, what + change, out, argv))
     results = run_capped([argv for *_, argv in runs])
-    assert len(results) == len(runs) == 384
+    assert len(results) == len(runs) == 404
     failures = []
     for (command, mutant, out, _), (code, err) in zip(runs, results):
         want = (0,) if mutant in WELL_FORMED else (3, 4)
