@@ -86,6 +86,8 @@ CONDITIONING_ROUTES = {"none": "none", "text": "cross_attention", "chroma": "pre
 FLATTEN_SELF_CHECK_TV = 1e-9
 # an exact pattern's TV bound; the CSV writes rounding noise below it as 0
 CSV_TV_FLOOR = 1e-12
+# entries of one example's H x S x S attention scores train may lay out: 2 GiB of float64
+MAX_ATTENTION_SCORES = 2**28
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -276,6 +278,10 @@ def cmd_train(args) -> int:
         max_steps=max(64, 2 * pattern.S),
         conditioning_mode=mode,
     )
+    scores = args.heads * pattern.S**2
+    if scores > MAX_ATTENTION_SCORES:
+        raise GuardError(f"one example's attention scores would hold {scores} entries "
+                         f"(budget {MAX_ATTENTION_SCORES})")
     hyper = TrainHyper(
         lr_max=args.lr,
         warmup_steps=args.warmup,

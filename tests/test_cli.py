@@ -650,8 +650,14 @@ HUGE_SIZES = {
     "memorize-gen-len": ["memorize", "--checkpoint", "{ckpt}", "--gen-len", "100000000"],
     "memorize-prompt-lens": ["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "100000000"],
 }
-CAPPED = {*HUGE_SIZES, *(f"{command}-{name}" for command in ("generate", "memorize")
-                         for name in HUGE_CHECKPOINTS)}
+# train runs whose attention scores (heads x steps^2 per example) pass the budget:
+# refused before the codec fit, which would not finish at these sizes
+HUGE_TRAIN = {
+    "train-codebooks-huge": ["train", "--codebooks", "100000", "--steps", "1"],
+    "train-timesteps-huge": ["train", "--timesteps", "3000000", "--steps", "1", "--sequences", "1"],
+}
+CAPPED = {*HUGE_SIZES, *HUGE_TRAIN, *(f"{command}-{name}" for command in ("generate", "memorize")
+                                      for name in HUGE_CHECKPOINTS)}
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
     [
@@ -722,6 +728,7 @@ MALFORMED = (
         for name in HUGE_CHECKPOINTS
     ]
     + [pytest.param(argv, 3, id=name) for name, argv in HUGE_SIZES.items()]
+    + [pytest.param(argv, 4, id=name) for name, argv in HUGE_TRAIN.items()]
     # JSON nested 1,000 deep, where json's decoder runs out of recursion depth
     + [pytest.param(["patterns", "validate", "--json", "{deep.json}"], 3, id="validate-deep")]
     + [

@@ -1,8 +1,12 @@
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from helpers import pattern_to_json
+from tokenweave import oracle
 from tokenweave.errors import GuardError, ValidationError
 from tokenweave.oracle import (
     ExactnessRow,
@@ -12,7 +16,7 @@ from tokenweave.oracle import (
     make_joint,
     tv_distance,
 )
-from tokenweave.patterns import STEREO_KINDS, PatternKind, build_pattern
+from tokenweave.patterns import STEREO_KINDS, PatternKind, build_pattern, pattern_from_json
 from tokenweave.rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
 
 FAMILIES = ("product", "diagonal", "markov_residual")
@@ -268,32 +272,107 @@ def whole_table_induced(joint, pattern):
     return law.reshape(-1)
 
 
-def test_reveal_order_law_matches_whole_table_marginals():
-    # every case with at most 65,536 entries; the two routes add the same
-    # terms in a different order, so they agree to rounding, not bitwise
-    cases = 0
+@functools.cache
+def sweep_joints():
+    """(family, T, K, M, seed, joint, kinds) of every joint with at most 65,536
+    entries, two seeds for markov_residual, with each kind legal at its K."""
+    cases = []
     for family in FAMILIES:
         for T, K, M in itertools.product(range(1, 5), repeat=3):
             if M ** (T * K) > 65536:
                 continue
+            kinds = tuple(kind for kind in PatternKind if not (kind in STEREO_KINDS and K % 2))
             for seed in (0, 1) if family == "markov_residual" else (0,):
-                joint = make_joint(family, T, K, M, seed=seed)
-                for kind in PatternKind:
-                    if kind in STEREO_KINDS and K % 2:
-                        continue
-                    pattern = build_pattern(kind, T, K)
-                    want = whole_table_induced(joint, pattern)
-                    got = induced_distribution(joint, pattern).probs
-                    case = (family, T, K, M, seed, kind.value)
-                    assert np.abs(got - want).max() <= 1e-15, case
-                    assert np.array_equal(got > 0.0, want > 0.0), case
-                    tv = tv_distance(joint, JointDistribution(T=T, K=K, M=M, probs=got))
-                    want_law = JointDistribution(T=T, K=K, M=M, probs=want)
-                    assert abs(tv - tv_distance(joint, want_law)) <= 1e-14, case
-                    if kind is PatternKind.FLATTEN:
-                        assert tv <= 1e-12, case
-                    cases += 1
+                cases.append((family, T, K, M, seed, make_joint(family, T, K, M, seed=seed), kinds))
+    return tuple(cases)
+
+
+def test_reveal_order_law_matches_whole_table_marginals():
+    # the two routes add the same terms in a different order, so they agree
+    # to rounding, not bitwise
+    cases = 0
+    for family, T, K, M, seed, joint, kinds in sweep_joints():
+        for kind in kinds:
+            pattern = build_pattern(kind, T, K)
+            want = whole_table_induced(joint, pattern)
+            got = induced_distribution(joint, pattern).probs
+            case = (family, T, K, M, seed, kind.value)
+            assert np.abs(got - want).max() <= 1e-15, case
+            assert np.array_equal(got > 0.0, want > 0.0), case
+            tv = tv_distance(joint, JointDistribution(T=T, K=K, M=M, probs=got))
+            want_law = JointDistribution(T=T, K=K, M=M, probs=want)
+            assert abs(tv - tv_distance(joint, want_law)) <= 1e-14, case
+            if kind is PatternKind.FLATTEN:
+                assert tv <= 1e-12, case
+            cases += 1
     assert cases == 1592
+
+
+def masked_induced(joint, pattern):
+    """The reveal-order law with the masked 1/M divide at every step, also
+    where every prefix has mass and the oracle divides plainly."""
+    steps = pattern.step.ravel()
+    last_first = np.argsort(steps, kind="stable")[::-1]
+    prefix = [np.ascontiguousarray(joint.table().transpose(last_first))]
+    while prefix[0].ndim:
+        prefix.insert(0, prefix[0].sum(axis=0))
+    law, r = np.ones(()), 0
+    for n in np.bincount(steps)[1:].tolist():
+        given, step_law = prefix[r], prefix[r + n]
+        for lead in range(n - 1, -1, -1):
+            others = tuple(ax for ax in range(n) if ax != lead)
+            both = step_law.sum(axis=others, keepdims=True) if others else step_law
+            fill = np.full(both.shape, 1.0 / joint.M)
+            law = law * np.divide(both, given, out=fill, where=given > 0.0)
+        r += n
+    return law.transpose(np.argsort(last_first)).ravel()
+
+
+def as_custom(pattern):
+    """The pattern read back from its document with no kind: a custom pattern
+    whose step table equals the built-in's."""
+    doc = json.loads(pattern_to_json(pattern))
+    return pattern_from_json(json.dumps({**doc, "kind": None}))
+
+
+def test_exactness_report_rows_equal_per_pattern_laws_bitwise():
+    # patterns that share a reveal order share one chain inside the report;
+    # each row must still carry the TV of that pattern's own law, bit for bit,
+    # whatever order the patterns come in, and each law must equal the one
+    # the masked divide gives at every step
+    rng = np.random.default_rng(3)
+    for family, T, K, M, seed, joint, kinds in sweep_joints():
+        patterns = [build_pattern(kind, T, K) for kind in kinds]
+        repeat, copy = rng.integers(len(patterns), size=2)
+        patterns += [patterns[repeat], as_custom(patterns[copy])]
+        rng.shuffle(patterns)
+        rows = exactness_report(joint, patterns)
+        assert [r.kind for r in rows] == [p.kind.value if p.kind else "custom" for p in patterns]
+        for pattern, row in zip(patterns, rows):
+            law = induced_distribution(joint, pattern)
+            case = (family, T, K, M, seed, row.kind)
+            assert law.probs.tobytes() == masked_induced(joint, pattern).tobytes(), case
+            assert row.tv.hex() == tv_distance(joint, law).hex(), case
+
+
+@pytest.mark.parametrize("T,K,orders", [(2, 4, 4), (3, 4, 4), (2, 2, 2)])
+def test_exactness_report_builds_one_chain_per_reveal_order(monkeypatch, T, K, orders):
+    # at K = 4, parallel, partial_delay, flatten, partial_flatten and
+    # stereo_partial_delay all reveal row-major; delay, coarse_first and
+    # stereo_delay each have an order of their own
+    calls, chain = [], oracle._reveal_chain
+
+    def counted(*args):
+        calls.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(oracle, "_reveal_chain", counted)
+    patterns = [build_pattern(kind, T, K) for kind in PatternKind]
+    patterns += [as_custom(patterns[0]), build_pattern(PatternKind.DELAY, T, K)]
+    for family in FAMILIES:
+        calls.clear()
+        rows = exactness_report(make_joint(family, T, K, 2), patterns)
+        assert len(rows) == len(patterns) and len(calls) == orders, family
 
 
 @pytest.mark.parametrize("family", FAMILIES)
