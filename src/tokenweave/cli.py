@@ -78,7 +78,7 @@ from .patterns import (
     pattern_from_json,
     step_counts,
 )
-from .rvq import Codebook, RVQConfig, rvq_decode
+from .rvq import RVQConfig, rvq_decode
 from .sampling import SamplerConfig, generate, memorization_report
 
 # --conditioning value -> the ModelConfig.conditioning_mode it trains
@@ -249,8 +249,8 @@ def _build_conditions(args, corpus, model_config, rng):
     if args.conditioning == "none":
         return [None] * len(corpus.grids)
     if args.conditioning == "chroma":
-        return [chroma_to_condition(latents_to_classes(lf), model_config.D)
-                for lf in corpus.latents]
+        return [chroma_to_condition(latents_to_classes(frames), model_config.D)
+                for frames in corpus.latents]
     conditions = []
     for i in range(len(corpus.grids)):
         merged = merge_conditions(f"synthetic ar1 clip {i}", {"index": str(i), "family": "ar1"}, rng)
@@ -331,7 +331,7 @@ def cmd_train(args) -> int:
 
     extra = {
         "grids": np.stack([g.tokens for g in corpus.grids]),
-        "codebooks": np.stack([b.centroids for b in corpus.codebooks]),
+        "codebooks": corpus.codebooks,
     }
     for i, cond in enumerate(conditions):
         if cond is not None:
@@ -410,9 +410,8 @@ def cmd_generate(args) -> int:
     if args.wav:
         if "codebooks" not in ckpt.extra:
             raise ValidationError("checkpoint carries no codebooks; cannot sonify")
-        books = [Codebook(centroids=c)
-                 for c in checked_array(ckpt.extra["codebooks"], "checkpoint codebooks", 3)]
-        audio = sonify_classes(latents_to_classes(rvq_decode(grid, books)))  # zero stages raise
+        books = checked_array(ckpt.extra["codebooks"], "checkpoint codebooks", 3)
+        audio = sonify_classes(latents_to_classes(rvq_decode(grid, books)))  # K, M or d of 0 raises
 
     out_dir = _out_dir(args)
     grid_path = out_dir / "grid.csv"

@@ -8,8 +8,9 @@ pretrained encoder. The three augmentation rates are module constants
 (MERGE_PROB, DESCRIPTION_DROPOUT, WORD_DROPOUT), not settings. All stochastic
 ops take an explicit numpy Generator and are reproducible from its seed.
 
-Sonification stands in for a neural vocoder: decoded latents snap to the
-nearest of 12 fixed pitch-class anchor vectors and each class sounds as its
+Sonification stands in for a neural vocoder: decoded (T, d) latent frames
+snap to the nearest of 12 fixed pitch-class anchor vectors (an encode under
+the one-stage (1, 12, d) cascade they form) and each class sounds as its
 pure sine for one analysis window; it serves `generate --wav` and the
 chromagram round trip of acceptance criterion 8.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, checked_array
-from .rvq import LatentFrames, _nearest
+from .rvq import rvq_encode
 
 PITCH_CLASSES = 12
 A4_HZ = 440.0
@@ -250,10 +251,11 @@ def class_anchor_latents(d_latent: int) -> np.ndarray:
     return _class_unit_rows(d_latent, base=7000)
 
 
-def latents_to_classes(latents: LatentFrames) -> QuantizedChroma:
-    """Nearest of the class_anchor_latents(latents.d) anchors per frame
-    (Euclidean, ties to the lowest class)."""
-    return QuantizedChroma(classes=_nearest(latents.frames, class_anchor_latents(latents.d)))
+def latents_to_classes(latents: np.ndarray) -> QuantizedChroma:
+    """Nearest class_anchor_latents(d) anchor per (T, d) frame, ties to the lowest class."""
+    latents = checked_array(latents, "latent frames", 2)
+    anchors = class_anchor_latents(latents.shape[1])[None]
+    return QuantizedChroma(classes=rvq_encode(latents, anchors).tokens[:, 0] - 1)
 
 
 def pitch_class_frequency(pitch_class: int) -> float:

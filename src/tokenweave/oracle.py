@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import GuardError, ValidationError, checked_array
 from .patterns import Pattern, step_counts
-from .rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
+from .rvq import RVQConfig, rvq_encode, train_codebooks
 
 MAX_TABLE_ENTRIES = 10**6
 MAX_DIM = 4
@@ -142,10 +142,10 @@ def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
     path = [next_state[0][0]]
     for t in range(1, _CHAIN_FIT_LEN):
         path.append(next_state[1 + path[-1]][t])
-    fit_frames = LatentFrames(frames=values[path][:, None])
-    books, _ = train_codebooks(fit_frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
+    books, _ = train_codebooks(values[path][:, None], RVQConfig(K=K, M=M, d_latent=1),
+                               iterations=30, seed=seed)
     # the cascade quantizes frame by frame, so each state encodes to one row
-    rows = rvq_encode(LatentFrames(frames=values[:, None]), books).tokens - 1
+    rows = rvq_encode(values[:, None], books).tokens - 1
     return _chain_table(init, trans, rows, T, M)
 
 

@@ -1,4 +1,4 @@
-"""Codebook interleaving patterns over multi-stream token grids.
+"""Interleaving patterns over the codebook streams of multi-stream token grids.
 
 A token grid holds T timesteps x K codebooks of discrete tokens. A pattern is
 an ordered partition of the grid's coordinates into steps; an autoregressive

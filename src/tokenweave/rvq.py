@@ -6,6 +6,10 @@ carries most of the energy. Everything is deterministic given a seed:
 nearest-neighbor ties break toward the lowest centroid index and empty
 k-means clusters are reseeded from the farthest points.
 
+Values are plain float arrays: latent frames are (T, d), a cascade is one
+(K, M, d) array of K stages of M centroids, and synth_latents takes one seed
+per walk and returns (n_seeds, T, d).
+
 A k-means iteration takes its cluster sizes and per-column sums from
 np.bincount over the labels, so each held centroid is its members' sum,
 added in point order, over their count. For d_latent >= 2 that is bitwise
@@ -45,44 +49,16 @@ class RVQConfig:
             raise ValidationError("RVQConfig requires K, M, d_latent >= 1")
 
 
-@dataclass(frozen=True)
-class Codebook:
-    centroids: np.ndarray  # (M, d_latent)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "centroids", checked_array(self.centroids, "codebook centroids", 2))
-
-    @property
-    def M(self) -> int:
-        return self.centroids.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.centroids.shape[1]
-
-
-@dataclass(frozen=True)
-class LatentFrames:
-    frames: np.ndarray  # (T, d_latent)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "frames", checked_array(self.frames, "latent frames", 2))
-
-    @property
-    def T(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.frames.shape[1]
-
-
 AR1_COEFF = 0.95  # lag-1 autocorrelation of synthetic latents
 
 
-def _ar1_latents(T: int, d_latent: int, seeds) -> np.ndarray:
-    """(len(seeds), T, d_latent) walks: each walk's normals come from its own
-    seed, then one recursion steps all walks at once."""
+def synth_latents(T: int, d_latent: int, seeds) -> np.ndarray:
+    """(len(seeds), T, d_latent) stationary AR(1) walks, x_t = a x_{t-1} +
+    sqrt(1-a^2) z_t with a = AR1_COEFF: unit marginal variance, lag-1
+    autocorrelation ~= a. Walk i draws its normals from seeds[i], then one
+    recursion steps all walks at once."""
+    if T < 1 or d_latent < 1 or not len(seeds):
+        raise ValidationError(f"T, d_latent and seed count must be >= 1, got {T}, {d_latent}, {len(seeds)}")
     z = np.stack([np.random.default_rng(s).standard_normal((T, d_latent)) for s in seeds])
     frames = np.empty_like(z)
     frames[:, 0] = z[:, 0]
@@ -90,14 +66,6 @@ def _ar1_latents(T: int, d_latent: int, seeds) -> np.ndarray:
     for t in range(1, T):
         frames[:, t] = AR1_COEFF * frames[:, t - 1] + step_scale * z[:, t]
     return frames
-
-
-def synth_latents(T: int, d_latent: int, seed: int) -> LatentFrames:
-    """Stationary AR(1) walk: x_t = a x_{t-1} + sqrt(1-a^2) z_t with
-    a = AR1_COEFF, unit marginal variance, lag-1 autocorrelation ~= a."""
-    if T < 1:
-        raise ValidationError("T must be >= 1")
-    return LatentFrames(frames=_ar1_latents(T, d_latent, [seed])[0])
 
 
 def _nearest(points: np.ndarray, centroids: np.ndarray, norms=None) -> np.ndarray:
@@ -143,76 +111,75 @@ def _kmeans(
 
 
 def train_codebooks(
-    frames: LatentFrames, config: RVQConfig, iterations: int = 25, seed: int = 0
-) -> tuple[list[Codebook], np.ndarray]:
-    """Fit the K-stage cascade: stage k runs k-means on the residuals of 1..k-1.
-    Returns the books and the frames' (T, K) codes, rvq_encode's 1-based tokens."""
-    if frames.T < config.M:
-        raise ValidationError(
-            f"insufficient data: {frames.T} frames < {config.M} centroids per stage"
-        )
-    if frames.d != config.d_latent:
-        raise ValidationError(f"frames are {frames.d}-dim, config expects {config.d_latent}")
+    frames: np.ndarray, config: RVQConfig, iterations: int = 25, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit the (K, M, d) cascade to (T, d) frames, stage k by k-means on the
+    residuals of 1..k-1. Returns it and the (T, K) codes rvq_encode would give."""
+    frames = checked_array(frames, "latent frames", 2)
+    T, d = frames.shape
+    if T < config.M:
+        raise ValidationError(f"insufficient data: {T} frames < {config.M} centroids per stage")
+    if d != config.d_latent:
+        raise ValidationError(f"frames are {d}-dim, config expects {config.d_latent}")
     rng = np.random.default_rng(seed)
-    residual = frames.frames.copy()
-    books: list[Codebook] = []
-    tokens = np.empty((frames.T, config.K), dtype=np.int64)
+    residual = frames.copy()
+    books = np.empty((config.K, config.M, d))
+    tokens = np.empty((T, config.K), dtype=np.int64)
     for k in range(config.K):
-        centroids, labels = _kmeans(residual, config.M, iterations, rng)
-        books.append(Codebook(centroids=centroids))
+        books[k], labels = _kmeans(residual, config.M, iterations, rng)
         tokens[:, k] = labels + 1
-        residual -= centroids[labels]
+        residual -= books[k][labels]
     return books, tokens
 
 
-def _check_books(codebooks: list[Codebook]) -> tuple[int, int]:
-    if not codebooks:
-        raise ValidationError("need at least one codebook stage")
-    M, d = codebooks[0].M, codebooks[0].d
-    for b in codebooks:
-        if b.M != M or b.d != d:
-            raise ValidationError("all codebook stages must share M and d_latent")
-    return M, d
+def _checked_books(books) -> np.ndarray:
+    books = checked_array(books, "codebooks", 3)
+    if 0 in books.shape:
+        raise ValidationError(f"need at least one codebook stage, code and width; got (K, M, width) = {books.shape}")
+    return books
 
 
-def rvq_encode(frames: LatentFrames, codebooks: list[Codebook]) -> TokenGrid:
-    """Greedy residual encoding; the grid holds 1-based token ids."""
-    M, d = _check_books(codebooks)
-    if frames.d != d:
-        raise ValidationError(f"frames are {frames.d}-dim, codebooks are {d}-dim")
-    residual = frames.frames.copy()
-    tokens = np.empty((frames.T, len(codebooks)), dtype=np.int64)
-    for k, book in enumerate(codebooks):
-        idx = _nearest(residual, book.centroids)
+def rvq_encode(frames: np.ndarray, books: np.ndarray) -> TokenGrid:
+    """Greedy residual encoding of (T, d) frames; the grid holds 1-based token ids."""
+    books = _checked_books(books)
+    frames = checked_array(frames, "latent frames", 2)
+    K, M, d = books.shape
+    if frames.shape[1] != d:
+        raise ValidationError(f"frames are {frames.shape[1]}-dim, codebooks are {d}-dim")
+    residual = frames.copy()
+    tokens = np.empty((len(frames), K), dtype=np.int64)
+    for k, book in enumerate(books):
+        idx = _nearest(residual, book)
         tokens[:, k] = idx + 1
-        residual -= book.centroids[idx]
+        residual -= book[idx]
     return TokenGrid(tokens=tokens, M=M)
 
 
-def rvq_decode(grid: TokenGrid, codebooks: list[Codebook]) -> LatentFrames:
-    """Reconstruct frames as the sum of the selected centroids per stage."""
-    M, d = _check_books(codebooks)
-    if grid.K > len(codebooks):
-        raise ValidationError(f"grid has {grid.K} streams but only {len(codebooks)} stages given")
+def rvq_decode(grid: TokenGrid, books: np.ndarray) -> np.ndarray:
+    """(T, d) frames: the sum of the selected centroids per stage."""
+    books = _checked_books(books)
+    K, M, d = books.shape
+    if grid.K > K:
+        raise ValidationError(f"grid has {grid.K} streams but only {K} stages given")
     if grid.M > M:
         raise ValidationError(f"grid vocabulary {grid.M} exceeds codebook size {M}")
     out = np.zeros((grid.T, d))
     for k in range(grid.K):
-        out += codebooks[k].centroids[grid.tokens[:, k] - 1]
-    return LatentFrames(frames=out)
+        out += books[k][grid.tokens[:, k] - 1]
+    return out
 
 
-def residual_energy_profile(frames: LatentFrames, codebooks: list[Codebook]) -> np.ndarray:
+def residual_energy_profile(frames: np.ndarray, books: np.ndarray) -> np.ndarray:
     """Mean squared residual norm after 0..K stages (entry 0 = raw energy).
 
     Nonincreasing whenever frames come from the corpus the cascade was fit on;
     out-of-distribution frames get no hard guarantee.
     """
-    grid = rvq_encode(frames, codebooks)
-    residual = frames.frames.copy()
+    frames = checked_array(frames, "latent frames", 2)
+    books = _checked_books(books)
+    residual = frames.copy()
     profile = [float(np.mean(np.sum(residual**2, axis=1)))]
-    for book, ids in zip(codebooks, grid.tokens.T):
-        residual -= book.centroids[ids - 1]
+    for book, ids in zip(books, rvq_encode(frames, books).tokens.T):
+        residual -= book[ids - 1]
         profile.append(float(np.mean(np.sum(residual**2, axis=1))))
     return np.asarray(profile)
-

@@ -251,17 +251,17 @@ def memorization_report(
             f"prompt {longest} + continuation {gen_len} exceeds grid length {shortest}"
         )
     greedy = SamplerConfig(temperature=0.0, guidance_scale=1.0)
+    n = len(dataset)
     rows = []
     for prompt_len in prompt_lens:
+        if gen_len == 0:
+            rows.append(MemorizationRow(prompt_len, 1.0, 1.0, n))  # empty comparison
+            continue
         span = prompt_len + gen_len
-        pattern = build_pattern(pattern_kind, span, params.config.K) if gen_len else None
+        pattern = build_pattern(pattern_kind, span, params.config.K)
         exact = 0
         partial = 0
         for grid, condition in dataset:
-            if gen_len == 0:
-                exact += 1
-                partial += 1
-                continue
             prompt = TokenGrid(tokens=grid.tokens[:prompt_len], M=grid.M)
             out = continue_from_prompt(params, pattern, prompt, condition=condition, cfg=greedy)
             got = out.tokens[prompt_len:span, 0]
@@ -269,7 +269,6 @@ def memorization_report(
             matches = int(np.sum(got == want))
             exact += int(matches == gen_len)
             partial += int(matches / gen_len >= PARTIAL_MATCH_THRESHOLD - 1e-12)
-        n = len(dataset)
         rows.append(
             MemorizationRow(
                 prompt_len=prompt_len,

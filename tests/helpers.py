@@ -73,6 +73,6 @@ def text_pipeline_counts() -> tuple[int, int]:
 def rvq_energy_profile() -> tuple[float, ...]:
     """Residual energy before and after each stage of a K = 4, M = 64 RVQ fit
     to 2000 synthetic 8-d frames (seed 0, 20 iterations)."""
-    frames = synth_latents(2000, 8, seed=0)
+    frames = synth_latents(2000, 8, [0])[0]
     books, _ = train_codebooks(frames, RVQConfig(K=4, M=64, d_latent=8), iterations=20, seed=0)
     return tuple(float(e) for e in residual_energy_profile(frames, books))

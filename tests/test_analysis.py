@@ -16,7 +16,7 @@ from tokenweave.corpus import make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.model import ModelConfig, init_params
 from tokenweave.patterns import PatternKind, TokenGrid
-from tokenweave.rvq import LatentFrames, RVQConfig
+from tokenweave.rvq import RVQConfig
 from tokenweave.sampling import MemorizationReport, MemorizationRow, memorization_report
 
 
@@ -101,7 +101,7 @@ def test_sonify_shapes():
 
 def test_latents_to_classes_snaps_to_anchor():
     anchors = class_anchor_latents(6)
-    latents = LatentFrames(frames=np.stack([anchors[3] * 1.01, anchors[7] * 0.97]))
+    latents = np.stack([anchors[3] * 1.01, anchors[7] * 0.97])
     out = latents_to_classes(latents)
     assert out.classes.tolist() == [3, 7]
 
@@ -122,7 +122,7 @@ def test_class_tables_and_snap_match_their_reference_formulas():
         frames = np.random.default_rng(width).standard_normal((300, width))
         d2 = (np.sum(frames**2, axis=1, keepdims=True) - 2.0 * frames @ anchors.T
               + np.sum(anchors**2, axis=1))
-        got = latents_to_classes(LatentFrames(frames=frames)).classes
+        got = latents_to_classes(frames).classes
         assert np.array_equal(got, np.argmin(d2, axis=1))
 
 

@@ -1,6 +1,7 @@
-"""Every value that holds an array checks it through errors.checked_array:
-text, ragged nesting, the wrong rank, NaN, inf and (for ids) fractions all
-raise ValidationError, never a numpy error or a silent cast."""
+"""Every value that holds an array, and every codec entry that takes one,
+checks it through errors.checked_array: text, ragged nesting, the wrong rank,
+NaN, inf and (for ids) fractions all raise ValidationError, never a numpy
+error or a silent cast."""
 
 import numpy as np
 import pytest
@@ -10,16 +11,19 @@ from tokenweave.conditioning import (
     ConditioningTensor,
     QuantizedChroma,
     chroma_to_condition,
+    latents_to_classes,
 )
 from tokenweave.errors import ValidationError, checked_array
 from tokenweave.model import ModelConfig, TrainExample, forward, grad, init_params
 from tokenweave.oracle import JointDistribution
 from tokenweave.patterns import Pattern, PatternKind, TokenGrid, build_pattern, revert_pattern
-from tokenweave.rvq import Codebook, LatentFrames
+from tokenweave.rvq import RVQConfig, rvq_decode, rvq_encode, train_codebooks
 
 TINY = ModelConfig(K=2, M=5, D=8, L=1, H=2, max_steps=8)
 PARAMS = init_params(TINY, seed=0)
 PARALLEL = build_pattern(PatternKind.PARALLEL, 1, 2)
+FRAMES = np.arange(6.0).reshape(3, 2)  # (T, d) latent frames
+BOOKS = np.arange(8.0).reshape(2, 2, 2)  # (K, M, d) cascade
 
 # name -> (build from an array, a good array, whether it holds whole ids)
 HOLDERS = {
@@ -31,8 +35,12 @@ HOLDERS = {
     "QuantizedChroma": (QuantizedChroma, np.array([1, 11]), True),
     "chroma_to_condition": (lambda a: chroma_to_condition(QuantizedChroma(a), 4),
                             np.array([1, 11]), True),
-    "Codebook": (Codebook, np.ones((3, 2)), False),
-    "LatentFrames": (LatentFrames, np.ones((3, 2)), False),
+    "train_codebooks-frames": (lambda a: train_codebooks(a, RVQConfig(K=1, M=2, d_latent=2)),
+                               FRAMES, False),
+    "rvq_encode-frames": (lambda a: rvq_encode(a, BOOKS), FRAMES, False),
+    "rvq_encode-books": (lambda a: rvq_encode(FRAMES, a), BOOKS, False),
+    "rvq_decode-books": (lambda a: rvq_decode(TokenGrid([[1, 2], [2, 1]], M=2), a), BOOKS, False),
+    "latents_to_classes": (latents_to_classes, FRAMES, False),
     "AudioBuffer": (lambda a: AudioBuffer(a, sample_rate=8000), np.zeros(8), False),
     "ConditioningTensor": (ConditioningTensor, np.ones((2, 4)), False),
     "JointDistribution": (lambda a: JointDistribution(1, 1, 2, a), np.array([0.5, 0.5]), False),

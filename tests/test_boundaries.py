@@ -6,11 +6,9 @@ from pathlib import Path
 import tokenweave
 
 PACKAGE = Path(tokenweave.__file__).parent
-# (importer, module imported from, name): helpers shared on purpose
-SHARED_PRIVATE_NAMES = {
-    ("corpus", "rvq", "_ar1_latents"),
-    ("conditioning", "rvq", "_nearest"),
-}
+# (importer, module imported from, name) of private helpers shared on purpose:
+# none, so a module that needs another's helper asks for a public name
+SHARED_PRIVATE_NAMES = set()
 
 
 def private_imports(path: Path):

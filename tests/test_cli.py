@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import wave
@@ -719,7 +720,8 @@ MALFORMED = (
         pytest.param(["generate", "--checkpoint", f"{{{name}.npz}}", *flags], 3,
                      id=f"generate-{name}")
         for name, flags in (("codebooks-text", ["--wav"]), ("codebooks-empty", ["--wav"]),
-                            ("codebooks-missing", ["--wav"]), ("param-text", []))
+                            ("codebooks-zero-width", ["--wav"]), ("codebooks-missing", ["--wav"]),
+                            ("param-text", []))
     ]
     # sizes whose full parameter schema would not fit in memory; run in a capped child
     + [
@@ -806,6 +808,7 @@ def bad_inputs(trained, tmp_path_factory):
         ("grids-text", "x:grids", arrays["x:grids"].astype(str)),
         ("codebooks-text", "x:codebooks", arrays["x:codebooks"].astype(str)),
         ("codebooks-empty", "x:codebooks", arrays["x:codebooks"][:0]),
+        ("codebooks-zero-width", "x:codebooks", arrays["x:codebooks"][:, :, :0]),
         ("grids-rank0", "x:grids", np.array(3)),
         # a condition for sequence 0 only: a conditioned run saves one for every sequence
         ("cond-partial", "x:cond/0", np.zeros((2, header["config"]["D"]))),
@@ -906,6 +909,16 @@ def test_checkpoint_in_mode_both_exits_3_naming_the_modes(bad_inputs, tmp_path, 
     err = capsys.readouterr().err
     assert f"conditioning_mode must be one of {CONDITIONING_MODES}" in err
     assert "unreadable" not in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_zero_width_cascade_exits_3_naming_the_width(bad_inputs, tmp_path, capsys):
+    # at width 0 every decoded frame is equally near each anchor: all would sound as class 0
+    out = tmp_path / "o"
+    argv = ["generate", "--checkpoint", "{codebooks-zero-width.npz}", "--wav"]
+    assert main(_resolve(argv, bad_inputs, out)) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"\(K, M, width\) = \(\d+, \d+, 0\)", err), err
     assert "Traceback" not in err and not out.exists()
 
 

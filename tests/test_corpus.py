@@ -8,7 +8,6 @@ from tokenweave.corpus import CODEBOOK_ITERATIONS, make_corpus
 from tokenweave.errors import ValidationError
 from tokenweave.rvq import (
     AR1_COEFF,
-    LatentFrames,
     RVQConfig,
     rvq_decode,
     rvq_encode,
@@ -25,7 +24,7 @@ def _per_step_latents(T, d_latent, seed):
     step_scale = np.sqrt(1.0 - AR1_COEFF**2)
     for t in range(1, T):
         frames[t] = AR1_COEFF * frames[t - 1] + step_scale * z[t]
-    return LatentFrames(frames=frames)
+    return frames
 
 
 def _per_sequence_corpus(n, T, config, seed, share_first_frame):
@@ -34,11 +33,9 @@ def _per_sequence_corpus(n, T, config, seed, share_first_frame):
     rvq_encode per sequence."""
     latents = [_per_step_latents(T, config.d_latent, seed + i) for i in range(n)]
     if share_first_frame and n > 1:
-        first = latents[0].frames[0]
-        latents = [
-            LatentFrames(frames=np.vstack([first[None, :], lf.frames[1:]])) for lf in latents
-        ]
-    pooled = LatentFrames(frames=np.vstack([lf.frames for lf in latents]))
+        first = latents[0][0]
+        latents = [np.vstack([first[None, :], lf[1:]]) for lf in latents]
+    pooled = np.vstack(latents)
     books, _ = train_codebooks(pooled, config, iterations=CODEBOOK_ITERATIONS, seed=seed)
     return latents, books, [rvq_encode(lf, books) for lf in latents]
 
@@ -63,10 +60,9 @@ def test_whole_corpus_arrays_equal_the_per_sequence_construction(d, share_first_
             got = make_corpus(n, T, config, seed=seed, share_first_frame=share_first_frame)
             latents, books, grids = _per_sequence_corpus(n, T, config, seed, share_first_frame)
             case = (n, T, seed, M)
-            assert all(np.array_equal(a.frames, b.frames)
-                       for a, b in zip(got.latents, latents)), case
-            assert all(np.array_equal(a.centroids, b.centroids)
-                       for a, b in zip(got.codebooks, books)), case
+            assert got.latents.shape == (n, T, d) and got.codebooks.shape == (3, M, d), case
+            assert all(np.array_equal(a, b) for a, b in zip(got.latents, latents)), case
+            assert np.array_equal(got.codebooks, books), case
             assert len(got.grids) == n and all(g.tokens.shape == (T, 3) for g in got.grids)
             if T > 1 or not share_first_frame:
                 assert all(np.array_equal(a.tokens, b.tokens)
@@ -74,7 +70,7 @@ def test_whole_corpus_arrays_equal_the_per_sequence_construction(d, share_first_
             else:
                 for a, b in zip(got.grids, grids):
                     np.testing.assert_allclose(
-                        rvq_decode(a, books).frames, rvq_decode(b, books).frames,
+                        rvq_decode(a, books), rvq_decode(b, books),
                         rtol=0.0, atol=1e-14,
                     )
 
@@ -85,12 +81,14 @@ def test_make_corpus_rejects_empty_shapes_before_drawing(monkeypatch, n, T, name
     def no_draws(*args):
         raise AssertionError("latents drawn for an invalid shape")
 
-    monkeypatch.setattr(corpus, "_ar1_latents", no_draws)
+    monkeypatch.setattr(corpus, "synth_latents", no_draws)
     with pytest.raises(ValidationError, match=name):
         make_corpus(n, T, RVQConfig(K=1, M=1, d_latent=2))
 
 
 def test_synth_latents_equal_the_per_step_walk():
     for T, d, seed in itertools.product((1, 2, 24, 50), (1, 4, 8), (0, 7)):
-        assert np.array_equal(synth_latents(T, d, seed).frames,
-                              _per_step_latents(T, d, seed).frames)
+        # one seed per walk: each walk of a batch is the walk its seed gives alone
+        want = np.stack([_per_step_latents(T, d, s) for s in (seed, seed + 3)])
+        assert np.array_equal(synth_latents(T, d, [seed, seed + 3]), want)
+        assert np.array_equal(synth_latents(T, d, [seed])[0], want[0])

@@ -17,7 +17,7 @@ from tokenweave.oracle import (
     tv_distance,
 )
 from tokenweave.patterns import STEREO_KINDS, PatternKind, build_pattern, pattern_from_json
-from tokenweave.rvq import LatentFrames, RVQConfig, rvq_encode, train_codebooks
+from tokenweave.rvq import RVQConfig, rvq_encode, train_codebooks
 
 FAMILIES = ("product", "diagonal", "markov_residual")
 
@@ -525,14 +525,14 @@ def reference_markov_residual_table(T, K, M, seed):
     path[0] = rng.choice(n_states, p=init)
     for t in range(1, len(path)):
         path[t] = rng.choice(n_states, p=trans[path[t - 1]])
-    frames = LatentFrames(frames=values[path][:, None])
-    books, _ = train_codebooks(frames, RVQConfig(K=K, M=M, d_latent=1), iterations=30, seed=seed)
+    books, _ = train_codebooks(values[path][:, None], RVQConfig(K=K, M=M, d_latent=1),
+                               iterations=30, seed=seed)
     probs = np.zeros(M ** (T * K))
     for states in np.ndindex(*(n_states,) * T):
         p = init[states[0]]
         for a, b in zip(states, states[1:]):
             p *= trans[a, b]
-        grid = rvq_encode(LatentFrames(frames=values[list(states)][:, None]), books)
+        grid = rvq_encode(values[list(states)][:, None], books)
         idx = 0
         for digit in (grid.tokens - 1).reshape(-1):  # row-major over (t, k)
             idx = idx * M + int(digit)

@@ -9,8 +9,6 @@ from tokenweave.errors import ValidationError
 from tokenweave.oracle import make_joint
 from tokenweave.patterns import TokenGrid
 from tokenweave.rvq import (
-    Codebook,
-    LatentFrames,
     RVQConfig,
     residual_energy_profile,
     rvq_decode,
@@ -21,22 +19,22 @@ from tokenweave.rvq import (
 
 
 def test_synth_latents_deterministic():
-    a = synth_latents(100, 8, seed=1)
-    b = synth_latents(100, 8, seed=1)
-    assert np.array_equal(a.frames, b.frames)
-    c = synth_latents(100, 8, seed=2)
-    assert not np.array_equal(a.frames, c.frames)
+    a = synth_latents(100, 8, [1])[0]
+    b = synth_latents(100, 8, [1])[0]
+    assert np.array_equal(a, b)
+    c = synth_latents(100, 8, [2])[0]
+    assert not np.array_equal(a, c)
 
 
 def test_corpus_latents_are_the_per_seed_walks():
     # without share_first_frame, sequence i is synth_latents at seed + i
     corpus = make_corpus(6, 20, RVQConfig(K=2, M=8, d_latent=3), seed=11)
     for i, latents in enumerate(corpus.latents):
-        assert np.array_equal(latents.frames, synth_latents(20, 3, seed=11 + i).frames)
+        assert np.array_equal(latents, synth_latents(20, 3, [11 + i])[0])
 
 
 def test_synth_latents_lag1_autocorrelation():
-    frames = synth_latents(10000, 4, seed=7).frames
+    frames = synth_latents(10000, 4, [7])[0]
     for dim in range(4):
         x = frames[:, dim]
         x = x - x.mean()
@@ -45,31 +43,36 @@ def test_synth_latents_lag1_autocorrelation():
 
 
 def test_synth_latents_single_frame():
-    f = synth_latents(1, 1, seed=0)
-    assert f.frames.shape == (1, 1)
-    assert np.isfinite(f.frames).all()
+    f = synth_latents(1, 1, [0])[0]
+    assert f.shape == (1, 1)
+    assert np.isfinite(f).all()
 
 
 def test_synth_latents_rejects_bad_T():
     with pytest.raises(ValidationError):
-        synth_latents(0, 4, seed=0)
+        synth_latents(0, 4, [0])
+
+
+@pytest.mark.parametrize("T,d,seeds", [(3, 0, [0]), (3, 4, []), (3, 4, range(5, 5))])
+def test_synth_latents_rejects_zero_width_and_no_seeds(T, d, seeds):
+    with pytest.raises(ValidationError, match="must be >= 1"):
+        synth_latents(T, d, seeds)
 
 
 def test_kmeans_fixed_point_on_distinct_vectors():
     rng = np.random.default_rng(5)
     pts = rng.normal(size=(16, 3)) * 10.0
-    frames = LatentFrames(frames=pts)
     cfg = RVQConfig(K=1, M=16, d_latent=3)
-    books, _ = train_codebooks(frames, cfg, iterations=10, seed=0)
-    got = books[0].centroids
+    books, _ = train_codebooks(pts, cfg, iterations=10, seed=0)
+    assert books.shape == (1, 16, 3)
     # centroids are a permutation of the input vectors, quantization error 0
-    assert sorted(map(tuple, got.tolist())) == sorted(map(tuple, pts.tolist()))
-    profile = residual_energy_profile(frames, books)
+    assert sorted(map(tuple, books[0].tolist())) == sorted(map(tuple, pts.tolist()))
+    profile = residual_energy_profile(pts, books)
     assert profile[1] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_kmeans_objective_nonincreasing_in_iterations():
-    frames = synth_latents(512, 4, seed=3)
+    frames = synth_latents(512, 4, [3])[0]
     cfg = RVQConfig(K=1, M=16, d_latent=4)
     errors = []
     for iters in (1, 2, 5, 10, 20):
@@ -79,31 +82,29 @@ def test_kmeans_objective_nonincreasing_in_iterations():
 
 
 def test_train_codebooks_deterministic():
-    frames = synth_latents(256, 4, seed=0)
+    frames = synth_latents(256, 4, [0])[0]
     cfg = RVQConfig(K=3, M=8, d_latent=4)
     a, _ = train_codebooks(frames, cfg, iterations=5, seed=9)
     b, _ = train_codebooks(frames, cfg, iterations=5, seed=9)
-    for x, y in zip(a, b):
-        assert np.array_equal(x.centroids, y.centroids)
+    assert np.array_equal(a, b)
 
 
 def test_train_codebooks_insufficient_data():
-    frames = synth_latents(4, 2, seed=0)
+    frames = synth_latents(4, 2, [0])[0]
     with pytest.raises(ValidationError, match="insufficient"):
         train_codebooks(frames, RVQConfig(K=1, M=8, d_latent=2))
 
 
 def test_encode_nearest_neighbor_of_centroid_is_itself():
-    book = Codebook(centroids=np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]]))
-    frames = LatentFrames(frames=np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]]))
-    grid = rvq_encode(frames, [book])
+    book = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    frames = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
+    grid = rvq_encode(frames, book[None])
     assert grid.tokens[:, 0].tolist() == [2, 3, 1]
 
 
 def test_encode_zero_frames_with_zero_centroid_first():
-    book = Codebook(centroids=np.array([[0.0], [5.0], [-5.0]]))
-    frames = LatentFrames(frames=np.zeros((4, 1)))
-    grid = rvq_encode(frames, [book])
+    book = np.array([[0.0], [5.0], [-5.0]])
+    grid = rvq_encode(np.zeros((4, 1)), book[None])
     assert grid.tokens[:, 0].tolist() == [1, 1, 1, 1]
 
 
@@ -113,14 +114,14 @@ def test_encode_idempotent_on_code_lattice():
     # assert that margin precondition before the roundtrip check
     rng = np.random.default_rng(2)
     scales = [100.0, 1.0, 0.01]
-    books = [Codebook(centroids=s * rng.normal(size=(8, 4))) for s in scales]
+    books = np.stack([s * rng.normal(size=(8, 4)) for s in scales])
     for k in range(2):
-        c = books[k].centroids
+        c = books[k]
         gaps = np.linalg.norm(c[:, None, :] - c[None, :, :], axis=-1)
         np.fill_diagonal(gaps, np.inf)
-        tail = sum(np.linalg.norm(b.centroids, axis=1).max() for b in books[k + 1 :])
+        tail = sum(np.linalg.norm(b, axis=1).max() for b in books[k + 1 :])
         assert gaps.min() > 2.0 * tail
-    frames = LatentFrames(frames=100.0 * rng.normal(size=(200, 4)))
+    frames = 100.0 * rng.normal(size=(200, 4))
     g1 = rvq_encode(frames, books)
     g2 = rvq_encode(rvq_decode(g1, books), books)
     assert np.array_equal(g1.tokens, g2.tokens)
@@ -128,7 +129,7 @@ def test_encode_idempotent_on_code_lattice():
 
 def test_encode_idempotent_single_stage_any_corpus():
     # with one stage the reconstruction IS a centroid, so re-encoding is exact
-    frames = synth_latents(500, 4, seed=2)
+    frames = synth_latents(500, 4, [2])[0]
     books, _ = train_codebooks(frames, RVQConfig(K=1, M=16, d_latent=4), iterations=15, seed=4)
     g1 = rvq_encode(frames, books)
     g2 = rvq_encode(rvq_decode(g1, books), books)
@@ -136,35 +137,35 @@ def test_encode_idempotent_single_stage_any_corpus():
 
 
 def test_decode_constant_tokens():
-    book = Codebook(centroids=np.array([[1.0, 2.0], [7.0, -1.0]]))
+    book = np.array([[1.0, 2.0], [7.0, -1.0]])
     grid = TokenGrid(tokens=np.full((5, 1), 2), M=2)
-    out = rvq_decode(grid, [book])
-    assert np.allclose(out.frames, [7.0, -1.0])
+    out = rvq_decode(grid, book[None])
+    assert np.allclose(out, [7.0, -1.0])
 
 
 def test_decode_empty_grid():
-    book = Codebook(centroids=np.array([[0.0]]))
+    book = np.array([[0.0]])
     grid = TokenGrid(tokens=np.zeros((0, 1), dtype=int), M=1)
-    assert rvq_decode(grid, [book]).T == 0
+    assert rvq_decode(grid, book[None]).shape == (0, 1)
 
 
 def test_decode_rejects_oversized_vocab():
-    book = Codebook(centroids=np.array([[0.0], [1.0]]))
+    book = np.array([[0.0], [1.0]])
     grid = TokenGrid(tokens=np.array([[3]]), M=3)
     with pytest.raises(ValidationError):
-        rvq_decode(grid, [book])
+        rvq_decode(grid, book[None])
 
 
 def test_reconstruction_error_improves_with_stages():
-    frames = synth_latents(400, 6, seed=8)
+    frames = synth_latents(400, 6, [8])[0]
     cfg = RVQConfig(K=4, M=12, d_latent=6)
     books, _ = train_codebooks(frames, cfg, iterations=15, seed=8)
     grid = rvq_encode(frames, books)
     errs = []
     for k in range(1, 5):
         partial = TokenGrid(tokens=grid.tokens[:, :k], M=grid.M)
-        recon = rvq_decode(partial, books[:k]).frames
-        errs.append(float(np.mean(np.sum((frames.frames - recon) ** 2, axis=1))))
+        recon = rvq_decode(partial, books[:k])
+        errs.append(float(np.mean(np.sum((frames - recon) ** 2, axis=1))))
     assert all(b <= a + 1e-12 for a, b in zip(errs, errs[1:]))
 
 
@@ -262,15 +263,14 @@ def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
     # either sum of n terms is off by at most n * eps * max|x|
     for points, M, seed in _kmeans_inputs(1):
         points = np.tanh(points) * 2.0  # within the oracle's [-2, 2] latents
-        frames = LatentFrames(frames=points)
         bound = len(points) * np.finfo(np.float64).eps * np.abs(points).max()
         for cap in CAPS:
             got, _ = rvq._kmeans(points, M, cap, np.random.default_rng(seed))
             want = _reference_kmeans(points, M, cap, np.random.default_rng(seed))
             np.testing.assert_allclose(got, want, rtol=0.0, atol=bound)
             assert np.array_equal(
-                rvq_encode(frames, [Codebook(centroids=got)]).tokens,
-                rvq_encode(frames, [Codebook(centroids=want)]).tokens,
+                rvq_encode(points, got[None]).tokens,
+                rvq_encode(points, want[None]).tokens,
             )
 
 
@@ -292,12 +292,11 @@ def test_markov_residual_tables_equal_the_per_cluster_mean_fit(monkeypatch, T, K
 def test_fit_codes_equal_an_encode_bitwise(d):
     # a 3-stage cascade over fixed-point stops, cap stops and empty-cluster reseeds
     for points, M, seed in _kmeans_inputs(d):
-        frames = LatentFrames(frames=points)
         for cap in CAPS:
             config = RVQConfig(K=3, M=M, d_latent=d)
-            books, codes = train_codebooks(frames, config, iterations=cap, seed=seed)
+            books, codes = train_codebooks(points, config, iterations=cap, seed=seed)
             assert codes.dtype == np.int64
-            assert np.array_equal(codes, rvq_encode(frames, books).tokens), (seed, M, cap)
+            assert np.array_equal(codes, rvq_encode(points, books).tokens), (seed, M, cap)
 
 
 @pytest.mark.parametrize("T,K,M,seed", MARKOV_SHAPES)
@@ -371,7 +370,7 @@ def test_make_corpus_searches_each_code_once(monkeypatch, n, T, config, share, s
     )
     # none after the fit: its codes are the grids
     assert at_fit_end == [total] and total == searches
-    points = np.vstack([latents.frames for latents in built.latents])
+    points = built.latents.reshape(-1, config.d_latent)
     assert total == _reference_searches(points, config, corpus.CODEBOOK_ITERATIONS, seed=1)
 
 
@@ -406,7 +405,7 @@ def _updates_before_labels_repeat(monkeypatch, points, M, seed):
     [
         # the continue_short corpus: 16 sequences of 24 frames, M=64, 20 iterations
         *[
-            (np.vstack([synth_latents(24, 4, seed=s + i).frames for i in range(16)]), 64, 20)
+            (np.vstack([synth_latents(24, 4, [s + i])[0] for i in range(16)]), 64, 20)
             for s in (7, 11, 12)
         ],
         # the oracle's fit: 4,096 one-dim frames of 8 values, 30 iterations
