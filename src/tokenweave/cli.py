@@ -221,6 +221,11 @@ def cmd_exactness(args) -> int:
     report_t0 = time.perf_counter()
     rows = exactness_report(joint, patterns)
     report_s = time.perf_counter() - report_t0
+    for row in rows:
+        if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:
+            raise InvariantError(
+                f"flatten pattern induced TV {row.tv}; the exact decomposition broke"
+            )
 
     csv_path = _out_dir(args) / "exactness.csv"
     lines = ["pattern,steps_exact,steps_nominal,tv"]
@@ -231,12 +236,6 @@ def cmd_exactness(args) -> int:
     print("\n".join(lines))
     timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6)}
     _write_manifest(args, [csv_path], t0, timings, tv={row.kind: row.tv for row in rows})
-
-    for row in rows:
-        if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:
-            raise InvariantError(
-                f"flatten pattern induced TV {row.tv}; the exact decomposition broke"
-            )
     return EXIT_OK
 
 

@@ -21,6 +21,14 @@ step s's leading axes; entries stay within 1e-15 of whole-table sums. Where a
 within-step-factorized sampler reaches a prefix outside the joint's support,
 the ratio is undefined and induced_distribution uses the maximum-entropy 1/M.
 A report shares one chain of prefix laws among the patterns of one reveal order.
+
+A report needs each induced law Q only on the joint's support: its TV is
+sum over supp P of max(P - Q, 0), which equals 0.5 * sum |P - Q| because both
+laws sum to 1. Every prefix has mass there, so the 1/M fill is never read.
+When |supp P| * T * K <= M**(T*K), the report reads each factor at the support
+grids with one gather from the chain, the gather indices and prefix masses
+cached beside it; otherwise it builds the whole table. The gathered entries
+equal the whole table's bit for bit.
 """
 
 from __future__ import annotations
@@ -157,7 +165,7 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
     a the step reveals, R_s being the positions revealed before the step, with
     1/M wherever P(x_{R_s}) = 0.
     """
-    return _induced_law(joint, pattern, {})
+    return JointDistribution(T=joint.T, K=joint.K, M=joint.M, probs=_induced_law(joint, pattern, {}))
 
 
 def _reveal_chain(joint: JointDistribution, last_first: np.ndarray) -> list[np.ndarray]:
@@ -169,9 +177,15 @@ def _reveal_chain(joint: JointDistribution, last_first: np.ndarray) -> list[np.n
 
 
 def _induced_law(
-    joint: JointDistribution, pattern: Pattern, chains: dict[bytes, list[np.ndarray]]
-) -> JointDistribution:
-    """induced_distribution, its chain looked up by reveal order in chains."""
+    joint: JointDistribution,
+    pattern: Pattern,
+    chains: dict[bytes, tuple],
+    support: np.ndarray | None = None,
+) -> np.ndarray:
+    """induced_distribution's flat table, its chain looked up by reveal order
+    in chains. Given support (sorted flat grid indices), only the table's
+    entries there: the same product of the same quotients, each read with one
+    gather. One chains dict serves one support."""
     if (pattern.T, pattern.K) != (joint.T, joint.K):
         raise ValidationError(
             f"pattern is {pattern.T}x{pattern.K} but joint is {joint.T}x{joint.K}"
@@ -181,23 +195,40 @@ def _induced_law(
     last_first = np.argsort(steps, kind="stable")[::-1]
     key = last_first.tobytes()
     if key not in chains:
-        chains[key] = _reveal_chain(joint, last_first)
-    prefix = chains[key]
-    law, r = np.ones(()), 0
+        prefix = _reveal_chain(joint, last_first)
+        chains[key] = prefix, None if support is None else _chain_at(prefix, last_first, support)
+    prefix, at = chains[key]
+    law, r = np.ones(() if support is None else len(support)), 0
     for n in np.bincount(steps)[1:].tolist():
         given, step_law = prefix[r], prefix[r + n]
-        held = given > 0.0
-        all_held = held.all()
+        if support is None:
+            held = given > 0.0
+            all_held = held.all()
         for lead in range(n - 1, -1, -1):  # the step's positions in ascending order
             others = tuple(ax for ax in range(n) if ax != lead)
             both = step_law.sum(axis=others, keepdims=True) if others else step_law
-            if all_held:  # the same quotients, without laying out the 1/M fill
+            if support is not None:  # every prefix has mass on P's support
+                coords, index, mass = at
+                a = last_first[len(steps) - r - n + lead]  # the position at axis lead
+                both_at = both.take(coords[a] * M**r + index[r]) if others else mass[r + 1]
+                law = law * (both_at / mass[r])
+            elif all_held:  # the same quotients, without laying out the 1/M fill
                 law = law * (both / given)
             else:
                 law = law * np.divide(both, given, out=np.full(both.shape, 1.0 / M), where=held)
         r += n
-    probs = law.transpose(np.argsort(last_first)).ravel()
-    return JointDistribution(T=joint.T, K=joint.K, M=M, probs=probs)
+    return law if support is not None else law.transpose(np.argsort(last_first)).ravel()
+
+
+def _chain_at(prefix: list[np.ndarray], last_first: np.ndarray, support: np.ndarray) -> tuple:
+    """(coords, index, mass) at each support grid: coords[a] its token at
+    position a, index[j] its flat index into prefix[j], mass[j] prefix[j] there."""
+    shape = prefix[-1].shape  # (M,) * N, as the grid's own
+    coords = np.unravel_index(support, shape)
+    index = [np.zeros(len(support), dtype=np.int64)]
+    for j, a in enumerate(last_first[::-1].tolist()):  # prefix[j + 1] leads with a
+        index.append(coords[a] * shape[0] ** j + index[j])
+    return coords, index, [given.take(i) for given, i in zip(prefix, index)]
 
 
 def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
@@ -218,13 +249,32 @@ class ExactnessRow:
 
 
 def exactness_report(joint: JointDistribution, patterns: Iterable[Pattern]) -> list[ExactnessRow]:
-    """One row per pattern: step counts plus TV between the induced law and
-    the joint. The flatten row is exact by construction (TV within rounding,
-    at most 1e-12)."""
+    """One row per pattern: step counts plus TV between the induced law Q and
+    the joint P. The flatten row is exact by construction (TV within rounding,
+    at most 1e-12).
+
+    TV is taken on P's support as sum max(P - Q, 0), which equals
+    0.5 * sum |P - Q| because both laws sum to 1. Q is gathered there when
+    |supp P| * T * K <= M**(T*K), and laid out whole otherwise: a gather
+    reads every prefix at every support grid, a whole table builds M**(T*K)
+    entries at every step.
+    """
+    held = joint.probs > 0.0
+    count = np.count_nonzero(held)
+    gather = np.flatnonzero(held) if count * joint.n_positions <= held.size else None
+    whole = count == held.size  # then P and each whole Q are read without a copy
+    p = joint.probs if whole else joint.probs[held]
     rows, chains = [], {}
     for pattern in patterns:
         counts = step_counts(pattern)
-        tv = tv_distance(joint, _induced_law(joint, pattern, chains))
+        q = checked_array(_induced_law(joint, pattern, chains, gather), "induced probabilities", 1, low=0)
+        if gather is None and not whole:
+            q = q[held]
+        if not q.sum() <= 1.0 + MASS_TOL:
+            raise ValidationError(f"induced probabilities sum to {q.sum()!r} on the joint's support, above 1")
+        gap = p - q
+        tv = float(np.maximum(gap, 0.0, out=gap).sum())
+        del q, gap  # freed before the next law is laid out
         kind = pattern.kind.value if pattern.kind is not None else "custom"
         rows.append(ExactnessRow(kind=kind, steps_exact=counts.exact, steps_nominal=counts.nominal, tv=tv))
     return rows

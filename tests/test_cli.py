@@ -559,6 +559,9 @@ def test_flatten_self_check_invariant_exit_5(tmp_path, monkeypatch):
     code = cli_mod.main(["exactness", "--family", "product", "--T", "1", "--K", "2",
                          "--M", "2", "--patterns", "flatten", "--out", str(tmp_path / "o")])
     assert code == 5
+    # the check runs before any write, so no complete-looking run is left
+    assert not (tmp_path / "o" / "exactness.csv").exists()
+    assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 def test_family_choices_are_the_oracle_families():

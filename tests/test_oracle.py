@@ -348,11 +348,72 @@ def test_exactness_report_rows_equal_per_pattern_laws_bitwise():
         rng.shuffle(patterns)
         rows = exactness_report(joint, patterns)
         assert [r.kind for r in rows] == [p.kind.value if p.kind else "custom" for p in patterns]
+        support = np.flatnonzero(joint.probs)
         for pattern, row in zip(patterns, rows):
             law = induced_distribution(joint, pattern)
             case = (family, T, K, M, seed, row.kind)
             assert law.probs.tobytes() == masked_induced(joint, pattern).tobytes(), case
-            assert row.tv.hex() == tv_distance(joint, law).hex(), case
+            on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
+            assert row.tv.hex() == float(on_support).hex(), case
+            assert abs(row.tv - tv_distance(joint, law)) <= 1e-14, case
+
+
+def test_gathered_law_equals_whole_table_on_support_bitwise():
+    # each gathered entry is the same product of the same quotients as the
+    # whole table's, whichever path exactness_report would pick
+    for family, T, K, M, seed, joint, kinds in sweep_joints():
+        support = np.flatnonzero(joint.probs)
+        for kind in kinds:
+            pattern = build_pattern(kind, T, K)
+            got = oracle._induced_law(joint, pattern, {}, support)
+            want = induced_distribution(joint, pattern).probs[support]
+            assert got.tobytes() == want.tobytes(), (family, T, K, M, seed, kind.value)
+
+
+@pytest.mark.parametrize("kept,gathers", [(0.02, True), (0.5, False)])
+def test_exactness_report_path_follows_support_size(monkeypatch, kept, gathers):
+    # a (2,4,3) joint with all but a share of its grids zeroed: 2% of them
+    # times T*K = 8 stays under the 6,561 entries, half of them does not
+    T, K, M = 2, 4, 3
+    rng = np.random.default_rng(5)
+    probs = rng.random(M ** (T * K)) * (rng.random(M ** (T * K)) < kept)
+    joint = JointDistribution(T=T, K=K, M=M, probs=probs / probs.sum())
+    supports, induced_law = [], oracle._induced_law
+
+    def spied(joint, pattern, chains, support=None):
+        supports.append(support)
+        return induced_law(joint, pattern, chains, support)
+
+    monkeypatch.setattr(oracle, "_induced_law", spied)
+    patterns = [build_pattern(kind, T, K) for kind in PatternKind]
+    rows = exactness_report(joint, patterns)
+    assert [s is not None for s in supports] == [gathers] * len(patterns)
+    support = np.flatnonzero(probs)
+    for pattern, row in zip(patterns, rows):
+        law = induced_distribution(joint, pattern)
+        on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
+        assert row.tv.hex() == float(on_support).hex(), row.kind
+        assert abs(row.tv - tv_distance(joint, law)) <= 1e-14, row.kind
+
+
+CORRUPTIONS = {
+    "sum to": lambda q: q * 1.01,
+    "finite": lambda q: np.where(q == q.max(), np.nan, q),
+    ">= 0": lambda q: np.where(q == q.max(), -q, q),
+}
+
+
+@pytest.mark.parametrize("gathers", [True, False])
+@pytest.mark.parametrize("message", list(CORRUPTIONS))
+def test_exactness_report_checks_each_law(monkeypatch, gathers, message):
+    # the report holds each law as a bare array, gathered on the sparse
+    # markov joint and whole on the dense product joint; it checks it as a
+    # JointDistribution would
+    joint = make_joint("markov_residual" if gathers else "product", 2, 4, 3)
+    law = oracle._induced_law
+    monkeypatch.setattr(oracle, "_induced_law", lambda *args: CORRUPTIONS[message](law(*args)))
+    with pytest.raises(ValidationError, match=message):
+        exactness_report(joint, [build_pattern(PatternKind.DELAY, 2, 4)])
 
 
 @pytest.mark.parametrize("T,K,orders", [(2, 4, 4), (3, 4, 4), (2, 2, 2)])
