@@ -234,7 +234,9 @@ def cmd_exactness(args) -> int:
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{tv:.12g}")
     csv_path.write_text("\n".join(lines) + "\n")
     print("\n".join(lines))
-    timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6)}
+    # support, the grids with P > 0, tells which path the report took (see exactness_report)
+    timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6),
+               "support": int(np.count_nonzero(joint.probs))}
     _write_manifest(args, [csv_path], t0, timings, tv={row.kind: row.tv for row in rows})
     return EXIT_OK
 

@@ -20,15 +20,18 @@ is the next one summed over its leading axis, and P(x_{R_s}, x_a) sums only
 step s's leading axes; entries stay within 1e-15 of whole-table sums. Where a
 within-step-factorized sampler reaches a prefix outside the joint's support,
 the ratio is undefined and induced_distribution uses the maximum-entropy 1/M.
-A report shares one chain of prefix laws among the patterns of one reveal order.
+A report that builds whole tables shares one chain of prefix laws among the
+patterns of one reveal order.
 
 A report needs each induced law Q only on the joint's support: its TV is
 sum over supp P of max(P - Q, 0), which equals 0.5 * sum |P - Q| because both
 laws sum to 1. Every prefix has mass there, so the 1/M fill is never read.
-When |supp P| * T * K <= M**(T*K), the report reads each factor at the support
-grids with one gather from the chain, the gather indices and prefix masses
-cached beside it; otherwise it builds the whole table. The gathered entries
-equal the whole table's bit for bit.
+When |supp P| * T * K <= M**(T*K), the report builds no chain: it keeps one
+cache of support marginals, P(x_A) at each support grid keyed by the bitmask
+of position set A, each computed once by one bincount over the support and
+shared by every pattern, and multiplies each law's factors from it. Those
+sums run over the support grids in index order, so the law stays within
+1e-15 of the whole table's there. Otherwise it builds the whole table.
 """
 
 from __future__ import annotations
@@ -165,7 +168,22 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
     a the step reveals, R_s being the positions revealed before the step, with
     1/M wherever P(x_{R_s}) = 0.
     """
+    _check_shape(joint, pattern)
     return JointDistribution(T=joint.T, K=joint.K, M=joint.M, probs=_induced_law(joint, pattern, {}))
+
+
+def _check_shape(joint: JointDistribution, pattern: Pattern) -> None:
+    if (pattern.T, pattern.K) != (joint.T, joint.K):
+        raise ValidationError(
+            f"pattern is {pattern.T}x{pattern.K} but joint is {joint.T}x{joint.K}"
+        )
+
+
+def _reveal_steps(pattern: Pattern) -> tuple[np.ndarray, list[int]]:
+    """The flat positions in reveal order, ascending within a step, and how
+    many positions each step reveals."""
+    steps = pattern.step.ravel()
+    return np.argsort(steps, kind="stable"), np.bincount(steps)[1:].tolist()
 
 
 def _reveal_chain(joint: JointDistribution, last_first: np.ndarray) -> list[np.ndarray]:
@@ -176,59 +194,64 @@ def _reveal_chain(joint: JointDistribution, last_first: np.ndarray) -> list[np.n
     return prefix
 
 
-def _induced_law(
-    joint: JointDistribution,
-    pattern: Pattern,
-    chains: dict[bytes, tuple],
-    support: np.ndarray | None = None,
-) -> np.ndarray:
+def _induced_law(joint: JointDistribution, pattern: Pattern, chains: dict[bytes, list]) -> np.ndarray:
     """induced_distribution's flat table, its chain looked up by reveal order
-    in chains. Given support (sorted flat grid indices), only the table's
-    entries there: the same product of the same quotients, each read with one
-    gather. One chains dict serves one support."""
-    if (pattern.T, pattern.K) != (joint.T, joint.K):
-        raise ValidationError(
-            f"pattern is {pattern.T}x{pattern.K} but joint is {joint.T}x{joint.K}"
-        )
-
-    M, steps = joint.M, pattern.step.ravel()
-    last_first = np.argsort(steps, kind="stable")[::-1]
+    in chains."""
+    order, counts = _reveal_steps(pattern)
+    last_first = order[::-1]
     key = last_first.tobytes()
     if key not in chains:
-        prefix = _reveal_chain(joint, last_first)
-        chains[key] = prefix, None if support is None else _chain_at(prefix, last_first, support)
-    prefix, at = chains[key]
-    law, r = np.ones(() if support is None else len(support)), 0
-    for n in np.bincount(steps)[1:].tolist():
+        chains[key] = _reveal_chain(joint, last_first)
+    prefix = chains[key]
+    law, r = np.ones(()), 0
+    for n in counts:
         given, step_law = prefix[r], prefix[r + n]
-        if support is None:
-            held = given > 0.0
-            all_held = held.all()
+        held = given > 0.0
+        all_held = held.all()
         for lead in range(n - 1, -1, -1):  # the step's positions in ascending order
             others = tuple(ax for ax in range(n) if ax != lead)
             both = step_law.sum(axis=others, keepdims=True) if others else step_law
-            if support is not None:  # every prefix has mass on P's support
-                coords, index, mass = at
-                a = last_first[len(steps) - r - n + lead]  # the position at axis lead
-                both_at = both.take(coords[a] * M**r + index[r]) if others else mass[r + 1]
-                law = law * (both_at / mass[r])
-            elif all_held:  # the same quotients, without laying out the 1/M fill
+            if all_held:  # the same quotients, without laying out the 1/M fill
                 law = law * (both / given)
             else:
-                law = law * np.divide(both, given, out=np.full(both.shape, 1.0 / M), where=held)
+                law = law * np.divide(both, given, out=np.full(both.shape, 1.0 / joint.M), where=held)
         r += n
-    return law if support is not None else law.transpose(np.argsort(last_first)).ravel()
+    return law.transpose(np.argsort(last_first)).ravel()
 
 
-def _chain_at(prefix: list[np.ndarray], last_first: np.ndarray, support: np.ndarray) -> tuple:
-    """(coords, index, mass) at each support grid: coords[a] its token at
-    position a, index[j] its flat index into prefix[j], mass[j] prefix[j] there."""
-    shape = prefix[-1].shape  # (M,) * N, as the grid's own
-    coords = np.unravel_index(support, shape)
-    index = [np.zeros(len(support), dtype=np.int64)]
-    for j, a in enumerate(last_first[::-1].tolist()):  # prefix[j + 1] leads with a
-        index.append(coords[a] * shape[0] ** j + index[j])
-    return coords, index, [given.take(i) for given, i in zip(prefix, index)]
+def _support_law(
+    pattern: Pattern, p: np.ndarray, coords: np.ndarray, M: int, marginals: dict[int, np.ndarray]
+) -> np.ndarray:
+    """The induced law at P's support grids, p their masses and coords[a]
+    their 0-based tokens at position a: per step, and per position a the
+    step reveals in ascending order, the factor P(x_{R_s ∪ {a}}) / P(x_{R_s}).
+    Each marginal is read from marginals, keyed by the bitmask of its
+    position set, and computed there on first use; one marginals dict serves
+    one support."""
+
+    def at(positions: int) -> np.ndarray:
+        if positions not in marginals:
+            marginals[positions] = _support_marginal(p, coords, positions, M)
+        return marginals[positions]
+
+    order, counts = _reveal_steps(pattern)
+    law, revealed, r = np.ones(len(p)), 0, 0
+    for n in counts:
+        given, step = at(revealed), order[r : r + n].tolist()
+        for a in step:
+            law *= at(revealed | 1 << a) / given
+        revealed |= sum(1 << a for a in step)
+        r += n
+    return law
+
+
+def _support_marginal(p: np.ndarray, coords: np.ndarray, positions: int, M: int) -> np.ndarray:
+    """P(x_A) at each support grid, A the positions whose bits are set: one
+    bincount of p by each grid's index among the values x_A takes (its
+    tokens at A in ascending position order, read as base-M digits)."""
+    axes = [a for a in range(len(coords)) if positions >> a & 1]
+    key = M ** np.arange(len(axes) - 1, -1, -1) @ coords[axes]
+    return np.bincount(key, weights=p).take(key)
 
 
 def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
@@ -254,21 +277,31 @@ def exactness_report(joint: JointDistribution, patterns: Iterable[Pattern]) -> l
     at most 1e-12).
 
     TV is taken on P's support as sum max(P - Q, 0), which equals
-    0.5 * sum |P - Q| because both laws sum to 1. Q is gathered there when
-    |supp P| * T * K <= M**(T*K), and laid out whole otherwise: a gather
-    reads every prefix at every support grid, a whole table builds M**(T*K)
-    entries at every step.
+    0.5 * sum |P - Q| because both laws sum to 1. When
+    |supp P| * T * K <= M**(T*K), Q is built at the support grids only, each
+    factor read from one report-wide cache of support marginals P(x_A), keyed
+    by position set A and each computed once by one bincount over the
+    support. Otherwise Q is laid out whole from each reveal order's chain of
+    prefix laws, which the report builds once per order: on a dense support,
+    sums over the table's leading axes beat one bincount per marginal.
     """
     held = joint.probs > 0.0
     count = np.count_nonzero(held)
-    gather = np.flatnonzero(held) if count * joint.n_positions <= held.size else None
+    sparse = count * joint.n_positions <= held.size
     whole = count == held.size  # then P and each whole Q are read without a copy
     p = joint.probs if whole else joint.probs[held]
-    rows, chains = [], {}
+    if sparse:
+        coords = np.stack(np.unravel_index(np.flatnonzero(held), (joint.M,) * joint.n_positions))
+    rows, marginals, chains = [], {}, {}
     for pattern in patterns:
+        _check_shape(joint, pattern)
         counts = step_counts(pattern)
-        q = checked_array(_induced_law(joint, pattern, chains, gather), "induced probabilities", 1, low=0)
-        if gather is None and not whole:
+        if sparse:
+            q = _support_law(pattern, p, coords, joint.M, marginals)
+        else:
+            q = _induced_law(joint, pattern, chains)
+        q = checked_array(q, "induced probabilities", 1, low=0)
+        if not (sparse or whole):
             q = q[held]
         if not q.sum() <= 1.0 + MASS_TOL:
             raise ValidationError(f"induced probabilities sum to {q.sum()!r} on the joint's support, above 1")

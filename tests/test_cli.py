@@ -217,6 +217,15 @@ def test_exactness_manifest_times_the_report(tmp_path, capsys):
     assert set(manifest["tv"]) == {"parallel", "delay", "flatten"}
 
 
+@pytest.mark.parametrize("family,support", [("diagonal", 4), ("product", 16)])
+def test_exactness_manifest_records_the_support(tmp_path, capsys, family, support):
+    # the grids with P > 0, beside the report time they decide the path of
+    out = tmp_path / "exactness"
+    assert main(["exactness", "--family", family, "--T", "2", "--K", "2", "--M", "2",
+                 "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["timings"]["support"] == support
+
+
 def test_train_with_an_unusable_out_exits_4_before_the_corpus_fit(tmp_path, monkeypatch, capsys):
     import tokenweave.cli as cli_mod
 

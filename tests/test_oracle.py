@@ -335,11 +335,24 @@ def as_custom(pattern):
     return pattern_from_json(json.dumps({**doc, "kind": None}))
 
 
+def takes_support_path(joint):
+    """Whether exactness_report builds each law at P's support only."""
+    return np.count_nonzero(joint.probs) * joint.n_positions <= joint.probs.size
+
+
+def support_law(joint, pattern):
+    """The law exactness_report builds on the support path, at P's support."""
+    support = np.flatnonzero(joint.probs)
+    coords = np.stack(np.unravel_index(support, (joint.M,) * joint.n_positions))
+    return oracle._support_law(pattern, joint.probs[support], coords, joint.M, {})
+
+
 def test_exactness_report_rows_equal_per_pattern_laws_bitwise():
-    # patterns that share a reveal order share one chain inside the report;
-    # each row must still carry the TV of that pattern's own law, bit for bit,
-    # whatever order the patterns come in, and each law must equal the one
-    # the masked divide gives at every step
+    # patterns share one chain per reveal order, or one cache of support
+    # marginals, inside the report; each row must still carry the TV of that pattern's own law, bit for
+    # bit where the table path runs and within 1e-14 where the support path
+    # sums its marginals in another order, whatever order the patterns come
+    # in, and each law must equal the one the masked divide gives at every step
     rng = np.random.default_rng(3)
     for family, T, K, M, seed, joint, kinds in sweep_joints():
         patterns = [build_pattern(kind, T, K) for kind in kinds]
@@ -353,46 +366,85 @@ def test_exactness_report_rows_equal_per_pattern_laws_bitwise():
             law = induced_distribution(joint, pattern)
             case = (family, T, K, M, seed, row.kind)
             assert law.probs.tobytes() == masked_induced(joint, pattern).tobytes(), case
-            on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
-            assert row.tv.hex() == float(on_support).hex(), case
+            if not takes_support_path(joint):
+                on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
+                assert row.tv.hex() == float(on_support).hex(), case
             assert abs(row.tv - tv_distance(joint, law)) <= 1e-14, case
 
 
+def test_sparse_report_shares_marginals_without_leaking_between_patterns(monkeypatch):
+    # one marginals cache serves every pattern of a sparse report: each row
+    # must equal, bit for bit, the row of a report of its pattern alone, no
+    # position set may be computed twice, and no reveal chain is built
+    marginal, chain = oracle._support_marginal, oracle._reveal_chain
+    computed, chains = [], []
+
+    def spied_marginal(p, coords, positions, M):
+        computed.append(positions)
+        return marginal(p, coords, positions, M)
+
+    def spied_chain(*args):
+        chains.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(oracle, "_support_marginal", spied_marginal)
+    monkeypatch.setattr(oracle, "_reveal_chain", spied_chain)
+    rng = np.random.default_rng(4)
+    cases = 0
+    for family, T, K, M, seed, joint, kinds in sweep_joints():
+        if not takes_support_path(joint):
+            continue
+        patterns = [build_pattern(kind, T, K) for kind in kinds]
+        repeat, copy = rng.integers(len(patterns), size=2)
+        patterns += [patterns[repeat], as_custom(patterns[copy])]
+        rng.shuffle(patterns)
+        computed.clear()
+        rows = exactness_report(joint, patterns)
+        case = (family, T, K, M, seed)
+        assert computed and len(set(computed)) == len(computed), case
+        for pattern, row in zip(patterns, rows):
+            (alone,) = exactness_report(joint, [pattern])
+            assert row.tv.hex() == alone.tv.hex(), (*case, row.kind)
+        cases += 1
+    assert chains == [] and cases == 73
+
+
 def test_gathered_law_equals_whole_table_on_support_bitwise():
-    # each gathered entry is the same product of the same quotients as the
-    # whole table's, whichever path exactness_report would pick
+    # the support path sums each marginal over the support grids in index
+    # order and the whole table over its axes, so the two agree to rounding,
+    # not bitwise, with the same positive entries
     for family, T, K, M, seed, joint, kinds in sweep_joints():
         support = np.flatnonzero(joint.probs)
         for kind in kinds:
             pattern = build_pattern(kind, T, K)
-            got = oracle._induced_law(joint, pattern, {}, support)
+            got = support_law(joint, pattern)
             want = induced_distribution(joint, pattern).probs[support]
-            assert got.tobytes() == want.tobytes(), (family, T, K, M, seed, kind.value)
+            case = (family, T, K, M, seed, kind.value)
+            assert np.abs(got - want).max() <= 1e-15, case
+            assert np.array_equal(got > 0.0, want > 0.0), case
 
 
-@pytest.mark.parametrize("kept,gathers", [(0.02, True), (0.5, False)])
-def test_exactness_report_path_follows_support_size(monkeypatch, kept, gathers):
+@pytest.mark.parametrize("kept,sparse", [(0.02, True), (0.5, False)])
+def test_exactness_report_path_follows_support_size(monkeypatch, kept, sparse):
     # a (2,4,3) joint with all but a share of its grids zeroed: 2% of them
     # times T*K = 8 stays under the 6,561 entries, half of them does not
     T, K, M = 2, 4, 3
     rng = np.random.default_rng(5)
     probs = rng.random(M ** (T * K)) * (rng.random(M ** (T * K)) < kept)
     joint = JointDistribution(T=T, K=K, M=M, probs=probs / probs.sum())
-    supports, induced_law = [], oracle._induced_law
-
-    def spied(joint, pattern, chains, support=None):
-        supports.append(support)
-        return induced_law(joint, pattern, chains, support)
-
-    monkeypatch.setattr(oracle, "_induced_law", spied)
+    paths = []
+    for name in ("_support_law", "_induced_law"):
+        law = getattr(oracle, name)
+        monkeypatch.setattr(oracle, name, lambda *args, _law=law, _name=name: paths.append(_name) or _law(*args))
     patterns = [build_pattern(kind, T, K) for kind in PatternKind]
     rows = exactness_report(joint, patterns)
-    assert [s is not None for s in supports] == [gathers] * len(patterns)
+    assert paths == ["_support_law" if sparse else "_induced_law"] * len(patterns)
     support = np.flatnonzero(probs)
     for pattern, row in zip(patterns, rows):
         law = induced_distribution(joint, pattern)
-        on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
-        assert row.tv.hex() == float(on_support).hex(), row.kind
+        if not sparse:
+            on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
+            assert row.tv.hex() == float(on_support).hex(), row.kind
         assert abs(row.tv - tv_distance(joint, law)) <= 1e-14, row.kind
 
 
@@ -403,24 +455,47 @@ CORRUPTIONS = {
 }
 
 
-@pytest.mark.parametrize("gathers", [True, False])
+@pytest.mark.parametrize("sparse", [True, False])
 @pytest.mark.parametrize("message", list(CORRUPTIONS))
-def test_exactness_report_checks_each_law(monkeypatch, gathers, message):
-    # the report holds each law as a bare array, gathered on the sparse
-    # markov joint and whole on the dense product joint; it checks it as a
-    # JointDistribution would
-    joint = make_joint("markov_residual" if gathers else "product", 2, 4, 3)
-    law = oracle._induced_law
-    monkeypatch.setattr(oracle, "_induced_law", lambda *args: CORRUPTIONS[message](law(*args)))
+def test_exactness_report_checks_each_law(monkeypatch, sparse, message):
+    # the report holds each law as a bare array, built at the support on the
+    # sparse markov joint and whole on the dense product joint; it checks it
+    # as a JointDistribution would
+    joint = make_joint("markov_residual" if sparse else "product", 2, 4, 3)
+    helper = "_support_law" if sparse else "_induced_law"
+    law = getattr(oracle, helper)
+    monkeypatch.setattr(oracle, helper, lambda *args: CORRUPTIONS[message](law(*args)))
     with pytest.raises(ValidationError, match=message):
         exactness_report(joint, [build_pattern(PatternKind.DELAY, 2, 4)])
+
+
+@pytest.mark.parametrize("family", ["markov_residual", "product"])
+@pytest.mark.parametrize("T,K", [(3, 4), (2, 2)])
+def test_exactness_report_rejects_a_pattern_of_another_shape(monkeypatch, family, T, K):
+    # on both paths, before any token of the joint's support is looked up
+    joint = make_joint(family, 2, 4, 3)
+    assert takes_support_path(joint) == (family == "markov_residual")
+    monkeypatch.setattr(oracle, "_support_marginal", lambda *args: pytest.fail("marginal computed"))
+    with pytest.raises(ValidationError, match=f"pattern is {T}x{K} but joint is 2x4"):
+        exactness_report(joint, [build_pattern(PatternKind.DELAY, T, K)])
+
+
+def test_point_mass_joint_is_exact_for_every_kind():
+    T, K, M = 2, 4, 3
+    probs = np.zeros(M ** (T * K))
+    probs[1234] = 1.0
+    joint = JointDistribution(T=T, K=K, M=M, probs=probs)
+    assert takes_support_path(joint)
+    rows = exactness_report(joint, [build_pattern(kind, T, K) for kind in PatternKind])
+    assert [row.tv for row in rows] == [0.0] * len(PatternKind)
 
 
 @pytest.mark.parametrize("T,K,orders", [(2, 4, 4), (3, 4, 4), (2, 2, 2)])
 def test_exactness_report_builds_one_chain_per_reveal_order(monkeypatch, T, K, orders):
     # at K = 4, parallel, partial_delay, flatten, partial_flatten and
     # stereo_partial_delay all reveal row-major; delay, coarse_first and
-    # stereo_delay each have an order of their own
+    # stereo_delay each have an order of their own. The dense product joint
+    # takes the table path, the only one that builds chains.
     calls, chain = [], oracle._reveal_chain
 
     def counted(*args):
@@ -430,10 +505,8 @@ def test_exactness_report_builds_one_chain_per_reveal_order(monkeypatch, T, K, o
     monkeypatch.setattr(oracle, "_reveal_chain", counted)
     patterns = [build_pattern(kind, T, K) for kind in PatternKind]
     patterns += [as_custom(patterns[0]), build_pattern(PatternKind.DELAY, T, K)]
-    for family in FAMILIES:
-        calls.clear()
-        rows = exactness_report(make_joint(family, T, K, 2), patterns)
-        assert len(rows) == len(patterns) and len(calls) == orders, family
+    rows = exactness_report(make_joint("product", T, K, 2), patterns)
+    assert len(rows) == len(patterns) and len(calls) == orders
 
 
 @pytest.mark.parametrize("family", FAMILIES)
