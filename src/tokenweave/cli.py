@@ -41,7 +41,6 @@ from . import __version__
 from .conditioning import (
     DEFAULT_HOP,
     DEFAULT_WINDOW,
-    ConditioningTensor,
     chroma_to_condition,
     compute_chromagram,
     encode_text_toy,
@@ -57,6 +56,7 @@ from .conditioning import (
 from .corpus import make_corpus
 from .errors import GuardError, InvariantError, ValidationError, checked_array
 from .model import (
+    MAX_ENTRIES,
     AdamWState,
     ModelConfig,
     TrainHyper,
@@ -86,8 +86,6 @@ CONDITIONING_ROUTES = {"none": "none", "text": "cross_attention", "chroma": "pre
 FLATTEN_SELF_CHECK_TV = 1e-9
 # an exact pattern's TV bound; the CSV writes rounding noise below it as 0
 CSV_TV_FLOOR = 1e-12
-# entries of one example's H x S x S attention scores train may lay out: 2 GiB of float64
-MAX_ATTENTION_SCORES = 2**28
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -280,9 +278,9 @@ def cmd_train(args) -> int:
         conditioning_mode=mode,
     )
     scores = args.heads * pattern.S**2
-    if scores > MAX_ATTENTION_SCORES:
+    if scores > MAX_ENTRIES:
         raise GuardError(f"one example's attention scores would hold {scores} entries "
-                         f"(budget {MAX_ATTENTION_SCORES})")
+                         f"(budget {MAX_ENTRIES})")
     hyper = TrainHyper(
         lr_max=args.lr,
         warmup_steps=args.warmup,
@@ -294,6 +292,7 @@ def cmd_train(args) -> int:
     )
     if mode == "none":  # TrainHyper has range-checked --cfg-drop; no condition to drop
         hyper = replace(hyper, condition_dropout=0.0)
+    params = init_params(model_config, seed=args.seed)  # refuses a size over the budget
 
     corpus_t0 = time.perf_counter()
     corpus = make_corpus(
@@ -304,7 +303,6 @@ def cmd_train(args) -> int:
         share_first_frame=args.share_first_frame,
     )
     corpus_s = time.perf_counter() - corpus_t0
-    params = init_params(model_config, seed=args.seed)
     rng = np.random.default_rng(args.seed)
     conditions = _build_conditions(args, corpus, model_config, rng)
     batch = [
@@ -336,7 +334,7 @@ def cmd_train(args) -> int:
     }
     for i, cond in enumerate(conditions):
         if cond is not None:
-            extra[f"cond/{i}"] = cond.rows
+            extra[f"cond/{i}"] = cond
     meta = {
         "pattern": args.pattern,
         "timesteps": args.timesteps,
@@ -445,8 +443,8 @@ def cmd_memorize(args) -> int:
         raise ValidationError(
             f"checkpoint was trained with conditions but holds none for sequence {missing[0]}"
         )
-    conditions = [ConditioningTensor(rows=ckpt.extra[f"cond/{i}"]) if conditioned else None
-                  for i in range(len(grids))]
+    conditions = [checked_array(ckpt.extra[f"cond/{i}"], f"checkpoint cond/{i}", 2)
+                  if conditioned else None for i in range(len(grids))]
     dataset = list(zip(grids, conditions))
     try:
         prompt_lens = [int(x) for x in args.prompt_lens.split(",") if x.strip()]
@@ -476,10 +474,10 @@ def cmd_memorize(args) -> int:
 def cmd_chroma(args) -> int:
     t0 = time.perf_counter()
     audio = load_wav(args.wav)
-    q = compute_chromagram(audio, window=args.window, hop=args.hop)
+    classes = compute_chromagram(audio, window=args.window, hop=args.hop)
     json_path = _out_dir(args) / "chroma.json"
-    json_path.write_text(quantized_chroma_to_json(q) + "\n")
-    print(f"frames: {q.F}")
+    json_path.write_text(quantized_chroma_to_json(classes) + "\n")
+    print(f"frames: {len(classes)}")
     print(f"chroma: {json_path}")
     _write_manifest(args, [json_path], t0)
     return EXIT_OK

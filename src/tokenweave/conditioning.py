@@ -8,6 +8,12 @@ pretrained encoder. The three augmentation rates are module constants
 (MERGE_PROB, DESCRIPTION_DROPOUT, WORD_DROPOUT), not settings. All stochastic
 ops take an explicit numpy Generator and are reproducible from its seed.
 
+Both signals are plain arrays: pitch classes an int64 (F,) array in 0..11,
+which chroma_to_condition, sonify_classes, chroma_cosine_similarity and
+quantized_chroma_to_json check on the way in, and a condition a float64
+(T_C, D) array, which the model checks where it routes one; T_C = 0 is the
+null condition, like None. AudioBuffer pairs samples with their rate.
+
 Sonification stands in for a neural vocoder: decoded (T, d) latent frames
 snap to the nearest of 12 fixed pitch-class anchor vectors (an encode under
 the one-stage (1, 12, d) cascade they form) and each class sounds as its
@@ -50,37 +56,9 @@ class AudioBuffer:
         object.__setattr__(self, "samples", checked_array(self.samples, "audio samples (mono)", 1))
 
 
-@dataclass(frozen=True)
-class QuantizedChroma:
-    classes: np.ndarray  # (F,) ints in 0..11
-
-    def __post_init__(self) -> None:
-        c = checked_array(self.classes, "pitch classes", 1, whole=True,
-                          low=0, high=PITCH_CLASSES - 1)
-        object.__setattr__(self, "classes", c)
-
-    @property
-    def F(self) -> int:
-        return self.classes.shape[0]
-
-
-@dataclass(frozen=True)
-class ConditioningTensor:
-    """T_C rows of dimension D. Zero rows condition on nothing, exactly like
-    the null condition None."""
-
-    rows: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "rows", checked_array(self.rows, "conditioning tensor", 2))
-
-    @property
-    def T_C(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def D(self) -> int:
-        return self.rows.shape[1]
+def _checked_classes(classes) -> np.ndarray:
+    """classes as an int64 (F,) array of pitch classes in 0..11."""
+    return checked_array(classes, "pitch classes", 1, whole=True, low=0, high=PITCH_CLASSES - 1)
 
 
 def pitch_class_of_frequency(freq_hz):
@@ -96,10 +74,10 @@ def pitch_class_of_frequency(freq_hz):
 
 def compute_chromagram(
     audio: AudioBuffer, window: int = DEFAULT_WINDOW, hop: int = DEFAULT_HOP
-) -> QuantizedChroma:
+) -> np.ndarray:
     """Hann-windowed STFT energy folded onto the 12 pitch classes per frame,
-    kept as each frame's argmax class; ties (and all-zero frames) take the
-    lowest class."""
+    kept as each frame's argmax class, an int64 (F,) array; ties (and all-zero
+    frames) take the lowest class."""
     if window < 1 or hop < 1:
         raise ValidationError(f"window and hop must be >= 1, got window={window} hop={hop}")
     n = audio.samples.shape[0]
@@ -116,20 +94,21 @@ def compute_chromagram(
     starts = np.arange(n_frames) * hop
     segments = np.stack([audio.samples[s : s + window] for s in starts]) * hann
     energy = np.abs(np.fft.rfft(segments, axis=1)) ** 2
-    return QuantizedChroma(classes=np.argmax(energy[:, valid] @ fold, axis=1))
+    return np.argmax(energy[:, valid] @ fold, axis=1)
 
 
-def chroma_cosine_similarity(a: QuantizedChroma, b: QuantizedChroma) -> float:
+def chroma_cosine_similarity(a, b) -> float:
     """Mean one-hot frame agreement over the overlapping prefix, in [0, 1].
 
     One-hot frames make per-frame cosine either 1 (same class) or 0, so the
     metric reduces to the fraction of matching frames. The longer sequence is
     truncated to the shorter.
     """
-    n = min(a.F, b.F)
+    a, b = _checked_classes(a), _checked_classes(b)
+    n = min(len(a), len(b))
     if n == 0:
         raise ValidationError("similarity of empty chroma sequences is undefined")
-    return float(np.mean(a.classes[:n] == b.classes[:n]))
+    return float(np.mean(a[:n] == b[:n]))
 
 
 def merge_conditions(description: str, tags: dict[str, str], rng: np.random.Generator) -> str:
@@ -220,16 +199,17 @@ def _token_unit_vector(token: str, D: int) -> np.ndarray:
     return v
 
 
-def encode_text_toy(text: str, D: int) -> ConditioningTensor:
-    """One deterministic unit row per whitespace token, seeded by a hash of the
-    token string and drawn once per process for each (token, D); the rows are
-    stacked copies. Empty text yields the T_C = 0 null condition."""
+def encode_text_toy(text: str, D: int) -> np.ndarray:
+    """The (T_C, D) condition of one deterministic unit row per whitespace
+    token, seeded by a hash of the token string and drawn once per process for
+    each (token, D); the rows are stacked copies. Empty text yields the T_C = 0
+    null condition."""
     if D < 1:
         raise ValidationError("D must be >= 1")
     tokens = text.split()
     if not tokens:
-        return ConditioningTensor(rows=np.zeros((0, D)))
-    return ConditioningTensor(rows=np.stack([_token_unit_vector(t, D) for t in tokens]))
+        return np.zeros((0, D))
+    return np.stack([_token_unit_vector(t, D) for t in tokens])
 
 
 def _class_unit_rows(width: int, base: int) -> np.ndarray:
@@ -239,11 +219,13 @@ def _class_unit_rows(width: int, base: int) -> np.ndarray:
     return table / np.linalg.norm(table, axis=1, keepdims=True)
 
 
-def chroma_to_condition(q: QuantizedChroma, D: int) -> ConditioningTensor:
-    """Embedding-table lookup of pitch classes 0..11, one row per frame."""
+def chroma_to_condition(classes, D: int) -> np.ndarray:
+    """Embedding-table lookup of pitch classes 0..11: the (F, D) condition of
+    one row per frame."""
+    classes = _checked_classes(classes)
     if D < 1:
         raise ValidationError("D must be >= 1")
-    return ConditioningTensor(rows=_class_unit_rows(D, base=1000)[q.classes])
+    return _class_unit_rows(D, base=1000)[classes]
 
 
 def class_anchor_latents(d_latent: int) -> np.ndarray:
@@ -251,11 +233,11 @@ def class_anchor_latents(d_latent: int) -> np.ndarray:
     return _class_unit_rows(d_latent, base=7000)
 
 
-def latents_to_classes(latents: np.ndarray) -> QuantizedChroma:
+def latents_to_classes(latents: np.ndarray) -> np.ndarray:
     """Nearest class_anchor_latents(d) anchor per (T, d) frame, ties to the lowest class."""
     latents = checked_array(latents, "latent frames", 2)
     anchors = class_anchor_latents(latents.shape[1])[None]
-    return QuantizedChroma(classes=rvq_encode(latents, anchors).tokens[:, 0] - 1)
+    return rvq_encode(latents, anchors).tokens[:, 0] - 1
 
 
 def pitch_class_frequency(pitch_class: int) -> float:
@@ -263,21 +245,22 @@ def pitch_class_frequency(pitch_class: int) -> float:
     return float(A4_HZ * 2.0 ** ((pitch_class - 9) / 12.0))
 
 
-def sonify_classes(q: QuantizedChroma) -> AudioBuffer:
+def sonify_classes(classes) -> AudioBuffer:
     """One pure-sine segment of SONIFY_SEGMENT samples per frame; the segment
     equals the analysis window so each chroma frame sees exactly one class."""
-    if q.F == 0:
+    classes = _checked_classes(classes)
+    if len(classes) == 0:
         raise ValidationError("nothing to sonify")
     pieces = []
     t = np.arange(SONIFY_SEGMENT) / SONIFY_RATE
-    for c in q.classes:
+    for c in classes:
         freq = pitch_class_frequency(int(c))
         pieces.append(0.5 * np.sin(2.0 * np.pi * freq * t))
     return AudioBuffer(samples=np.concatenate(pieces), sample_rate=SONIFY_RATE)
 
 
-def chroma_of_sonified(q: QuantizedChroma) -> QuantizedChroma:
-    audio = sonify_classes(q)
+def chroma_of_sonified(classes) -> np.ndarray:
+    audio = sonify_classes(classes)
     return compute_chromagram(audio, window=SONIFY_SEGMENT, hop=SONIFY_SEGMENT)
 
 
@@ -324,7 +307,7 @@ def save_wav(path, audio: AudioBuffer) -> None:
         wf.writeframes(pcm.tobytes())
 
 
-def quantized_chroma_to_json(q: QuantizedChroma) -> str:
+def quantized_chroma_to_json(classes) -> str:
     import json
 
-    return json.dumps(q.classes.tolist())
+    return json.dumps(_checked_classes(classes).tolist())

@@ -4,9 +4,11 @@ The CLI maps these onto its exit codes: ValidationError -> 3,
 GuardError -> 4 (as it does an OSError from a file that cannot be read),
 InvariantError -> 5.
 
-Every array a value holds (token grids, pitch classes, latents, conditions,
-probabilities, checkpoint members) is coerced and checked by checked_array,
-so malformed numbers of any kind end in a ValidationError.
+Every array a value holds or a function takes (token grids, pitch classes,
+latents, conditions, probabilities, checkpoint members) is coerced and
+checked by checked_array, so malformed numbers of any kind end in a
+ValidationError. Pitch classes and conditions are plain arrays, checked
+where a function takes them (a condition where the model routes it).
 """
 
 import numpy as np

@@ -9,9 +9,11 @@ output at position s to logits for the tokens revealed at step s+1.
 
 Conditioning routes, fixed by ModelConfig.conditioning_mode: "cross_attention"
 feeds the tensor to every layer's cross-attention block; "prefix" prepends it
-to the input rows; "none" ignores it. A condition is a ConditioningTensor and
-None is the null condition; an empty tensor skips the blocks entirely, so
-cross-attention with an empty tensor computes exactly the unconditional pass.
+to the input rows; "none" ignores it. A condition is a float (T_C, D) array
+and None is the null condition; every mode checks a condition as it routes
+it (checked_array, then its width), and T_C = 0 skips the blocks entirely,
+so cross-attention with an empty condition computes exactly the
+unconditional pass.
 
 Every forward runs over a DecodeCache: per layer the self-attention keys and
 values of the rows fed so far, and the cross-attention keys and values of the
@@ -59,8 +61,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .conditioning import ConditioningTensor, draw_condition_drop
-from .errors import ValidationError, checked_array
+from .conditioning import draw_condition_drop
+from .errors import GuardError, ValidationError, checked_array
 from .patterns import SPECIAL_TOKEN, Pattern, TokenGrid, apply_pattern
 
 CONDITIONING_MODES = ("none", "prefix", "cross_attention")
@@ -68,6 +70,8 @@ LN_EPS = 1e-5
 FFN_MULT = 4
 ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 1
+# entries a parameter set, or one example's attention scores, may hold: 2 GiB of float64
+MAX_ENTRIES = 2**28
 
 
 @dataclass(frozen=True)
@@ -118,7 +122,7 @@ class TrainExample:
     codebook and scores nothing."""
 
     slots: np.ndarray
-    condition: ConditioningTensor | None = None
+    condition: np.ndarray | None = None  # (T_C, D) rows
 
     @property
     def tokens(self) -> np.ndarray:
@@ -156,8 +160,14 @@ def init_params(config: ModelConfig, seed: int) -> Parameters:
 
     Matrices get sigma = 1/sqrt(fan_in); absence-token embedding rows are
     drawn like regular rows. Biases and layer-norm offsets are small Gaussians
-    and layer-norm gains sit near 1, so no tensor is all zeros.
+    and layer-norm gains sit near 1, so no tensor is all zeros. A config of
+    more than MAX_ENTRIES entries raises GuardError before any array exists.
     """
+    # layers are alike: two short schemas count them without walking all L
+    one, two = (sum(math.prod(s) for _, s in _param_shapes(replace(config, L=n))) for n in (1, 2))
+    entries = one + (config.L - 1) * (two - one)
+    if entries > MAX_ENTRIES:
+        raise GuardError(f"the parameters would hold {entries} entries (budget {MAX_ENTRIES})")
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config):
@@ -202,16 +212,17 @@ def _pad_stack(arrays: Sequence[np.ndarray], n: int) -> np.ndarray:
     return out
 
 
-def _route_condition(condition, mode: str) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Resolve (prefix_rows, cross_rows) from the condition and the model's mode."""
-    if mode == "none" or condition is None:
+def _route_condition(condition, c: ModelConfig) -> tuple[np.ndarray | None, np.ndarray | None]:
+    """Check the condition, then resolve (prefix_rows, cross_rows) from it and
+    the model's mode; mode "none" ignores a well-formed one."""
+    if condition is None:
         return None, None
-    if not isinstance(condition, ConditioningTensor):
-        raise ValidationError(
-            f"a condition must be a ConditioningTensor, got {type(condition).__name__}"
-        )
-    rows = condition.rows if condition.T_C > 0 else None
-    return (rows, None) if mode == "prefix" else (None, rows)
+    rows = checked_array(condition, "conditioning tensor", 2)
+    if rows.shape[1] != c.D:
+        raise ValidationError(f"condition rows must have dimension {c.D}")
+    if c.conditioning_mode == "none" or len(rows) == 0:
+        return None, None
+    return (rows, None) if c.conditioning_mode == "prefix" else (None, rows)
 
 
 def _layernorm_f(x: np.ndarray, g: np.ndarray, b: np.ndarray):
@@ -353,9 +364,7 @@ def _new_cache(params: Parameters, conditions: Sequence, steps: int, layout=None
     longest prefix plus `steps` step rows, and each branch's prefix-condition
     rows (None where it has none). Every condition is routed and checked here."""
     c = params.config
-    routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
-    if any(rows is not None and rows.shape[1] != c.D for route in routes for rows in route):
-        raise ValidationError(f"condition rows must have dimension {c.D}")
+    routes = [_route_condition(cond, c) for cond in conditions]
     n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
     layout = layout or _layout(params, n_prefix + steps)
     held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
@@ -592,7 +601,7 @@ def grad(params: Parameters, batch: Sequence[TrainExample]) -> GradResult:
     total_count = int(np.count_nonzero(targets != SPECIAL_TOKEN))
     if total_count == 0:
         raise ValidationError("no revealed positions in the batch")
-    leads = [_route_condition(ex.condition, c.conditioning_mode)[0] for ex in batch]
+    leads = [_route_condition(ex.condition, c)[0] for ex in batch]
     width = lens.max() + max(0 if rows is None else len(rows) for rows in leads)
     per_pass = max(1, ROW_BUDGET // width)
     layout = _layout(params, width)  # the parameters do not change within the call

@@ -1,17 +1,20 @@
-"""Every value that holds an array, and every codec entry that takes one,
-checks it through errors.checked_array: text, ragged nesting, the wrong rank,
-NaN, inf and (for ids) fractions all raise ValidationError, never a numpy
-error or a silent cast."""
+"""Every value that holds an array, and every entry that takes one (codec,
+pitch classes, conditions), checks it through errors.checked_array: text,
+ragged nesting, the wrong rank, NaN, inf and (for ids) fractions all raise
+ValidationError, never a numpy error or a silent cast."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tokenweave.conditioning import (
     AudioBuffer,
-    ConditioningTensor,
-    QuantizedChroma,
+    chroma_cosine_similarity,
     chroma_to_condition,
     latents_to_classes,
+    quantized_chroma_to_json,
+    sonify_classes,
 )
 from tokenweave.errors import ValidationError, checked_array
 from tokenweave.model import ModelConfig, TrainExample, forward, grad, init_params
@@ -21,6 +24,8 @@ from tokenweave.rvq import RVQConfig, rvq_decode, rvq_encode, train_codebooks
 
 TINY = ModelConfig(K=2, M=5, D=8, L=1, H=2, max_steps=8)
 PARAMS = init_params(TINY, seed=0)
+CROSS, PREFIX = (init_params(replace(TINY, conditioning_mode=m), seed=0)
+                 for m in ("cross_attention", "prefix"))
 PARALLEL = build_pattern(PatternKind.PARALLEL, 1, 2)
 FRAMES = np.arange(6.0).reshape(3, 2)  # (T, d) latent frames
 BOOKS = np.arange(8.0).reshape(2, 2, 2)  # (K, M, d) cascade
@@ -32,9 +37,13 @@ HOLDERS = {
     "revert_pattern": (lambda a: revert_pattern(PARALLEL, a, 5), np.array([[0, 0], [1, 2]]), True),
     "forward": (lambda a: forward(PARAMS, a), np.array([[0, 0], [1, 2]]), True),
     "grad": (lambda a: grad(PARAMS, [TrainExample(slots=a)]), np.array([[0, 0], [1, 2]]), True),
-    "QuantizedChroma": (QuantizedChroma, np.array([1, 11]), True),
-    "chroma_to_condition": (lambda a: chroma_to_condition(QuantizedChroma(a), 4),
-                            np.array([1, 11]), True),
+    "chroma_to_condition": (lambda a: chroma_to_condition(a, 4), np.array([1, 11]), True),
+    "sonify_classes": (sonify_classes, np.array([1, 11]), True),
+    "chroma_cosine_similarity-a": (lambda a: chroma_cosine_similarity(a, [1, 11]),
+                                   np.array([1, 11]), True),
+    "chroma_cosine_similarity-b": (lambda a: chroma_cosine_similarity([1, 11], a),
+                                   np.array([1, 11]), True),
+    "quantized_chroma_to_json": (quantized_chroma_to_json, np.array([1, 11]), True),
     "train_codebooks-frames": (lambda a: train_codebooks(a, RVQConfig(K=1, M=2, d_latent=2)),
                                FRAMES, False),
     "rvq_encode-frames": (lambda a: rvq_encode(a, BOOKS), FRAMES, False),
@@ -42,7 +51,12 @@ HOLDERS = {
     "rvq_decode-books": (lambda a: rvq_decode(TokenGrid([[1, 2], [2, 1]], M=2), a), BOOKS, False),
     "latents_to_classes": (latents_to_classes, FRAMES, False),
     "AudioBuffer": (lambda a: AudioBuffer(a, sample_rate=8000), np.zeros(8), False),
-    "ConditioningTensor": (ConditioningTensor, np.ones((2, 4)), False),
+    "forward-cross-condition": (lambda a: forward(CROSS, [[1, 2]], condition=a),
+                                np.ones((2, 8)), False),
+    "forward-prefix-condition": (lambda a: forward(PREFIX, [[1, 2]], condition=a),
+                                 np.ones((2, 8)), False),
+    "grad-condition": (lambda a: grad(CROSS, [TrainExample(slots=[[0, 0], [1, 2]], condition=a)]),
+                       np.ones((2, 8)), False),
     "JointDistribution": (lambda a: JointDistribution(1, 1, 2, a), np.array([0.5, 0.5]), False),
 }
 
@@ -89,9 +103,9 @@ def test_fractional_ids_are_rejected_not_truncated():
     with pytest.raises(ValidationError, match="whole numbers"):
         forward(PARAMS, [[0, 0], [1.7, 2.2]])
     with pytest.raises(ValidationError, match="whole numbers"):
-        QuantizedChroma([1.7, 11.9])
+        chroma_to_condition([1.7, 11.9], 4)
     # whole floats are still ids
-    assert QuantizedChroma([1.0, 11.0]).classes.dtype == np.int64
+    assert np.array_equal(chroma_to_condition([1.0, 11.0], 4), chroma_to_condition([1, 11], 4))
 
 
 def test_checked_array_returns_target_dtype_input_as_is():

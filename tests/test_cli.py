@@ -12,7 +12,7 @@ import pytest
 
 from tokenweave import cli
 from tokenweave.cli import CONDITIONING_ROUTES, build_parser, main
-from tokenweave.conditioning import AudioBuffer, save_wav
+from tokenweave.conditioning import AudioBuffer, save_wav, sonify_classes
 from tokenweave.model import CONDITIONING_MODES, ModelConfig, init_params, load_checkpoint
 from tokenweave.oracle import exactness_report, make_joint
 from tokenweave.patterns import PatternKind, build_pattern
@@ -323,18 +323,31 @@ def run_capped(argvs):
     return [tuple(json.loads(line)) for line in proc.stdout.splitlines()]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        pytest.param(["train", "--dim", "4000000", "--heads", "1", "--timesteps", "16", "--vocab",
-                      "4", "--steps", "1", "--sequences", "1"], id="train-dim"),
-    ],
-)
-def test_out_of_memory_exits_4(tmp_path, argv):
-    [(code, err)] = run_capped([[*argv, "--out", str(tmp_path / "o")]])
-    assert code == 4, err
+def test_out_of_memory_exits_4(monkeypatch, tmp_path, capsys):
+    # the backstop for an allocation that no size check foresees
+    def fit(*args, **kwargs):
+        raise MemoryError("Unable to allocate 519. MiB for an array")
+
+    monkeypatch.setattr(cli, "make_corpus", fit)
+    out = tmp_path / "o"
+    assert main([*TRAIN_SMALL, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
     assert "out of memory" in err and "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    assert not out.exists()
+
+
+def test_train_refuses_parameters_over_the_budget_before_the_codec_fit(monkeypatch, tmp_path,
+                                                                        capsys):
+    def fit(*args, **kwargs):
+        raise AssertionError("the codec fit ran before the parameter budget was checked")
+
+    monkeypatch.setattr(cli, "make_corpus", fit)
+    monkeypatch.setattr("tokenweave.model.MAX_ENTRIES", 1000)
+    out = tmp_path / "o"
+    assert main([*TRAIN_SMALL, "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert re.search(r"parameters would hold \d+ entries \(budget 1000\)", err), err
+    assert not out.exists()
 
 
 def test_generate_missing_checkpoint_exits_4(tmp_path):
@@ -609,6 +622,18 @@ def test_memorize_feeds_stored_conditions(tmp_path):
                  "--prompt-lens", "1,4", "--gen-len", "4", "--out", str(mem_out)]) == 0
     lines = (mem_out / "memorization.csv").read_text().splitlines()
     assert len(lines) == 3
+    # a malformed stored condition exits 3, even where no continuation reads it
+    with np.load(out / "checkpoint.npz") as data:
+        arrays = {k: data[k] for k in data.files}
+    D = ckpt.params.config.D
+    for name, bad in (("text", np.full((2, D), "0.5")), ("nan", np.full((2, D), np.nan)),
+                      ("rank1", np.ones(D))):
+        path = tmp_path / f"cond-{name}.npz"
+        np.savez(path, **{**arrays, "x:cond/1": bad})
+        bad_out = tmp_path / f"mem-{name}"
+        assert main(["memorize", "--checkpoint", str(path), "--prompt-lens", "1",
+                     "--gen-len", "0", "--out", str(bad_out)]) == 3
+        assert not bad_out.exists()
 
 
 # ---------------------------------------------------------------- malformed input
@@ -663,9 +688,11 @@ HUGE_SIZES = {
     "memorize-gen-len": ["memorize", "--checkpoint", "{ckpt}", "--gen-len", "100000000"],
     "memorize-prompt-lens": ["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "100000000"],
 }
-# train runs whose attention scores (heads x steps^2 per example) pass the budget:
-# refused before the codec fit, which would not finish at these sizes
+# train runs whose attention scores (heads x steps^2 per example) or parameters
+# pass the budget: refused before the codec fit, which would not finish at these
+# sizes, and before any parameter array exists
 HUGE_TRAIN = {
+    "train-dim-huge": ["train", "--dim", "4000000", "--heads", "1", "--steps", "1"],
     "train-codebooks-huge": ["train", "--codebooks", "100000", "--steps", "1"],
     "train-timesteps-huge": ["train", "--timesteps", "3000000", "--steps", "1", "--sequences", "1"],
 }
@@ -1027,4 +1054,62 @@ def test_checkpoint_mutant_sweep_never_ends_in_a_traceback(trained, tmp_path):
         want = (0,) if mutant in WELL_FORMED else (3, 4)
         if code not in want or "Traceback" in err or (code and out.exists()):
             failures.append(f"{command} {mutant}: exit {code}: {err.strip()[-300:]}")
+    assert not failures, "\n".join(failures)
+
+
+# ---------------------------------------------------------------- WAV sweep
+
+WAV_SWEEP_SEED = 29
+# each field of the 44-byte header save_wav writes: name -> (offset, width)
+WAV_FIELDS = {"riff_size": (4, 4), "fmt_size": (16, 4), "format": (20, 2), "channels": (22, 2),
+              "rate": (24, 4), "byte_rate": (28, 4), "block_align": (32, 2), "bits": (34, 2),
+              "data_size": (40, 4)}
+# the sweep's sonified source: 3 frames, analysed with window = hop = one frame
+WAV_CLASSES = [9, 0, 4]
+WAV_FLAGS = ["--window", "4096", "--hop", "4096"]
+
+
+def _wav_mutants(data: bytes, rng):
+    """(what, bytes) of each mutant of a WAV file: every header field set to
+    each extreme value, header bytes xored, the file cut short, and junk
+    chunks of odd names and sizes inserted before the fmt or the data chunk."""
+    for name, (at, width) in WAV_FIELDS.items():
+        top = 256**width - 1
+        for value in (0, 1, 2, 3, 255, top // 2, top // 2 + 1, top - 1, top):
+            yield f"{name}={value}", data[:at] + value.to_bytes(width, "little") + data[at + width:]
+    for _ in range(500):
+        flipped = bytearray(data)
+        at = rng.choice(44, size=int(rng.integers(1, 4)), replace=False)
+        for a in at:
+            flipped[a] ^= int(rng.integers(1, 256))
+        yield f"xor@{sorted(at.tolist())}", bytes(flipped)
+    for cut in sorted({*rng.integers(0, len(data), 60).tolist(), *range(0, 49)}):
+        yield f"cut{cut}", data[:cut]
+    for _ in range(250):
+        at = int(rng.choice([12, 36]))
+        ident = [b"junk", b"LIST", b"fmt ", b"data", b"\x00" * 4, rng.bytes(4)][rng.integers(6)]
+        size = int(rng.choice([0, 1, 7, 8, 16, 255, len(data), 2**31 - 1, 2**32 - 1]))
+        chunk = ident + size.to_bytes(4, "little") + rng.bytes(min(size, int(rng.integers(0, 40))))
+        yield f"chunk@{at}:{ident!r}+{size}", data[:at] + chunk + data[at:]
+
+
+def test_wav_mutant_sweep_never_ends_in_a_traceback(tmp_path):
+    # one child that caps its own address space runs every mutant: a header
+    # field may claim a size that no file backs
+    source = tmp_path / "source.wav"
+    save_wav(source, sonify_classes(WAV_CLASSES))
+    runs = []
+    mutants = _wav_mutants(source.read_bytes(), np.random.default_rng(WAV_SWEEP_SEED))
+    for i, (what, data) in enumerate(mutants):
+        path = tmp_path / f"m{i}.wav"
+        path.write_bytes(data)
+        out = tmp_path / f"o{i}"
+        runs.append((what, out, ["chroma", "--wav", str(path), *WAV_FLAGS, "--out", str(out)]))
+    results = run_capped([argv for *_, argv in runs])
+    assert len(results) == len(runs) == 939
+    failures = []
+    for (mutant, out, _), (code, err) in zip(runs, results):
+        complete = (out / "manifest.json").exists() and (out / "chroma.json").exists()
+        if code not in (0, 3, 4) or "Traceback" in err or (out.exists() if code else not complete):
+            failures.append(f"{mutant}: exit {code}: {err.strip()[-300:]}")
     assert not failures, "\n".join(failures)

@@ -9,15 +9,11 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
-from tokenweave.conditioning import (
-    ConditioningTensor,
-    QuantizedChroma,
-    chroma_to_condition,
-    encode_text_toy,
-)
-from tokenweave.errors import ValidationError
+from tokenweave.conditioning import chroma_to_condition, encode_text_toy
+from tokenweave.errors import GuardError, ValidationError
 from tokenweave.model import (
     ADAM_EPS,
+    CONDITIONING_MODES,
     LN_EPS,
     ROW_BUDGET,
     AdamWState,
@@ -75,6 +71,21 @@ def test_init_deterministic_and_shapes():
         assert a.arrays[f"embed.k{k}"].shape == (TINY.M + 1, TINY.D)
 
 
+@pytest.mark.parametrize("mode", CONDITIONING_MODES)
+def test_init_params_refuses_more_entries_than_the_budget(monkeypatch, mode):
+    # the count is the full schema's, though init_params walks two layers of it
+    config = replace(TINY, L=3, conditioning_mode=mode)
+    entries = sum(math.prod(shape) for _, shape in _param_shapes(config))
+    monkeypatch.setattr("tokenweave.model.MAX_ENTRIES", entries)
+    init_params(config, seed=0)
+    monkeypatch.setattr("tokenweave.model.MAX_ENTRIES", entries - 1)
+    with pytest.raises(GuardError, match=f"would hold {entries} entries"):
+        init_params(config, seed=0)
+    # refused before any array exists: D x D alone would be about 116 TiB
+    with pytest.raises(GuardError, match="budget"):
+        init_params(ModelConfig(K=4, M=16, D=4_000_000, H=1), seed=0)
+
+
 def test_init_no_zero_only_tensors_and_finite():
     params = init_params(TINY, seed=0)
     for name, arr in params.arrays.items():
@@ -120,9 +131,9 @@ def test_forward_rejects_bad_tokens():
 def test_open_cache_checks_conditions_as_forward_does():
     params = init_params(TINY, seed=1)
     steps = np.array([[1, 2]])
-    wide = ConditioningTensor(rows=np.ones((2, TINY.D + 1)))
+    wide = np.ones((2, TINY.D + 1))
     text = encode_text_toy("warm pad", D=TINY.D)
-    for cond, message in ((wide, "dimension 16"), (text.rows, "ConditioningTensor")):
+    for cond, message in ((wide, "dimension 16"), (text[0], "conditioning tensor must be 2-D")):
         with pytest.raises(ValidationError, match=message):
             forward(params, steps, condition=cond)
         with pytest.raises(ValidationError, match=message):
@@ -138,6 +149,28 @@ def test_open_cache_checks_conditions_as_forward_does():
     forward(params, steps, cache=kv)
     with pytest.raises(ValidationError, match="decode cache is full"):
         forward(params, steps, cache=kv)
+
+
+@pytest.mark.parametrize("mode", CONDITIONING_MODES)
+def test_every_mode_refuses_a_malformed_condition(mode):
+    # mode "none" ignores a well-formed condition, but checks it as the others do
+    params = init_params(replace(TINY, conditioning_mode=mode), seed=1)
+    steps = np.array([[1, 2], [3, 4]])
+    good = encode_text_toy("warm pad", D=TINY.D)
+    nan = good.copy()
+    nan[1, 3] = np.nan
+    for bad, message in (("garbage", "conditioning tensor must be numbers"),
+                         (good[0], "conditioning tensor must be 2-D"),
+                         (nan, "conditioning tensor must be finite"),
+                         (np.ones((2, TINY.D + 1)), "condition rows must have dimension 16")):
+        with pytest.raises(ValidationError, match=message):
+            forward(params, steps, condition=bad)
+        with pytest.raises(ValidationError, match=message):
+            open_cache(params, [None, bad], 2)
+        with pytest.raises(ValidationError, match=message):
+            grad(params, [TrainExample(slots=steps, condition=bad)])
+    logits = forward(params, steps, condition=good)
+    assert np.array_equal(logits, forward(params, steps)) == (mode == "none")
 
 
 def test_forward_shapes_and_finite():
@@ -170,7 +203,7 @@ def test_forward_causality_exhaustive_bitwise():
 def test_cross_attention_empty_condition_equals_none_mode():
     params = init_params(TINY, seed=2)
     steps = np.array([[1, 2], [3, 0], [0, 5]])
-    empty = ConditioningTensor(rows=np.zeros((0, TINY.D)))
+    empty = np.zeros((0, TINY.D))
     a = forward(params, steps, condition=empty)
     b = forward(params, steps, condition=None)
     assert np.array_equal(a, b)
@@ -183,8 +216,8 @@ def test_cross_attention_nonempty_condition_changes_logits():
     a = forward(params, steps, condition=cond)
     b = forward(params, steps)
     assert not np.allclose(a, b)
-    with pytest.raises(ValidationError, match="ConditioningTensor"):
-        forward(params, steps, condition=cond.rows)
+    with pytest.raises(ValidationError, match="conditioning tensor must be finite"):
+        forward(params, steps, condition=np.where(cond > 0, np.inf, cond))
 
 
 def test_prefix_condition_changes_logits_and_keeps_shape():
@@ -224,7 +257,7 @@ def reference_forward(params, steps, condition=None):
             prefix = condition
         else:
             cross = condition
-    prefix, cross = (t.rows if t is not None and t.T_C > 0 else None for t in (prefix, cross))
+    prefix, cross = (t if t is not None and len(t) > 0 else None for t in (prefix, cross))
 
     def layernorm(x, name):
         mu = x.mean(axis=-1, keepdims=True)
@@ -265,8 +298,8 @@ def reference_forward(params, steps, condition=None):
 
 D_REF = 16
 TEXT = encode_text_toy("warm pad", D=D_REF)
-EMPTY = ConditioningTensor(rows=np.zeros((0, D_REF)))
-CHROMA = {n: chroma_to_condition(QuantizedChroma(np.arange(n) * 5 % 12), D=D_REF)
+EMPTY = np.zeros((0, D_REF))
+CHROMA = {n: chroma_to_condition(np.arange(n) * 5 % 12, D=D_REF)
           for n in (1, 3, 6)}
 
 
@@ -419,7 +452,7 @@ def plain_project_kv(kv_in, w, B, H):
 def plain_new_cache(params, conditions, steps):
     c = params.config
     A = params.arrays
-    routes = [_route_condition(cond, c.conditioning_mode) for cond in conditions]
+    routes = [_route_condition(cond, c) for cond in conditions]
     n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
     shape = (c.L, len(routes), c.H, n_prefix + steps, c.D // c.H)
     held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
@@ -621,7 +654,7 @@ def plain_grad(params, batch):
     padded = _pad_stack(slots, lens.max() + 1)
     steps, targets = padded[:, :-1], padded[:, 1:]
     count = int(np.count_nonzero(targets != 0))
-    leads = [_route_condition(ex.condition, c.conditioning_mode)[0] for ex in batch]
+    leads = [_route_condition(ex.condition, c)[0] for ex in batch]
     per_pass = max(1, ROW_BUDGET // (lens.max() + max(0 if r is None else len(r) for r in leads)))
     grads = zero_grads(params)
     nll = correct = 0

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from tokenweave import sampling
-from tokenweave.conditioning import (
-    ConditioningTensor,
-    QuantizedChroma,
-    chroma_to_condition,
-    encode_text_toy,
-)
+from tokenweave.conditioning import chroma_to_condition, encode_text_toy
 from tokenweave.errors import InvariantError, ValidationError
 from tokenweave.model import ModelConfig, forward, init_params, open_cache
 from tokenweave.patterns import (
@@ -84,8 +79,8 @@ def reference_walk(params, pattern, condition, cfg, rng, forced):
 
 D_TEST = 16
 TEXT = encode_text_toy("steady warm beat", D=D_TEST)
-MELODY = chroma_to_condition(QuantizedChroma([0, 4, 7, 4, 2]), D=D_TEST)
-EMPTY = ConditioningTensor(rows=np.zeros((0, D_TEST)))
+MELODY = chroma_to_condition([0, 4, 7, 4, 2], D=D_TEST)
+EMPTY = np.zeros((0, D_TEST))
 
 # (model conditioning mode, condition): every route, a condition the model
 # ignores and an empty tensor
