@@ -16,8 +16,8 @@ temperature 1.0, guidance 3.0, condition drop 0.2, chroma window 2^14 and hop
 2^12, betas 0.9/0.95, weight decay 0.1, gradient clip 1.0; greedy decoding is
 --temperature 0.
 Flags are spelled in full, as INI keys must be: an abbreviation is a usage
-error. Config files are INI sections named after the subcommand; explicit
-flags override file values.
+error. Config files are INI sections named after the subcommand, their values
+read literally (a % is a %); explicit flags override file values.
 
 TOKENWEAVE_OUT sets the default output directory root.
 """
@@ -577,7 +577,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _apply_ini_defaults(sub: argparse.ArgumentParser, command: str, path_text: str) -> None:
-    ini = configparser.ConfigParser()
+    ini = configparser.ConfigParser(interpolation=None)
     ini.optionxform = str  # keep key case so "T" stays "T"
     # opened here: ConfigParser.read skips a path it cannot open
     with open(path_text, encoding="utf-8") as fh:

@@ -79,7 +79,7 @@ class JointDistribution:
         if p.shape != (size,):
             raise ValidationError(f"probability table must be flat with {size} entries")
         if not abs(p.sum() - 1.0) <= MASS_TOL:
-            raise ValidationError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise ValidationError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", p)
 
     @property
@@ -304,7 +304,7 @@ def exactness_report(joint: JointDistribution, patterns: Iterable[Pattern]) -> l
         if not (sparse or whole):
             q = q[held]
         if not q.sum() <= 1.0 + MASS_TOL:
-            raise ValidationError(f"induced probabilities sum to {q.sum()!r} on the joint's support, above 1")
+            raise ValidationError(f"induced probabilities sum to {float(q.sum())!r} on the joint's support, above 1")
         gap = p - q
         tv = float(np.maximum(gap, 0.0, out=gap).sum())
         del q, gap  # freed before the next law is laid out

@@ -235,8 +235,9 @@ def memorization_report(
 ) -> MemorizationReport:
     """Greedy prompted continuation; only codebook-1 tokens are compared.
 
-    All K codebooks of the prompt region are teacher-forced. gen_len = 0 rows
-    score 1.0 by convention (empty comparison).
+    All K codebooks of the prompt region are teacher-forced. Every row walks
+    each example, so the model checks every grid and condition; a gen_len = 0
+    row compares nothing and scores 1.0 by convention (empty comparison).
     """
     if not dataset:
         raise ValidationError("memorization needs at least one example")
@@ -254,11 +255,8 @@ def memorization_report(
     n = len(dataset)
     rows = []
     for prompt_len in prompt_lens:
-        if gen_len == 0:
-            rows.append(MemorizationRow(prompt_len, 1.0, 1.0, n))  # empty comparison
-            continue
         span = prompt_len + gen_len
-        pattern = build_pattern(pattern_kind, span, params.config.K)
+        pattern = build_pattern(pattern_kind, max(span, 1), params.config.K)  # T >= 1 even if empty
         exact = 0
         partial = 0
         for grid, condition in dataset:
@@ -268,7 +266,7 @@ def memorization_report(
             want = grid.tokens[prompt_len:span, 0]
             matches = int(np.sum(got == want))
             exact += int(matches == gen_len)
-            partial += int(matches / gen_len >= PARTIAL_MATCH_THRESHOLD - 1e-12)
+            partial += int(matches >= (PARTIAL_MATCH_THRESHOLD - 1e-12) * gen_len)
         rows.append(
             MemorizationRow(
                 prompt_len=prompt_len,

@@ -26,7 +26,9 @@ def random_dataset(n=4, T=12, K=2, M=16, seed=0):
 
 def test_gen_len_zero_scores_one_by_convention():
     params = init_params(ModelConfig(K=2, M=16, D=16, L=1, H=2, max_steps=64), seed=0)
-    report = memorization_report(params, random_dataset(), prompt_lens=[1, 4], gen_len=0)
+    # prompt length 0 with gen_len 0 walks a one-timestep pattern and compares nothing
+    report = memorization_report(params, random_dataset(), prompt_lens=[0, 1, 4], gen_len=0)
+    assert [row.prompt_len for row in report.rows] == [0, 1, 4]
     for row in report.rows:
         assert row.exact_match == 1.0
         assert row.partial_match == 1.0

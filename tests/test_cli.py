@@ -17,7 +17,7 @@ from tokenweave.model import CONDITIONING_MODES, ModelConfig, init_params, load_
 from tokenweave.oracle import exactness_report, make_joint
 from tokenweave.patterns import PatternKind, build_pattern
 
-from helpers import SRC, bench_step_table_process
+from helpers import SRC, bench_step_table_process, pattern_to_json
 
 
 def run_cli(args, tmp_path, env_extra=None):
@@ -414,6 +414,11 @@ def test_memorize_report(trained, tmp_path):
         _, exact, partial, n = line.split(",")
         assert float(partial) >= float(exact)
         assert n == "2"
+    # an empty prompt and an empty continuation compare nothing: 1.0 by convention
+    assert main(["memorize", "--checkpoint", str(trained / "checkpoint.npz"),
+                 "--prompt-lens", "0", "--gen-len", "0", "--out", str(tmp_path / "empty")]) == 0
+    lines = (tmp_path / "empty" / "memorization.csv").read_text().splitlines()
+    assert lines[1:] == ["0,1.000000,1.000000,2"]
 
 
 def test_chroma_on_440hz_wav(tmp_path):
@@ -470,6 +475,11 @@ def test_config_file_supplies_required_arguments(trained, tmp_path, capsys):
     assert main(["patterns", "bench", "--config", str(tmp_path / "patterns.ini"),
                  "--as-json"]) == 0
     assert json.loads(capsys.readouterr().out)["parallel"]["nominal"] == 3
+    # values are read literally: a % is text, not interpolation syntax
+    (tmp_path / "text.ini").write_text("[generate]\ntext = 100% calm\n")
+    parser, by_name = build_parser()
+    cli._apply_ini_defaults(by_name["generate"], "generate", str(tmp_path / "text.ini"))
+    assert parser.parse_args(["generate", "--checkpoint", "c.npz"]).text == "100% calm"
 
 
 def test_config_without_a_value_is_the_subcommands_usage_error(capsys):
@@ -622,12 +632,12 @@ def test_memorize_feeds_stored_conditions(tmp_path):
                  "--prompt-lens", "1,4", "--gen-len", "4", "--out", str(mem_out)]) == 0
     lines = (mem_out / "memorization.csv").read_text().splitlines()
     assert len(lines) == 3
-    # a malformed stored condition exits 3, even where no continuation reads it
+    # a malformed stored condition exits 3, even where no token is compared
     with np.load(out / "checkpoint.npz") as data:
         arrays = {k: data[k] for k in data.files}
     D = ckpt.params.config.D
     for name, bad in (("text", np.full((2, D), "0.5")), ("nan", np.full((2, D), np.nan)),
-                      ("rank1", np.ones(D))):
+                      ("rank1", np.ones(D)), ("wide", np.ones((2, D + 1)))):
         path = tmp_path / f"cond-{name}.npz"
         np.savez(path, **{**arrays, "x:cond/1": bad})
         bad_out = tmp_path / f"mem-{name}"
@@ -746,6 +756,15 @@ MALFORMED = (
                     id="ini-train-seed-negative")]
     + [pytest.param(["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", ","], 3,
                     id="memorize--prompt-lens=,")]
+    # INI values are read literally, so a % is no interpolation syntax
+    + [
+        pytest.param(["exactness", "--config", f"{{exactness-{name}.ini}}"], 3,
+                     id=f"ini-exactness-{name}")
+        for name in ("percent", "interpolation")
+    ]
+    # grids of K - 1 codebooks, refused even where no token is compared
+    + [pytest.param(["memorize", "--checkpoint", "{grids-narrow.npz}", "--prompt-lens", "1",
+                     "--gen-len", "0"], 3, id="memorize-grids-narrow-gen-len=0")]
     # a grid token the int64 cast would change (truncate, or make up for NaN), and
     # checkpoint members that hold text where numbers belong
     + [
@@ -821,6 +840,8 @@ def bad_inputs(trained, tmp_path_factory):
     put("not-utf8.ini", "[train]\n# déjà\n".encode("latin-1"))
     put("train-ema.ini", b"[train]\nema = yes\n")
     put("train-seed-negative.ini", b"[train]\nseed = -1\n")
+    put("exactness-percent.ini", b"[exactness]\nT = 5%\n")
+    put("exactness-interpolation.ini", b"[exactness]\nfamily = %(missing)s\n")
 
     good = (trained / "checkpoint.npz").read_bytes()
     put("truncated.npz", good[: len(good) // 2])
@@ -849,6 +870,7 @@ def bad_inputs(trained, tmp_path_factory):
         ("codebooks-empty", "x:codebooks", arrays["x:codebooks"][:0]),
         ("codebooks-zero-width", "x:codebooks", arrays["x:codebooks"][:, :, :0]),
         ("grids-rank0", "x:grids", np.array(3)),
+        ("grids-narrow", "x:grids", arrays["x:grids"][:, :, :-1]),
         # a condition for sequence 0 only: a conditioned run saves one for every sequence
         ("cond-partial", "x:cond/0", np.zeros((2, header["config"]["D"]))),
         ("cond-text", "x:cond/0", np.full((2, header["config"]["D"]), "0.5")),
@@ -1001,7 +1023,11 @@ SWEEP_VALUES = (0, -1, 2.5, "x", None, 10**9, True)
 # what of a checkpoint only one command reads; both read the rest
 READERS = {"meta.timesteps": ("generate",), "meta.conditioning": ("memorize",),
            "x:codebooks": ("generate",), "x:grids": ("memorize",)}
-SWEEP_FLAGS = {"generate": ["--wav"], "memorize": ["--prompt-lens", "1", "--gen-len", "4"]}
+# the flags of each run on a mutant; a memorize run that compares no token reads
+# the checkpoint as fully as one that does
+SWEEP_FLAGS = {"generate": [["--wav"]],
+               "memorize": [["--prompt-lens", "1", "--gen-len", "4"],
+                            ["--prompt-lens", "1", "--gen-len", "0"]]}
 # a cap on the step count: nothing is sized by it, so the checkpoint is well formed
 WELL_FORMED = {"config.max_steps=1000000000"}
 
@@ -1044,11 +1070,12 @@ def test_checkpoint_mutant_sweep_never_ends_in_a_traceback(trained, tmp_path):
         path = tmp_path / f"m{i}.npz"
         np.savez(path, **members)
         for command in READERS.get(what, ("generate", "memorize")):
-            out = tmp_path / f"o{i}-{command}"
-            argv = [command, "--checkpoint", str(path), *SWEEP_FLAGS[command], "--out", str(out)]
-            runs.append((command, what + change, out, argv))
+            for j, flags in enumerate(SWEEP_FLAGS[command]):
+                out = tmp_path / f"o{i}-{command}{j}"
+                argv = [command, "--checkpoint", str(path), *flags, "--out", str(out)]
+                runs.append((" ".join([command, *flags]), what + change, out, argv))
     results = run_capped([argv for *_, argv in runs])
-    assert len(results) == len(runs) == 404
+    assert len(results) == len(runs) == 606
     failures = []
     for (command, mutant, out, _), (code, err) in zip(runs, results):
         want = (0,) if mutant in WELL_FORMED else (3, 4)
@@ -1112,4 +1139,153 @@ def test_wav_mutant_sweep_never_ends_in_a_traceback(tmp_path):
         complete = (out / "manifest.json").exists() and (out / "chroma.json").exists()
         if code not in (0, 3, 4) or "Traceback" in err or (out.exists() if code else not complete):
             failures.append(f"{mutant}: exit {code}: {err.strip()[-300:]}")
+    assert not failures, "\n".join(failures)
+
+
+# ---------------------------------------------------------------- pattern-document sweep
+
+PATTERN_SWEEP_SEED = 37
+# a value of the wrong type or size for any key or coordinate of a document
+DOC_VALUES = (None, True, False, 0, -1, 2.5, 2**31, 2**63, 10**30, "2", "delay", [], [[]], {},
+              [1, 1])
+
+
+def _pattern_mutants(doc: dict, rng):
+    """(what, bytes) of each mutant of a pattern document: every key set to
+    each DOC_VALUES entry, removed, or joined by a stray key; the document
+    replaced by a bare value or nested deep; coordinates set to a hostile
+    value or shape, moved, repeated or dropped; and the text cut short or
+    byte-flipped."""
+    for key in doc:
+        for value in DOC_VALUES:
+            yield f"{key}={value!r}", json.dumps({**doc, key: value}).encode()
+        yield f"-{key}", json.dumps({k: v for k, v in doc.items() if k != key}).encode()
+    yield "+extra", json.dumps({**doc, "extra": 1}).encode()
+    for value in DOC_VALUES:
+        yield f"doc={value!r}", json.dumps(value).encode()
+    head = json.dumps({k: v for k, v in doc.items() if k != "steps"})[:-1]
+    for depth in (2, 10, 1000, 10**5):
+        yield f"deep-steps{depth}", f'{head}, "steps": {"[" * depth}{"]" * depth}}}'.encode()
+        yield f"deep-doc{depth}", b"[" * depth + json.dumps(doc).encode() + b"]" * depth
+    places = [(s, i) for s, step in enumerate(doc["steps"]) for i in range(len(step))]
+    for _ in range(1000):
+        steps = json.loads(json.dumps(doc["steps"]))
+        s, i = places[rng.integers(len(places))]
+        to = int(rng.integers(len(steps) + 1))  # a step, or one past the last
+        steps.append([])
+        op = int(rng.integers(5))
+        if op == 0:  # one past the grid, or a value of the wrong type
+            axis = int(rng.integers(2))
+            values = [[doc["T"], doc["K"]][axis] + 1, *DOC_VALUES]
+            steps[s][i][axis] = values[rng.integers(len(values))]
+        elif op == 1:
+            steps[s][i] = [[1], [1, 1, 1], "ab", {}, None, 3][rng.integers(6)]
+        elif op == 2:
+            steps[to].append(steps[s].pop(i))
+        elif op == 3:
+            steps[to].append(steps[s][i])
+        else:
+            steps[s].pop(i)
+        if not steps[-1] and rng.random() < 0.8:
+            steps.pop()
+        yield f"coords-op{op}@{s}.{i}->{to}", json.dumps({**doc, "steps": steps}).encode()
+    text = json.dumps(doc).encode()
+    for cut in range(len(text)):
+        yield f"cut{cut}", text[:cut]
+    for _ in range(300):
+        flipped = bytearray(text)
+        for at in rng.choice(len(text), size=int(rng.integers(1, 4)), replace=False):
+            flipped[at] ^= int(rng.integers(1, 256))
+        yield "xor", bytes(flipped)
+
+
+def test_pattern_document_sweep_never_ends_in_a_traceback(tmp_path):
+    # one child that caps its own address space runs every mutant: a document
+    # may claim a grid of any size
+    doc = json.loads(pattern_to_json(build_pattern(PatternKind.DELAY, 3, 3)))
+    runs = []
+    mutants = _pattern_mutants(doc, np.random.default_rng(PATTERN_SWEEP_SEED))
+    for i, (what, data) in enumerate(mutants):
+        path = tmp_path / f"m{i}.json"
+        path.write_bytes(data)
+        runs.append((what, ["patterns", "validate", "--json", str(path)]))
+    results = run_capped([argv for _, argv in runs])
+    assert len(results) == len(runs) == 1518
+    failures = [f"{what}: exit {code}: {err.strip()[-300:]}"
+                for (what, _), (code, err) in zip(runs, results)
+                if code not in (0, 3) or "Traceback" in err]
+    assert not failures, "\n".join(failures)
+    assert 0 < sum(code == 0 for code, _ in results) < len(results)
+
+
+# ---------------------------------------------------------------- INI sweep
+
+INI_SWEEP_SEED = 41
+INI_FILES = 200  # per subcommand
+# values of the wrong type, range or form for any flag, and INI syntax that
+# reads as something else under interpolation
+INI_VALUES = ("", "0", "-1", "1", "2", "7", "1000000000", "2.5", "1e309", "nan", "inf", "-inf",
+              "yes", "maybe", "delay", "flatten", "diagonal", "text", "%", "5%", "%(missing)s",
+              "%%", "$x", "ü", "x" * 300, "None", "[1]", "0x10")
+# each subcommand's run apart from its config file; a flag here overrides the
+# file's value, so no file can make the run large
+INI_SOURCE = {**SOURCE, "chroma": ["--wav", "{short.wav}"],
+              "memorize": [*SOURCE["memorize"], "--gen-len", "4"]}
+
+
+def _ini_mutants(command: str, dests: list[str], rng):
+    """(what, bytes) of each INI file fed to one subcommand: one to four lines
+    under the command's section, another's, DEFAULT or none, each setting a
+    flag, a variant of its name or a stray key to an INI_VALUES entry, or
+    written as a line INI syntax refuses; some files are then cut short, lose
+    their UTF-8, or gain a byte-order mark or a NUL."""
+    keys = [*dests, *(d.replace("_", "-") for d in dests), *(d.upper() for d in dests),
+            "turbo", "out", "config", "help", "command"]
+    own = f"[{command}]"
+    sections = [own] * 4 + ["[DEFAULT]", "[train]", "[x]", f"{own}\n{own}", ""]
+    forms = ["{k} = {v}", "{k} = {v}", "{k}: {v}", "{k}", "= {v}", "  {v}", "{k} = {v}\n  {v}",
+             "; {v}"]
+    for _ in range(INI_FILES):
+        lines = [sections[rng.integers(len(sections))]]
+        for _ in range(int(rng.integers(1, 5))):
+            key = keys[rng.integers(len(keys))]
+            value = INI_VALUES[rng.integers(len(INI_VALUES))]
+            lines.append(forms[rng.integers(len(forms))].format(k=key, v=value))
+        data = ("\n".join(lines) + "\n").encode()
+        tweak = int(rng.integers(8))
+        if tweak == 0:
+            data = data[: int(rng.integers(len(data) + 1))]
+        elif tweak == 1:
+            data = data.decode().encode("latin-1", "replace") + b"\xe9\n"
+        elif tweak == 2:
+            data = "\ufeff".encode() + data
+        elif tweak == 3:
+            at = int(rng.integers(len(data) + 1))
+            data = data[:at] + b"\x00" + data[at:]
+        yield f"{command}#{tweak}:{data[:60]!r}", data
+
+
+def test_ini_sweep_never_ends_in_a_traceback(bad_inputs, tmp_path):
+    # every subcommand's --config, in one child that caps its own address space
+    short = tmp_path / "short.wav"
+    save_wav(short, sonify_classes([9, 0, 4, 7]))  # one default window
+    files = {**bad_inputs, "{short.wav}": short}
+    rng = np.random.default_rng(INI_SWEEP_SEED)
+    runs = []
+    for command, sub in build_parser()[1].items():
+        dests = [a.dest for a in sub._actions]
+        for i, (what, data) in enumerate(_ini_mutants(command, dests, rng)):
+            path = tmp_path / f"{command}{i}.ini"
+            path.write_bytes(data)
+            out = tmp_path / f"o-{command}{i}"
+            argv = [command, *INI_SOURCE[command], "--config", str(path)]
+            runs.append((what, out, _resolve(argv, files, out)))
+    results = run_capped([argv for *_, argv in runs])
+    assert len(results) == len(runs) == 6 * INI_FILES
+    failures = []
+    for (what, out, argv), (code, err) in zip(runs, results):
+        complete = argv[0] == "patterns" or (out / "manifest.json").exists()  # patterns writes none
+        if (code not in (0, 2, 3, 4) or "Traceback" in err
+                or (out.exists() if code else not complete)):
+            failures.append(f"{what}: exit {code}: {err.strip()[-300:]}")
     assert not failures, "\n".join(failures)

@@ -332,6 +332,20 @@ def test_conditioning_tensor_validation():
         forward(init_params(config, seed=0), [[1]], condition=np.array([[np.inf, 0.0]]))
 
 
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: AudioBuffer(samples=np.zeros(4), sample_rate=0), "sample_rate must be positive"),
+        (lambda: encode_text_toy("warm piano", 0), "D must be >= 1"),
+        (lambda: chroma_to_condition(np.array([0, 4, 7]), 0), "D must be >= 1"),
+    ],
+    ids=["sample-rate", "encode_text_toy", "chroma_to_condition"],
+)
+def test_sizes_below_one_are_refused(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_chromagram_at_non_default_sample_rate():
     rate = 22050
     t = np.arange(2 * rate) / rate

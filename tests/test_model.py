@@ -9,6 +9,7 @@ from types import MappingProxyType
 import numpy as np
 import pytest
 
+from tokenweave import model
 from tokenweave.conditioning import chroma_to_condition, encode_text_toy
 from tokenweave.errors import GuardError, ValidationError
 from tokenweave.model import (
@@ -17,6 +18,7 @@ from tokenweave.model import (
     LN_EPS,
     ROW_BUDGET,
     AdamWState,
+    GradResult,
     ModelConfig,
     Parameters,
     TrainExample,
@@ -941,6 +943,44 @@ def test_train_step_clips_and_updates():
     assert stats.step == 1
     assert np.isfinite(stats.loss)
     assert any(not np.array_equal(params.arrays[n], before[n]) for n in params.arrays)
+
+
+def test_grad_refuses_a_batch_with_nothing_to_score():
+    params = init_params(TINY, seed=0)
+    with pytest.raises(ValidationError, match="empty batch"):
+        grad(params, [])
+    # every slot the special token: no codebook is revealed anywhere
+    silent = TrainExample(slots=np.full((3, TINY.K), SPECIAL_TOKEN, dtype=np.int64))
+    with pytest.raises(ValidationError, match="no revealed positions in the batch"):
+        grad(params, [silent])
+
+
+def test_grad_refuses_a_loss_that_overflows():
+    # head biases of +-1e308 send a target's log-probability to -inf; with
+    # numpy's overflow warnings off, the check after the pass is what refuses it
+    params = init_params(TINY, seed=0)
+    params.arrays["head.k0.b"][:] = [1e308, -1e308, 0.0, 0.0, 0.0]
+    pattern = build_pattern(PatternKind.DELAY, 3, TINY.K)
+    batch = [example_from_grid(pattern, TokenGrid(np.full((3, TINY.K), 2), M=TINY.M))]
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(ValidationError, match="non-finite loss"):
+        grad(params, batch)
+
+
+def test_train_step_refuses_non_finite_gradients_and_updates(monkeypatch):
+    params = init_params(TINY, seed=0)
+    batch, _, _ = tiny_batch(TINY)
+    hyper = TrainHyper(warmup_steps=1, total_steps=10, condition_dropout=0.0)
+    grads = zero_grads(params)
+    monkeypatch.setattr(model, "grad", lambda params, batch: GradResult(1.0, 0.0, grads))
+    grads["head.k0.w"][0, 0] = np.nan
+    with pytest.raises(ValidationError, match="non-finite gradients; update refused"):
+        train_step(AdamWState.init(params), params, batch, hyper, np.random.default_rng(0))
+    # finite (zero) gradients on a bias that is already infinite: the update is refused
+    grads["head.k0.w"][0, 0] = 0.0
+    params.arrays["head.k0.b"][0] = np.inf
+    with pytest.raises(ValidationError, match=r"non-finite update in head\.k0\.b"):
+        train_step(AdamWState.init(params), params, batch, hyper, np.random.default_rng(0))
 
 
 def test_condition_dropout_is_seeded_and_observable():

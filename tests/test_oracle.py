@@ -632,6 +632,17 @@ def test_nan_table_is_rejected(probs):
         JointDistribution(T=1, K=1, M=2, probs=probs)
 
 
+@pytest.mark.parametrize(
+    "probs,message",
+    [([1.0], "must be flat with 2 entries"), ([1.0, 0.0, 0.0], "must be flat with 2 entries"),
+     ([0.5, 0.25], r"sum to 0\.75, not 1")],
+    ids=["short", "long", "mass"],
+)
+def test_table_of_the_wrong_shape_or_mass_is_rejected(probs, message):
+    with pytest.raises(ValidationError, match=message):
+        JointDistribution(T=1, K=1, M=2, probs=probs)
+
+
 def reference_diagonal_table(T, K, M):
     """The diagonal family as one table write per timestep assignment."""
     probs = np.zeros(M ** (T * K))

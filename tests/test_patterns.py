@@ -319,6 +319,14 @@ def test_grid_rejects_out_of_range_tokens():
             revert_pattern(p, np.array([[0, 0], [bad, 0], [0, 1]]), 4)
 
 
+def test_empty_step_table_and_vocabulary_are_rejected():
+    for shape in ((0, 2), (2, 0)):
+        with pytest.raises(ValidationError, match=r"T, K >= 1, got shape \(\d, \d\)"):
+            Pattern(step=np.ones(shape, dtype=np.int64))
+    with pytest.raises(ValidationError, match="M must be >= 1"):
+        TokenGrid(np.ones((1, 1), dtype=np.int64), M=0)
+
+
 def test_pattern_json_roundtrip():
     p = build_pattern(PatternKind.DELAY, 4, 3)
     text = pattern_to_json(p)

@@ -95,6 +95,18 @@ def test_train_codebooks_insufficient_data():
         train_codebooks(frames, RVQConfig(K=1, M=8, d_latent=2))
 
 
+def test_frame_and_stream_counts_must_fit_the_codebooks():
+    frames = synth_latents(8, 2, [0])[0]
+    with pytest.raises(ValidationError, match="frames are 2-dim, config expects 3"):
+        train_codebooks(frames, RVQConfig(K=1, M=2, d_latent=3))
+    books = np.zeros((1, 2, 3))
+    with pytest.raises(ValidationError, match="frames are 2-dim, codebooks are 3-dim"):
+        rvq_encode(frames, books)
+    grid = TokenGrid(tokens=np.ones((1, 2), dtype=int), M=2)
+    with pytest.raises(ValidationError, match="grid has 2 streams but only 1 stages given"):
+        rvq_decode(grid, books)
+
+
 def test_encode_nearest_neighbor_of_centroid_is_itself():
     book = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
     frames = np.array([[3.0, 0.0], [0.0, 3.0], [0.0, 0.0]])

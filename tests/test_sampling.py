@@ -215,6 +215,8 @@ def test_sample_token_rejects_degenerate_logits():
             sample_token(np.array([[-np.inf, -np.inf], [0.0, bad]]), SamplerConfig(), rng)
     with pytest.raises(ValidationError, match=r"NaN or \+inf"):
         sample_token(np.array([[-np.inf, np.nan], [-np.inf, -np.inf]]), CFG_GREEDY, rng)
+    with pytest.raises(ValidationError, match="expects logit rows, got a scalar"):
+        sample_token(np.float64(1.0), CFG_GREEDY, rng)
     # an empty row has nothing to sample either
     with pytest.raises(ValidationError, match="all -inf"):
         sample_token(np.zeros((2, 0)), SamplerConfig(), rng)
@@ -350,6 +352,21 @@ def test_continue_prompt_too_long():
     prompt = TokenGrid(tokens=np.ones((4, 2), dtype=int), M=8)
     with pytest.raises(ValidationError, match="spans"):
         continue_from_prompt(params, pattern, prompt, cfg=CFG_GREEDY)
+
+
+def test_continue_refuses_a_prompt_that_does_not_fit_the_model():
+    params = small_model(K=2, M=8)
+    pattern = build_pattern(PatternKind.DELAY, 3, 2)
+    for prompt, message in ((TokenGrid(tokens=np.ones((1, 1), dtype=int), M=8), r"K=1 .* K=2"),
+                            (TokenGrid(tokens=np.ones((1, 2), dtype=int), M=9), "vocabulary")):
+        with pytest.raises(ValidationError, match=message):
+            continue_from_prompt(params, pattern, prompt, cfg=CFG_GREEDY)
+
+
+def test_walk_refuses_more_steps_than_the_model_takes():
+    params = init_params(ModelConfig(K=2, M=8, D=16, L=1, H=2, max_steps=4), seed=0)
+    with pytest.raises(ValidationError, match="pattern needs 5 steps, model max is 4"):
+        generate(params, build_pattern(PatternKind.DELAY, 4, 2), cfg=CFG_GREEDY)
 
 
 def test_sampler_config_validation():
