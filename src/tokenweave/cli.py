@@ -3,7 +3,8 @@
 Every artifact-producing command writes exactly one manifest.json recording
 the full configuration, seed, sha256 of each artifact, wall-clock timing and
 tool version; re-running with the same configuration reproduces the artifacts
-byte for byte.
+byte for byte. Each artifact, then the manifest, is written to a temporary file
+and renamed into place, so an interrupted run leaves each earlier file whole.
 
 Exit codes: 0 ok, 2 usage, 3 validation (bad inputs, malformed files),
 4 guard/resource (table guards, missing or unreadable files, out of memory),
@@ -108,41 +109,32 @@ def _out_path(args) -> Path:
     return out_dir
 
 
-def _out_dir(args) -> Path:
-    """The run directory, made here: call it at the command's first write,
-    after every check, so a run that fails its checks leaves nothing behind."""
+def _text(text: str):
+    """The writer of a text artifact, for _write_run."""
+    return lambda path: write_atomically(path, lambda fh: fh.write(text.encode()))
+
+
+def _write_run(args, t0: float, artifacts: dict, timings: dict | None = None, **results) -> Path:
+    """Make the run directory, call write(path) for each artifact (file name ->
+    writer, each through write_atomically), then write the manifest of their
+    sha256s; return the directory. Call it once, after every check."""
     out_dir = _out_path(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    h.update(path.read_bytes())
-    return h.hexdigest()
-
-
-def _write_manifest(
-    args,
-    artifacts: list[Path],  # in the run directory, where the manifest goes too
-    t0: float,  # a time.perf_counter() reading
-    timings: dict | None = None,
-    **results,
-) -> Path:
+    for name, write in artifacts.items():
+        write(out_dir / name)
     manifest = {
         "command": args.command,
         "config": {k: v for k, v in vars(args).items()
                    if k not in ("func", "command", "config", "out")},
         "seed": getattr(args, "seed", None),
         "tool_version": __version__,
-        "artifacts": {p.name: _sha256(p) for p in sorted(artifacts)},
+        "artifacts": {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                      for name in sorted(artifacts)},
         "timings": {"wall_seconds": round(time.perf_counter() - t0, 6), **(timings or {})},
         **results,
     }
-    path = artifacts[0].with_name("manifest.json")
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_atomically(path, lambda fh: fh.write(text.encode()))
-    return path
+    _text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")(out_dir / "manifest.json")
+    return out_dir
 
 
 def _seed(text: str) -> int:
@@ -225,17 +217,16 @@ def cmd_exactness(args) -> int:
                 f"flatten pattern induced TV {row.tv}; the exact decomposition broke"
             )
 
-    csv_path = _out_dir(args) / "exactness.csv"
     lines = ["pattern,steps_exact,steps_nominal,tv"]
     for row in rows:
         tv = row.tv if row.tv >= CSV_TV_FLOOR else 0.0
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{tv:.12g}")
-    csv_path.write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
     # support, the grids with P > 0, tells which path the report took (see exactness_report)
     timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6),
                "support": int(np.count_nonzero(joint.probs))}
-    _write_manifest(args, [csv_path], t0, timings, tv={row.kind: row.tv for row in rows})
+    _write_run(args, t0, {"exactness.csv": _text("\n".join(lines) + "\n")}, timings,
+               tv={row.kind: row.tv for row in rows})
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -324,10 +315,6 @@ def cmd_train(args) -> int:
                 f"{stats.grad_norm:.8g},{int(stats.condition_dropped)}"
             )
 
-    out_dir = _out_dir(args)
-    log_path = out_dir / "train_log.csv"
-    log_path.write_text("\n".join(log_lines) + "\n")
-
     extra = {
         "grids": np.stack([g.tokens for g in corpus.grids]),
         "codebooks": corpus.codebooks,
@@ -344,14 +331,16 @@ def cmd_train(args) -> int:
         "final_accuracy": stats.accuracy,
         "seed": args.seed,
     }
-    ckpt_path = out_dir / "checkpoint.npz"
-    save_checkpoint(ckpt_path, params, extra=extra, meta=meta)
-    _write_manifest(args, [log_path, ckpt_path], t0,
-                    {"corpus_s": round(corpus_s, 6),
-                     "step_ms_p50": round(float(np.median(step_ms)), 3),
-                     "step_ms_max": round(max(step_ms), 3)})
+    artifacts = {
+        "train_log.csv": _text("\n".join(log_lines) + "\n"),
+        "checkpoint.npz": lambda path: save_checkpoint(path, params, extra=extra, meta=meta),
+    }
+    out_dir = _write_run(args, t0, artifacts,
+                         {"corpus_s": round(corpus_s, 6),
+                          "step_ms_p50": round(float(np.median(step_ms)), 3),
+                          "step_ms_max": round(max(step_ms), 3)})
     print(f"trained {args.steps} steps: loss {stats.loss:.4f} accuracy {stats.accuracy:.4f}")
-    print(f"checkpoint: {ckpt_path}")
+    print(f"checkpoint: {out_dir / 'checkpoint.npz'}")
     return EXIT_OK
 
 
@@ -406,21 +395,16 @@ def cmd_generate(args) -> int:
         "seconds_per_step": round(gen_seconds / max(1, pattern.S), 6),
     }
 
+    artifacts = {"grid.csv": _text(grid_to_csv(grid))}
     if args.wav:
         if "codebooks" not in ckpt.extra:
             raise ValidationError("checkpoint carries no codebooks; cannot sonify")
         books = checked_array(ckpt.extra["codebooks"], "checkpoint codebooks", 3)
         audio = sonify_classes(latents_to_classes(rvq_decode(grid, books)))  # K, M or d of 0 raises
-
-    out_dir = _out_dir(args)
-    grid_path = out_dir / "grid.csv"
-    grid_path.write_text(grid_to_csv(grid))
-    artifacts = [grid_path]
-    if args.wav:
-        artifacts.append(out_dir / "generated.wav")
-        save_wav(artifacts[-1], audio)
-    _write_manifest(args, artifacts, t0, timings)
-    print(f"grid: {grid_path}")
+        artifacts["generated.wav"] = lambda path: write_atomically(
+            path, lambda fh: save_wav(fh, audio))
+    out_dir = _write_run(args, t0, artifacts, timings)
+    print(f"grid: {out_dir / 'grid.csv'}")
     return EXIT_OK
 
 
@@ -457,14 +441,12 @@ def cmd_memorize(args) -> int:
         ckpt.params, dataset, prompt_lens, args.gen_len, pattern_kind=kind
     )
 
-    csv_path = _out_dir(args) / "memorization.csv"
     lines = ["prompt_len,exact_match,partial_match,n_examples"]
     for row in report.rows:
         lines.append(f"{row.prompt_len},{row.exact_match:.6f},{row.partial_match:.6f},{row.n_examples}")
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_run(args, t0, {"memorization.csv": _text("\n".join(lines) + "\n")})
     print("\n".join(lines))
     print(f"monotone: exact={report.exact_monotone} partial={report.partial_monotone}")
-    _write_manifest(args, [csv_path], t0)
     return EXIT_OK
 
 
@@ -474,12 +456,15 @@ def cmd_memorize(args) -> int:
 def cmd_chroma(args) -> int:
     t0 = time.perf_counter()
     audio = load_wav(args.wav)
+    # the frame stack's entries: at most 0 where compute_chromagram refuses window, hop or clip
+    frames = 1 + (audio.samples.shape[0] - args.window) // args.hop if args.hop >= 1 else 0
+    if frames * args.window > MAX_ENTRIES:
+        raise GuardError(f"the chromagram's {frames} frames of {args.window} samples would "
+                         f"hold {frames * args.window} entries (budget {MAX_ENTRIES})")
     classes = compute_chromagram(audio, window=args.window, hop=args.hop)
-    json_path = _out_dir(args) / "chroma.json"
-    json_path.write_text(quantized_chroma_to_json(classes) + "\n")
+    out_dir = _write_run(args, t0, {"chroma.json": _text(quantized_chroma_to_json(classes) + "\n")})
     print(f"frames: {len(classes)}")
-    print(f"chroma: {json_path}")
-    _write_manifest(args, [json_path], t0)
+    print(f"chroma: {out_dir / 'chroma.json'}")
     return EXIT_OK
 
 

@@ -297,10 +297,11 @@ def load_wav(path) -> AudioBuffer:
     return AudioBuffer(samples=data, sample_rate=rate)
 
 
-def save_wav(path, audio: AudioBuffer) -> None:
+def save_wav(file, audio: AudioBuffer) -> None:
+    """Write 16-bit mono PCM to file, a path or an open binary file (as for wave.open)."""
     clipped = np.clip(audio.samples, -1.0, 32767.0 / 32768.0)
     pcm = np.round(clipped * 32768.0).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
+    with wave.open(file if hasattr(file, "write") else str(file), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
         wf.setframerate(audio.sample_rate)

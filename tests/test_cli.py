@@ -6,6 +6,7 @@ import subprocess
 import sys
 import wave
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ import pytest
 from tokenweave import cli
 from tokenweave.cli import CONDITIONING_ROUTES, build_parser, main
 from tokenweave.conditioning import AudioBuffer, save_wav, sonify_classes
-from tokenweave.model import CONDITIONING_MODES, ModelConfig, init_params, load_checkpoint
+from tokenweave.model import (CONDITIONING_MODES, ModelConfig, init_params, load_checkpoint,
+                              write_atomically)
 from tokenweave.oracle import exactness_report, make_joint
 from tokenweave.patterns import PatternKind, build_pattern
 
@@ -238,6 +240,56 @@ def test_train_with_an_unusable_out_exits_4_before_the_corpus_fit(tmp_path, monk
     assert "cannot make run directory" in capsys.readouterr().err
     assert calls == []
     assert blocker.is_file() and sorted(tmp_path.iterdir()) == [blocker]
+
+
+def test_every_run_file_goes_through_write_atomically(tmp_path, monkeypatch, capsys):
+    # a file written in place can be left torn beside a manifest that vouches for it
+    written = []
+
+    def recording(path, write):
+        written.append(Path(path))
+        write_atomically(path, write)
+
+    monkeypatch.setattr("tokenweave.model.write_atomically", recording)
+    monkeypatch.setattr(cli, "write_atomically", recording)
+    tone = tmp_path / "tone.wav"
+    save_wav(tone, AudioBuffer(samples=np.sin(np.arange(20000) / 5.0), sample_rate=8000))
+    ckpt = str(tmp_path / "train" / "checkpoint.npz")
+    runs = {
+        "exactness": ["exactness"],
+        "train": TRAIN_SMALL,
+        "generate": ["generate", "--checkpoint", ckpt],
+        "generate-wav": ["generate", "--checkpoint", ckpt, "--wav"],
+        "memorize": ["memorize", "--checkpoint", ckpt, "--prompt-lens", "1", "--gen-len", "2"],
+        "chroma": ["chroma", "--wav", str(tone)],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0, name
+        manifest = json.loads((out / "manifest.json").read_text())
+        recorded = {p.name for p in written if p.parent == out}
+        on_disk = {p.name for p in out.iterdir()}
+        assert recorded == on_disk == {*manifest["artifacts"], "manifest.json"}, name
+
+
+def test_a_failed_wav_write_leaves_the_earlier_run_whole(trained, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "g"
+    argv = ["generate", "--checkpoint", str(trained / "checkpoint.npz"), "--wav", "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def torn(fh, audio):
+        fh.write(b"RIFF\0\0")
+        raise OSError("No space left on device")
+
+    monkeypatch.setattr(cli, "save_wav", torn)
+    capsys.readouterr()
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    # the same names (so no temporary file is left) and the same bytes: the rerun's
+    # grid.csv is the first run's, and its torn WAV never replaced the whole one
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_train_loss_decreases(trained):
@@ -706,8 +758,10 @@ HUGE_TRAIN = {
     "train-codebooks-huge": ["train", "--codebooks", "100000", "--steps", "1"],
     "train-timesteps-huge": ["train", "--timesteps", "3000000", "--steps", "1", "--sequences", "1"],
 }
-CAPPED = {*HUGE_SIZES, *HUGE_TRAIN, *(f"{command}-{name}" for command in ("generate", "memorize")
-                                      for name in HUGE_CHECKPOINTS)}
+# a clip whose frame stack (frames x window) passes the budget at --hop 1
+HUGE_CHROMA = {"chroma-frames-huge": ["chroma", "--wav", "{long-tone.wav}", "--hop", "1"]}
+CAPPED = {*HUGE_SIZES, *HUGE_TRAIN, *HUGE_CHROMA,
+          *(f"{command}-{name}" for command in ("generate", "memorize") for name in HUGE_CHECKPOINTS)}
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
     [
@@ -788,7 +842,7 @@ MALFORMED = (
         for name in HUGE_CHECKPOINTS
     ]
     + [pytest.param(argv, 3, id=name) for name, argv in HUGE_SIZES.items()]
-    + [pytest.param(argv, 4, id=name) for name, argv in HUGE_TRAIN.items()]
+    + [pytest.param(argv, 4, id=name) for name, argv in {**HUGE_TRAIN, **HUGE_CHROMA}.items()]
     # JSON nested 1,000 deep, where json's decoder runs out of recursion depth
     + [pytest.param(["patterns", "validate", "--json", "{deep.json}"], 3, id="validate-deep")]
     + [
@@ -912,6 +966,9 @@ def bad_inputs(trained, tmp_path_factory):
     tone = root / "tone.wav"
     save_wav(tone, AudioBuffer(samples=np.sin(np.arange(20000) / 5.0), sample_rate=8000))
     files["{tone.wav}"] = tone
+    files["{long-tone.wav}"] = root / "long-tone.wav"
+    save_wav(files["{long-tone.wav}"],
+             AudioBuffer(samples=np.sin(np.arange(40000) / 5.0), sample_rate=8000))
     put("empty.wav", b"")
     put("cut-header.wav", tone.read_bytes()[:30])
     put("cut-frame.wav", tone.read_bytes()[:-1])
@@ -962,6 +1019,12 @@ def test_malformed_input_never_ends_in_a_traceback(bad_inputs, tmp_path, capsys,
     assert "Traceback" not in err
     if code:  # a run that fails its checks makes no run directory
         assert not out.exists()
+
+
+def test_chroma_refuses_a_frame_stack_over_the_budget(capped_runs):
+    # 23,617 frames of 16,384 samples: 2.9 GiB of float64 before the FFT
+    code, err, _ = capped_runs["chroma-frames-huge"]
+    assert code == 4 and "would hold 386940928 entries (budget 268435456)" in err, err
 
 
 def test_checkpoint_in_mode_both_exits_3_naming_the_modes(bad_inputs, tmp_path, capsys):
