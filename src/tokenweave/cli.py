@@ -84,9 +84,9 @@ from .sampling import SamplerConfig, generate, memorization_report
 
 # --conditioning value -> the ModelConfig.conditioning_mode it trains
 CONDITIONING_ROUTES = {"none": "none", "text": "cross_attention", "chroma": "prefix"}
-FLATTEN_SELF_CHECK_TV = 1e-9
-# an exact pattern's TV bound; the CSV writes rounding noise below it as 0
-CSV_TV_FLOOR = 1e-12
+# an exact pattern's TV bound: the flatten self-check exits 5 above it, and the
+# CSV writes rounding noise below it as 0
+EXACT_TV = 1e-12
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -212,14 +212,14 @@ def cmd_exactness(args) -> int:
     rows = exactness_report(joint, patterns)
     report_s = time.perf_counter() - report_t0
     for row in rows:
-        if row.kind == PatternKind.FLATTEN.value and row.tv > FLATTEN_SELF_CHECK_TV:
+        if row.kind == PatternKind.FLATTEN.value and row.tv > EXACT_TV:
             raise InvariantError(
                 f"flatten pattern induced TV {row.tv}; the exact decomposition broke"
             )
 
     lines = ["pattern,steps_exact,steps_nominal,tv"]
     for row in rows:
-        tv = row.tv if row.tv >= CSV_TV_FLOOR else 0.0
+        tv = row.tv if row.tv >= EXACT_TV else 0.0
         lines.append(f"{row.kind},{row.steps_exact},{row.steps_nominal},{tv:.12g}")
     # support, the grids with P > 0, tells which path the report took (see exactness_report)
     timings = {"joint_s": round(joint_s, 6), "report_s": round(report_s, 6),
@@ -268,7 +268,9 @@ def cmd_train(args) -> int:
         max_steps=max(64, 2 * pattern.S),
         conditioning_mode=mode,
     )
-    scores = args.heads * pattern.S**2
+    # a chroma example leads with one prefix row per timestep
+    rows = pattern.S + (args.timesteps if mode == "prefix" else 0)
+    scores = args.heads * rows**2
     if scores > MAX_ENTRIES:
         raise GuardError(f"one example's attention scores would hold {scores} entries "
                          f"(budget {MAX_ENTRIES})")

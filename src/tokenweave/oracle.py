@@ -15,23 +15,24 @@ invariant by construction, so only its dims are checked against the joint.
 The induced law has a closed form. With R_s the positions revealed before
 step s, the induced probability of a full grid x is the product over steps s
 and positions a revealed at s of P(x_a | x_{R_s}) = P(x_{R_s}, x_a) / P(x_{R_s}).
-With the table in reverse reveal order (last revealed leading), each prefix law
-is the next one summed over its leading axis, and P(x_{R_s}, x_a) sums only
-step s's leading axes; entries stay within 1e-15 of whole-table sums. Where a
-within-step-factorized sampler reaches a prefix outside the joint's support,
-the ratio is undefined and induced_distribution uses the maximum-entropy 1/M.
-A report that builds whole tables shares one chain of prefix laws among the
-patterns of one reveal order.
+One walk, _law, multiplies those factors; it reads each marginal P(x_A) from
+a source keyed by the bitmask of position set A. _table_marginals sums the
+whole table, held with the last position leading, and sums A's marginal only
+out of that of A with its lowest missing position added, so the bits of
+P(x_A) depend on A alone; entries stay within 1e-15 of row-major sums. Where
+a within-step-factorized sampler reaches a prefix outside the joint's
+support, the ratio is undefined and induced_distribution uses the
+maximum-entropy 1/M.
 
 A report needs each induced law Q only on the joint's support: its TV is
 sum over supp P of max(P - Q, 0), which equals 0.5 * sum |P - Q| because both
-laws sum to 1. Every prefix has mass there, so the 1/M fill is never read.
-When |supp P| * T * K <= M**(T*K), the report builds no chain: it keeps one
-cache of support marginals, P(x_A) at each support grid keyed by the bitmask
-of position set A, each computed once by one bincount over the support and
-shared by every pattern, and multiplies each law's factors from it. Those
-sums run over the support grids in index order, so the law stays within
-1e-15 of the whole table's there. Otherwise it builds the whole table.
+laws sum to 1. Every prefix has mass there, so the report divides plainly
+and drops the 0/0 factors that fall off the support. It picks one source of
+marginals and shares it among all its patterns. When
+|supp P| * T * K <= M**(T*K), that is _support_marginals: P(x_A) at each
+support grid, one bincount over the support grids in index order, so the law
+stays within 1e-15 of the whole table's there. Otherwise it is
+_table_marginals, and each Q is laid out whole.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def induced_distribution(joint: JointDistribution, pattern: Pattern) -> JointDis
     1/M wherever P(x_{R_s}) = 0.
     """
     _check_shape(joint, pattern)
-    return JointDistribution(T=joint.T, K=joint.K, M=joint.M, probs=_induced_law(joint, pattern, {}))
+    law = _law(pattern, _table_marginals(joint), fill=1.0 / joint.M)
+    return JointDistribution(T=joint.T, K=joint.K, M=joint.M, probs=law)
 
 
 def _check_shape(joint: JointDistribution, pattern: Pattern) -> None:
@@ -186,72 +188,65 @@ def _reveal_steps(pattern: Pattern) -> tuple[np.ndarray, list[int]]:
     return np.argsort(steps, kind="stable"), np.bincount(steps)[1:].tolist()
 
 
-def _reveal_chain(joint: JointDistribution, last_first: np.ndarray) -> list[np.ndarray]:
-    """prefix[j]: law of the first j positions revealed, the j-th one leading."""
-    prefix = [np.ascontiguousarray(joint.table().transpose(last_first))]
-    while prefix[0].ndim:
-        prefix.insert(0, prefix[0].sum(axis=0))
-    return prefix
-
-
-def _induced_law(joint: JointDistribution, pattern: Pattern, chains: dict[bytes, list]) -> np.ndarray:
-    """induced_distribution's flat table, its chain looked up by reveal order
-    in chains."""
+def _law(pattern: Pattern, at, fill: float | None = None) -> np.ndarray:
+    """The induced law as a flat array: per step, and per position a the step
+    reveals in ascending order, the factor P(x_{R_s ∪ {a}}) / P(x_{R_s}),
+    each marginal P(x_A) read as at(bitmask of A). With fill, a factor whose
+    P(x_{R_s}) is 0 is fill; without, it is 0/0."""
     order, counts = _reveal_steps(pattern)
-    last_first = order[::-1]
-    key = last_first.tobytes()
-    if key not in chains:
-        chains[key] = _reveal_chain(joint, last_first)
-    prefix = chains[key]
-    law, r = np.ones(()), 0
+    steps, revealed = [], 0
     for n in counts:
-        given, step_law = prefix[r], prefix[r + n]
-        held = given > 0.0
-        all_held = held.all()
-        for lead in range(n - 1, -1, -1):  # the step's positions in ascending order
-            others = tuple(ax for ax in range(n) if ax != lead)
-            both = step_law.sum(axis=others, keepdims=True) if others else step_law
-            if all_held:  # the same quotients, without laying out the 1/M fill
-                law = law * (both / given)
-            else:
-                law = law * np.divide(both, given, out=np.full(both.shape, 1.0 / joint.M), where=held)
-        r += n
-    return law.transpose(np.argsort(last_first)).ravel()
+        step, order = order[:n].tolist(), order[n:]
+        steps.append((revealed, step))
+        revealed |= sum(1 << a for a in step)
+    # read last step first, so that each set is read after a superset of it
+    factors = [([at(given | 1 << a) for a in step], at(given)) for given, step in steps[::-1]]
+    law = 1.0
+    for boths, given in factors[::-1]:
+        for both in boths:
+            law = law * (both / given if fill is None else
+                         np.divide(both, given, out=np.full(both.shape, fill), where=given > 0.0))
+    return law.T.ravel()
 
 
-def _support_law(
-    pattern: Pattern, p: np.ndarray, coords: np.ndarray, M: int, marginals: dict[int, np.ndarray]
-) -> np.ndarray:
-    """The induced law at P's support grids, p their masses and coords[a]
-    their 0-based tokens at position a: per step, and per position a the
-    step reveals in ascending order, the factor P(x_{R_s ∪ {a}}) / P(x_{R_s}).
-    Each marginal is read from marginals, keyed by the bitmask of its
-    position set, and computed there on first use; one marginals dict serves
-    one support."""
+def _support_marginals(p: np.ndarray, coords: np.ndarray, M: int):
+    """at for _law at P's support grids, p their masses and coords[a] their
+    0-based tokens at position a. P(x_A) at each grid is one bincount of p by
+    the grid's index among the values x_A takes (its tokens at A in ascending
+    position order, read as base-M digits), computed on first use."""
+    cache = {}
 
     def at(positions: int) -> np.ndarray:
-        if positions not in marginals:
-            marginals[positions] = _support_marginal(p, coords, positions, M)
-        return marginals[positions]
+        if positions not in cache:
+            axes = [a for a in range(len(coords)) if positions >> a & 1]
+            key = M ** np.arange(len(axes) - 1, -1, -1) @ coords[axes]
+            cache[positions] = np.bincount(key, weights=p).take(key)
+        return cache[positions]
 
-    order, counts = _reveal_steps(pattern)
-    law, revealed, r = np.ones(len(p)), 0, 0
-    for n in counts:
-        given, step = at(revealed), order[r : r + n].tolist()
-        for a in step:
-            law *= at(revealed | 1 << a) / given
-        revealed |= sum(1 << a for a in step)
-        r += n
-    return law
+    return at
 
 
-def _support_marginal(p: np.ndarray, coords: np.ndarray, positions: int, M: int) -> np.ndarray:
-    """P(x_A) at each support grid, A the positions whose bits are set: one
-    bincount of p by each grid's index among the values x_A takes (its
-    tokens at A in ascending position order, read as base-M digits)."""
-    axes = [a for a in range(len(coords)) if positions >> a & 1]
-    key = M ** np.arange(len(axes) - 1, -1, -1) @ coords[axes]
-    return np.bincount(key, weights=p).take(key)
+def _table_marginals(joint: JointDistribution):
+    """at for _law over the whole table. It holds the table with the last
+    position leading (position a on axis N-1-a), and each P(x_A) keeps a
+    length-1 axis per summed position. A's marginal is summed only from that
+    of A ∪ {A's lowest missing position}, so its bits depend on A alone;
+    each is computed on first use."""
+    N = joint.n_positions
+    full = (1 << N) - 1
+    cache = {full: np.ascontiguousarray(joint.table().T)}
+
+    def at(positions: int) -> np.ndarray:
+        chain = [positions]
+        while chain[-1] not in cache:
+            missing = full & ~chain[-1]
+            chain.append(chain[-1] | missing & -missing)
+        for subset, superset in zip(chain[-2::-1], chain[:0:-1]):
+            axis = N - (subset ^ superset).bit_length()
+            cache[subset] = cache[superset].sum(axis=axis, keepdims=True)
+        return cache[positions]
+
+    return at
 
 
 def tv_distance(p: JointDistribution, q: JointDistribution) -> float:
@@ -276,38 +271,31 @@ def exactness_report(joint: JointDistribution, patterns: Iterable[Pattern]) -> l
     the joint P. The flatten row is exact by construction (TV within rounding,
     at most 1e-12).
 
-    TV is taken on P's support as sum max(P - Q, 0), which equals
-    0.5 * sum |P - Q| because both laws sum to 1. When
-    |supp P| * T * K <= M**(T*K), Q is built at the support grids only, each
-    factor read from one report-wide cache of support marginals P(x_A), keyed
-    by position set A and each computed once by one bincount over the
-    support. Otherwise Q is laid out whole from each reveal order's chain of
-    prefix laws, which the report builds once per order: on a dense support,
-    sums over the table's leading axes beat one bincount per marginal.
+    TV is sum max(P - Q, 0) over P's support. Every Q comes from _law with
+    one source of marginals, picked once by |supp P| * T * K <= M**(T*K):
+    support marginals where it holds, whole-table ones where it does not (on
+    a dense support, sums over the table's axes beat a bincount per marginal).
     """
     held = joint.probs > 0.0
     count = np.count_nonzero(held)
-    sparse = count * joint.n_positions <= held.size
-    whole = count == held.size  # then P and each whole Q are read without a copy
-    p = joint.probs if whole else joint.probs[held]
-    if sparse:
+    if count * joint.n_positions <= held.size:
         coords = np.stack(np.unravel_index(np.flatnonzero(held), (joint.M,) * joint.n_positions))
-    rows, marginals, chains = [], {}, {}
-    for pattern in patterns:
-        _check_shape(joint, pattern)
-        counts = step_counts(pattern)
-        if sparse:
-            q = _support_law(pattern, p, coords, joint.M, marginals)
-        else:
-            q = _induced_law(joint, pattern, chains)
-        q = checked_array(q, "induced probabilities", 1, low=0)
-        if not (sparse or whole):
-            q = q[held]
-        if not q.sum() <= 1.0 + MASS_TOL:
-            raise ValidationError(f"induced probabilities sum to {float(q.sum())!r} on the joint's support, above 1")
-        gap = p - q
-        tv = float(np.maximum(gap, 0.0, out=gap).sum())
-        del q, gap  # freed before the next law is laid out
-        kind = pattern.kind.value if pattern.kind is not None else "custom"
-        rows.append(ExactnessRow(kind=kind, steps_exact=counts.exact, steps_nominal=counts.nominal, tv=tv))
+        p = joint.probs[held]
+        at, held = _support_marginals(p, coords, joint.M), ...
+    else:
+        held = held if count < held.size else ...  # a whole P and each whole Q are read without a copy
+        p, at = joint.probs[held], _table_marginals(joint)
+    rows = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for pattern in patterns:
+            _check_shape(joint, pattern)
+            counts = step_counts(pattern)
+            q = checked_array(_law(pattern, at)[held], "induced probabilities", 1, low=0)
+            if not q.sum() <= 1.0 + MASS_TOL:
+                raise ValidationError(f"induced probabilities sum to {float(q.sum())!r} on the joint's support, above 1")
+            gap = p - q
+            tv = float(np.maximum(gap, 0.0, out=gap).sum())
+            del q, gap  # freed before the next law is laid out
+            kind = pattern.kind.value if pattern.kind is not None else "custom"
+            rows.append(ExactnessRow(kind=kind, steps_exact=counts.exact, steps_nominal=counts.nominal, tv=tv))
     return rows

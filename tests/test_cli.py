@@ -636,16 +636,20 @@ def test_flatten_self_check_invariant_exit_5(tmp_path, monkeypatch):
     from tokenweave import cli as cli_mod
     from tokenweave.oracle import ExactnessRow
 
-    def poisoned(joint, patterns):
-        return [ExactnessRow(kind="flatten", steps_exact=4, steps_nominal=4, tv=0.1)]
+    # 1e-10 is far below any broken decomposition's TV, yet above the 1e-12
+    # every exact pattern is held to
+    for tv in (0.1, 1e-10):
+        def poisoned(joint, patterns):
+            return [ExactnessRow(kind="flatten", steps_exact=4, steps_nominal=4, tv=tv)]
 
-    monkeypatch.setattr(cli_mod, "exactness_report", poisoned)
-    code = cli_mod.main(["exactness", "--family", "product", "--T", "1", "--K", "2",
-                         "--M", "2", "--patterns", "flatten", "--out", str(tmp_path / "o")])
-    assert code == 5
-    # the check runs before any write, so no complete-looking run is left
-    assert not (tmp_path / "o" / "exactness.csv").exists()
-    assert not (tmp_path / "o" / "manifest.json").exists()
+        monkeypatch.setattr(cli_mod, "exactness_report", poisoned)
+        out = tmp_path / str(tv)
+        code = cli_mod.main(["exactness", "--family", "product", "--T", "1", "--K", "2",
+                             "--M", "2", "--patterns", "flatten", "--out", str(out)])
+        assert code == 5, tv
+        # the check runs before any write, so no complete-looking run is left
+        assert not (out / "exactness.csv").exists()
+        assert not (out / "manifest.json").exists()
 
 
 def test_family_choices_are_the_oracle_families():
@@ -750,13 +754,16 @@ HUGE_SIZES = {
     "memorize-gen-len": ["memorize", "--checkpoint", "{ckpt}", "--gen-len", "100000000"],
     "memorize-prompt-lens": ["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "100000000"],
 }
-# train runs whose attention scores (heads x steps^2 per example) or parameters
-# pass the budget: refused before the codec fit, which would not finish at these
-# sizes, and before any parameter array exists
+# train runs whose attention scores (heads x rows^2 per example, a chroma
+# example's T prefix rows counted) or parameters pass the budget: refused before
+# the codec fit, which would not finish at these sizes, and before any parameter
+# array exists
 HUGE_TRAIN = {
     "train-dim-huge": ["train", "--dim", "4000000", "--heads", "1", "--steps", "1"],
     "train-codebooks-huge": ["train", "--codebooks", "100000", "--steps", "1"],
     "train-timesteps-huge": ["train", "--timesteps", "3000000", "--steps", "1", "--sequences", "1"],
+    "train-chroma-prefix-huge": ["train", "--conditioning", "chroma", "--timesteps", "6000",
+                                 "--sequences", "1", "--steps", "1"],
 }
 # a clip whose frame stack (frames x window) passes the budget at --hop 1
 HUGE_CHROMA = {"chroma-frames-huge": ["chroma", "--wav", "{long-tone.wav}", "--hop", "1"]}
@@ -1025,6 +1032,14 @@ def test_chroma_refuses_a_frame_stack_over_the_budget(capped_runs):
     # 23,617 frames of 16,384 samples: 2.9 GiB of float64 before the FFT
     code, err, _ = capped_runs["chroma-frames-huge"]
     assert code == 4 and "would hold 386940928 entries (budget 268435456)" in err, err
+
+
+def test_train_counts_chroma_prefix_rows_in_the_score_budget(capped_runs):
+    # 6,003 delay steps alone pass (4 x 6003^2 < 2^28); with the 6,000 prefix
+    # rows a grad pass would ask for a (1, 4, 12003, 12003) score array
+    code, err, _ = capped_runs["train-chroma-prefix-huge"]
+    assert code == 4 and "would hold 576288036 entries (budget 268435456)" in err, err
+    assert "out of memory" not in err
 
 
 def test_checkpoint_in_mode_both_exits_3_naming_the_modes(bad_inputs, tmp_path, capsys):

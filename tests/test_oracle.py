@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import json
 
@@ -308,26 +309,6 @@ def test_reveal_order_law_matches_whole_table_marginals():
     assert cases == 1592
 
 
-def masked_induced(joint, pattern):
-    """The reveal-order law with the masked 1/M divide at every step, also
-    where every prefix has mass and the oracle divides plainly."""
-    steps = pattern.step.ravel()
-    last_first = np.argsort(steps, kind="stable")[::-1]
-    prefix = [np.ascontiguousarray(joint.table().transpose(last_first))]
-    while prefix[0].ndim:
-        prefix.insert(0, prefix[0].sum(axis=0))
-    law, r = np.ones(()), 0
-    for n in np.bincount(steps)[1:].tolist():
-        given, step_law = prefix[r], prefix[r + n]
-        for lead in range(n - 1, -1, -1):
-            others = tuple(ax for ax in range(n) if ax != lead)
-            both = step_law.sum(axis=others, keepdims=True) if others else step_law
-            fill = np.full(both.shape, 1.0 / joint.M)
-            law = law * np.divide(both, given, out=fill, where=given > 0.0)
-        r += n
-    return law.transpose(np.argsort(last_first)).ravel()
-
-
 def as_custom(pattern):
     """The pattern read back from its document with no kind: a custom pattern
     whose step table equals the built-in's."""
@@ -340,19 +321,43 @@ def takes_support_path(joint):
     return np.count_nonzero(joint.probs) * joint.n_positions <= joint.probs.size
 
 
+def plain_law(joint, pattern):
+    """The law exactness_report builds on the table path: the walk over
+    whole-table marginals with a plain divide, 0/0 off P's support."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return oracle._law(pattern, oracle._table_marginals(joint))
+
+
 def support_law(joint, pattern):
     """The law exactness_report builds on the support path, at P's support."""
     support = np.flatnonzero(joint.probs)
     coords = np.stack(np.unravel_index(support, (joint.M,) * joint.n_positions))
-    return oracle._support_law(pattern, joint.probs[support], coords, joint.M, {})
+    return oracle._law(pattern, oracle._support_marginals(joint.probs[support], coords, joint.M))
+
+
+def spy_sources(monkeypatch):
+    """Wrap both sources of marginals. Returns the list of sources built, each
+    as (name, reads), reads being the (position set, marginal) pairs its at
+    returned in order."""
+    built = []
+    for name in ("_support_marginals", "_table_marginals"):
+
+        def spied(*args, _source=getattr(oracle, name), _name=name):
+            at, reads = _source(*args), []
+            built.append((_name, reads))
+            return lambda positions: reads.append((positions, at(positions))) or reads[-1][1]
+
+        monkeypatch.setattr(oracle, name, spied)
+    return built
 
 
 def test_exactness_report_rows_equal_per_pattern_laws_bitwise():
-    # patterns share one chain per reveal order, or one cache of support
-    # marginals, inside the report; each row must still carry the TV of that pattern's own law, bit for
-    # bit where the table path runs and within 1e-14 where the support path
-    # sums its marginals in another order, whatever order the patterns come
-    # in, and each law must equal the one the masked divide gives at every step
+    # patterns share one source of marginals inside the report; each row must
+    # still carry the TV of that pattern's own law, bit for bit where the
+    # table path runs and within 1e-14 where the support path sums its
+    # marginals in another order, whatever order the patterns come in. On P's
+    # support the walk with the 1/M fill at every step (induced_distribution)
+    # must equal the report's plain divide bit for bit
     rng = np.random.default_rng(3)
     for family, T, K, M, seed, joint, kinds in sweep_joints():
         patterns = [build_pattern(kind, T, K) for kind in kinds]
@@ -365,48 +370,50 @@ def test_exactness_report_rows_equal_per_pattern_laws_bitwise():
         for pattern, row in zip(patterns, rows):
             law = induced_distribution(joint, pattern)
             case = (family, T, K, M, seed, row.kind)
-            assert law.probs.tobytes() == masked_induced(joint, pattern).tobytes(), case
+            assert law.probs[support].tobytes() == plain_law(joint, pattern)[support].tobytes(), case
             if not takes_support_path(joint):
                 on_support = np.maximum(joint.probs[support] - law.probs[support], 0.0).sum()
                 assert row.tv.hex() == float(on_support).hex(), case
             assert abs(row.tv - tv_distance(joint, law)) <= 1e-14, case
 
 
-def test_sparse_report_shares_marginals_without_leaking_between_patterns(monkeypatch):
-    # one marginals cache serves every pattern of a sparse report: each row
-    # must equal, bit for bit, the row of a report of its pattern alone, no
-    # position set may be computed twice, and no reveal chain is built
-    marginal, chain = oracle._support_marginal, oracle._reveal_chain
-    computed, chains = [], []
-
-    def spied_marginal(p, coords, positions, M):
-        computed.append(positions)
-        return marginal(p, coords, positions, M)
-
-    def spied_chain(*args):
-        chains.append(args)
-        return chain(*args)
-
-    monkeypatch.setattr(oracle, "_support_marginal", spied_marginal)
-    monkeypatch.setattr(oracle, "_reveal_chain", spied_chain)
+def check_marginals_shared_without_leaks(monkeypatch, sparse):
+    """Over the sweep joints whose report takes the given path: one source of
+    marginals serves the whole report and returns one array per position set,
+    and each row equals, bit for bit, the row of a report of its pattern
+    alone. Returns the number of joints checked."""
+    built = spy_sources(monkeypatch)
     rng = np.random.default_rng(4)
     cases = 0
     for family, T, K, M, seed, joint, kinds in sweep_joints():
-        if not takes_support_path(joint):
+        if takes_support_path(joint) != sparse:
             continue
         patterns = [build_pattern(kind, T, K) for kind in kinds]
         repeat, copy = rng.integers(len(patterns), size=2)
         patterns += [patterns[repeat], as_custom(patterns[copy])]
         rng.shuffle(patterns)
-        computed.clear()
+        built.clear()
         rows = exactness_report(joint, patterns)
         case = (family, T, K, M, seed)
-        assert computed and len(set(computed)) == len(computed), case
+        ((name, reads),) = built
+        assert name == ("_support_marginals" if sparse else "_table_marginals"), case
+        first = {}
+        assert reads and all(first.setdefault(a, m) is m for a, m in reads), case
         for pattern, row in zip(patterns, rows):
             (alone,) = exactness_report(joint, [pattern])
             assert row.tv.hex() == alone.tv.hex(), (*case, row.kind)
         cases += 1
-    assert chains == [] and cases == 73
+    return cases
+
+
+def test_sparse_report_shares_marginals_without_leaking_between_patterns(monkeypatch):
+    assert check_marginals_shared_without_leaks(monkeypatch, sparse=True) == 73
+
+
+def test_dense_report_shares_marginals_without_leaking_between_patterns(monkeypatch):
+    # whole-table marginals are shared across reveal orders, so a marginal
+    # summed for one pattern must carry the same bits it would for another
+    assert check_marginals_shared_without_leaks(monkeypatch, sparse=False) == 155
 
 
 def test_gathered_law_equals_whole_table_on_support_bitwise():
@@ -432,13 +439,13 @@ def test_exactness_report_path_follows_support_size(monkeypatch, kept, sparse):
     rng = np.random.default_rng(5)
     probs = rng.random(M ** (T * K)) * (rng.random(M ** (T * K)) < kept)
     joint = JointDistribution(T=T, K=K, M=M, probs=probs / probs.sum())
-    paths = []
-    for name in ("_support_law", "_induced_law"):
-        law = getattr(oracle, name)
-        monkeypatch.setattr(oracle, name, lambda *args, _law=law, _name=name: paths.append(_name) or _law(*args))
+    built, walked, law = spy_sources(monkeypatch), [], oracle._law
+    monkeypatch.setattr(oracle, "_law", lambda pattern, *args: walked.append(pattern) or law(pattern, *args))
     patterns = [build_pattern(kind, T, K) for kind in PatternKind]
     rows = exactness_report(joint, patterns)
-    assert paths == ["_support_law" if sparse else "_induced_law"] * len(patterns)
+    assert [name for name, _ in built] == ["_support_marginals" if sparse else "_table_marginals"]
+    assert len(walked) == len(patterns) and all(a is b for a, b in zip(walked, patterns))
+    monkeypatch.undo()
     support = np.flatnonzero(probs)
     for pattern, row in zip(patterns, rows):
         law = induced_distribution(joint, pattern)
@@ -462,9 +469,9 @@ def test_exactness_report_checks_each_law(monkeypatch, sparse, message):
     # sparse markov joint and whole on the dense product joint; it checks it
     # as a JointDistribution would
     joint = make_joint("markov_residual" if sparse else "product", 2, 4, 3)
-    helper = "_support_law" if sparse else "_induced_law"
-    law = getattr(oracle, helper)
-    monkeypatch.setattr(oracle, helper, lambda *args: CORRUPTIONS[message](law(*args)))
+    assert takes_support_path(joint) == sparse
+    law = oracle._law
+    monkeypatch.setattr(oracle, "_law", lambda *args: CORRUPTIONS[message](law(*args)))
     with pytest.raises(ValidationError, match=message):
         exactness_report(joint, [build_pattern(PatternKind.DELAY, 2, 4)])
 
@@ -472,12 +479,14 @@ def test_exactness_report_checks_each_law(monkeypatch, sparse, message):
 @pytest.mark.parametrize("family", ["markov_residual", "product"])
 @pytest.mark.parametrize("T,K", [(3, 4), (2, 2)])
 def test_exactness_report_rejects_a_pattern_of_another_shape(monkeypatch, family, T, K):
-    # on both paths, before any token of the joint's support is looked up
+    # on both paths, before any marginal of the joint is read
     joint = make_joint(family, 2, 4, 3)
     assert takes_support_path(joint) == (family == "markov_residual")
-    monkeypatch.setattr(oracle, "_support_marginal", lambda *args: pytest.fail("marginal computed"))
+    built = spy_sources(monkeypatch)
+    monkeypatch.setattr(oracle, "_law", lambda *args: pytest.fail("law walked"))
     with pytest.raises(ValidationError, match=f"pattern is {T}x{K} but joint is 2x4"):
         exactness_report(joint, [build_pattern(PatternKind.DELAY, T, K)])
+    assert [reads for _, reads in built] == [[]]
 
 
 def test_point_mass_joint_is_exact_for_every_kind():
@@ -490,23 +499,59 @@ def test_point_mass_joint_is_exact_for_every_kind():
     assert [row.tv for row in rows] == [0.0] * len(PatternKind)
 
 
-@pytest.mark.parametrize("T,K,orders", [(2, 4, 4), (3, 4, 4), (2, 2, 2)])
-def test_exactness_report_builds_one_chain_per_reveal_order(monkeypatch, T, K, orders):
-    # at K = 4, parallel, partial_delay, flatten, partial_flatten and
-    # stereo_partial_delay all reveal row-major; delay, coarse_first and
-    # stereo_delay each have an order of their own. The dense product joint
-    # takes the table path, the only one that builds chains.
-    calls, chain = [], oracle._reveal_chain
-
-    def counted(*args):
-        calls.append(args)
-        return chain(*args)
-
-    monkeypatch.setattr(oracle, "_reveal_chain", counted)
+@pytest.mark.parametrize("T,K", [(2, 4), (3, 4), (2, 2)])
+def test_exactness_report_sums_each_position_set_once(monkeypatch, T, K):
+    # the dense product joint takes the table path. Its patterns share
+    # marginals across reveal orders: each position set is summed at most once
+    # per report, and only out of the set with its lowest missing position
+    # added, so its bits depend on the set alone
+    N, M = T * K, 2
+    full = (1 << N) - 1
+    joint = make_joint("product", T, K, M)
     patterns = [build_pattern(kind, T, K) for kind in PatternKind]
     patterns += [as_custom(patterns[0]), build_pattern(PatternKind.DELAY, T, K)]
-    rows = exactness_report(make_joint("product", T, K, 2), patterns)
-    assert len(rows) == len(patterns) and len(calls) == orders
+    sums = []
+
+    def kept(shape):  # the position set a table marginal keeps: a on axis N-1-a
+        return sum(1 << N - 1 - axis for axis, n in enumerate(shape) if n == M)
+
+    class Summed(np.ndarray):
+        def sum(self, *args, **kwargs):
+            out = super().sum(*args, **kwargs)
+            if "axis" in kwargs:  # a marginal, not the report's sum of a law
+                sums.append((kept(self.shape), kept(out.shape)))
+            return out
+
+    contiguous = np.ascontiguousarray
+    monkeypatch.setattr(np, "ascontiguousarray", lambda a: contiguous(a).view(Summed))
+    built = spy_sources(monkeypatch)
+    rows = exactness_report(joint, patterns)
+    monkeypatch.undo()
+    summed = [subset for _, subset in sums]
+    assert len(rows) == len(patterns) and len(set(summed)) == len(summed)
+    for superset, subset in sums:
+        missing = full & ~subset
+        assert superset == subset | missing & -missing
+    ((name, reads),) = built
+    assert name == "_table_marginals" and {a for a, _ in reads} <= {*summed, full}
+
+
+def test_reports_leave_no_reference_cycles():
+    # a source of marginals that reached itself through its closure would
+    # hold every marginal it cached until the cyclic collector ran
+    joints = [make_joint(family, 2, 4, M) for family, M in (("markov_residual", 3), ("product", 2))]
+    patterns = [build_pattern(kind, 2, 4) for kind in PatternKind]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for joint in joints:
+            exactness_report(joint, patterns)
+        induced_distribution(joints[0], patterns[1])
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
