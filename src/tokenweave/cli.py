@@ -274,6 +274,10 @@ def cmd_train(args) -> int:
     if scores > MAX_ENTRIES:
         raise GuardError(f"one example's attention scores would hold {scores} entries "
                          f"(budget {MAX_ENTRIES})")
+    distances = args.sequences * args.timesteps * args.vocab  # the codec fit's (frames, M) array
+    if distances > MAX_ENTRIES:
+        raise GuardError(f"the codec fit's distance array would hold {distances} entries "
+                         f"(budget {MAX_ENTRIES})")
     hyper = TrainHyper(
         lr_max=args.lr,
         warmup_steps=args.warmup,

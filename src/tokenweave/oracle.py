@@ -31,8 +31,11 @@ and drops the 0/0 factors that fall off the support. It picks one source of
 marginals and shares it among all its patterns. When
 |supp P| * T * K <= M**(T*K), that is _support_marginals: P(x_A) at each
 support grid, one bincount over the support grids in index order, so the law
-stays within 1e-15 of the whole table's there. Otherwise it is
-_table_marginals, and each Q is laid out whole.
+stays within 1e-15 of the whole table's there. Its groups are keyed by the
+grids' tokens at A read as base-M digits, and A's key grows from that of A
+without its highest position by one multiply-add, as A's table marginal comes
+from one cached neighbour. Otherwise it is _table_marginals, and each Q is
+laid out whole.
 """
 
 from __future__ import annotations
@@ -181,45 +184,55 @@ def _check_shape(joint: JointDistribution, pattern: Pattern) -> None:
         )
 
 
-def _reveal_steps(pattern: Pattern) -> tuple[np.ndarray, list[int]]:
-    """The flat positions in reveal order, ascending within a step, and how
-    many positions each step reveals."""
+def _reveal_steps(pattern: Pattern) -> tuple[list[int], list[int]]:
+    """The flat positions in reveal order, ascending within a step, as a list,
+    and how many positions each step reveals."""
     steps = pattern.step.ravel()
-    return np.argsort(steps, kind="stable"), np.bincount(steps)[1:].tolist()
+    return steps.argsort(kind="stable").tolist(), np.bincount(steps)[1:].tolist()
 
 
 def _law(pattern: Pattern, at, fill: float | None = None) -> np.ndarray:
     """The induced law as a flat array: per step, and per position a the step
     reveals in ascending order, the factor P(x_{R_s ∪ {a}}) / P(x_{R_s}),
-    each marginal P(x_A) read as at(bitmask of A). With fill, a factor whose
+    each marginal P(x_A) read as at(bitmask of A). The law starts as the first
+    factor and multiplies in each next one. With fill, a factor whose
     P(x_{R_s}) is 0 is fill; without, it is 0/0."""
     order, counts = _reveal_steps(pattern)
     steps, revealed = [], 0
     for n in counts:
-        step, order = order[:n].tolist(), order[n:]
+        step, order = order[:n], order[n:]
         steps.append((revealed, step))
         revealed |= sum(1 << a for a in step)
     # read last step first, so that each set is read after a superset of it
     factors = [([at(given | 1 << a) for a in step], at(given)) for given, step in steps[::-1]]
-    law = 1.0
+    law = None
     for boths, given in factors[::-1]:
         for both in boths:
-            law = law * (both / given if fill is None else
-                         np.divide(both, given, out=np.full(both.shape, fill), where=given > 0.0))
+            ratio = (both / given if fill is None else
+                     np.divide(both, given, out=np.full(both.shape, fill), where=given > 0.0))
+            law = ratio if law is None else law * ratio
+            del ratio  # freed before the next factor is laid out
     return law.T.ravel()
 
 
 def _support_marginals(p: np.ndarray, coords: np.ndarray, M: int):
     """at for _law at P's support grids, p their masses and coords[a] their
     0-based tokens at position a. P(x_A) at each grid is one bincount of p by
-    the grid's index among the values x_A takes (its tokens at A in ascending
-    position order, read as base-M digits), computed on first use."""
-    cache = {}
+    the grid's key for A: its index among the values x_A takes (its tokens at
+    A in ascending position order, read as base-M digits). A's key grows from
+    that of A without its highest position by one multiply-add, key(A) =
+    key(A - {top}) * M + coords[top], from the empty set's zeros; keys and
+    marginals are computed on first use."""
+    keys, cache = {0: np.zeros(len(p), dtype=np.int64)}, {}
 
     def at(positions: int) -> np.ndarray:
         if positions not in cache:
-            axes = [a for a in range(len(coords)) if positions >> a & 1]
-            key = M ** np.arange(len(axes) - 1, -1, -1) @ coords[axes]
+            chain = [positions]
+            while chain[-1] not in keys:
+                chain.append(chain[-1] & ~(1 << chain[-1].bit_length() - 1))
+            for superset, subset in zip(chain[-2::-1], chain[:0:-1]):
+                keys[superset] = keys[subset] * M + coords[superset.bit_length() - 1]
+            key = keys[positions]
             cache[positions] = np.bincount(key, weights=p).take(key)
         return cache[positions]
 

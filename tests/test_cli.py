@@ -755,15 +755,16 @@ HUGE_SIZES = {
     "memorize-prompt-lens": ["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "100000000"],
 }
 # train runs whose attention scores (heads x rows^2 per example, a chroma
-# example's T prefix rows counted) or parameters pass the budget: refused before
-# the codec fit, which would not finish at these sizes, and before any parameter
-# array exists
+# example's T prefix rows counted), codec-fit distances (sequences x timesteps x
+# vocab) or parameters pass the budget: refused before the codec fit, which would
+# not finish at these sizes, and before any parameter array exists
 HUGE_TRAIN = {
     "train-dim-huge": ["train", "--dim", "4000000", "--heads", "1", "--steps", "1"],
     "train-codebooks-huge": ["train", "--codebooks", "100000", "--steps", "1"],
     "train-timesteps-huge": ["train", "--timesteps", "3000000", "--steps", "1", "--sequences", "1"],
     "train-chroma-prefix-huge": ["train", "--conditioning", "chroma", "--timesteps", "6000",
                                  "--sequences", "1", "--steps", "1"],
+    "train-fit-huge": ["train", "--sequences", "20000", "--vocab", "1024", "--steps", "1"],
 }
 # a clip whose frame stack (frames x window) passes the budget at --hop 1
 HUGE_CHROMA = {"chroma-frames-huge": ["chroma", "--wav", "{long-tone.wav}", "--hop", "1"]}
@@ -1039,6 +1040,14 @@ def test_train_counts_chroma_prefix_rows_in_the_score_budget(capped_runs):
     # rows a grad pass would ask for a (1, 4, 12003, 12003) score array
     code, err, _ = capped_runs["train-chroma-prefix-huge"]
     assert code == 4 and "would hold 576288036 entries (budget 268435456)" in err, err
+    assert "out of memory" not in err
+
+
+def test_train_refuses_a_codec_fit_over_the_distance_budget(capped_runs):
+    # 20,000 sequences of 24 frames against 1,024 centroids: the fit's k-means
+    # would lay out a (480000, 1024) distance array, 3.66 GiB
+    code, err, _ = capped_runs["train-fit-huge"]
+    assert code == 4 and "would hold 491520000 entries (budget 268435456)" in err, err
     assert "out of memory" not in err
 
 

@@ -431,6 +431,33 @@ def test_gathered_law_equals_whole_table_on_support_bitwise():
             assert np.array_equal(got > 0.0, want > 0.0), case
 
 
+def test_support_marginals_group_grids_by_their_tokens_bitwise(monkeypatch):
+    # a support marginal groups P's grids by their tokens at A. Its key grows
+    # from its parent set's, and every marginal a report reads, the empty set
+    # included, must equal a bincount over the grids' own distinct token rows,
+    # which sums each group in the same support order
+    built = spy_sources(monkeypatch)
+    joints = sets = 0
+    for family, T, K, M, seed, joint, kinds in sweep_joints():
+        if not takes_support_path(joint):
+            continue
+        built.clear()
+        exactness_report(joint, [build_pattern(kind, T, K) for kind in kinds])
+        ((name, reads),) = built
+        assert name == "_support_marginals"
+        support = np.flatnonzero(joint.probs)
+        coords = np.stack(np.unravel_index(support, (M,) * joint.n_positions))
+        read = dict(reads)
+        assert 0 in read
+        for positions, marginal in read.items():
+            axes = [a for a in range(joint.n_positions) if positions >> a & 1]
+            _, inverse = np.unique(coords[axes].T, axis=0, return_inverse=True)
+            want = np.bincount(inverse, weights=joint.probs[support]).take(inverse)
+            assert marginal.tobytes() == want.tobytes(), (family, T, K, M, seed, positions)
+        joints, sets = joints + 1, sets + len(read)
+    assert (joints, sets) == (73, 1174)
+
+
 @pytest.mark.parametrize("kept,sparse", [(0.02, True), (0.5, False)])
 def test_exactness_report_path_follows_support_size(monkeypatch, kept, sparse):
     # a (2,4,3) joint with all but a share of its grids zeroed: 2% of them
