@@ -55,9 +55,8 @@ from .conditioning import (
     word_dropout,
 )
 from .corpus import make_corpus
-from .errors import GuardError, InvariantError, ValidationError, checked_array
+from .errors import GuardError, InvariantError, ValidationError, check_entries, checked_array
 from .model import (
-    MAX_ENTRIES,
     AdamWState,
     ModelConfig,
     TrainHyper,
@@ -270,14 +269,7 @@ def cmd_train(args) -> int:
     )
     # a chroma example leads with one prefix row per timestep
     rows = pattern.S + (args.timesteps if mode == "prefix" else 0)
-    scores = args.heads * rows**2
-    if scores > MAX_ENTRIES:
-        raise GuardError(f"one example's attention scores would hold {scores} entries "
-                         f"(budget {MAX_ENTRIES})")
-    distances = args.sequences * args.timesteps * args.vocab  # the codec fit's (frames, M) array
-    if distances > MAX_ENTRIES:
-        raise GuardError(f"the codec fit's distance array would hold {distances} entries "
-                         f"(budget {MAX_ENTRIES})")
+    check_entries(args.heads * rows**2, "one example's attention scores")
     hyper = TrainHyper(
         lr_max=args.lr,
         warmup_steps=args.warmup,
@@ -462,11 +454,6 @@ def cmd_memorize(args) -> int:
 def cmd_chroma(args) -> int:
     t0 = time.perf_counter()
     audio = load_wav(args.wav)
-    # the frame stack's entries: at most 0 where compute_chromagram refuses window, hop or clip
-    frames = 1 + (audio.samples.shape[0] - args.window) // args.hop if args.hop >= 1 else 0
-    if frames * args.window > MAX_ENTRIES:
-        raise GuardError(f"the chromagram's {frames} frames of {args.window} samples would "
-                         f"hold {frames * args.window} entries (budget {MAX_ENTRIES})")
     classes = compute_chromagram(audio, window=args.window, hop=args.hop)
     out_dir = _write_run(args, t0, {"chroma.json": _text(quantized_chroma_to_json(classes) + "\n")})
     print(f"frames: {len(classes)}")

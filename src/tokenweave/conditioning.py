@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_array
+from .errors import ValidationError, check_entries, checked_array
 from .rvq import rvq_encode
 
 PITCH_CLASSES = 12
@@ -83,6 +83,8 @@ def compute_chromagram(
     n = audio.samples.shape[0]
     if n < window:
         raise ValidationError(f"audio has {n} samples, shorter than one window of {window}")
+    n_frames = 1 + (n - window) // hop
+    check_entries(n_frames * window, f"the chromagram's {n_frames} frames of {window} samples")
     freqs = np.arange(window // 2 + 1) * (audio.sample_rate / window)
     valid = (freqs >= MIN_CHROMA_HZ) & (freqs < audio.sample_rate / 2)
     classes = pitch_class_of_frequency(freqs[valid])
@@ -90,7 +92,6 @@ def compute_chromagram(
     fold[np.arange(len(classes)), classes] = 1.0
 
     hann = np.hanning(window)
-    n_frames = 1 + (n - window) // hop
     starts = np.arange(n_frames) * hop
     segments = np.stack([audio.samples[s : s + window] for s in starts]) * hann
     energy = np.abs(np.fft.rfft(segments, axis=1)) ** 2

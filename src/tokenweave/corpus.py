@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_entries
 from .patterns import TokenGrid
 from .rvq import RVQConfig, synth_latents, train_codebooks
 
@@ -43,6 +43,8 @@ def make_corpus(
     for name, value in (("n_sequences", n_sequences), ("T", T)):
         if value < 1:
             raise ValidationError(f"{name} must be >= 1, got {value}")
+    check_entries(n_sequences * T * config.M, "the codec fit's distance array")  # (frames, M)
+    check_entries(n_sequences * T * config.d_latent, "the corpus latents")
     latents = synth_latents(T, config.d_latent, range(seed, seed + n_sequences))
     if share_first_frame:
         latents[1:, 0] = latents[0, 0]

@@ -1,4 +1,4 @@
-"""Exception taxonomy shared by all modules, and the one array check.
+"""Exception taxonomy shared by all modules, the one array check and the one budget.
 
 The CLI maps these onto its exit codes: ValidationError -> 3,
 GuardError -> 4 (as it does an OSError from a file that cannot be read),
@@ -9,9 +9,15 @@ latents, conditions, probabilities, checkpoint members) is coerced and
 checked by checked_array, so malformed numbers of any kind end in a
 ValidationError. Pitch classes and conditions are plain arrays, checked
 where a function takes them (a condition where the model routes it).
+
+MAX_ENTRIES (2 GiB of float64) is the one size budget: an array whose size
+comes from input (flags, checkpoint headers, WAVs) is refused by
+check_entries before it exists, in the module that decides that size.
 """
 
 import numpy as np
+
+MAX_ENTRIES = 2**28
 
 
 class ValidationError(ValueError):
@@ -19,11 +25,17 @@ class ValidationError(ValueError):
 
 
 class GuardError(RuntimeError):
-    """A resource guard refused the request (table too large)."""
+    """A resource guard refused the request (an array over budget, an unusable directory)."""
 
 
 class InvariantError(RuntimeError):
     """An internal invariant was breached; indicates a bug, not bad input."""
+
+
+def check_entries(entries: int, what: str) -> None:
+    """Raise GuardError, naming `what`, if it would hold more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise GuardError(f"{what} would hold {entries} entries (budget {MAX_ENTRIES})")
 
 
 def checked_array(values, what: str, ndim: int, whole: bool = False, low=None, high=None):

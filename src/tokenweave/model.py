@@ -62,7 +62,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from .conditioning import draw_condition_drop
-from .errors import GuardError, ValidationError, checked_array
+from .errors import ValidationError, check_entries, checked_array
 from .patterns import SPECIAL_TOKEN, Pattern, TokenGrid, apply_pattern
 
 CONDITIONING_MODES = ("none", "prefix", "cross_attention")
@@ -70,8 +70,6 @@ LN_EPS = 1e-5
 FFN_MULT = 4
 ADAM_EPS = 1e-8
 CHECKPOINT_VERSION = 1
-# entries a parameter set, or one example's attention scores, may hold: 2 GiB of float64
-MAX_ENTRIES = 2**28
 
 
 @dataclass(frozen=True)
@@ -160,14 +158,12 @@ def init_params(config: ModelConfig, seed: int) -> Parameters:
 
     Matrices get sigma = 1/sqrt(fan_in); absence-token embedding rows are
     drawn like regular rows. Biases and layer-norm offsets are small Gaussians
-    and layer-norm gains sit near 1, so no tensor is all zeros. A config of
-    more than MAX_ENTRIES entries raises GuardError before any array exists.
+    and layer-norm gains sit near 1, so no tensor is all zeros. A config over
+    the entry budget (errors.check_entries) is refused before any array exists.
     """
     # layers are alike: two short schemas count them without walking all L
     one, two = (sum(math.prod(s) for _, s in _param_shapes(replace(config, L=n))) for n in (1, 2))
-    entries = one + (config.L - 1) * (two - one)
-    if entries > MAX_ENTRIES:
-        raise GuardError(f"the parameters would hold {entries} entries (budget {MAX_ENTRIES})")
+    check_entries(one + (config.L - 1) * (two - one), "the parameters")
     rng = np.random.default_rng(seed)
     arrays: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config):
@@ -366,6 +362,7 @@ def _new_cache(params: Parameters, conditions: Sequence, steps: int, layout=None
     c = params.config
     routes = [_route_condition(cond, c) for cond in conditions]
     n_prefix = max((len(pre) for pre, _ in routes if pre is not None), default=0)
+    check_entries(2 * c.L * len(routes) * c.D * (n_prefix + steps), "the decode cache")
     layout = layout or _layout(params, n_prefix + steps)
     held = [b for b, (_, rows) in enumerate(routes) if rows is not None]
     cross = None

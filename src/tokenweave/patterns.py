@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, checked_array
+from .errors import ValidationError, check_entries, checked_array
 
 SPECIAL_TOKEN = 0
 
@@ -160,6 +160,7 @@ def build_pattern(kind: PatternKind | str, T: int, K: int) -> Pattern:
             f"cannot build {kind.value} pattern: stereo kinds need an even K, got {K}"
         )
 
+    check_entries(T * K, "the pattern's step table")
     t, k = np.indices((T, K))  # 0-based timestep and codebook of every cell
     if kind is PatternKind.FLATTEN:
         step = t * K + k + 1
@@ -180,6 +181,7 @@ def apply_pattern(pattern: Pattern, grid: TokenGrid) -> np.ndarray:
         raise ValidationError(
             f"pattern is {pattern.T}x{pattern.K} but grid is {grid.T}x{grid.K}"
         )
+    check_entries((pattern.S + 1) * pattern.K, "the pattern's slot sequence")
     slots = np.full((pattern.S + 1, pattern.K), SPECIAL_TOKEN, dtype=np.int64)
     slots[pattern.step, np.arange(pattern.K)] = grid.tokens
     return slots

@@ -1,5 +1,6 @@
 """Module boundaries: the private names one tokenweave module takes from another,
-and the one function through which the package writes files."""
+the one function through which the package writes files, and the one module
+that holds the size budget."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,16 @@ def file_writes(path: Path):
 def test_every_file_write_goes_through_write_atomically():
     found = [write for path in sorted(PACKAGE.glob("*.py")) for write in file_writes(path)]
     assert {(module, name) for module, name, _ in found} == FILE_WRITERS, found
+
+
+def names_the_budget(path: Path) -> bool:
+    """Whether the file names MAX_ENTRIES: as a name, an attribute or an import."""
+    return any(getattr(node, field, None) == "MAX_ENTRIES"
+               for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+               for field in ("id", "attr", "name", "asname"))
+
+
+def test_only_errors_names_the_size_budget():
+    # every check reads errors.MAX_ENTRIES through check_entries, so patching it reaches them all
+    found = {path.stem for path in sorted(PACKAGE.glob("*.py")) if names_the_budget(path)}
+    assert found == {"errors"}

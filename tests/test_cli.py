@@ -15,7 +15,7 @@ from tokenweave import cli
 from tokenweave.cli import CONDITIONING_ROUTES, build_parser, main
 from tokenweave.conditioning import AudioBuffer, save_wav, sonify_classes
 from tokenweave.model import (CONDITIONING_MODES, ModelConfig, init_params, load_checkpoint,
-                              write_atomically)
+                              save_checkpoint, write_atomically)
 from tokenweave.oracle import exactness_report, make_joint
 from tokenweave.patterns import PatternKind, build_pattern
 
@@ -394,7 +394,7 @@ def test_train_refuses_parameters_over_the_budget_before_the_codec_fit(monkeypat
         raise AssertionError("the codec fit ran before the parameter budget was checked")
 
     monkeypatch.setattr(cli, "make_corpus", fit)
-    monkeypatch.setattr("tokenweave.model.MAX_ENTRIES", 1000)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 1000)
     out = tmp_path / "o"
     assert main([*TRAIN_SMALL, "--out", str(out)]) == 4
     err = capsys.readouterr().err
@@ -755,20 +755,34 @@ HUGE_SIZES = {
     "memorize-prompt-lens": ["memorize", "--checkpoint", "{ckpt}", "--prompt-lens", "100000000"],
 }
 # train runs whose attention scores (heads x rows^2 per example, a chroma
-# example's T prefix rows counted), codec-fit distances (sequences x timesteps x
-# vocab) or parameters pass the budget: refused before the codec fit, which would
-# not finish at these sizes, and before any parameter array exists
+# example's T prefix rows counted), parameters, pattern table (timesteps x
+# codebooks), codec-fit distances (sequences x timesteps x vocab) or corpus
+# latents (sequences x timesteps x d-latent) pass the budget: refused before the
+# codec fit, which would not finish at these sizes; all but the last two before
+# any parameter array exists, and those two after init_params
 HUGE_TRAIN = {
     "train-dim-huge": ["train", "--dim", "4000000", "--heads", "1", "--steps", "1"],
     "train-codebooks-huge": ["train", "--codebooks", "100000", "--steps", "1"],
     "train-timesteps-huge": ["train", "--timesteps", "3000000", "--steps", "1", "--sequences", "1"],
     "train-chroma-prefix-huge": ["train", "--conditioning", "chroma", "--timesteps", "6000",
                                  "--sequences", "1", "--steps", "1"],
+    "train-table-huge": ["train", "--timesteps", "100000000", "--steps", "1"],
     "train-fit-huge": ["train", "--sequences", "20000", "--vocab", "1024", "--steps", "1"],
+    "train-latents-huge": ["train", "--sequences", "20000", "--d-latent", "1000", "--steps", "1"],
 }
 # a clip whose frame stack (frames x window) passes the budget at --hop 1
 HUGE_CHROMA = {"chroma-frames-huge": ["chroma", "--wav", "{long-tone.wav}", "--hop", "1"]}
-CAPPED = {*HUGE_SIZES, *HUGE_TRAIN, *HUGE_CHROMA,
+# a pattern table, a slot sequence ((steps + 1) x codebooks, a flatten walk over
+# 64 codebooks) and a decode cache past the budget, on checkpoints whose headers
+# allow 10^8 steps
+HUGE_ARRAYS = {
+    "patterns-table-huge": ["patterns", "show", "--T", "100000000", "--K", "4"],
+    "generate-slots-huge": ["generate", "--checkpoint", "{wide-max-steps-huge.npz}",
+                            "--pattern", "flatten", "--timesteps", "70000"],
+    "generate-cache-huge": ["generate", "--checkpoint", "{max-steps-huge.npz}",
+                            "--timesteps", "3000000"],
+}
+CAPPED = {*HUGE_SIZES, *HUGE_TRAIN, *HUGE_CHROMA, *HUGE_ARRAYS,
           *(f"{command}-{name}" for command in ("generate", "memorize") for name in HUGE_CHECKPOINTS)}
 # (argv, exit code); "{name}" stands for a file the bad_inputs fixture writes
 MALFORMED = (
@@ -850,7 +864,8 @@ MALFORMED = (
         for name in HUGE_CHECKPOINTS
     ]
     + [pytest.param(argv, 3, id=name) for name, argv in HUGE_SIZES.items()]
-    + [pytest.param(argv, 4, id=name) for name, argv in {**HUGE_TRAIN, **HUGE_CHROMA}.items()]
+    + [pytest.param(argv, 4, id=name)
+       for name, argv in {**HUGE_TRAIN, **HUGE_CHROMA, **HUGE_ARRAYS}.items()]
     # JSON nested 1,000 deep, where json's decoder runs out of recursion depth
     + [pytest.param(["patterns", "validate", "--json", "{deep.json}"], 3, id="validate-deep")]
     + [
@@ -960,8 +975,12 @@ def bad_inputs(trained, tmp_path_factory):
         ("mode-conditioned", {"config": {**header["config"], "conditioning_mode": "prefix"}}),
         ("config-K-huge", {"config": {**header["config"], "K": 10**9}}),
         ("config-L-huge", {"config": {**header["config"], "L": 10**9}}),
+        ("max-steps-huge", {"config": {**header["config"], "max_steps": 10**8}}),
     ):
         craft(name, json.dumps({**header, **changes}))
+    files["{wide-max-steps-huge.npz}"] = root / "wide-max-steps-huge.npz"
+    save_checkpoint(root / "wide-max-steps-huge.npz",
+                    init_params(ModelConfig(K=64, M=2, D=4, L=1, H=1, max_steps=10**8), seed=0))
     # a full cross-attention parameter set under "both", a mode name no model has
     cross = init_params(ModelConfig(**{**header["config"], "conditioning_mode": "cross_attention"}),
                         seed=0)
@@ -1048,6 +1067,23 @@ def test_train_refuses_a_codec_fit_over_the_distance_budget(capped_runs):
     # would lay out a (480000, 1024) distance array, 3.66 GiB
     code, err, _ = capped_runs["train-fit-huge"]
     assert code == 4 and "would hold 491520000 entries (budget 268435456)" in err, err
+    assert "out of memory" not in err
+
+
+@pytest.mark.parametrize("name,entries,what", [
+    # 100,000,000 timesteps x 4 codebooks, before np.indices lays out (2, T, K)
+    ("patterns-table-huge", 400000000, "the pattern's step table"),
+    ("train-table-huge", 400000000, "the pattern's step table"),
+    # 20,000 x 24 frames of 1,000-dim latents; the fit's distances (x 16) pass
+    ("train-latents-huge", 480000000, "the corpus latents"),
+    # flatten over 70,000 x 64: (4,480,000 + 1) x 64 slots from a 4,480,000-entry table
+    ("generate-slots-huge", 286720064, "the pattern's slot sequence"),
+    # 2 x L=2 x B=1 x D=32 x 3,000,003 delay steps, refused before the step sinusoid
+    ("generate-cache-huge", 384000384, "the decode cache"),
+])
+def test_each_array_over_the_budget_is_refused_naming_it(capped_runs, name, entries, what):
+    code, err, _ = capped_runs[name]
+    assert code == 4 and f"{what} would hold {entries} entries (budget 268435456)" in err, err
     assert "out of memory" not in err
 
 

@@ -21,7 +21,7 @@ from tokenweave.conditioning import (
     text_normalize,
     word_dropout,
 )
-from tokenweave.errors import ValidationError
+from tokenweave.errors import GuardError, ValidationError
 from tokenweave.model import ModelConfig, forward, init_params
 
 from helpers import TRIALS, text_pipeline_counts
@@ -77,6 +77,20 @@ def test_chromagram_rejects_short_audio():
     short = AudioBuffer(samples=np.zeros(100), sample_rate=32000)
     with pytest.raises(ValidationError, match="shorter"):
         compute_chromagram(short)
+
+
+def test_chromagram_refuses_a_frame_stack_over_the_budget_after_its_own_checks(monkeypatch):
+    # 1 + (100 - 16) // 4 = 22 frames of 16 samples
+    audio = AudioBuffer(samples=np.sin(np.arange(100) / 5.0), sample_rate=8000)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 22 * 16)
+    compute_chromagram(audio, window=16, hop=4)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 22 * 16 - 1)
+    with pytest.raises(GuardError, match="22 frames of 16 samples would hold 352 entries"):
+        compute_chromagram(audio, window=16, hop=4)
+    with pytest.raises(ValidationError, match="window and hop"):
+        compute_chromagram(audio, window=16, hop=0)
+    with pytest.raises(ValidationError, match="shorter"):
+        compute_chromagram(audio, window=128, hop=4)
 
 
 def test_quantize_single_peak_and_tie():

@@ -5,7 +5,7 @@ import pytest
 
 from tokenweave import corpus
 from tokenweave.corpus import CODEBOOK_ITERATIONS, make_corpus
-from tokenweave.errors import ValidationError
+from tokenweave.errors import GuardError, ValidationError
 from tokenweave.rvq import (
     AR1_COEFF,
     RVQConfig,
@@ -84,6 +84,23 @@ def test_make_corpus_rejects_empty_shapes_before_drawing(monkeypatch, n, T, name
     monkeypatch.setattr(corpus, "synth_latents", no_draws)
     with pytest.raises(ValidationError, match=name):
         make_corpus(n, T, RVQConfig(K=1, M=1, d_latent=2))
+
+
+@pytest.mark.parametrize("M,d,what", [(4, 3, "the codec fit's distance array"),
+                                      (2, 5, "the corpus latents")])
+def test_make_corpus_refuses_its_arrays_over_the_budget_before_drawing(monkeypatch, M, d, what):
+    # 2 sequences x 5 frames: the larger of the (frames, M) distances and the latents
+    entries = 2 * 5 * max(M, d)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries)
+    make_corpus(2, 5, RVQConfig(K=1, M=M, d_latent=d))
+
+    def no_draws(*args):
+        raise AssertionError("latents drawn for a corpus over the budget")
+
+    monkeypatch.setattr(corpus, "synth_latents", no_draws)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries - 1)
+    with pytest.raises(GuardError, match=f"{what} would hold {entries} entries"):
+        make_corpus(2, 5, RVQConfig(K=1, M=M, d_latent=d))
 
 
 def test_synth_latents_equal_the_per_step_walk():

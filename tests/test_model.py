@@ -78,14 +78,26 @@ def test_init_params_refuses_more_entries_than_the_budget(monkeypatch, mode):
     # the count is the full schema's, though init_params walks two layers of it
     config = replace(TINY, L=3, conditioning_mode=mode)
     entries = sum(math.prod(shape) for _, shape in _param_shapes(config))
-    monkeypatch.setattr("tokenweave.model.MAX_ENTRIES", entries)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries)
     init_params(config, seed=0)
-    monkeypatch.setattr("tokenweave.model.MAX_ENTRIES", entries - 1)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries - 1)
     with pytest.raises(GuardError, match=f"would hold {entries} entries"):
         init_params(config, seed=0)
     # refused before any array exists: D x D alone would be about 116 TiB
     with pytest.raises(GuardError, match="budget"):
         init_params(ModelConfig(K=4, M=16, D=4_000_000, H=1), seed=0)
+
+
+def test_open_cache_refuses_more_entries_than_the_budget(monkeypatch):
+    # keys and values per layer, branch, row and width: 2 branches, 3 prefix rows + 5 steps
+    params = init_params(replace(TINY, conditioning_mode="prefix"), seed=0)
+    condition = np.zeros((3, TINY.D))
+    entries = 2 * TINY.L * 2 * TINY.D * (3 + 5)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries)
+    open_cache(params, [condition, None], 5)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries - 1)
+    with pytest.raises(GuardError, match=f"the decode cache would hold {entries} entries"):
+        open_cache(params, [condition, None], 5)
 
 
 def test_init_no_zero_only_tensors_and_finite():

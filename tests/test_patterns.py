@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tokenweave.errors import ValidationError
+from tokenweave.errors import GuardError, ValidationError
 from tokenweave.patterns import (
     Pattern,
     PatternKind,
@@ -101,6 +101,20 @@ def test_step_tables_match_the_coordinate_set_construction(kind):
             listed = [sorted(map(list, step)) for step in steps]
             doc = {"kind": kind.value, "T": T, "K": K, "steps": listed}
             assert pattern_to_json(p).encode() == json.dumps(doc).encode()
+
+
+def test_tables_and_slot_sequences_over_the_budget_are_refused(monkeypatch):
+    # flatten over 3 x 2: a 6-entry step table and (6 + 1) x 2 = 14 slots
+    grid = TokenGrid(tokens=np.ones((3, 2), dtype=np.int64), M=1)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 6)
+    pattern = build_pattern(PatternKind.FLATTEN, 3, 2)
+    with pytest.raises(GuardError, match="the pattern's slot sequence would hold 14 entries"):
+        apply_pattern(pattern, grid)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 14)
+    apply_pattern(pattern, grid)
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 5)
+    with pytest.raises(GuardError, match="the pattern's step table would hold 6 entries"):
+        build_pattern(PatternKind.FLATTEN, 3, 2)
 
 
 def test_delay_3x2_layout():
