@@ -436,6 +436,7 @@ def _forward_trunk(params: Parameters, tokens, prefixes, kv: DecodeCache, need_c
         blocked = None if n == 1 else np.arange(end) > np.arange(kv.lengths, end)[:, None]
     if end > kv.keys_values.shape[4]:
         raise ValidationError(f"decode cache is full at {kv.keys_values.shape[4]} rows per branch")
+    check_entries(B * c.H * n * end, "the self-attention scores")
 
     # the K lookups summed over the codebook axis, in order, as K adds would
     x = np.add.reduce(embed[np.arange(c.K), tokens], axis=-2)

@@ -150,6 +150,7 @@ def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
     # fit the quantizer cascade on one long sampled path of the same chain. A
     # step draws as Generator.choice(p=) does: it counts the normalized cdf
     # entries of its row (0 for init, 1 + s after state s) at or below one uniform.
+    # The fit searches the visited states, each frame named by its state's row.
     rng = np.random.default_rng(seed)
     cdf = np.vstack([init, trans]).cumsum(axis=1)
     cdf /= cdf[:, -1:]
@@ -157,8 +158,9 @@ def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
     path = [next_state[0][0]]
     for t in range(1, _CHAIN_FIT_LEN):
         path.append(next_state[1 + path[-1]][t])
-    books, _ = train_codebooks(values[path][:, None], RVQConfig(K=K, M=M, d_latent=1),
-                               iterations=30, seed=seed)
+    visited, index = np.unique(path, return_inverse=True)
+    books, _ = train_codebooks(values[visited][:, None], RVQConfig(K=K, M=M, d_latent=1),
+                               iterations=30, seed=seed, index=index)
     # the cascade quantizes frame by frame, so each state encodes to one row
     rows = rvq_encode(values[:, None], books).tokens - 1
     return _chain_table(init, trans, rows, T, M)

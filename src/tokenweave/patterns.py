@@ -59,13 +59,16 @@ def _table_violations(step: np.ndarray) -> list[str]:
         violations.append(f"duplicate codebook {k} in step {s}")
     for k in np.flatnonzero((rises < 0).any(axis=0)) + 1:
         violations.append(f"codebook {k} timesteps are not strictly increasing across steps")
-    # sorted, repeats kept: a step that reveals nothing is a rise of more than 1
+    del rises  # released before the sorted table is laid out
+    # sorted, repeats kept, from step 1 on: a step that reveals nothing is a
+    # rise of more than 1, or a lowest step above 1
     revealed = np.sort(step, axis=None)
-    revealed = revealed[revealed >= 1]
-    rise = np.diff(revealed, prepend=0)
-    for a, b in zip((revealed - rise)[rise > 1] + 1, revealed[rise > 1] - 1):
-        span = f"step {a}" if a == b else f"steps {a}-{b}"
-        violations.append(f"nothing is revealed at {span}")
+    revealed = revealed[np.searchsorted(revealed, 1):]
+    after = np.flatnonzero(np.diff(revealed) > 1)
+    for a, b in zip([1, *revealed[after] + 1], [*revealed[:1] - 1, *revealed[after + 1] - 1]):
+        if a <= b:
+            span = f"step {a}" if a == b else f"steps {a}-{b}"
+            violations.append(f"nothing is revealed at {span}")
     return violations
 
 
@@ -161,15 +164,17 @@ def build_pattern(kind: PatternKind | str, T: int, K: int) -> Pattern:
         )
 
     check_entries(T * K, "the pattern's step table")
-    t, k = np.indices((T, K))  # 0-based timestep and codebook of every cell
+    # 0-based timestep column and codebook row; each kind adds one per-timestep
+    # column to one per-codebook row, so only the (T, K) sum is table-sized
+    t, k = np.arange(T)[:, None], np.arange(K)
     if kind is PatternKind.FLATTEN:
-        step = t * K + k + 1
+        step = t * K + (k + 1)
     elif kind is PatternKind.PARTIAL_FLATTEN:
-        step = t * min(K, 2) + (k > 0) + 1
+        step = (t * min(K, 2) + 1) + (k > 0)
     elif kind is PatternKind.COARSE_FIRST:
-        step = t + T * (k > 0) + 1
+        step = (t + 1) + T * (k > 0)
     else:
-        step = t + _delay_profile(kind, k) + 1
+        step = (t + 1) + _delay_profile(kind, k)
     return Pattern(step=step, kind=kind)
 
 

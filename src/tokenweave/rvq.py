@@ -23,6 +23,14 @@ searches once more). The points' squared norms, which every nearest-centroid
 search adds, are computed once per fit. train_codebooks returns each stage's
 labels as the frames' codes, which are the tokens rvq_encode would give, so
 make_corpus splits them into its grids without encoding again.
+
+A fit over many repeats of few values (the oracle's chain visits 8 states in
+4,096 frames) may pass the rows once and an index naming each frame's row.
+The searches then run over the rows: a frame's distances and argmin depend on
+its value alone, so its label is its row's. The initial draw, the counts, the
+sums and the empty-cluster reseed still run over every frame, in frame order,
+so each centroid keeps its bits. With every row named, the rows' labels repeat
+exactly when the frames' labels do, so the fit stops at the same iteration.
 """
 
 from __future__ import annotations
@@ -81,42 +89,58 @@ def _nearest(points: np.ndarray, centroids: np.ndarray, norms=None) -> np.ndarra
 
 
 def _kmeans(
-    points: np.ndarray, M: int, iterations: int, rng: np.random.Generator
+    points: np.ndarray, M: int, iterations: int, rng: np.random.Generator, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(centroids, labels): the labels are the returned centroids' nearest."""
-    T, d = points.shape
-    centroids = points[rng.choice(T, size=M, replace=False)].copy()
+    """(centroids, labels): the labels are the returned centroids' nearest.
+    With index, the fit is that of the frames points[index], and the searches
+    and labels run over the rows of points."""
+    frames = points if index is None else points[index]
+    T, d = frames.shape
+    centroids = frames[rng.choice(T, size=M, replace=False)].copy()
     norms = np.sum(points**2, axis=1, keepdims=True)
     previous = None
     for _ in range(iterations):
-        labels = _nearest(points, centroids, norms)
+        found = _nearest(points, centroids, norms)
         # the update below is a function of the labels alone, so equal labels
         # would rebuild these very centroids: a fixed point
-        if previous is not None and np.array_equal(labels, previous):
-            return centroids, labels
-        previous = labels
+        if previous is not None and np.array_equal(found, previous):
+            return centroids, found
+        previous = found
+        labels = found if index is None else found[index]
         counts = np.bincount(labels, minlength=M)
-        # bin (label, column) adds its column's entries in point order
+        # bin (label, column) adds its column's entries in frame order
         bins = (labels[:, None] * d + np.arange(d)).ravel()
-        sums = np.bincount(bins, weights=points.ravel(), minlength=M * d).reshape(M, d)
+        sums = np.bincount(bins, weights=frames.ravel(), minlength=M * d).reshape(M, d)
         held = counts > 0
         centroids[held] = sums[held] / counts[held, None]
         empty = np.flatnonzero(~held)
         if empty.size:
-            # hand each empty cluster the point currently worst served
-            residual = np.linalg.norm(points - centroids[labels], axis=1)
+            # hand each empty cluster the frame currently worst served
+            residual = np.linalg.norm(frames - centroids[labels], axis=1)
             order = np.argsort(-residual, kind="stable")
-            centroids[empty] = points[order[: empty.size]]
+            centroids[empty] = frames[order[: empty.size]]
     return centroids, _nearest(points, centroids, norms)
 
 
 def train_codebooks(
-    frames: np.ndarray, config: RVQConfig, iterations: int = 25, seed: int = 0
+    frames: np.ndarray, config: RVQConfig, iterations: int = 25, seed: int = 0, index=None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fit the (K, M, d) cascade to (T, d) frames, stage k by k-means on the
-    residuals of 1..k-1. Returns it and the (T, K) codes rvq_encode would give."""
+    residuals of 1..k-1. Returns it and the (T, K) codes rvq_encode would give.
+
+    With index (one whole number per fitted frame), frames holds the rows and
+    index names each frame's row, every row at least once: the fit is bitwise
+    that of frames[index], and the codes are the rows', so codes[index] are
+    the frames'. An unnamed row could change its label alone and stop the fit
+    at another iteration, so it is refused."""
     frames = checked_array(frames, "latent frames", 2)
-    T, d = frames.shape
+    n, d = frames.shape
+    if index is not None:
+        index = checked_array(index, "frame index", 1, whole=True, low=0, high=n - 1)
+        unnamed = np.flatnonzero(np.bincount(index, minlength=n) == 0)
+        if unnamed.size:
+            raise ValidationError(f"frame index names no frame for row {unnamed[0]}")
+    T = n if index is None else len(index)
     if T < config.M:
         raise ValidationError(f"insufficient data: {T} frames < {config.M} centroids per stage")
     if d != config.d_latent:
@@ -124,9 +148,9 @@ def train_codebooks(
     rng = np.random.default_rng(seed)
     residual = frames.copy()
     books = np.empty((config.K, config.M, d))
-    tokens = np.empty((T, config.K), dtype=np.int64)
+    tokens = np.empty((n, config.K), dtype=np.int64)
     for k in range(config.K):
-        books[k], labels = _kmeans(residual, config.M, iterations, rng)
+        books[k], labels = _kmeans(residual, config.M, iterations, rng, index)
         tokens[:, k] = labels + 1
         residual -= books[k][labels]
     return books, tokens

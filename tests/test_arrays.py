@@ -46,6 +46,8 @@ HOLDERS = {
     "quantized_chroma_to_json": (quantized_chroma_to_json, np.array([1, 11]), True),
     "train_codebooks-frames": (lambda a: train_codebooks(a, RVQConfig(K=1, M=2, d_latent=2)),
                                FRAMES, False),
+    "train_codebooks-index": (lambda a: train_codebooks(FRAMES, RVQConfig(K=1, M=2, d_latent=2),
+                                                        index=a), np.array([0, 1, 2]), True),
     "rvq_encode-frames": (lambda a: rvq_encode(a, BOOKS), FRAMES, False),
     "rvq_encode-books": (lambda a: rvq_encode(FRAMES, a), BOOKS, False),
     "rvq_decode-books": (lambda a: rvq_decode(TokenGrid([[1, 2], [2, 1]], M=2), a), BOOKS, False),

@@ -100,6 +100,21 @@ def test_open_cache_refuses_more_entries_than_the_budget(monkeypatch):
         open_cache(params, [condition, None], 5)
 
 
+@pytest.mark.parametrize("call", ["forward", "grad"])
+def test_one_example_refuses_attention_scores_past_the_budget(monkeypatch, call):
+    # 40 steps: H x 40 x 40 scores outgrow the 2 x L x D x 40 decode cache
+    params = init_params(replace(TINY, conditioning_mode="none"), seed=0)
+    slots = np.ones((41, TINY.K), dtype=np.int64)
+    run = (lambda: forward(params, slots[:40])) if call == "forward" else (
+        lambda: grad(params, [TrainExample(slots=slots)]))
+    entries = TINY.H * 40 * 40
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries)
+    run()
+    monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", entries - 1)
+    with pytest.raises(GuardError, match=f"the self-attention scores would hold {entries} entries"):
+        run()
+
+
 def test_init_no_zero_only_tensors_and_finite():
     params = init_params(TINY, seed=0)
     for name, arr in params.arrays.items():

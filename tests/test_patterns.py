@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_tables_and_slot_sequences_over_the_budget_are_refused(monkeypatch):
     monkeypatch.setattr("tokenweave.errors.MAX_ENTRIES", 5)
     with pytest.raises(GuardError, match="the pattern's step table would hold 6 entries"):
         build_pattern(PatternKind.FLATTEN, 3, 2)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_build_pattern_peaks_under_four_and_a_half_tables(kind):
+    # the built table, the pattern's own copy, and at most the sorted table
+    # and its rises on top: the checks release each array before the next
+    T, K = 200_000, 4
+    tracemalloc.start()
+    try:
+        build_pattern(kind, T, K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * T * K * np.dtype(np.int64).itemsize
 
 
 def test_delay_3x2_layout():

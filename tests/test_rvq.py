@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from helpers import rvq_energy_profile
@@ -105,6 +107,33 @@ def test_frame_and_stream_counts_must_fit_the_codebooks():
     grid = TokenGrid(tokens=np.ones((1, 2), dtype=int), M=2)
     with pytest.raises(ValidationError, match="grid has 2 streams but only 1 stages given"):
         rvq_decode(grid, books)
+
+
+ROWS = np.array([[0.0], [1.0], [2.0]])
+
+
+@pytest.mark.parametrize(
+    "index,text",
+    [
+        ([[0, 1, 2]], "frame index must be 1-D"),
+        ([0, 1, 2.5], "frame index must be whole numbers"),
+        ([0, 1, 3], "frame index must lie in 0..2"),
+        ([-1, 0, 1, 2], "frame index must lie in 0..2"),
+        ([0, 0, 2, 2], "frame index names no frame for row 1"),
+    ],
+    ids=["2-D", "fraction", "past-the-rows", "negative", "unnamed-row"],
+)
+def test_train_codebooks_refuses_a_malformed_index(index, text):
+    with pytest.raises(ValidationError, match=text):
+        train_codebooks(ROWS, RVQConfig(K=1, M=2, d_latent=1), index=index)
+
+
+def test_an_index_counts_frames_not_rows():
+    # 2 rows named by 3 frames feed 3 centroids; 2 frames do not
+    books, codes = train_codebooks(ROWS[:2], RVQConfig(K=1, M=3, d_latent=1), index=[0, 1, 1])
+    assert books.shape == (1, 3, 1) and codes.shape == (2, 1)
+    with pytest.raises(ValidationError, match="insufficient data: 2 frames < 3 centroids"):
+        train_codebooks(ROWS[:2], RVQConfig(K=1, M=3, d_latent=1), index=[1, 0])
 
 
 def test_encode_nearest_neighbor_of_centroid_is_itself():
@@ -288,8 +317,10 @@ def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
 
 @pytest.mark.parametrize("T,K,M,seed", MARKOV_SHAPES)
 def test_markov_residual_tables_equal_the_per_cluster_mean_fit(monkeypatch, T, K, M, seed):
-    def reference_fit(points, M, iterations, rng):
-        centroids = _reference_kmeans(points, M, iterations, rng)
+    def reference_fit(points, M, iterations, rng, index=None):
+        # fits every frame points[index], then labels the rows as _kmeans does
+        frames = points if index is None else points[index]
+        centroids = _reference_kmeans(frames, M, iterations, rng)
         return centroids, _reference_nearest(points, centroids)
 
     got = make_joint("markov_residual", T, K, M, seed=seed).probs
@@ -324,6 +355,44 @@ def test_markov_residual_fit_codes_equal_an_encode(monkeypatch, T, K, M, seed):
     make_joint("markov_residual", T, K, M, seed=seed)
     [(frames, books, codes)] = fits
     assert np.array_equal(codes, rvq_encode(frames, books).tokens)
+
+
+def _chain_path(seed, n=4096):
+    """n states of the oracle's 8-state chain (coefficient 0.8 on values
+    linspace(-2, 2, 8)), one rng.choice per step."""
+    values = np.linspace(-2.0, 2.0, 8)
+    trans = np.exp(-((values[None, :] - 0.8 * values[:, None]) ** 2) / (2 * (1 - 0.8**2)))
+    trans /= trans.sum(axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    path = [int(rng.integers(8))]
+    for _ in range(n - 1):
+        path.append(int(rng.choice(8, p=trans[path[-1]])))
+    return values, np.array(path)
+
+
+def test_an_indexed_fit_is_the_per_frame_fit_bitwise(monkeypatch):
+    # a stage's empty clusters are reseeded from the frames worst served, the
+    # one place the fit calls np.linalg.norm; both fits reseed alike
+    reseeds = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **kw: reseeds.append(1) or norm(*a, **kw))
+    indexed_reseeds = 0
+    for seed in range(4):
+        values, path = _chain_path(seed)
+        states, inverse = np.unique(path, return_inverse=True)
+        for K, M in itertools.product(range(1, 5), repeat=2):
+            config = RVQConfig(K=K, M=M, d_latent=1)
+            reseeds.clear()
+            books, codes = train_codebooks(values[states][:, None], config, iterations=30,
+                                           seed=seed, index=inverse)
+            indexed = len(reseeds)
+            want_books, want_codes = train_codebooks(values[path][:, None], config,
+                                                     iterations=30, seed=seed)
+            assert np.array_equal(books, want_books), (seed, K, M)
+            assert np.array_equal(codes[inverse], want_codes), (seed, K, M)
+            assert len(reseeds) == 2 * indexed, (seed, K, M)
+            indexed_reseeds += indexed
+    assert indexed_reseeds > 0
 
 
 # ---------------------------------------------------------------- search counts
