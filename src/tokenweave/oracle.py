@@ -40,6 +40,7 @@ laid out whole.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -149,16 +150,17 @@ def _markov_residual_table(T: int, K: int, M: int, seed: int) -> np.ndarray:
 
     # fit the quantizer cascade on one long sampled path of the same chain. A
     # step draws as Generator.choice(p=) does: it counts the normalized cdf
-    # entries of its row (0 for init, 1 + s after state s) at or below one uniform.
+    # entries of its row (0 for init, 1 + s after state s) at or below one
+    # uniform, which bisect_right counts in the sorted row.
     # The fit searches the visited states, each frame named by its state's row.
     rng = np.random.default_rng(seed)
     cdf = np.vstack([init, trans]).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    next_state = (cdf[:, :, None] <= rng.random(_CHAIN_FIT_LEN)).sum(axis=1).tolist()
-    path = [next_state[0][0]]
-    for t in range(1, _CHAIN_FIT_LEN):
-        path.append(next_state[1 + path[-1]][t])
-    visited, index = np.unique(path, return_inverse=True)
+    cdf_rows, state, path = cdf.tolist(), -1, []
+    for u in rng.random(_CHAIN_FIT_LEN).tolist():
+        state = bisect_right(cdf_rows[1 + state], u)
+        path.append(state)
+    visited, index = np.unique(np.fromiter(path, np.int64, _CHAIN_FIT_LEN), return_inverse=True)
     books, _ = train_codebooks(values[visited][:, None], RVQConfig(K=K, M=M, d_latent=1),
                                iterations=30, seed=seed, index=index)
     # the cascade quantizes frame by frame, so each state encodes to one row

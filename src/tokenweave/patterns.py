@@ -50,16 +50,25 @@ _DELAY_KINDS = STEREO_KINDS | {PatternKind.PARALLEL, PatternKind.DELAY, PatternK
 
 def _table_violations(step: np.ndarray) -> list[str]:
     """Every way a (T, K) step table fails to be a pattern."""
-    violations = [
-        f"step {step[t, k]} of coordinate {(int(t) + 1, int(k) + 1)} is below 1"
-        for t, k in np.argwhere(step < 1)
-    ]
-    rises = np.diff(step, axis=0)
-    for k, s in sorted({(int(k) + 1, int(step[t, k])) for t, k in np.argwhere(rises == 0)}):
-        violations.append(f"duplicate codebook {k} in step {s}")
-    for k in np.flatnonzero((rises < 0).any(axis=0)) + 1:
-        violations.append(f"codebook {k} timesteps are not strictly increasing across steps")
+    # each block runs only when a whole-table test finds something to name
+    low, high = step.min(), step.max()
+    violations = []
+    if low < 1:
+        violations += [
+            f"step {step[t, k]} of coordinate {(int(t) + 1, int(k) + 1)} is below 1"
+            for t, k in np.argwhere(step < 1)
+        ]
+    rises = step[1:] - step[:-1]
+    if rises.size and rises.min() < 1:
+        for k, s in sorted({(int(k) + 1, int(step[t, k])) for t, k in np.argwhere(rises == 0)}):
+            violations.append(f"duplicate codebook {k} in step {s}")
+        for k in np.flatnonzero((rises < 0).any(axis=0)) + 1:
+            violations.append(f"codebook {k} timesteps are not strictly increasing across steps")
     del rises  # released before the sorted table is laid out
+    # with every entry in 0..T*K, so that its counts are no larger than the
+    # table, a count at each step 1..high means no step is empty
+    if low >= 0 and high <= step.size and np.bincount(step.ravel())[1:].all():
+        return violations
     # sorted, repeats kept, from step 1 on: a step that reveals nothing is a
     # rise of more than 1, or a lowest step above 1
     revealed = np.sort(step, axis=None)

@@ -3,8 +3,10 @@
 Stage k of the cascade is a plain codebook fit by k-means on the residual
 error left by stages 1..k-1, so streams are correlated and the first stage
 carries most of the energy. Everything is deterministic given a seed:
-nearest-neighbor ties break toward the lowest centroid index and empty
-k-means clusters are reseeded from the farthest points.
+nearest-neighbor ties break toward the lowest centroid index, and the empty
+k-means clusters of an update take the frames farthest from their centroids,
+ties to the lowest frame. Those are picked in linear time: np.partition finds
+the cut, and only the frames at or above it are sorted.
 
 Values are plain float arrays: latent frames are (T, d), a cascade is one
 (K, M, d) array of K stages of M centroids, and synth_latents takes one seed
@@ -115,10 +117,14 @@ def _kmeans(
         centroids[held] = sums[held] / counts[held, None]
         empty = np.flatnonzero(~held)
         if empty.size:
-            # hand each empty cluster the frame currently worst served
+            # hand the empty clusters the frames currently worst served, ties
+            # to the lowest frame: those at or above the empty.size-th largest
+            # residual, in frame order, sorted stably by residual
             residual = np.linalg.norm(frames - centroids[labels], axis=1)
-            order = np.argsort(-residual, kind="stable")
-            centroids[empty] = frames[order[: empty.size]]
+            cut = np.partition(residual, T - empty.size)[T - empty.size]
+            worst = np.flatnonzero(residual >= cut)
+            worst = worst[np.argsort(-residual[worst], kind="stable")]
+            centroids[empty] = frames[worst[: empty.size]]
     return centroids, _nearest(points, centroids, norms)
 
 

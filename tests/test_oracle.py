@@ -726,10 +726,9 @@ def reference_diagonal_table(T, K, M):
     return probs
 
 
-def reference_markov_residual_table(T, K, M, seed):
-    """The markov_residual family enumerated path by path: the fit path drawn
-    one rng.choice per step, and every state path quantized by rvq_encode and
-    added at its grid's row-major index."""
+def reference_chain_fit_path(seed):
+    """(values, init, trans, path) of the markov_residual family's 8-state
+    chain, its 4,096-step fit path drawn one rng.choice per step."""
     n_states, coeff = 8, 0.8
     values = np.linspace(-2.0, 2.0, n_states)
     var = 1.0 - coeff**2
@@ -742,6 +741,15 @@ def reference_markov_residual_table(T, K, M, seed):
     path[0] = rng.choice(n_states, p=init)
     for t in range(1, len(path)):
         path[t] = rng.choice(n_states, p=trans[path[t - 1]])
+    return values, init, trans, path
+
+
+def reference_markov_residual_table(T, K, M, seed):
+    """The markov_residual family enumerated path by path: the fit path of
+    reference_chain_fit_path, and every state path quantized by rvq_encode
+    and added at its grid's row-major index."""
+    values, init, trans, path = reference_chain_fit_path(seed)
+    n_states = len(values)
     books, _ = train_codebooks(values[path][:, None], RVQConfig(K=K, M=M, d_latent=1),
                                iterations=30, seed=seed)
     probs = np.zeros(M ** (T * K))
@@ -771,6 +779,22 @@ MARKOV_SHAPES = sorted(
 def test_markov_residual_chain_table_equals_path_enumeration(T, K, M, seed):
     joint = make_joint("markov_residual", T, K, M, seed=seed)
     assert np.array_equal(joint.probs, reference_markov_residual_table(T, K, M, seed))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_markov_residual_fits_the_path_drawn_one_choice_per_step(monkeypatch, seed):
+    # the table test alone can miss a changed path that fits the same rows
+    fits = []
+
+    def recording(frames, config, **kwargs):
+        fits.append((frames, kwargs["index"]))
+        return train_codebooks(frames, config, **kwargs)
+
+    monkeypatch.setattr(oracle, "train_codebooks", recording)
+    make_joint("markov_residual", 2, 2, 2, seed=seed)
+    [(frames, index)] = fits
+    values, _, _, path = reference_chain_fit_path(seed)
+    assert np.array_equal(frames[index], values[path][:, None])
 
 
 def test_diagonal_chain_table_equals_per_timestep_writes():

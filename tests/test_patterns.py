@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tokenweave import patterns
 from tokenweave.errors import GuardError, ValidationError
 from tokenweave.patterns import (
     Pattern,
@@ -215,6 +216,53 @@ def test_every_built_pattern_validates(kind, T, K):
     # the table's checks run again on a copy, and the document's on its JSON
     assert np.array_equal(Pattern(step=p.step.copy()).step, p.step)
     assert np.array_equal(pattern_from_json(pattern_to_json(p)).step, p.step)
+
+
+def _unguarded_table_violations(step):
+    """_table_violations with every message block run on every table, the
+    form whose messages the guarded one must repeat byte for byte."""
+    violations = [
+        f"step {step[t, k]} of coordinate {(int(t) + 1, int(k) + 1)} is below 1"
+        for t, k in np.argwhere(step < 1)
+    ]
+    rises = np.diff(step, axis=0)
+    for k, s in sorted({(int(k) + 1, int(step[t, k])) for t, k in np.argwhere(rises == 0)}):
+        violations.append(f"duplicate codebook {k} in step {s}")
+    for k in np.flatnonzero((rises < 0).any(axis=0)) + 1:
+        violations.append(f"codebook {k} timesteps are not strictly increasing across steps")
+    revealed = np.sort(step, axis=None)
+    revealed = revealed[np.searchsorted(revealed, 1):]
+    after = np.flatnonzero(np.diff(revealed) > 1)
+    for a, b in zip([1, *revealed[after] + 1], [*revealed[:1] - 1, *revealed[after + 1] - 1]):
+        if a <= b:
+            span = f"step {a}" if a == b else f"steps {a}-{b}"
+            violations.append(f"nothing is revealed at {span}")
+    return violations
+
+
+def test_table_violations_name_what_the_unguarded_checks_name():
+    # half the tables uniform in -1..8, half columns that mostly rise by one,
+    # so valid tables and each lone violation turn up too
+    rng = np.random.default_rng(40)
+    seen = {"valid": 0, "below 1": 0, "duplicate": 0, "strictly": 0, "nothing": 0}
+    for i in range(20_000):
+        T, K = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        if i % 2:
+            step = rng.integers(-1, 9, size=(T, K))
+        else:
+            rises = rng.choice([-1, 0, 1, 1, 1, 1, 2], size=(T - 1, K))
+            start = rng.integers(0, 3, size=(1, K))
+            step = np.clip(np.cumsum(np.vstack([start, rises]), axis=0), -1, 8)
+        got = patterns._table_violations(step)
+        assert got == _unguarded_table_violations(step), step
+        seen["valid"] += not got
+        for word in ("below 1", "duplicate", "strictly", "nothing"):
+            seen[word] += any(word in v for v in got)
+    assert min(seen.values()) > 100, seen
+    # steps far past T*K: the sorted table names their gaps, no count per step is laid out
+    for step in ([[1], [10**15]], [[-5, 2**62]], [[0, 1], [3, 10**12]]):
+        step = np.array(step)
+        assert patterns._table_violations(step) == _unguarded_table_violations(step), step
 
 
 def test_validate_duplicate_codebook_in_step():

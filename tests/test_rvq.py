@@ -299,6 +299,43 @@ def test_kmeans_equals_the_per_cluster_mean_bitwise(d):
             assert np.array_equal(labels, _reference_nearest(points, want)), (seed, M, cap)
 
 
+def _indexed_inputs(d):
+    """(rows, index, M, seed): rows on a quarter-integer lattice, each named
+    at least once by a shuffled index. Lattice sums are exact, so one-column
+    fits are bitwise the reference's too. With 10 rows and M = 12, two or more
+    clusters are empty at once; once each row has its own centroid, every
+    residual is 0, and only the tie rule picks the reseeded frames."""
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for n, M in ((10, 12), (30, 12), (60, 6)):
+            rows = rng.integers(-8, 9, size=(n, d)) / 4.0
+            index = rng.permutation(np.concatenate([np.arange(n), rng.integers(0, n, 60)]))
+            yield rows, index, M, seed
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 8])
+def test_kmeans_reseeds_the_lowest_of_the_worst_served_frames(monkeypatch, d):
+    reseeds = []  # (empty clusters, more frames at or above the cut than picked)
+    partition = np.partition
+
+    def spying(a, kth, *args, **kwargs):
+        out = partition(a, kth, *args, **kwargs)
+        reseeds.append((a.size - kth, np.count_nonzero(a >= out[kth]) > a.size - kth))
+        return out
+
+    monkeypatch.setattr(np, "partition", spying)
+    for rows, index, M, seed in _indexed_inputs(d):
+        for cap in CAPS:
+            want = _reference_kmeans(rows[index], M, cap, np.random.default_rng(seed))
+            got, labels = rvq._kmeans(rows, M, cap, np.random.default_rng(seed), index)
+            assert np.array_equal(got, want), (seed, M, cap)
+            assert np.array_equal(labels, _reference_nearest(rows, want)), (seed, M, cap)
+            got, labels = rvq._kmeans(rows[index], M, cap, np.random.default_rng(seed))
+            assert np.array_equal(got, want), (seed, M, cap)
+            assert np.array_equal(labels, _reference_nearest(rows[index], want)), (seed, M, cap)
+    assert any(e >= 2 and tied for e, tied in reseeds)
+
+
 def test_kmeans_one_column_agrees_to_rounding_and_encodes_alike():
     # np.mean sums a single column pairwise and bincount adds in point order;
     # either sum of n terms is off by at most n * eps * max|x|
@@ -462,6 +499,17 @@ def test_markov_residual_joint_searches_the_fit_once(monkeypatch):
         monkeypatch, oracle, lambda: make_joint("markov_residual", 2, 4, 3, seed=0)
     )
     assert (at_fit_end, total) == ([11], 15)
+
+
+def test_markov_residual_joint_sorts_no_whole_fit(monkeypatch):
+    # the oracle workload's joint reseeds twice; each sorts only the frames at
+    # or above its cut, never all 4,096 (np.unique's own sort of the path is
+    # an ndarray method, not seen here)
+    sizes = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sizes.append(np.size(a)) or argsort(a, *args, **kw))
+    make_joint("markov_residual", 2, 4, 3, seed=0)
+    assert len(sizes) == 2 and max(sizes) < oracle._CHAIN_FIT_LEN, sizes
 
 
 def _updates_before_labels_repeat(monkeypatch, points, M, seed):
